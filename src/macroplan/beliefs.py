@@ -10,7 +10,7 @@ as a funnel in belief space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -108,6 +108,12 @@ class PredicateConstraints(Constraints):
         return bool(self.fn(x))
 
 
+# Most covariances one model's filter path stores.  A stable filter reaches
+# its fixed point within a few dozen steps of any start covariance, so the
+# bound only stops growth under an endless stream of distinct starts.
+FILTER_PATH_MAX = 4096
+
+
 def _check_symmetric(m: np.ndarray, name: str, tol: float = 1e-9) -> None:
     if not np.allclose(m, m.T, atol=tol):
         raise ValueError(f"{name} must be symmetric")
@@ -156,6 +162,8 @@ class LinearGaussianModel:
         # noise square roots, computed once per model
         self._sq = _psd_sqrt(self.Q)
         self._sr = _psd_sqrt(self.R_obs)
+        # posterior covariance bytes -> (Kalman gain, next posterior covariance)
+        self._filter_path: Dict[bytes, Tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def state_dim(self) -> int:
@@ -171,6 +179,27 @@ class LinearGaussianModel:
 
     def constraint_set(self, x: np.ndarray) -> bool:
         return self.constraints.violates(x)
+
+    def _filter_update(self, cov: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Kalman gain and posterior covariance one predict/update step after
+        posterior ``cov``.  Neither depends on the data, so each distinct
+        ``cov`` is solved once per model; the arrays returned are shared and
+        read-only."""
+        key = cov.tobytes()
+        hit = self._filter_path.get(key)
+        if hit is None:
+            Pm = self.A @ cov @ self.A.T + self.Q
+            S = self.C @ Pm @ self.C.T + self.R_obs
+            K = np.linalg.solve(S.T, (Pm @ self.C.T).T).T
+            ikc = np.eye(self.state_dim) - K @ self.C
+            nxt = ikc @ Pm @ ikc.T + K @ self.R_obs @ K.T  # Joseph form
+            nxt = 0.5 * (nxt + nxt.T)
+            K.setflags(write=False)
+            nxt.setflags(write=False)
+            hit = (K, nxt)
+            if len(self._filter_path) < FILTER_PATH_MAX:
+                self._filter_path[key] = hit
+        return hit
 
     def to_dict(self) -> dict:
         return {
@@ -371,14 +400,9 @@ def lma_step(lma: Lma, sim: SimState, model: LinearGaussianModel,
     z = model.C @ truth + v
 
     # Kalman predict + update (time-varying exact filter)
+    K, cov = model._filter_update(sim.belief.cov)
     mp = model.A @ sim.belief.mean + model.G @ u
-    Pm = model.A @ sim.belief.cov @ model.A.T + model.Q
-    S = model.C @ Pm @ model.C.T + model.R_obs
-    K = np.linalg.solve(S.T, (Pm @ model.C.T).T).T
     mean = mp + K @ (z - model.C @ mp)
-    ikc = np.eye(model.state_dim) - K @ model.C
-    cov = ikc @ Pm @ ikc.T + K @ model.R_obs @ K.T
-    cov = 0.5 * (cov + cov.T)
 
     sim.truth = truth
     sim.belief = GaussianBelief._trusted(mean, cov)
@@ -414,12 +438,25 @@ def run_lma(lma: Lma, start: SimState, stop_regions: Sequence,
         raise ValueError("max_steps must be positive")
     if not stop_regions:
         raise ValueError("stop_regions must be non-empty")
+    means = np.stack([r.center.mean for r in stop_regions])
+    covs = np.stack([r.center.cov.ravel() for r in stop_regions])
+    eps = np.array([r.epsilon for r in stop_regions])
+    w_mean, w_cov = norm.w_mean, norm.w_cov
     sim = start
     start_elapsed = sim.elapsed
     start_reward = sim.accrued_reward
     while True:
-        for region in stop_regions:
-            if norm.distance(sim.belief, region.center) <= region.epsilon:
+        # The stacked norms can differ from BeliefNorm.distance in the last
+        # bits, far inside the 1e-9 relative slack, so they only shortlist
+        # regions; the landing decision is the scalar test, in region order.
+        b = sim.belief
+        dm = np.linalg.norm(means - b.mean, axis=1)
+        dc = np.linalg.norm(covs - b.cov.ravel(), axis=1)
+        near = (w_mean * dm + w_cov * dc - eps
+                <= 1e-9 * (abs(w_mean) * dm + abs(w_cov) * dc))
+        for k in np.flatnonzero(near):
+            region = stop_regions[k]
+            if norm.distance(b, region.center) <= region.epsilon:
                 return TerminationRecord(
                     outcome=TerminationRecord.LANDED, region_id=region.id,
                     elapsed_steps=sim.elapsed - start_elapsed,

@@ -138,8 +138,6 @@ def _search_config(data: dict, cfg: DeliveryConfig,
 def cmd_build_tma(args) -> int:
     data = _load_yaml(args.config)
     model, start, goal, tcfg = _tma_setup(data)
-    if args.threads:
-        tcfg.threads = args.threads
     rng = np.random.default_rng(args.seed)
     t0 = time.time()
     tma = construct_tma(start, goal, model, tcfg, rng)
@@ -281,7 +279,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", required=True)
         for flag, kw in extra.items():
             p.add_argument(flag, **kw)

@@ -12,7 +12,6 @@ initial belief.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -20,8 +19,9 @@ import numpy as np
 
 from . import chains
 from .beliefs import (BeliefNorm, GainSpec, GaussianBelief, LinearGaussianModel,
-                      Lma, LmaParams, SimState, TerminationRecord, design_lma,
-                      run_lma, stationary_covariance, stationary_kalman_gain)
+                      Lma, LmaParams, SimState, TerminationRecord, _psd_sqrt,
+                      design_lma, run_lma, stationary_covariance,
+                      stationary_kalman_gain)
 from .errors import ConfigError, GoalUnreachable, NonConvergent, NoOutgoingEdge
 
 FAILURE_ID = 0
@@ -146,7 +146,6 @@ class TmaConfig:
     bounds_hi: Optional[np.ndarray] = None
     norm: BeliefNorm = field(default_factory=BeliefNorm)
     dp_tol: float = 1e-9
-    threads: int = 1
 
 
 def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
@@ -163,14 +162,15 @@ def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
     sigma = start_milestone.epsilon / 3.0
     stops = [ms for i, ms in sorted(all_milestones.items())
              if i not in (FAILURE_ID, start_milestone.id)]
-    cov_sqrt = _sqrt_psd(center.cov)
+    cov_sqrt = _psd_sqrt(center.cov)
     counts: Dict[int, int] = {i: 0 for i in all_milestones}
     total_reward = 0.0
     total_time = 0.0
     for _ in range(m):
         mean = center.mean + sigma * rng.standard_normal(center.mean.shape)
         truth = mean + cov_sqrt @ rng.standard_normal(center.mean.shape)
-        sim = SimState(truth=truth, belief=GaussianBelief(mean=mean, cov=center.cov))
+        sim = SimState(truth=truth,
+                       belief=GaussianBelief._trusted(mean, center.cov))
         rec = run_lma(lma, sim, stops, model, max_steps, rng, norm)
         if rec.outcome == TerminationRecord.LANDED:
             counts[rec.region_id] += 1
@@ -185,9 +185,34 @@ def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
                      time=mean_time, sample_count=m)
 
 
-def _sqrt_psd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    return v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
+def _backup(edges: Sequence[GraphEdge], values: Dict[int, float]
+            ) -> Tuple[float, Optional[GraphEdge]]:
+    """Bellman backup over one node's outgoing ``edges``, given sorted by
+    target id; the strict ``>`` breaks ties toward the lowest target id."""
+    best, best_edge = -np.inf, None
+    for edge in edges:
+        rhs = edge.reward + sum(p * values[j]
+                                for j, p in edge.landing_probs.items() if p)
+        if rhs > best:
+            best, best_edge = rhs, edge
+    return best, best_edge
+
+
+def _stuck_nodes(graph: TmaGraph, transient: Sequence[int]) -> List[int]:
+    """Transient nodes from which no chain of edges with positive landing
+    mass reaches the goal or the failure node."""
+    reach = {graph.goal_id, FAILURE_ID}
+    grew = True
+    while grew:
+        grew = False
+        for i in transient:
+            if i not in reach and any(
+                    p > 0 and j in reach
+                    for e in graph.outgoing(i)
+                    for j, p in e.landing_probs.items()):
+                reach.add(i)
+                grew = True
+    return [i for i in transient if i not in reach]
 
 
 def solve_graph_dp(graph: TmaGraph, tol: float = 1e-9,
@@ -197,6 +222,11 @@ def solve_graph_dp(graph: TmaGraph, tol: float = 1e-9,
 
     V(goal) = 0 and V(failure) = failure_value are held fixed; ties in the
     greedy argmax break toward the lowest edge target id.
+
+    Raises NonConvergent without sweeping when some transient nodes can
+    never leave their set and every edge out of them costs more than
+    ``tol``: each sweep then lowers the set's largest value by at least the
+    smallest such cost, so the sweeps could never converge.
     """
     values: Dict[int, float] = {graph.goal_id: 0.0, FAILURE_ID: graph.failure_value}
     transient = graph.transient_ids()
@@ -205,15 +235,18 @@ def solve_graph_dp(graph: TmaGraph, tol: float = 1e-9,
             raise NoOutgoingEdge(f"node {i} has no outgoing edges")
         values[i] = 0.0
 
+    stuck = _stuck_nodes(graph, transient)
+    if stuck and all(e.reward < -tol for i in stuck for e in graph.outgoing(i)):
+        raise NonConvergent(
+            f"graph DP cannot converge: nodes {stuck} never reach the goal "
+            f"or failure node and every edge out of them has negative reward")
+
+    outgoing = {i: sorted(graph.outgoing(i), key=lambda e: e.to_id)
+                for i in transient}
     for _ in range(max_sweeps):
         delta = 0.0
         for i in transient:
-            best = -np.inf
-            for edge in sorted(graph.outgoing(i), key=lambda e: e.to_id):
-                rhs = edge.reward + sum(p * values[j]
-                                        for j, p in edge.landing_probs.items() if p)
-                if rhs > best:
-                    best = rhs
+            best, _ = _backup(outgoing[i], values)
             delta = max(delta, abs(best - values[i]))
             values[i] = best
         if delta <= tol:
@@ -221,15 +254,7 @@ def solve_graph_dp(graph: TmaGraph, tol: float = 1e-9,
     else:
         raise NonConvergent("graph DP did not converge; improper policy cycle?")
 
-    policy: Dict[int, GraphEdge] = {}
-    for i in transient:
-        best_edge, best = None, -np.inf
-        for edge in sorted(graph.outgoing(i), key=lambda e: e.to_id):
-            rhs = edge.reward + sum(p * values[j]
-                                    for j, p in edge.landing_probs.items() if p)
-            if rhs > best:
-                best, best_edge = rhs, edge
-        policy[i] = best_edge
+    policy = {i: _backup(outgoing[i], values)[1] for i in transient}
     return values, policy
 
 
@@ -344,18 +369,9 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
                                                cov=p_stat))
             jobs.append((i, j, lma))
 
-    edge_rngs = rng.spawn(len(jobs))
-
-    def run_job(args):
-        (i, j, lma), sub = args
-        return estimate_edge(milestones[i], lma, j, milestones, task_model,
+    results = [estimate_edge(milestones[i], lma, j, milestones, task_model,
                              cfg.m_sims, cfg.max_steps, sub, cfg.norm)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run_job, zip(jobs, edge_rngs)))
-    else:
-        results = [run_job(a) for a in zip(jobs, edge_rngs)]
+               for (i, j, lma), sub in zip(jobs, rng.spawn(len(jobs)))]
 
     edges: Dict[int, List[GraphEdge]] = {}
     for e in results:

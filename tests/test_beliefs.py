@@ -157,6 +157,40 @@ class TestLmaStep:
             lma_step(lma, sim, m, rng)
         assert np.min(np.linalg.eigvalsh(sim.belief.cov)) >= -1e-10
 
+    def test_cached_filter_matches_uncached_recursion(self):
+        # the reference re-solves the gain and covariance every step; two
+        # runs from one start read the model's filter path cold, then warm
+        m = LinearGaussianModel(A=[[1.0, 0.1], [0.0, 0.9]], G=[[0.0], [1.0]],
+                                C=[[1.0, 0.0]], Q=0.01 * np.eye(2),
+                                R_obs=[[0.05]], step_cost=StepCost(u_weight=0.1))
+        lma = design_lma(m, [0.3, 0.0])
+        start_cov = np.array([[2.0, 0.3], [0.3, 0.5]])
+        for seed in (5, 5, 6):
+            sim = SimState(truth=np.array([1.0, -0.5]),
+                           belief=GaussianBelief([0.8, -0.4], start_cov))
+            truth, mean, cov = sim.truth, sim.belief.mean, sim.belief.cov
+            reward = 0.0
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(300):
+                lma_step(lma, sim, m, rng)
+                u = lma.control(mean)
+                reward += m.step_cost(truth, u)
+                truth = (m.A @ truth + m.G @ u
+                         + m._sq @ ref_rng.standard_normal(2))
+                z = m.C @ truth + m._sr @ ref_rng.standard_normal(1)
+                mp = m.A @ mean + m.G @ u
+                Pm = m.A @ cov @ m.A.T + m.Q
+                S = m.C @ Pm @ m.C.T + m.R_obs
+                K = np.linalg.solve(S.T, (Pm @ m.C.T).T).T
+                mean = mp + K @ (z - m.C @ mp)
+                ikc = np.eye(2) - K @ m.C
+                cov = ikc @ Pm @ ikc.T + K @ m.R_obs @ K.T
+                cov = 0.5 * (cov + cov.T)
+                assert sim.truth.tobytes() == truth.tobytes()
+                assert sim.belief.mean.tobytes() == mean.tobytes()
+                assert sim.belief.cov.tobytes() == cov.tobytes()
+                assert sim.accrued_reward == reward
+
 
 def make_milestone(mid, mean, cov, eps):
     return Milestone(id=mid, center=GaussianBelief(mean, cov), epsilon=eps)
@@ -206,6 +240,38 @@ class TestRunLma:
         rec = run_lma(self.lma, sim, [far], self.m, 5, np.random.default_rng(0))
         assert rec.outcome == TerminationRecord.TIMEOUT
         assert rec.elapsed_steps == 5
+
+    def test_overlapping_balls_land_in_lower_index(self):
+        # the belief is nearer region 3's center but inside both balls
+        low = make_milestone(2, np.array([0.0]), self.p, 0.5)
+        high = make_milestone(3, np.array([0.3]), self.p, 0.5)
+        sim = SimState(truth=np.array([0.25]),
+                       belief=GaussianBelief([0.25], self.p))
+        rec = run_lma(self.lma, sim, [low, high], self.m, 10,
+                      np.random.default_rng(0))
+        assert (rec.outcome, rec.region_id, rec.elapsed_steps) == (
+            TerminationRecord.LANDED, 2, 0)
+
+    def test_landing_follows_scalar_distance_to_the_bit(self):
+        # a ball whose radius is exactly the belief's distance holds it, and
+        # one a single ulp smaller does not
+        rng = np.random.default_rng(11)
+        m = LinearGaussianModel(A=np.eye(2), G=np.eye(2), C=np.eye(2),
+                                Q=1e-4 * np.eye(2), R_obs=1e-4 * np.eye(2))
+        lma = design_lma(m, [0.0, 0.0])
+        norm = BeliefNorm(w_mean=1.0, w_cov=0.1)
+        for _ in range(300):
+            a = rng.standard_normal((2, 2))
+            b = GaussianBelief(rng.standard_normal(2), a @ a.T)
+            c = rng.standard_normal((2, 2))
+            center = GaussianBelief(rng.standard_normal(2), c @ c.T)
+            d = norm.distance(b, center)
+            for eps, lands in ((d, True), (np.nextafter(d, 0.0), False)):
+                region = Milestone(id=2, center=center, epsilon=eps)
+                sim = SimState(truth=b.mean.copy(), belief=b)
+                rec = run_lma(lma, sim, [region], m, 1,
+                              np.random.default_rng(0), norm)
+                assert (rec.elapsed_steps == 0) == lands
 
     def test_seed_determinism(self):
         recs = []

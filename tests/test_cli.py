@@ -85,6 +85,17 @@ def test_build_tma_deterministic(tma_cfg_path, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_build_tma_rejects_threads_flag(tma_cfg_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["build-tma", "--config", tma_cfg_path, "--threads", "2",
+              "--out", str(tmp_path / "x.json")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == \
+        "macroplan: error: unrecognized arguments: --threads 2"
+    assert "Traceback" not in err
+
+
 def test_build_tma_bad_config_exits_2(tmp_path):
     bad = write_yaml(tmp_path / "bad.yaml", {"model": {"A": [[1.0]]}})
     assert main(["build-tma", "--config", bad, "--seed", "0",

@@ -1,12 +1,16 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macroplan.beliefs import (BeliefNorm, GainSpec, GaussianBelief,
                                LinearGaussianModel, PredicateConstraints,
                                StepCost, design_lma, stationary_covariance)
-from macroplan.errors import GoalUnreachable, NoOutgoingEdge, SingularChain
+from macroplan.errors import (GoalUnreachable, NonConvergent, NoOutgoingEdge,
+                              SingularChain)
 from macroplan.tma import (GraphEdge, Milestone, Tma, TmaConfig, TmaGraph,
                            construct_tma, estimate_edge, expected_times,
                            query_from_belief, solve_graph_dp,
@@ -117,6 +121,86 @@ class TestSolveGraphDp:
         for lo, hi in zip(vals, vals[1:]):
             for i in [2, 3]:
                 assert hi[i] >= lo[i] - 1e-12
+
+
+def plain_sweeps(graph, tol, max_sweeps):
+    """Reference Gauss-Seidel value iteration with no early check: the
+    values once converged, or None if ``max_sweeps`` sweeps do not converge."""
+    values = {graph.goal_id: 0.0, 0: graph.failure_value}
+    transient = graph.transient_ids()
+    for i in transient:
+        values[i] = 0.0
+    for _ in range(max_sweeps):
+        delta = 0.0
+        for i in transient:
+            best = -np.inf
+            for e in sorted(graph.outgoing(i), key=lambda e: e.to_id):
+                rhs = e.reward + sum(p * values[j]
+                                     for j, p in e.landing_probs.items() if p)
+                if rhs > best:
+                    best = rhs
+            delta = max(delta, abs(best - values[i]))
+            values[i] = best
+        if delta <= tol:
+            return values
+    return None
+
+
+def raises_early(graph):
+    """Whether solve_graph_dp rejects ``graph`` before its first sweep."""
+    with pytest.raises(NonConvergent) as info:
+        solve_graph_dp(graph, max_sweeps=0)
+    return "never reach" in str(info.value)
+
+
+@st.composite
+def quarter_graphs(draw):
+    """Graphs of 3-5 nodes whose landing masses are multiples of 1/4 and
+    whose edge rewards are all zero or all negative."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    negative = draw(st.booleans())
+    edges = {}
+    for i in range(2, n):
+        targets = draw(st.lists(st.sampled_from([t for t in range(1, n) if t != i]),
+                                min_size=1, max_size=3, unique=True))
+        outs = []
+        for j in targets:
+            lands = draw(st.lists(st.integers(0, n - 1), min_size=4, max_size=4))
+            probs = {k: lands.count(k) / 4 for k in range(n)}
+            reward = (draw(st.sampled_from([-0.25, -1.0, -2.5]))
+                      if negative else 0.0)
+            outs.append(edge(i, j, probs, reward=reward))
+        edges[i] = outs
+    return small_graph(edges, n_nodes=n - 1)
+
+
+class TestGraphDpEarlyFailure:
+    def test_closed_negative_cycle_fails_fast(self):
+        e23 = edge(2, 3, {0: 0, 1: 0, 2: 0, 3: 1.0}, reward=-1.0)
+        e32 = edge(3, 2, {0: 0, 1: 0, 2: 1.0, 3: 0}, reward=-1.0)
+        g = small_graph({2: [e23], 3: [e32]}, n_nodes=3)
+        t0 = time.perf_counter()
+        with pytest.raises(NonConvergent, match=r"nodes \[2, 3\]"):
+            solve_graph_dp(g)
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_zero_reward_cycle_keeps_sweeping(self):
+        e23 = edge(2, 3, {0: 0, 1: 0, 2: 0, 3: 1.0}, reward=0.0)
+        e32 = edge(3, 2, {0: 0, 1: 0, 2: 1.0, 3: 0}, reward=0.0)
+        g = small_graph({2: [e23], 3: [e32]}, n_nodes=3)
+        assert not raises_early(g)
+        values, policy = solve_graph_dp(g)
+        assert values[2] == values[3] == 0.0
+        assert policy == {2: e23, 3: e32}
+
+    @settings(max_examples=150, deadline=None)
+    @given(quarter_graphs())
+    def test_early_check_iff_sweeps_diverge(self, g):
+        ref = plain_sweeps(g, tol=1e-9, max_sweeps=2000)
+        assert raises_early(g) == (ref is None)
+        if ref is not None:
+            values, _ = solve_graph_dp(g, tol=1e-9, max_sweeps=2000)
+            assert values == ref
 
 
 class TestChainAnalytics:
@@ -274,11 +358,6 @@ class TestConstructTma:
         blocked = PredicateConstraints(lambda x: 0.3 <= x[0] <= 0.8)
         with pytest.raises(GoalUnreachable):
             build_scalar_tma(seed=1, n_nodes=2, constraints=blocked)
-
-    def test_threads_do_not_change_result(self):
-        t1, _ = build_scalar_tma(seed=6)
-        t2, _ = build_scalar_tma(seed=6, threads=4)
-        assert tma_to_dict(t1) == tma_to_dict(t2)
 
 
 class TestQueryFromBelief:
