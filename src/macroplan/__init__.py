@@ -7,8 +7,8 @@ from .errors import (ConfigError, DeadAgent, GoalUnreachable, InitiationViolated
                      MacroplanError, NonConvergent, NoOutgoingEdge,
                      NoValidSuccessor, SingularChain, Unstabilizable)
 from .tma import (GraphEdge, Milestone, Tma, TmaConfig, TmaGraph, construct_tma,
-                  estimate_edge, expected_times, load_tma, query_from_belief,
-                  save_tma, solve_graph_dp, success_probabilities)
+                  estimate_edge, expected_times, load_tma, save_tma,
+                  solve_graph_dp, success_probabilities)
 from .decposmdp import (AgentStatus, Domain, GraphTmaExecution, JointConfig,
                         JointGraphExecution, MacroObservation, PolicyValue,
                         RewardSpec, RolloutTrace, SegmentResult, TimedExecution,

@@ -391,17 +391,21 @@ def design_lma(model: LinearGaussianModel, target: np.ndarray,
 def lma_step(lma: Lma, sim: SimState, model: LinearGaussianModel,
              rng: np.random.Generator) -> SimState:
     """Advance truth and belief one step under the LMA; mutates ``sim``."""
-    u = lma.control(sim.belief.mean)
+    belief = sim.belief
+    u = lma.control(belief.mean)
     sim.accrued_reward += model.step_cost(sim.truth, u)
 
-    w = model._sq @ rng.standard_normal(model.state_dim)
-    truth = model.A @ sim.truth + model.G @ u + w
-    v = model._sr @ rng.standard_normal(model.obs_dim)
-    z = model.C @ truth + v
+    # one draw holds the process noise, then the observation noise: the
+    # same numbers, in the same order, as two separate draws
+    n = model._sq.shape[0]
+    noise = rng.standard_normal(n + model._sr.shape[0])
+    gu = model.G @ u
+    truth = model.A @ sim.truth + gu + model._sq @ noise[:n]
+    z = model.C @ truth + model._sr @ noise[n:]
 
     # Kalman predict + update (time-varying exact filter)
-    K, cov = model._filter_update(sim.belief.cov)
-    mp = model.A @ sim.belief.mean + model.G @ u
+    K, cov = model._filter_update(belief.cov)
+    mp = model.A @ belief.mean + gu
     mean = mp + K @ (z - model.C @ mp)
 
     sim.truth = truth
@@ -424,6 +428,20 @@ class TerminationRecord:
     TIMEOUT = "timeout"
 
 
+class StopRegions:
+    """Stop regions with their centers and radii stacked for the shortlist
+    test in ``run_lma``; build once and pass to every run over the same
+    regions."""
+
+    def __init__(self, regions: Sequence):
+        if not regions:
+            raise ValueError("stop_regions must be non-empty")
+        self.regions = list(regions)
+        self.means = np.stack([r.center.mean for r in self.regions])
+        self.covs = np.stack([r.center.cov.ravel() for r in self.regions])
+        self.eps = np.array([r.epsilon for r in self.regions])
+
+
 def run_lma(lma: Lma, start: SimState, stop_regions: Sequence,
             model: LinearGaussianModel, max_steps: int,
             rng: np.random.Generator,
@@ -431,16 +449,16 @@ def run_lma(lma: Lma, start: SimState, stop_regions: Sequence,
     """Run the funnel until the belief enters a stop region, the truth
     violates the constraint set (failure node, region id 0), or max_steps.
 
-    ``stop_regions`` items need ``id``, ``center`` (GaussianBelief) and
-    ``epsilon`` attributes; the failure check comes from the model.
+    ``stop_regions`` is a ``StopRegions`` or a sequence whose items need
+    ``id``, ``center`` (GaussianBelief) and ``epsilon`` attributes; the
+    failure check comes from the model.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    if not stop_regions:
-        raise ValueError("stop_regions must be non-empty")
-    means = np.stack([r.center.mean for r in stop_regions])
-    covs = np.stack([r.center.cov.ravel() for r in stop_regions])
-    eps = np.array([r.epsilon for r in stop_regions])
+    if not isinstance(stop_regions, StopRegions):
+        stop_regions = StopRegions(stop_regions)
+    regions, means, covs, eps = (stop_regions.regions, stop_regions.means,
+                                 stop_regions.covs, stop_regions.eps)
     w_mean, w_cov = norm.w_mean, norm.w_cov
     sim = start
     start_elapsed = sim.elapsed
@@ -455,7 +473,7 @@ def run_lma(lma: Lma, start: SimState, stop_regions: Sequence,
         near = (w_mean * dm + w_cov * dc - eps
                 <= 1e-9 * (abs(w_mean) * dm + abs(w_cov) * dc))
         for k in np.flatnonzero(near):
-            region = stop_regions[k]
+            region = regions[k]
             if norm.distance(b, region.center) <= region.epsilon:
                 return TerminationRecord(
                     outcome=TerminationRecord.LANDED, region_id=region.id,

@@ -1,8 +1,10 @@
 """Command-line harness: build TMAs, run policy searches, and write the
 experiment artifacts (policies, value traces, success curves) as CSV/JSON.
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible problem
-(unreachable goal or empty successor sets).
+Exit codes: 0 success, 2 configuration error (including an unreadable or
+malformed policy file), 3 infeasible problem (unreachable goal, empty
+successor sets, a filter or graph DP that does not converge, an
+unstabilizable model, or a singular absorbing chain).
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import yaml
 from .beliefs import GaussianBelief, GainSpec, LinearGaussianModel
 from .delivery import (DeliveryConfig, build_domain, desk_config,
                        success_curve)
-from .errors import ConfigError, GoalUnreachable, NoValidSuccessor
+from .errors import (ConfigError, GoalUnreachable, NonConvergent,
+                     NoValidSuccessor, SingularChain, Unstabilizable)
 from .search import (SearchConfig, load_policy, mmcs, monte_carlo_search,
                      save_policy, write_value_trace)
 from .tma import TmaConfig, construct_tma, load_tma, save_tma
@@ -41,6 +44,13 @@ def _load_yaml(path: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a mapping")
     return data
+
+
+def _load_policy(path: str):
+    try:
+        return load_policy(path)
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise ConfigError(f"cannot read policy {path}: {e}") from e
 
 
 def _config_hash(data: dict) -> str:
@@ -219,8 +229,8 @@ def cmd_compare_search(args) -> int:
 def cmd_success_curve(args) -> int:
     data = _load_yaml(args.config)
     cfg = _delivery_config(data)
+    policy = _load_policy(args.policy)
     domain = build_domain(cfg, np.random.default_rng(args.seed).spawn(1)[0])
-    policy = load_policy(args.policy)
     _check_policy(policy, domain)
     n_runs = args.budget if args.budget is not None else 250
     rng = np.random.default_rng(args.seed)
@@ -261,8 +271,8 @@ def _check_policy(policy, domain) -> None:
 def cmd_validate_policy(args) -> int:
     data = _load_yaml(args.config)
     cfg = _delivery_config(data)
+    policy = _load_policy(args.policy)
     domain = build_domain(cfg, np.random.default_rng(args.seed).spawn(1)[0])
-    policy = load_policy(args.policy)
     _check_policy(policy, domain)
     print(f"{args.policy}: valid for this domain")
     return EXIT_OK
@@ -304,7 +314,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GoalUnreachable, NoValidSuccessor) as e:
+    except (GoalUnreachable, NoValidSuccessor, NonConvergent, Unstabilizable,
+            SingularChain) as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

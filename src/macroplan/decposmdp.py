@@ -15,16 +15,9 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set,
 
 import numpy as np
 
-from .beliefs import GaussianBelief, Lma, LmaParams, SimState, lma_step
+from .beliefs import GaussianBelief, SimState, lma_step
 from .errors import InitiationViolated
 from .tma import FAILURE_ID, Tma
-
-
-@dataclass(frozen=True)
-class EState:
-    """Element of the domain's finite environmental-state set."""
-
-    value: Hashable
 
 
 @dataclass(frozen=True)
@@ -33,16 +26,6 @@ class MacroObservation:
 
     terminal_milestone: int
     e_obs: Hashable
-
-
-@dataclass
-class MacroHistory:
-    """Per-agent alternating (observation, macro-action id) record."""
-
-    entries: List[Tuple[MacroObservation, Hashable]] = field(default_factory=list)
-
-    def append(self, obs: MacroObservation, tma_id: Hashable) -> None:
-        self.entries.append((obs, tma_id))
 
 
 @dataclass
@@ -195,73 +178,60 @@ class GraphTmaExecution(Execution):
         assert spec.tma is not None
         self.spec = spec
         self.agents = (agent,)
-        self.tma = spec.tma
-        self.model = spec.tma.model
+        self.tma = tma = spec.tma
+        self.model = tma.model
         self.max_edge_steps = max_edge_steps
-        belief = config.sims[agent].belief
-        d = self.tma.distances(belief)
-        goal = self.tma.graph.goal_id
-        goal_idx = int(np.flatnonzero(self.tma._ids == goal)[0])
+        d = tma.distances(config.sims[agent].belief)
+        g = tma._goal_idx
         # assigned while already inside the goal ball: hold one step, done
-        self.hold_done = bool(d[goal_idx] <= self.tma._eps[goal_idx])
+        self.hold_done = bool(d[g] <= tma._eps[g])
         if self.hold_done:
-            self.node = goal
+            self.node = tma.graph.goal_id
         else:
-            # enter the graph at the nearest milestone that has a policy edge
-            candidates = [(d[k], int(i)) for k, i in enumerate(self.tma._ids)
-                          if int(i) in self.tma.policy]
-            self.node = min(candidates)[1]
+            # enter the graph at the nearest milestone that has a policy
+            # edge; ids are sorted and argmin takes the first of equal
+            # distances, so ties go to the lower id
+            entry = tma._entry_idx
+            self.node = int(tma._ids[entry[np.argmin(d[entry])]])
         self.steps_on_edge = 0
 
-    def _hold_lma(self):
-        return self.tma.policy[next(iter(self.tma.policy))].lma
+    def station_keep(self, sim: SimState, rng: np.random.Generator) -> float:
+        """One step holding the belief on the goal; returns its reward."""
+        before = sim.accrued_reward
+        lma_step(self.tma.station_lma, sim, self.model, rng)
+        return sim.accrued_reward - before
 
     def step(self, config: JointConfig, rng: np.random.Generator) -> StepOutcome:
         agent = self.agents[0]
         sim = config.sims[agent]
+        tma = self.tma
         if self.hold_done:
             # station-keep on the goal for a single step
-            goal = self.tma.graph.milestones[self.tma.graph.goal_id]
-            lma = _station_keeping_lma(self.tma, goal)
-            before = sim.accrued_reward
-            lma_step(lma, sim, self.model, rng)
-            r = sim.accrued_reward - before
-            return StepOutcome(rewards={agent: r}, done=True,
-                               terminal_milestones={agent: self.tma.graph.goal_id})
-        edge = self.tma.policy[self.node]
+            return StepOutcome(rewards={agent: self.station_keep(sim, rng)},
+                               done=True,
+                               terminal_milestones={agent: tma.graph.goal_id})
         before = sim.accrued_reward
-        lma_step(edge.lma, sim, self.model, rng)
-        r = sim.accrued_reward - before
-        out = StepOutcome(rewards={agent: r})
+        lma_step(tma.policy[self.node].lma, sim, self.model, rng)
+        out = StepOutcome(rewards={agent: sim.accrued_reward - before})
         if self.model.constraint_set(sim.truth):
             out.dead = {agent}
             return out
         self.steps_on_edge += 1
-        d = self.tma.distances(sim.belief)
-        inside = [int(self.tma._ids[k]) for k in np.flatnonzero(d <= self.tma._eps)]
-        inside = [i for i in inside
-                  if i == self.tma.graph.goal_id or i in self.tma.policy]
-        if inside:
-            nid = inside[0]
+        # the first stop node (goal or policy node) whose ball holds the belief
+        inside = (tma.distances(sim.belief) <= tma._eps) & tma._stop
+        if inside.any():
+            nid = int(tma._ids[inside.argmax()])
             if nid != self.node:
                 self.node = nid
                 self.steps_on_edge = 0
                 config.statuses[agent].milestone_id = nid
-            if nid == self.tma.graph.goal_id:
+            if nid == tma.graph.goal_id:
                 out.done = True
                 out.terminal_milestones = {agent: nid}
                 return out
         if self.steps_on_edge >= self.max_edge_steps:
             out.dead = {agent}  # never-terminating funnel folds into failure
         return out
-
-
-def _station_keeping_lma(tma: Tma, goal_milestone):
-    edge = next(iter(tma.policy.values()))
-    return Lma(params=LmaParams(gain=edge.lma.params.gain,
-                                target=goal_milestone.center.mean),
-               kalman_gain=edge.lma.kalman_gain,
-               attractor=goal_milestone.center)
 
 
 class JointGraphExecution(Execution):
@@ -278,23 +248,16 @@ class JointGraphExecution(Execution):
 
     def step(self, config: JointConfig, rng: np.random.Generator) -> StepOutcome:
         out = StepOutcome(rewards={})
-        terminal = {}
         for a in sorted(self.agents):
             sub = self.subs[a]
             if a in self.finished:
-                sim = config.sims[a]
-                goal = sub.tma.graph.milestones[sub.tma.graph.goal_id]
-                lma = _station_keeping_lma(sub.tma, goal)
-                before = sim.accrued_reward
-                lma_step(lma, sim, sub.model, rng)
-                out.rewards[a] = sim.accrued_reward - before
+                out.rewards[a] = sub.station_keep(config.sims[a], rng)
                 continue
             sub_out = sub.step(config, rng)
             out.rewards[a] = sub_out.rewards[a]
             out.dead |= sub_out.dead
             if sub_out.done:
                 self.finished.add(a)
-                terminal[a] = sub_out.terminal_milestones[a]
         if out.dead:
             return out
         if self.finished == set(self.agents):
@@ -387,6 +350,18 @@ class SegmentResult:
     primitive_rewards: List[float] = field(default_factory=list)
 
 
+def _running_executions(config: JointConfig) -> List[Execution]:
+    """Each running execution once, in the order of its lowest agent."""
+    execs = []
+    seen = set()
+    for a in sorted(config.executions):
+        exe = config.executions[a]
+        if id(exe) not in seen:
+            seen.add(id(exe))
+            execs.append(exe)
+    return execs
+
+
 def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
                domain: Domain, rng: np.random.Generator) -> SegmentResult:
     """Advance all agents in lockstep until the first macro-action terminates.
@@ -409,6 +384,8 @@ def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
             config.statuses[a].tma_id = exe.spec.id
 
     gamma = domain.rewards.discount
+    n_agents = len(config.sims)
+    statuses = config.statuses
     reward_rtau = 0.0
     prim = []
     terminated: Set[int] = set()
@@ -416,35 +393,28 @@ def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
     dead: Set[int] = set()
     t = 0
     disc = 1.0
-    while True:
-        execs = []
-        seen = set()
-        for a in sorted(config.executions):
-            exe = config.executions[a]
-            if id(exe) not in seen:
-                seen.add(id(exe))
-                execs.append(exe)
-        if not execs:
-            break  # nothing can advance (all agents dead or idle)
-
-        agent_rewards = {i: 0.0 for i in range(len(config.sims))}
+    # the running executions change within a segment only when an agent dies
+    execs = _running_executions(config)
+    while execs:
+        agent_rewards = [0.0] * n_agents
         events: List = []
         done_execs = []
+        died = False
         for exe in execs:
             out = exe.step(config, rng)
             for a, r in out.rewards.items():
                 agent_rewards[a] += r
             events.extend(out.events)
             for a in out.dead:
-                config.statuses[a].dead = True
-                config.statuses[a].busy = False
+                statuses[a].dead = True
+                statuses[a].busy = False
                 dead.add(a)
                 config.executions.pop(a, None)
+                died = True
             if out.done and not out.dead:
                 done_execs.append((exe, out))
         team = domain.team_reward(events, config)
-        rbar = domain.rewards.combine(
-            [agent_rewards[i] for i in range(len(config.sims))], team)
+        rbar = domain.rewards.combine(agent_rewards, team)
         reward_rtau += disc * rbar
         prim.append(rbar)
         t += 1
@@ -454,17 +424,19 @@ def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
             domain.e_dynamics(events, config, rng)
             for exe, out in done_execs:
                 for a in exe.agents:
-                    config.statuses[a].busy = False
+                    statuses[a].busy = False
                     config.executions.pop(a, None)
                     terminated.add(a)
                     tm = out.terminal_milestones.get(a, -1)
-                    config.statuses[a].milestone_id = tm
+                    statuses[a].milestone_id = tm
                     observations[a] = MacroObservation(
                         terminal_milestone=tm,
                         e_obs=domain.observe(a, config))
             break
-        if not any(not st.dead and st.busy for st in config.statuses):
-            break  # everyone died mid-segment
+        if died:
+            if not any(not st.dead and st.busy for st in statuses):
+                break  # everyone died mid-segment
+            execs = _running_executions(config)
 
     config.clock += t
     return SegmentResult(reward_Rtau=reward_rtau, tau_min=t,
@@ -491,8 +463,8 @@ class PolicyValue:
 def _resolve_assignments(policy, domain: Domain, config: JointConfig,
                          nodes: List[int]) -> Dict[int, Hashable]:
     assigned = {}
-    for i in config.alive():
-        if config.statuses[i].busy:
+    for i, st in enumerate(config.statuses):
+        if st.dead or st.busy:
             continue
         tma_id = policy.controllers[i].nodes[nodes[i]]
         if not domain.initiation_ok(i, tma_id, config):
@@ -501,27 +473,24 @@ def _resolve_assignments(policy, domain: Domain, config: JointConfig,
                 continue
         assigned[i] = tma_id
     # joint macro-actions need a consistent partner group this segment;
-    # unpaired agents fall back
-    counts: Dict[Hashable, List[int]] = {}
+    # unpaired agents, and agents beyond the group size, fall back
+    groups: Dict[Hashable, List[int]] = {}
     for i, tid in assigned.items():
-        counts.setdefault(tid, []).append(i)
-    for tid, members in counts.items():
-        spec = domain.roster(members[0])[tid]
-        if spec.agents_required > len(members):
-            fb = None
-            for i in members:
-                fb = domain.fallback_tma(i)
-                if fb is not None:
-                    assigned[i] = fb
-                else:
-                    del assigned[i]
-        elif spec.agents_required > 1 and len(members) > spec.agents_required:
-            for i in members[spec.agents_required:]:
-                fb = domain.fallback_tma(i)
-                if fb is not None:
-                    assigned[i] = fb
-                else:
-                    del assigned[i]
+        groups.setdefault(tid, []).append(i)
+    for tid, members in groups.items():
+        required = domain.roster(members[0])[tid].agents_required
+        if required > len(members):
+            unpaired = members
+        elif required > 1:
+            unpaired = members[required:]
+        else:
+            continue
+        for i in unpaired:
+            fb = domain.fallback_tma(i)
+            if fb is not None:
+                assigned[i] = fb
+            else:
+                del assigned[i]
     return assigned
 
 

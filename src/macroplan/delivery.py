@@ -9,6 +9,7 @@ ground robot at a rendezvous point and trucked in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -209,6 +210,13 @@ def _ground_model(cfg: DeliveryConfig) -> LinearGaussianModel:
         constraints=NoConstraints())
 
 
+def _dist(p: np.ndarray, q: np.ndarray) -> float:
+    """Euclidean distance between two points; the same bits as
+    ``np.linalg.norm(p - q)``, which also takes the root of ``d.dot(d)``."""
+    d = p - q
+    return math.sqrt(d.dot(d))
+
+
 def _goal_mean(model: LinearGaussianModel, xy) -> np.ndarray:
     g = np.zeros(model.state_dim)
     g[:2] = xy
@@ -302,6 +310,19 @@ class DeliveryDomain(Domain):
         self.rewards = RewardSpec(discount=cfg.discount)
         self.air_model = _air_model(cfg)
         self.ground_model = _ground_model(cfg)
+        # site coordinates as arrays for the distance tests
+        self._bases_xy = [np.asarray(xy, dtype=float) for xy in cfg.bases]
+        self._dests_xy = {d: np.asarray(xy, dtype=float)
+                          for d, xy in cfg.dests.items()}
+        self._rendezvous_xy = np.asarray(cfg.rendezvous, dtype=float)
+        # start beliefs, validated once: beliefs are replaced on every step,
+        # never written in place, so all rollouts can start from them
+        self._start_beliefs = [
+            GaussianBelief(mean=_goal_mean(model, xy),
+                           cov=1e-4 * np.eye(model.state_dim))
+            for xy, model in ((cfg.bases[0], self.air_model),
+                              (cfg.bases[1], self.air_model),
+                              (cfg.rendezvous, self.ground_model))]
 
         sites_air = {"base-1": cfg.bases[0], "base-2": cfg.bases[1],
                      "dest-1": cfg.dests["d1"], "dest-2": cfg.dests["d2"],
@@ -392,15 +413,8 @@ class DeliveryDomain(Domain):
 
     def initial(self, rng: np.random.Generator) -> JointConfig:
         cfg = self.cfg
-        starts = [cfg.bases[0], cfg.bases[1], cfg.rendezvous]
-        models = [self.air_model, self.air_model, self.ground_model]
-        sims = []
-        for xy, model in zip(starts, models):
-            mean = _goal_mean(model, xy)
-            sims.append(SimState(truth=mean.copy(),
-                                 belief=GaussianBelief(
-                                     mean=mean,
-                                     cov=1e-4 * np.eye(model.state_dim))))
+        sims = [SimState(truth=b.mean.copy(), belief=b)
+                for b in self._start_beliefs]
         world = WorldState(
             base_packages=[generate_packages(rng, cfg) for _ in cfg.bases],
             positions=[s.belief.mean[:2].copy() for s in sims],
@@ -416,25 +430,26 @@ class DeliveryDomain(Domain):
     def _pos(self, agent: int, config: JointConfig) -> np.ndarray:
         return config.sims[agent].belief.mean[:2]
 
-    def _at(self, agent: int, xy, config: JointConfig) -> bool:
-        return bool(np.linalg.norm(self._pos(agent, config) - np.asarray(xy))
-                    <= self.cfg.site_radius)
+    def _at(self, agent: int, xy: np.ndarray, config: JointConfig) -> bool:
+        return _dist(self._pos(agent, config), xy) <= self.cfg.site_radius
 
     def _base_at(self, agent: int, config: JointConfig) -> Optional[int]:
-        for j, xy in enumerate(self.cfg.bases):
+        for j, xy in enumerate(self._bases_xy):
             if self._at(agent, xy, config):
                 return j
         return None
 
     def _colocated(self, a: int, b: int, config: JointConfig) -> bool:
-        return bool(np.linalg.norm(self._pos(a, config) - self._pos(b, config))
-                    <= self.cfg.colocate_radius + self.cfg.site_radius)
+        return (_dist(self._pos(a, config), self._pos(b, config))
+                <= self.cfg.colocate_radius + self.cfg.site_radius)
 
     # ----- observations -----------------------------------------------------
     def observe(self, agent: int, config: JointConfig) -> str:
         world: WorldState = config.world
+        # belief means are replaced on every step, never written in place,
+        # so views of them are snapshots
         for i in range(self.n_agents):
-            world.positions[i] = self._pos(i, config).copy()
+            world.positions[i] = self._pos(i, config)
         return observe_estate(agent, world, self)
 
     def _estate_tuple(self, world: WorldState) -> Hashable:
@@ -481,7 +496,7 @@ class DeliveryDomain(Domain):
             pkg = world.carrying[agent]
             return (kind == AIR and pkg is not None
                     and pkg.destination == "dr"
-                    and self._at(agent, self.cfg.rendezvous, config)
+                    and self._at(agent, self._rendezvous_xy, config)
                     and self._colocated(agent, 2, config)
                     and world.carrying[2] is None)
         return True
@@ -525,7 +540,7 @@ class DeliveryDomain(Domain):
                else world.carrying[agents[0]])
         if pkg is None:
             return 0.0
-        dest_xy = self.cfg.dests[pkg.destination]
+        dest_xy = self._dests_xy[pkg.destination]
         if all(self._at(a, dest_xy, config) for a in agents):
             return self.cfg.delivery_bonus
         return 0.0
@@ -576,7 +591,7 @@ class DeliveryDomain(Domain):
                 a = agents[0]
                 pkg = world.carrying[a]
                 if (pkg is not None and world.carrying[2] is None
-                        and self._at(a, cfg.rendezvous, config)
+                        and self._at(a, self._rendezvous_xy, config)
                         and self._colocated(a, 2, config)):
                     world.carrying[a] = None
                     world.carrying[2] = pkg
@@ -586,7 +601,7 @@ class DeliveryDomain(Domain):
     def _settle_drop(self, pkg: PackageDescriptor, agents,
                      config: JointConfig) -> None:
         world: WorldState = config.world
-        dest_xy = self.cfg.dests[pkg.destination]
+        dest_xy = self._dests_xy[pkg.destination]
         if all(self._at(a, dest_xy, config) for a in agents):
             world.delivered[pkg.destination] += 1
             world.dropped_ok += 1
@@ -605,8 +620,8 @@ def observe_estate(agent: int, world: WorldState,
         carried = world.joint_carry
     if carried is not None:
         return f"s-{carried.destination}"
-    for j, xy in enumerate(cfg.bases):
-        if np.linalg.norm(pos - np.asarray(xy)) <= cfg.site_radius:
+    for j, xy in enumerate(domain._bases_xy):
+        if _dist(pos, xy) <= cfg.site_radius:
             pkg = world.base_packages[j]
             if not pkg.present:
                 return "empty"
@@ -614,16 +629,15 @@ def observe_estate(agent: int, world: WorldState,
                 return f"s-{pkg.destination}"
             nearby = any(
                 i != agent and domain.kinds[i].kind == AIR
-                and np.linalg.norm(world.positions[i] - np.asarray(xy))
-                <= cfg.site_radius
+                and _dist(world.positions[i], xy) <= cfg.site_radius
                 for i in range(domain.n_agents))
             return "L-a" if nearby else "L-m"
-    if np.linalg.norm(pos - np.asarray(cfg.rendezvous)) <= cfg.site_radius:
+    rv = domain._rendezvous_xy
+    if _dist(pos, rv) <= cfg.site_radius:
         others = [i for i in range(domain.n_agents) if i != agent
                   and domain.kinds[i].kind != domain.kinds[agent].kind]
-        near = any(np.linalg.norm(world.positions[i]
-                                  - np.asarray(cfg.rendezvous))
-                   <= cfg.site_radius for i in others)
+        near = any(_dist(world.positions[i], rv) <= cfg.site_radius
+                   for i in others)
         return "rv-a" if near else "rv-m"
     return "none"
 

@@ -14,7 +14,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -98,12 +98,6 @@ class SearchConfig:
             raise ValueError("explore_rate must lie in (0, 1]")
 
 
-def _valid_targets(domain: Domain, agent: int, labels: Sequence[Hashable],
-                   label: Hashable, obs: Hashable) -> List[int]:
-    succ = set(domain.valid_successors(agent, label, obs))
-    return [i for i, lb in enumerate(labels) if lb in succ]
-
-
 def sample_valid_controller(domain: Domain, agent: int, n_nodes: int,
                             rng: np.random.Generator,
                             mask: Optional[Mask] = None,
@@ -124,6 +118,8 @@ def sample_valid_controller(domain: Domain, agent: int, n_nodes: int,
     alphabet = domain.obs_alphabet()
     if mask:
         pinned = {lb for lb, _ in mask} | set(mask.values())
+    # (label, obs) -> valid successor labels, read once per call
+    succ: Dict[Tuple[Hashable, Hashable], Set[Hashable]] = {}
     for _ in range(max_attempts):
         if mask and base is not None:
             labels = [lb if (lb in pinned
@@ -138,12 +134,21 @@ def sample_valid_controller(domain: Domain, agent: int, n_nodes: int,
             carrier.setdefault(lb, i)
         ok = True
         edges: Dict[Tuple[int, Hashable], int] = {}
+        # (label, obs) -> nodes carrying a valid successor, for this labeling
+        node_targets: Dict[Tuple[Hashable, Hashable], List[int]] = {}
         for i, lb in enumerate(labels):
             for obs in alphabet:
                 if mask and (lb, obs) in mask and mask[(lb, obs)] in carrier:
                     edges[(i, obs)] = carrier[mask[(lb, obs)]]
                     continue
-                targets = _valid_targets(domain, agent, labels, lb, obs)
+                targets = node_targets.get((lb, obs))
+                if targets is None:
+                    valid = succ.get((lb, obs))
+                    if valid is None:
+                        valid = succ[(lb, obs)] = set(
+                            domain.valid_successors(agent, lb, obs))
+                    targets = node_targets[(lb, obs)] = [
+                        k for k, other in enumerate(labels) if other in valid]
                 if not targets:
                     ok = False
                     break

@@ -18,10 +18,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import chains
-from .beliefs import (BeliefNorm, GainSpec, GaussianBelief, LinearGaussianModel,
-                      Lma, LmaParams, SimState, TerminationRecord, _psd_sqrt,
-                      design_lma, run_lma, stationary_covariance,
-                      stationary_kalman_gain)
+from .beliefs import (FILTER_PATH_MAX, BeliefNorm, GainSpec, GaussianBelief,
+                      LinearGaussianModel, Lma, LmaParams, SimState,
+                      StopRegions, TerminationRecord, _psd_sqrt, design_lma,
+                      run_lma, stationary_covariance, stationary_kalman_gain)
 from .errors import ConfigError, GoalUnreachable, NonConvergent, NoOutgoingEdge
 
 FAILURE_ID = 0
@@ -106,11 +106,41 @@ class Tma:
         self._means = np.stack([self.graph.milestones[i].center.mean for i in ids])
         self._covs = np.stack([self.graph.milestones[i].center.cov for i in ids])
         self._eps = np.array([self.graph.milestones[i].epsilon for i in ids])
+        goal = self.graph.goal_id
+        # index of the goal in _ids; nodes a walk may enter (policy nodes)
+        # and nodes where it may stop (those and the goal)
+        self._goal_idx = ids.index(goal)
+        entry = np.array([i in self.policy for i in ids], dtype=bool)
+        self._entry_idx = np.flatnonzero(entry)
+        self._stop = entry | (self._ids == goal)
+        # covariance bytes -> weighted covariance term of distances();
+        # beliefs follow the models' bounded filter paths, so few distinct
+        # covariances occur
+        self._cov_dist: Dict[bytes, np.ndarray] = {}
+        self.station_lma = None
+        if self.policy:
+            # holds a belief on the goal with the policy's shared gains
+            edge = next(iter(self.policy.values()))
+            center = self.graph.milestones[goal].center
+            self.station_lma = Lma(
+                params=LmaParams(gain=edge.lma.params.gain, target=center.mean),
+                kalman_gain=edge.lma.kalman_gain, attractor=center)
 
     def distances(self, b: GaussianBelief) -> np.ndarray:
-        dm = np.linalg.norm(self._means - b.mean[None, :], axis=1)
-        dc = np.linalg.norm((self._covs - b.cov[None, :, :]).reshape(len(self._ids), -1), axis=1)
-        return self.norm.w_mean * dm + self.norm.w_cov * dc
+        # np.linalg.norm(diff, axis=1) without its argument handling: the
+        # same products and reduction, so the same bits
+        diff = self._means - b.mean
+        dm = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        key = b.cov.tobytes()
+        dc = self._cov_dist.get(key)
+        if dc is None:
+            dc = self.norm.w_cov * np.linalg.norm(
+                (self._covs - b.cov[None, :, :]).reshape(len(self._ids), -1),
+                axis=1)
+            dc.setflags(write=False)
+            if len(self._cov_dist) < FILTER_PATH_MAX:
+                self._cov_dist[key] = dc
+        return self.norm.w_mean * dm + dc
 
     def nearest_milestone_id(self, b: GaussianBelief) -> int:
         d = self.distances(b)
@@ -121,13 +151,9 @@ class Tma:
         return int(self._ids[int(np.argmin(d))])
 
     def query_from_belief(self, b: GaussianBelief) -> Tuple[float, float, float]:
+        """Value, success probability and expected completion time for ``b``."""
         nid = self.nearest_milestone_id(b)
         return self.values[nid], self.success[nid], self.time_to_goal[nid]
-
-
-def query_from_belief(tma: Tma, b: GaussianBelief) -> Tuple[float, float, float]:
-    """Value, success probability and expected completion time for ``b``."""
-    return tma.query_from_belief(b)
 
 
 @dataclass(frozen=True)
@@ -160,8 +186,8 @@ def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
         raise ValueError("m must be >= 1")
     center = start_milestone.center
     sigma = start_milestone.epsilon / 3.0
-    stops = [ms for i, ms in sorted(all_milestones.items())
-             if i not in (FAILURE_ID, start_milestone.id)]
+    stops = StopRegions([ms for i, ms in sorted(all_milestones.items())
+                         if i not in (FAILURE_ID, start_milestone.id)])
     cov_sqrt = _psd_sqrt(center.cov)
     counts: Dict[int, int] = {i: 0 for i in all_milestones}
     total_reward = 0.0

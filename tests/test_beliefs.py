@@ -191,6 +191,46 @@ class TestLmaStep:
                 assert sim.belief.cov.tobytes() == cov.tobytes()
                 assert sim.accrued_reward == reward
 
+    def test_one_noise_draw_matches_two_draws(self):
+        # lma_step draws process and observation noise in one call; the
+        # reference draws them in two, as separate w and v vectors, on a
+        # double integrator with more states (4) than observations (2)
+        dt = 1.0
+        A = np.block([[np.eye(2), dt * np.eye(2)], [np.zeros((2, 2)), np.eye(2)]])
+        G = np.vstack([0.5 * dt ** 2 * np.eye(2), dt * np.eye(2)])
+        C = np.hstack([np.eye(2), np.zeros((2, 2))])
+        m = LinearGaussianModel(A=A, G=G, C=C, Q=2e-5 * np.eye(4),
+                                R_obs=3e-5 * np.eye(2),
+                                step_cost=StepCost(base=0.01, u_weight=0.2))
+        lma = design_lma(m, [0.4, 0.6, 0.0, 0.0],
+                         GainSpec(kind="lqr", control_weight=8.0))
+        for seed in range(3):
+            one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert one.standard_normal(6).tobytes() == np.concatenate(
+                [two.standard_normal(4), two.standard_normal(2)]).tobytes()
+            sim = SimState(truth=np.array([0.1, 0.2, 0.0, 0.0]),
+                           belief=GaussianBelief([0.1, 0.2, 0.0, 0.0],
+                                                 1e-4 * np.eye(4)))
+            truth, mean, cov = sim.truth, sim.belief.mean, sim.belief.cov
+            reward = 0.0
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(200):
+                lma_step(lma, sim, m, rng)
+                u = lma.control(mean)
+                reward += m.step_cost(truth, u)
+                w = m._sq @ ref_rng.standard_normal(4)
+                truth = m.A @ truth + m.G @ u + w
+                v = m._sr @ ref_rng.standard_normal(2)
+                z = m.C @ truth + v
+                K, cov = m._filter_update(cov)
+                mp = m.A @ mean + m.G @ u
+                mean = mp + K @ (z - m.C @ mp)
+                assert sim.truth.tobytes() == truth.tobytes()
+                assert sim.belief.mean.tobytes() == mean.tobytes()
+                assert sim.belief.cov.tobytes() == cov.tobytes()
+                assert sim.accrued_reward == reward
+            assert rng.random() == ref_rng.random()
+
 
 def make_milestone(mid, mean, cov, eps):
     return Milestone(id=mid, center=GaussianBelief(mean, cov), epsilon=eps)

@@ -7,7 +7,9 @@ import os
 import pytest
 import yaml
 
+from macroplan import cli
 from macroplan.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from macroplan.errors import NonConvergent, SingularChain, Unstabilizable
 
 TMA_CONFIG = {
     "model": {
@@ -115,6 +117,56 @@ def test_build_tma_unreachable_goal_exits_3(tmp_path):
     rc = main(["build-tma", "--config", path, "--seed", "2",
                "--out", str(tmp_path / "x.json")])
     assert rc == EXIT_INFEASIBLE
+
+
+def test_build_tma_unstabilizable_gain_exits_3(tmp_path, capsys):
+    cfg = copy.deepcopy(TMA_CONFIG)
+    # a zero feedback gain leaves the integrator's closed loop at radius 1
+    cfg["tma"]["gain_spec"] = {"kind": "fixed", "state_weight": 1.0,
+                               "control_weight": 1.0,
+                               "fixed_gain": [[0.0, 0.0], [0.0, 0.0]]}
+    path = write_yaml(tmp_path / "unstable.yaml", cfg)
+    rc = main(["build-tma", "--config", path, "--out", str(tmp_path / "x.json")])
+    assert rc == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: closed-loop spectral radius")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("error", [NonConvergent, Unstabilizable,
+                                   SingularChain])
+def test_build_tma_infeasible_errors_exit_3(error, tma_cfg_path, tmp_path,
+                                            monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise error("no stationary solution")
+
+    monkeypatch.setattr(cli, "construct_tma", fail)
+    rc = main(["build-tma", "--config", tma_cfg_path,
+               "--out", str(tmp_path / "x.json")])
+    assert rc == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "infeasible: no stationary solution\n"
+
+
+def test_missing_policy_file_exits_2(delivery_cfg_path, tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    rc = main(["validate-policy", "--config", delivery_cfg_path,
+               "--policy", missing])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read policy {missing}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_wrong_format_policy_file_exits_2(delivery_cfg_path, tmp_path, capsys):
+    path = str(tmp_path / "tma.json")
+    with open(path, "w") as f:
+        json.dump({"format": "macroplan-tma-v1"}, f)
+    rc = main(["success-curve", "--config", delivery_cfg_path,
+               "--policy", path, "--out", str(tmp_path / "c.csv")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (f"config error: cannot read policy {path}: unrecognized "
+                   f"policy format 'macroplan-tma-v1'\n")
 
 
 def test_solve_artifacts(solve_out):

@@ -6,7 +6,7 @@ import pytest
 
 from macroplan.beliefs import (GainSpec, GaussianBelief, LinearGaussianModel,
                                NoConstraints, PredicateConstraints, SimState,
-                               StepCost)
+                               StepCost, design_lma)
 from macroplan.decposmdp import (Domain, GraphTmaExecution, JointConfig,
                                  JointGraphExecution, MacroObservation,
                                  AgentStatus, RewardSpec, TimedExecution,
@@ -14,8 +14,11 @@ from macroplan.decposmdp import (Domain, GraphTmaExecution, JointConfig,
                                  estimate_transition_kernel,
                                  evaluate_joint_policy, joint_reward,
                                  step_joint)
+from macroplan.delivery import build_domain, desk_config
 from macroplan.errors import InitiationViolated
-from macroplan.tma import TmaConfig, construct_tma
+from macroplan.search import SearchConfig, mmcs, sample_joint_policy
+from macroplan.tma import (GraphEdge, Milestone, Tma, TmaConfig, TmaGraph,
+                           construct_tma)
 
 
 # ---------------------------------------------------------------------------
@@ -404,3 +407,73 @@ def test_semi_markov_identity_on_graph_domain(small_tma):
                                rng=np.random.default_rng(8))
     for tr in pv.rollouts:
         assert tr.value == pytest.approx(tr.primitive_value, abs=1e-9)
+
+
+def test_graph_entry_node_breaks_distance_ties_to_lower_id():
+    # nodes 2 and 3 are exactly equidistant from the belief; node 4 is
+    # nearer but has no policy edge, and the policy lists node 3 first
+    model = _integrator_model()
+    p = 1e-4 * np.eye(2)
+    centers = {1: [0.9, 0.9], 2: [0.25, 0.5], 3: [0.75, 0.5], 4: [0.5, 0.6]}
+    milestones = {0: Milestone(id=0, center=None, epsilon=1.0)}
+    for i, xy in centers.items():
+        milestones[i] = Milestone(id=i, center=GaussianBelief(xy, p),
+                                  epsilon=0.05)
+    lma = design_lma(model, centers[1])
+    policy = {i: GraphEdge(from_id=i, to_id=1, lma=lma,
+                           landing_probs={0: 0.0, 1: 1.0}, reward=-1.0,
+                           time=1.0, sample_count=1) for i in (3, 2)}
+    graph = TmaGraph(milestones=milestones,
+                     edges={i: [e] for i, e in policy.items()},
+                     goal_id=1, failure_value=-100.0)
+    tma = Tma(graph=graph, policy=policy, values={}, success={},
+              time_to_goal={}, model=model)
+    spec = TmaSpec(id="go", name="go", tma=tma)
+    belief = GaussianBelief([0.5, 0.5], p)
+    config = JointConfig(
+        sims=[SimState(truth=belief.mean.copy(), belief=belief)],
+        statuses=[AgentStatus()], e_state=0)
+    d = tma.distances(belief)
+    by_id = dict(zip(tma._ids.tolist(), d))
+    assert by_id[2] == by_id[3] and by_id[4] < by_id[2]
+    # the rule: the least (distance, id) pair among policy nodes
+    nearest_then_lowest = min((d[k], int(i)) for k, i in enumerate(tma._ids)
+                              if int(i) in tma.policy)[1]
+    exe = GraphTmaExecution(spec, 0, config)
+    assert not exe.hold_done
+    assert exe.node == nearest_then_lowest == 2
+
+
+# ---------------------------------------------------------------------------
+# bit-exact rollout values on the desk delivery domain; the values were
+# recorded before the rollout path was optimised, so any change to a
+# rollout's arithmetic or to its use of the random stream shows here
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def desk_domain():
+    return build_domain(desk_config(), np.random.default_rng(0))
+
+
+def test_desk_policy_values_are_bit_exact(desk_domain):
+    means = [repr(evaluate_joint_policy(
+        sample_joint_policy(desk_domain, 13, np.random.default_rng(s)),
+        desk_domain, 2, 40, np.random.default_rng(100 + s)).mean)
+        for s in range(4)]
+    assert means == ["-1.4817638218949998", "-1.5690369238492439",
+                     "-1.568912696560198", "-2.9240930815846733"]
+
+
+def test_desk_mmcs_value_trace_is_bit_exact(desk_domain):
+    cfg = SearchConfig(n_nodes=13, budget=12, iter_max_mc=4, k_d=3,
+                       mask_threshold=0.99, explore_rate=0.35, n_rollouts=2,
+                       horizon_macro_steps=40)
+    result = mmcs(desk_domain, cfg, np.random.default_rng(1000))
+    assert [repr(v) for _, v in result.samples] == [
+        "-1.1883737585176766", "-1.962533306652208", "-1.2177795716384179",
+        "-1.8607388553055069", "-1.2471412907405468", "-1.4227401441560015",
+        "3.7792235629555635", "-1.1883737585176766", "-1.7445771201223943",
+        "-2.086190363764766", "8.746820884428804", "-1.467134264680083"]
+    assert [repr(v) for _, v in result.trace] == (
+        ["-1.1883737585176766"] * 6 + ["3.7792235629555635"] * 4
+        + ["8.746820884428804"] * 2)

@@ -13,8 +13,8 @@ from macroplan.errors import (GoalUnreachable, NonConvergent, NoOutgoingEdge,
                               SingularChain)
 from macroplan.tma import (GraphEdge, Milestone, Tma, TmaConfig, TmaGraph,
                            construct_tma, estimate_edge, expected_times,
-                           query_from_belief, solve_graph_dp,
-                           success_probabilities, tma_from_dict, tma_to_dict)
+                           solve_graph_dp, success_probabilities,
+                           tma_from_dict, tma_to_dict)
 
 
 def scalar_model(**kw):
@@ -351,7 +351,7 @@ class TestConstructTma:
                         bounds_hi=np.array([1.0]))
         tma = construct_tma(start, [0.5], model, cfg, np.random.default_rng(0))
         # start lies inside the goal ball: queried completion time is 0
-        assert query_from_belief(tma, start)[2] == 0.0
+        assert tma.query_from_belief(start)[2] == 0.0
 
     def test_blocked_workspace_unreachable(self):
         # wall across the only route: every edge simulation absorbs in B0
@@ -366,7 +366,7 @@ class TestQueryFromBelief:
 
     def test_exact_center_hit(self):
         ms = self.tma.graph.milestones[1]
-        v, s, t = query_from_belief(self.tma, ms.center)
+        v, s, t = self.tma.query_from_belief(ms.center)
         assert (v, s, t) == (self.tma.values[1], self.tma.success[1],
                              self.tma.time_to_goal[1])
 
@@ -381,10 +381,43 @@ class TestQueryFromBelief:
         nid = self.tma.nearest_milestone_id(mid)
         assert nid == int(self.tma._ids[int(np.argmin(d))])
 
+    def test_distances_match_reference_on_cache_miss_and_hit(self):
+        # the covariance term is cached per covariance; a cache miss, a hit
+        # (same covariance, other mean, other array object) and the plain
+        # computation give the same bits
+        model = LinearGaussianModel(A=np.eye(2), G=np.eye(2), C=np.eye(2),
+                                    Q=1e-4 * np.eye(2), R_obs=1e-4 * np.eye(2))
+        cfg = TmaConfig(n_nodes=5, k_neighbors=2, m_sims=5, epsilon=0.05,
+                        max_steps=300, bounds_lo=np.zeros(2),
+                        bounds_hi=np.ones(2), norm=BeliefNorm(0.7, 0.3))
+        start = GaussianBelief([0.1, 0.2], [[2e-3, 4e-4], [4e-4, 1e-3]])
+        tma = construct_tma(start, [0.8, 0.7], model, cfg,
+                            np.random.default_rng(3))
+        ids = sorted(i for i in tma.graph.milestones if i != 0)
+        means = np.stack([tma.graph.milestones[i].center.mean for i in ids])
+        covs = np.stack([tma.graph.milestones[i].center.cov for i in ids])
+
+        def reference(b):
+            dm = np.linalg.norm(means - b.mean[None, :], axis=1)
+            dc = np.linalg.norm((covs - b.cov[None, :, :]).reshape(len(ids), -1),
+                                axis=1)
+            return tma.norm.w_mean * dm + tma.norm.w_cov * dc
+
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            a = rng.standard_normal((2, 2))
+            cov = 1e-3 * (a @ a.T)
+            for _ in range(3):
+                b = GaussianBelief(rng.random(2), cov.copy())
+                first, again = tma.distances(b), tma.distances(b)
+                want = reference(b)
+                assert first.tobytes() == want.tobytes()
+                assert again.tobytes() == want.tobytes()
+
     def test_ranges(self):
         for mean in [-1.0, 0.2, 0.7, 2.0]:
             b = GaussianBelief([mean], self.tma.graph.milestones[1].center.cov)
-            _, s, t = query_from_belief(self.tma, b)
+            _, s, t = self.tma.query_from_belief(b)
             assert 0.0 <= s <= 1.0
             assert t >= 0.0
 
