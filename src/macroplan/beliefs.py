@@ -440,6 +440,30 @@ class StopRegions:
         self.means = np.stack([r.center.mean for r in self.regions])
         self.covs = np.stack([r.center.cov.ravel() for r in self.regions])
         self.eps = np.array([r.epsilon for r in self.regions])
+        # (w_cov, covariance bytes) -> covariance terms of the shortlist;
+        # beliefs follow their model's bounded filter path, so few occur
+        self._cov_terms: Dict[Tuple[float, bytes],
+                              Tuple[np.ndarray, np.ndarray]] = {}
+
+    def shortlist(self, b: GaussianBelief, norm: BeliefNorm) -> np.ndarray:
+        """Indices, in region order, of the regions whose ball may hold
+        ``b``.  The stacked norms can differ from ``BeliefNorm.distance`` in
+        the last bits, far inside the 1e-9 relative slack, so this is a
+        superset of the regions that hold ``b``; the caller decides with the
+        scalar test."""
+        key = (norm.w_cov, b.cov.tobytes())
+        terms = self._cov_terms.get(key)
+        if terms is None:
+            dc = np.linalg.norm(self.covs - b.cov.ravel(), axis=1)
+            terms = (norm.w_cov * dc - self.eps, abs(norm.w_cov) * dc)
+            if len(self._cov_terms) < FILTER_PATH_MAX:
+                self._cov_terms[key] = terms
+        # np.linalg.norm(axis=1) and np.flatnonzero without their argument
+        # handling
+        d = self.means - b.mean
+        dm = np.sqrt(np.add.reduce(d * d, axis=1))
+        return (norm.w_mean * dm + terms[0]
+                <= 1e-9 * (abs(norm.w_mean) * dm + terms[1])).nonzero()[0]
 
 
 def run_lma(lma: Lma, start: SimState, stop_regions: Sequence,
@@ -457,22 +481,14 @@ def run_lma(lma: Lma, start: SimState, stop_regions: Sequence,
         raise ValueError("max_steps must be positive")
     if not isinstance(stop_regions, StopRegions):
         stop_regions = StopRegions(stop_regions)
-    regions, means, covs, eps = (stop_regions.regions, stop_regions.means,
-                                 stop_regions.covs, stop_regions.eps)
-    w_mean, w_cov = norm.w_mean, norm.w_cov
+    regions = stop_regions.regions
     sim = start
     start_elapsed = sim.elapsed
     start_reward = sim.accrued_reward
     while True:
-        # The stacked norms can differ from BeliefNorm.distance in the last
-        # bits, far inside the 1e-9 relative slack, so they only shortlist
-        # regions; the landing decision is the scalar test, in region order.
+        # the landing decision is the scalar test, in region order
         b = sim.belief
-        dm = np.linalg.norm(means - b.mean, axis=1)
-        dc = np.linalg.norm(covs - b.cov.ravel(), axis=1)
-        near = (w_mean * dm + w_cov * dc - eps
-                <= 1e-9 * (abs(w_mean) * dm + abs(w_cov) * dc))
-        for k in np.flatnonzero(near):
+        for k in stop_regions.shortlist(b, norm):
             region = regions[k]
             if norm.distance(b, region.center) <= region.epsilon:
                 return TerminationRecord(

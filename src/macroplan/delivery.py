@@ -168,14 +168,26 @@ def desk_config() -> DeliveryConfig:
                           tma_sims=6, tma_max_steps=250, control_weight=8.0)
 
 
+class _PackageTable:
+    """The categorical (size, destination) package model, built once: its
+    descriptors in sorted key order and their normalized probabilities."""
+
+    def __init__(self, package_probs: Dict[Tuple[int, str], float]):
+        items = sorted(package_probs.items())
+        probs = np.array([p for _, p in items])
+        self.packages = [PackageDescriptor(size=size, destination=dest)
+                         for (size, dest), _ in items]
+        self.p = probs / probs.sum()
+
+    def draw(self, rng: np.random.Generator) -> PackageDescriptor:
+        return self.packages[int(rng.choice(len(self.packages), p=self.p))]
+
+
 def generate_packages(rng: np.random.Generator,
                       cfg: DeliveryConfig) -> PackageDescriptor:
-    """One draw from the configured categorical (size, destination) model."""
-    items = sorted(cfg.package_probs.items())
-    probs = np.array([p for _, p in items])
-    k = rng.choice(len(items), p=probs / probs.sum())
-    size, dest = items[int(k)][0]
-    return PackageDescriptor(size=size, destination=dest)
+    """One draw from the configured categorical (size, destination) model;
+    a domain draws the same packages from a table it builds once."""
+    return _PackageTable(cfg.package_probs).draw(rng)
 
 
 def _air_model(cfg: DeliveryConfig) -> LinearGaussianModel:
@@ -315,6 +327,7 @@ class DeliveryDomain(Domain):
         self._dests_xy = {d: np.asarray(xy, dtype=float)
                           for d, xy in cfg.dests.items()}
         self._rendezvous_xy = np.asarray(cfg.rendezvous, dtype=float)
+        self._packages = _PackageTable(cfg.package_probs)
         # start beliefs, validated once: beliefs are replaced on every step,
         # never written in place, so all rollouts can start from them
         self._start_beliefs = [
@@ -416,7 +429,7 @@ class DeliveryDomain(Domain):
         sims = [SimState(truth=b.mean.copy(), belief=b)
                 for b in self._start_beliefs]
         world = WorldState(
-            base_packages=[generate_packages(rng, cfg) for _ in cfg.bases],
+            base_packages=[self._packages.draw(rng) for _ in cfg.bases],
             positions=[s.belief.mean[:2].copy() for s in sims],
             carrying=[None] * 3,
             pending_refill=[0] * len(cfg.bases))
@@ -552,7 +565,7 @@ class DeliveryDomain(Domain):
         # refills drawn one macro decision epoch after the pickup
         for j in range(len(cfg.bases)):
             if world.pending_refill[j] == 1 and not world.base_packages[j].present:
-                world.base_packages[j] = generate_packages(rng, cfg)
+                world.base_packages[j] = self._packages.draw(rng)
                 if world.base_packages[j].present:
                     world.created += 1
                 world.pending_refill[j] = 0

@@ -14,7 +14,10 @@ class Unstabilizable(MacroplanError):
 
 
 class GoalUnreachable(MacroplanError):
-    """Constructed macro-action graph has zero success probability from the start."""
+    """Constructed macro-action graph has zero success probability from the
+    start, either because the nodes the start reaches never land on the goal
+    or failure node (raised before the graph DP) or because the solved
+    policy never reaches the goal."""
 
 
 class SingularChain(MacroplanError):

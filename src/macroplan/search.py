@@ -94,6 +94,10 @@ class SearchConfig:
             raise ValueError("mask_threshold must lie in (0, 1]")
         if self.budget < 1 or self.iter_max_mc < 1 or self.k_d < 1:
             raise ValueError("budget, iter_max_mc and k_d must be positive")
+        if (self.n_nodes < 1 or self.n_rollouts < 1
+                or self.horizon_macro_steps < 1):
+            raise ValueError(
+                "n_nodes, n_rollouts and horizon_macro_steps must be positive")
         if not (0.0 < self.explore_rate <= 1.0):
             raise ValueError("explore_rate must lie in (0, 1]")
 

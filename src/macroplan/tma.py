@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -326,12 +326,42 @@ def expected_times(graph: TmaGraph,
     return out
 
 
+def _closed_start_set(start_id: int, jobs: Sequence[tuple],
+                      estimate: Callable[[int], GraphEdge]
+                      ) -> Optional[List[int]]:
+    """Estimate edges breadth-first from the start, following every node an
+    edge lands on with positive mass; ``estimate(k)`` estimates job ``k``.
+
+    Returns None as soon as an edge puts mass on the goal (id 1) or the
+    failure node.  Otherwise the nodes reached form a closed set that never
+    leaves itself, and they are returned sorted.
+    """
+    by_node: Dict[int, List[int]] = {}
+    for k, (i, _, _) in enumerate(jobs):
+        by_node.setdefault(i, []).append(k)
+    reached = [start_id]
+    for i in reached:   # grows while it is read: breadth-first order
+        for k in by_node[i]:
+            landed = [j for j, p in estimate(k).landing_probs.items() if p > 0]
+            if FAILURE_ID in landed or 1 in landed:
+                return None
+            reached += [j for j in landed if j not in reached]
+    return sorted(reached)
+
+
 def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
                   task_model: LinearGaussianModel, cfg: TmaConfig,
                   rng: np.random.Generator) -> Tma:
     """Build and solve a TMA graph (offline phase).
 
     Milestone ids: 0 failure, 1 goal, 2..n-1 sampled, n the singleton start.
+
+    Edges are estimated breadth-first from the start node.  If the nodes its
+    edges reach never land on the goal or failure node, the start's success
+    is 0 under every policy: GoalUnreachable is raised, naming the start and
+    that closed set, before the other edges are estimated and before the
+    graph DP.  Otherwise every edge is estimated, with the same result as in
+    job order.
     """
     if cfg.n_nodes < 2:
         raise ConfigError("n_nodes must be >= 2")
@@ -395,12 +425,26 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
                                                cov=p_stat))
             jobs.append((i, j, lma))
 
-    results = [estimate_edge(milestones[i], lma, j, milestones, task_model,
-                             cfg.m_sims, cfg.max_steps, sub, cfg.norm)
-               for (i, j, lma), sub in zip(jobs, rng.spawn(len(jobs)))]
+    # every job owns its child generator, so the order in which edges are
+    # estimated changes no edge
+    subs = rng.spawn(len(jobs))
+    results: List[Optional[GraphEdge]] = [None] * len(jobs)
 
+    def estimate(k: int) -> GraphEdge:
+        i, j, lma = jobs[k]
+        results[k] = estimate_edge(milestones[i], lma, j, milestones,
+                                   task_model, cfg.m_sims, cfg.max_steps,
+                                   subs[k], cfg.norm)
+        return results[k]
+
+    cut_off = _closed_start_set(start_id, jobs, estimate)
+    if cut_off is not None:
+        raise GoalUnreachable(
+            f"start node {start_id} never reaches the goal or failure node: "
+            f"the edges of nodes {cut_off} land only among themselves")
     edges: Dict[int, List[GraphEdge]] = {}
-    for e in results:
+    for k in range(len(jobs)):
+        e = results[k] or estimate(k)
         edges.setdefault(e.from_id, []).append(e)
 
     graph = TmaGraph(milestones=milestones, edges=edges, goal_id=1,

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from macroplan.beliefs import (BeliefNorm, GainSpec, GaussianBelief,
                                LinearGaussianModel, SimState, StepCost,
-                               TerminationRecord, PredicateConstraints,
-                               design_lma, lma_step, run_lma,
+                               StopRegions, TerminationRecord,
+                               PredicateConstraints, design_lma, lma_step,
+                               run_lma,
                                stationary_covariance, stationary_kalman_gain)
 from macroplan.errors import NonConvergent, Unstabilizable
 from macroplan.tma import Milestone
@@ -312,6 +313,38 @@ class TestRunLma:
                 rec = run_lma(lma, sim, [region], m, 1,
                               np.random.default_rng(0), norm)
                 assert (rec.elapsed_steps == 0) == lands
+
+    def test_cached_shortlist_matches_uncached_on_miss_and_hit(self):
+        # the covariance term is cached per covariance; a miss, a hit (same
+        # covariance, other mean, other array object) and the plain stacked
+        # test give the same shortlist
+        rng = np.random.default_rng(5)
+        regions = []
+        for mid in range(2, 9):
+            a = rng.standard_normal((2, 2))
+            regions.append(make_milestone(mid, rng.random(2), 1e-2 * (a @ a.T),
+                                          0.2 + 0.3 * rng.random()))
+        stops = StopRegions(regions)
+        means = np.stack([r.center.mean for r in regions])
+        covs = np.stack([r.center.cov.ravel() for r in regions])
+        eps = np.array([r.epsilon for r in regions])
+        seen = 0
+        for norm in (BeliefNorm(), BeliefNorm(w_mean=0.7, w_cov=0.4)):
+            for _ in range(30):
+                a = rng.standard_normal((2, 2))
+                cov = 1e-2 * (a @ a.T)
+                for _ in range(3):
+                    b = GaussianBelief(rng.random(2), cov.copy())
+                    dm = np.linalg.norm(means - b.mean, axis=1)
+                    dc = np.linalg.norm(covs - b.cov.ravel(), axis=1)
+                    want = np.flatnonzero(
+                        norm.w_mean * dm + norm.w_cov * dc - eps
+                        <= 1e-9 * (abs(norm.w_mean) * dm
+                                   + abs(norm.w_cov) * dc))
+                    assert np.array_equal(stops.shortlist(b, norm), want)
+                    assert np.array_equal(stops.shortlist(b, norm), want)
+                    seen += 0 < want.size < len(regions)
+        assert seen > 20   # the shortlists are neither empty nor everything
 
     def test_seed_determinism(self):
         recs = []

@@ -169,6 +169,19 @@ def test_wrong_format_policy_file_exits_2(delivery_cfg_path, tmp_path, capsys):
                    f"policy format 'macroplan-tma-v1'\n")
 
 
+@pytest.mark.parametrize("key", ["n_nodes", "n_rollouts",
+                                 "horizon_macro_steps"])
+def test_solve_rejects_empty_search_sizes(key, tmp_path, capsys):
+    cfg = copy.deepcopy(DELIVERY_CONFIG)
+    cfg["search"][key] = 0
+    path = write_yaml(tmp_path / "empty.yaml", cfg)
+    rc = main(["solve", "--config", path, "--out", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad search config: ")
+    assert key in err and len(err.splitlines()) == 1
+
+
 def test_solve_artifacts(solve_out):
     files = {"mmcs_policy.json", "mmcs_trace.csv", "mmcs_samples.csv",
              "mmcs_report.json"}

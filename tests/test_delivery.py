@@ -111,6 +111,24 @@ def test_generate_packages_matches_categorical():
         assert abs(counts.get(key, 0) - n * prob) <= 3 * sigma, key
 
 
+def test_domain_package_draws_match_per_draw_table(domain):
+    def per_draw(rng, cfg):
+        # the table rebuilt on every draw, as generate_packages once did
+        items = sorted(cfg.package_probs.items())
+        probs = np.array([p for _, p in items])
+        k = rng.choice(len(items), p=probs / probs.sum())
+        size, dest = items[int(k)][0]
+        return PackageDescriptor(size=size, destination=dest)
+
+    want_rng, rng, free_rng = (np.random.default_rng(3) for _ in range(3))
+    want = [per_draw(want_rng, domain.cfg) for _ in range(500)]
+    assert [domain._packages.draw(rng) for _ in range(500)] == want
+    assert [generate_packages(free_rng, domain.cfg)
+            for _ in range(500)] == want
+    assert rng.random() == want_rng.random() == free_rng.random()
+    assert len(set(want)) == len(domain.cfg.package_probs)
+
+
 def test_regulated_airspace_blocks_air_not_ground(domain):
     dr = np.array(domain.cfg.dests["dr"])
     probe = np.zeros(domain.air_model.state_dim)

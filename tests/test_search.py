@@ -241,6 +241,13 @@ def test_search_config_validation():
         SearchConfig(budget=0)
 
 
+@pytest.mark.parametrize("key", ["n_nodes", "n_rollouts",
+                                 "horizon_macro_steps"])
+def test_search_config_rejects_empty_sizes(key):
+    with pytest.raises(ValueError, match=key):
+        SearchConfig(**{key: 0})
+
+
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
