@@ -3,7 +3,7 @@
 from .beliefs import (BeliefNorm, GainSpec, GaussianBelief, LinearGaussianModel,
                       Lma, LmaParams, SimState, StepCost, TerminationRecord,
                       design_lma, lma_step, run_lma, stationary_covariance)
-from .errors import (ConfigError, DeadAgent, GoalUnreachable, InitiationViolated,
+from .errors import (ConfigError, GoalUnreachable, InitiationViolated,
                      MacroplanError, NonConvergent, NoOutgoingEdge,
                      NoValidSuccessor, SingularChain, Unstabilizable)
 from .tma import (GraphEdge, Milestone, Tma, TmaConfig, TmaGraph, construct_tma,
@@ -12,17 +12,16 @@ from .tma import (GraphEdge, Milestone, Tma, TmaConfig, TmaGraph, construct_tma,
 from .decposmdp import (AgentStatus, Domain, GraphTmaExecution, JointConfig,
                         JointGraphExecution, MacroObservation, PolicyValue,
                         RewardSpec, RolloutTrace, SegmentResult, TimedExecution,
-                        TmaSpec, assert_multilinear, estimate_transition_kernel,
-                        evaluate_joint_policy, joint_reward, run_rollout,
-                        step_joint)
+                        TmaSpec, estimate_transition_kernel,
+                        evaluate_joint_policy, run_rollout, step_joint)
 from .search import (JointPolicy, Mask, PolicyController, SearchConfig,
                      SearchResult, controller_space_cardinality, create_mask,
                      load_policy, mmcs, monte_carlo_search,
                      sample_joint_policy, sample_valid_controller, save_policy,
                      write_value_trace)
 from .delivery import (DeliveryConfig, DeliveryDomain, PackageDescriptor,
-                       RobotKind, WorldState, build_domain, delivery_reward,
-                       desk_config, generate_packages, observe_estate,
-                       success_curve, total_delivered)
+                       RobotKind, WorldState, build_domain, desk_config,
+                       generate_packages, observe_estate, success_curve,
+                       total_delivered)
 
 __version__ = "0.1.0"

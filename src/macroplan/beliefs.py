@@ -282,10 +282,9 @@ class LmaParams:
 
 @dataclass(frozen=True)
 class Lma:
-    """Local macro-action: feedback gain, stationary filter gain, attractor."""
+    """Local macro-action: feedback gain and attractor belief."""
 
     params: LmaParams
-    kalman_gain: np.ndarray
     attractor: GaussianBelief
 
     def control(self, belief_mean: np.ndarray) -> np.ndarray:
@@ -346,14 +345,6 @@ def stationary_covariance(model: LinearGaussianModel, tol: float = 1e-12,
         f"(last delta {np.max(np.abs(P_next - P)):.3e})")
 
 
-def stationary_kalman_gain(model: LinearGaussianModel,
-                           posterior_cov: np.ndarray) -> np.ndarray:
-    """Steady-state filter gain associated with the posterior fixed point."""
-    Pm = model.A @ posterior_cov @ model.A.T + model.Q
-    S = model.C @ Pm @ model.C.T + model.R_obs
-    return np.linalg.solve(S.T, (Pm @ model.C.T).T).T
-
-
 def design_lma(model: LinearGaussianModel, target: np.ndarray,
                gain_spec: GainSpec = GainSpec()) -> Lma:
     """Design a funnel controller toward ``target``.
@@ -383,8 +374,7 @@ def design_lma(model: LinearGaussianModel, target: np.ndarray,
     if rho >= 1.0:
         raise Unstabilizable(f"closed-loop spectral radius {rho:.4f} >= 1")
     p_post = stationary_covariance(model)
-    kg = stationary_kalman_gain(model, p_post)
-    return Lma(params=LmaParams(gain=L, target=target), kalman_gain=kg,
+    return Lma(params=LmaParams(gain=L, target=target),
                attractor=GaussianBelief(mean=target, cov=p_post))
 
 

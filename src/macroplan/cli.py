@@ -28,7 +28,7 @@ from .errors import (ConfigError, GoalUnreachable, NonConvergent,
                      NoValidSuccessor, SingularChain, Unstabilizable)
 from .search import (SearchConfig, load_policy, mmcs, monte_carlo_search,
                      save_policy, write_value_trace)
-from .tma import TmaConfig, construct_tma, load_tma, save_tma
+from .tma import TmaConfig, construct_tma, save_tma
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .beliefs import GaussianBelief, SimState, lma_step
 from .errors import InitiationViolated
-from .tma import FAILURE_ID, Tma
+from .tma import Tma
+
+# primitive steps a graph walk may spend on one edge before its agent dies
+MAX_EDGE_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -30,49 +33,14 @@ class MacroObservation:
 
 @dataclass
 class RewardSpec:
-    """Joint reward structure: per-agent terms, a team term, a multilinear
-    combiner over them, and the discount factor."""
+    """The joint reward's discount factor; a segment's joint reward is the
+    sum of the agents' rewards and the domain's team reward."""
 
-    per_agent: Optional[List[Callable]] = None
-    team: Optional[Callable] = None
-    combiner: Callable[[Sequence[float]], float] = sum
     discount: float = 0.99
 
     def __post_init__(self):
         if not (0.0 < self.discount <= 1.0):
             raise ValueError("discount must lie in (0, 1]")
-
-    def combine(self, agent_rewards: Sequence[float], team_reward: float) -> float:
-        return self.combiner(list(agent_rewards) + [team_reward])
-
-
-def joint_reward(x_bar: Sequence, x_e, u_bar: Sequence,
-                 rewards: RewardSpec) -> float:
-    """Evaluate the joint reward g(R1..Rn, RE) at a primitive configuration."""
-    if rewards.per_agent is None or rewards.team is None:
-        raise ValueError("RewardSpec needs per_agent and team functions")
-    parts = [r(x, x_e, u) for r, x, u in zip(rewards.per_agent, x_bar, u_bar)]
-    parts.append(rewards.team(x_bar, x_e, u_bar))
-    return rewards.combiner(parts)
-
-
-def assert_multilinear(combiner: Callable[[Sequence[float]], float], n_args: int,
-                       rng: np.random.Generator, probes: int = 100,
-                       tol: float = 1e-9) -> None:
-    """Check linearity of the combiner in each slot at random probe points."""
-    for _ in range(probes):
-        base = list(rng.standard_normal(n_args))
-        slot = int(rng.integers(n_args))
-        a, b = rng.standard_normal(2)
-        lam = rng.random()
-        xa, xb, xc = base[:], base[:], base[:]
-        xa[slot], xb[slot] = a, b
-        xc[slot] = lam * a + (1 - lam) * b
-        lhs = combiner(xc)
-        rhs = lam * combiner(xa) + (1 - lam) * combiner(xb)
-        if abs(lhs - rhs) > tol:
-            raise AssertionError(
-                f"combiner not linear in slot {slot}: {lhs} vs {rhs}")
 
 
 @dataclass
@@ -85,7 +53,6 @@ class TmaSpec:
     tma: Optional[Tma] = None
     duration: Optional[int] = None
     agents_required: int = 1
-    availability: frozenset = frozenset()
     effect: Optional[Hashable] = None     # event tag applied at termination
     step_reward: float = 0.0              # per primitive step, timed tasks
 
@@ -173,14 +140,12 @@ class GraphTmaExecution(Execution):
     """Primitive-level walk of a solved TMA graph: at each milestone the
     policy's funnel runs until the belief lands in the next ball."""
 
-    def __init__(self, spec: TmaSpec, agent: int, config: JointConfig,
-                 max_edge_steps: int = 1000):
+    def __init__(self, spec: TmaSpec, agent: int, config: JointConfig):
         assert spec.tma is not None
         self.spec = spec
         self.agents = (agent,)
         self.tma = tma = spec.tma
         self.model = tma.model
-        self.max_edge_steps = max_edge_steps
         d = tma.distances(config.sims[agent].belief)
         g = tma._goal_idx
         # assigned while already inside the goal ball: hold one step, done
@@ -229,7 +194,7 @@ class GraphTmaExecution(Execution):
                 out.done = True
                 out.terminal_milestones = {agent: nid}
                 return out
-        if self.steps_on_edge >= self.max_edge_steps:
+        if self.steps_on_edge >= MAX_EDGE_STEPS:
             out.dead = {agent}  # never-terminating funnel folds into failure
         return out
 
@@ -238,12 +203,10 @@ class JointGraphExecution(Execution):
     """Two linked graph walks; terminates when both reach their goals.
     An agent that arrives first station-keeps until its partner lands."""
 
-    def __init__(self, spec: TmaSpec, agents: Sequence[int], config: JointConfig,
-                 max_edge_steps: int = 1000):
+    def __init__(self, spec: TmaSpec, agents: Sequence[int], config: JointConfig):
         self.spec = spec
         self.agents = tuple(agents)
-        self.subs = {a: GraphTmaExecution(spec, a, config, max_edge_steps)
-                     for a in self.agents}
+        self.subs = {a: GraphTmaExecution(spec, a, config) for a in self.agents}
         self.finished: Set[int] = set()
 
     def step(self, config: JointConfig, rng: np.random.Generator) -> StepOutcome:
@@ -413,8 +376,9 @@ def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
                 died = True
             if out.done and not out.dead:
                 done_execs.append((exe, out))
-        team = domain.team_reward(events, config)
-        rbar = domain.rewards.combine(agent_rewards, team)
+        # agent rewards, then the team reward, summed in that order
+        agent_rewards.append(domain.team_reward(events, config))
+        rbar = sum(agent_rewards)
         reward_rtau += disc * rbar
         prim.append(rbar)
         t += 1

@@ -56,16 +56,6 @@ EMPTY = PackageDescriptor(size=0, destination=NO_PACKAGE)
 
 
 @dataclass(frozen=True)
-class BaseEState:
-    package: PackageDescriptor
-    nearby: int  # 1 if another robot shares the base location
-
-    def __post_init__(self):
-        if self.nearby not in (0, 1):
-            raise ValueError("nearby flag must be 0 or 1")
-
-
-@dataclass(frozen=True)
 class RobotKind:
     kind: str
 
@@ -655,15 +645,6 @@ def observe_estate(agent: int, world: WorldState,
     return "none"
 
 
-def delivery_reward(event, config: JointConfig, domain: DeliveryDomain) -> float:
-    """Team reward for a single put-down event (bonus iff at the package's
-    destination); exposed for scripted-scenario tests."""
-    name, agents = event
-    if name not in ("putdown", "joint-putdown"):
-        return 0.0
-    return domain._drop_bonus(name, agents, config)
-
-
 def total_delivered(config: JointConfig) -> int:
     return sum(config.world.delivered.values())
 
@@ -688,12 +669,3 @@ def build_domain(cfg: DeliveryConfig,
     if rng is None:
         rng = np.random.default_rng(0)
     return DeliveryDomain(cfg, rng)
-
-
-def base_estate(world: WorldState, j: int, domain: DeliveryDomain) -> BaseEState:
-    """Snapshot (package, nearby flag) e-state of base j."""
-    xy = np.asarray(domain.cfg.bases[j])
-    n_near = sum(1 for p in world.positions
-                 if np.linalg.norm(p - xy) <= domain.cfg.site_radius)
-    return BaseEState(package=world.base_packages[j],
-                      nearby=1 if n_near >= 2 else 0)

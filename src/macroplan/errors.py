@@ -36,9 +36,5 @@ class InitiationViolated(MacroplanError):
     """A macro-action was assigned while its initiation predicate is false."""
 
 
-class DeadAgent(MacroplanError):
-    """An agent's simulation absorbed into the failure node."""
-
-
 class ConfigError(MacroplanError):
     """Scenario or command configuration is inconsistent."""

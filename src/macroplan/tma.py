@@ -12,7 +12,7 @@ initial belief.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,12 +21,12 @@ from . import chains
 from .beliefs import (FILTER_PATH_MAX, BeliefNorm, GainSpec, GaussianBelief,
                       LinearGaussianModel, Lma, LmaParams, SimState,
                       StopRegions, TerminationRecord, _psd_sqrt, design_lma,
-                      run_lma, stationary_covariance, stationary_kalman_gain)
+                      run_lma)
 from .errors import ConfigError, GoalUnreachable, NonConvergent, NoOutgoingEdge
 
 FAILURE_ID = 0
 
-TMA_FORMAT = "macroplan-tma-v1"
+TMA_FORMAT = "macroplan-tma-v2"
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,6 @@ class Tma:
     values: Dict[int, float]
     success: Dict[int, float]
     time_to_goal: Dict[int, float]
-    availability: frozenset = frozenset()
     norm: BeliefNorm = field(default_factory=BeliefNorm)
     start_id: Optional[int] = None
     model: Optional[LinearGaussianModel] = None
@@ -119,12 +118,12 @@ class Tma:
         self._cov_dist: Dict[bytes, np.ndarray] = {}
         self.station_lma = None
         if self.policy:
-            # holds a belief on the goal with the policy's shared gains
+            # holds a belief on the goal with the policy's shared gain
             edge = next(iter(self.policy.values()))
             center = self.graph.milestones[goal].center
             self.station_lma = Lma(
                 params=LmaParams(gain=edge.lma.params.gain, target=center.mean),
-                kalman_gain=edge.lma.kalman_gain, attractor=center)
+                attractor=center)
 
     def distances(self, b: GaussianBelief) -> np.ndarray:
         # np.linalg.norm(diff, axis=1) without its argument handling: the
@@ -372,7 +371,6 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
     # one gain/filter design serves every edge (stationary model)
     base_lma = design_lma(task_model, goal_mean, cfg.gain_spec)
     p_stat = base_lma.attractor.cov
-    kgain = base_lma.kalman_gain
     gain = base_lma.params.gain
 
     milestones: Dict[int, Milestone] = {
@@ -419,10 +417,9 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
         order = [target_ids[k] for k in np.argsort(d, kind="stable")
                  if target_ids[k] != i]
         for j in order[:cfg.k_neighbors]:
-            lma = Lma(params=LmaParams(gain=gain, target=milestones[j].center.mean),
-                      kalman_gain=kgain,
-                      attractor=GaussianBelief(mean=milestones[j].center.mean,
-                                               cov=p_stat))
+            center = milestones[j].center
+            lma = Lma(params=LmaParams(gain=gain, target=center.mean),
+                      attractor=center)
             jobs.append((i, j, lma))
 
     # every job owns its child generator, so the order in which edges are
@@ -470,26 +467,40 @@ def _belief_from_dict(d: dict) -> GaussianBelief:
     return GaussianBelief(mean=np.array(d["mean"]), cov=np.array(d["cov"]))
 
 
+def _shared_gain(g: TmaGraph) -> Optional[np.ndarray]:
+    """The one feedback gain of every edge's funnel, whose target is its
+    target milestone's center; ValueError if an edge differs, as the file
+    format could not hold it."""
+    edges = [e for i in sorted(g.edges) for e in g.edges[i]]
+    for e in edges:
+        p, a, center = e.lma.params, e.lma.attractor, g.milestones[e.to_id].center
+        if not np.array_equal(p.gain, edges[0].lma.params.gain):
+            raise ValueError(f"edge {e.from_id}->{e.to_id} has another gain")
+        if not (np.array_equal(p.target, center.mean)
+                and np.array_equal(a.mean, center.mean)
+                and np.array_equal(a.cov, center.cov)):
+            raise ValueError(f"edge {e.from_id}->{e.to_id} does not target "
+                             f"milestone {e.to_id}'s center")
+    return edges[0].lma.params.gain if edges else None
+
+
 def tma_to_dict(tma: Tma) -> dict:
     g = tma.graph
+    gain = _shared_gain(g)
     return {
         "format": TMA_FORMAT,
         "goal_id": g.goal_id,
         "start_id": tma.start_id,
         "failure_value": g.failure_value,
         "norm": tma.norm.to_dict(),
-        "availability": sorted(tma.availability),
         "model": tma.model.to_dict() if tma.model is not None else None,
+        "gain": None if gain is None else gain.tolist(),
         "milestones": [
             {"id": ms.id, "epsilon": ms.epsilon,
              "center": None if ms.center is None else _belief_to_dict(ms.center)}
             for _, ms in sorted(g.milestones.items())],
         "edges": [
             {"from": e.from_id, "to": e.to_id,
-             "gain": e.lma.params.gain.tolist(),
-             "target": e.lma.params.target.tolist(),
-             "kalman_gain": e.lma.kalman_gain.tolist(),
-             "attractor": _belief_to_dict(e.lma.attractor),
              "landing_probs": {str(k): v for k, v in sorted(e.landing_probs.items())},
              "reward": e.reward, "time": e.time, "sample_count": e.sample_count}
             for i in sorted(g.edges) for e in g.edges[i]],
@@ -502,19 +513,20 @@ def tma_to_dict(tma: Tma) -> dict:
 
 def tma_from_dict(d: dict) -> Tma:
     if d.get("format") != TMA_FORMAT:
-        raise ConfigError(f"unsupported TMA format {d.get('format')!r}")
+        raise ConfigError(f"unsupported TMA format {d.get('format')!r}, "
+                          f"expected {TMA_FORMAT!r}: rebuild it with build-tma")
     milestones = {}
     for m in d["milestones"]:
         milestones[m["id"]] = Milestone(
             id=m["id"], epsilon=m["epsilon"],
             center=None if m["center"] is None else _belief_from_dict(m["center"]))
+    gain = None if d["gain"] is None else np.array(d["gain"])
     edges: Dict[int, List[GraphEdge]] = {}
     edge_index: Dict[Tuple[int, int], GraphEdge] = {}
     for e in d["edges"]:
-        lma = Lma(params=LmaParams(gain=np.array(e["gain"]),
-                                   target=np.array(e["target"])),
-                  kalman_gain=np.array(e["kalman_gain"]),
-                  attractor=_belief_from_dict(e["attractor"]))
+        center = milestones[e["to"]].center
+        lma = Lma(params=LmaParams(gain=gain, target=center.mean),
+                  attractor=center)
         edge = GraphEdge(from_id=e["from"], to_id=e["to"], lma=lma,
                          landing_probs={int(k): v for k, v in e["landing_probs"].items()},
                          reward=e["reward"], time=e["time"],
@@ -530,7 +542,6 @@ def tma_from_dict(d: dict) -> Tma:
                values={int(k): v for k, v in d["values"].items()},
                success={int(k): v for k, v in d["success"].items()},
                time_to_goal={int(k): v for k, v in d["time_to_goal"].items()},
-               availability=frozenset(d.get("availability", [])),
                norm=BeliefNorm.from_dict(d["norm"]),
                start_id=d.get("start_id"), model=model)
 

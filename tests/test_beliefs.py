@@ -7,8 +7,7 @@ from macroplan.beliefs import (BeliefNorm, GainSpec, GaussianBelief,
                                LinearGaussianModel, SimState, StepCost,
                                StopRegions, TerminationRecord,
                                PredicateConstraints, design_lma, lma_step,
-                               run_lma,
-                               stationary_covariance, stationary_kalman_gain)
+                               run_lma, stationary_covariance)
 from macroplan.errors import NonConvergent, Unstabilizable
 from macroplan.tma import Milestone
 

@@ -10,10 +10,8 @@ from macroplan.beliefs import (GainSpec, GaussianBelief, LinearGaussianModel,
 from macroplan.decposmdp import (Domain, GraphTmaExecution, JointConfig,
                                  JointGraphExecution, MacroObservation,
                                  AgentStatus, RewardSpec, TimedExecution,
-                                 TmaSpec, assert_multilinear,
-                                 estimate_transition_kernel,
-                                 evaluate_joint_policy, joint_reward,
-                                 step_joint)
+                                 TmaSpec, estimate_transition_kernel,
+                                 evaluate_joint_policy, step_joint)
 from macroplan.delivery import build_domain, desk_config
 from macroplan.errors import InitiationViolated
 from macroplan.search import SearchConfig, mmcs, sample_joint_policy
@@ -141,28 +139,6 @@ def test_busy_agent_cannot_be_reassigned():
 # ---------------------------------------------------------------------------
 # joint reward structure
 # ---------------------------------------------------------------------------
-
-def test_joint_reward_evaluates_combiner():
-    spec = RewardSpec(
-        per_agent=[lambda x, e, u: float(x), lambda x, e, u: 2.0 * float(x)],
-        team=lambda xs, e, us: 5.0,
-        combiner=sum)
-    val = joint_reward([1.0, 3.0], None, [0.0, 0.0], spec)
-    assert val == pytest.approx(1.0 + 6.0 + 5.0)
-
-
-def test_multilinear_check_accepts_sum_and_product():
-    rng = np.random.default_rng(1)
-    assert_multilinear(sum, 3, rng)
-    assert_multilinear(lambda xs: xs[0] * xs[1] * xs[2], 3,
-                       np.random.default_rng(2))
-
-
-def test_multilinear_check_rejects_square():
-    with pytest.raises(AssertionError):
-        assert_multilinear(lambda xs: xs[0] ** 2 + xs[1], 2,
-                           np.random.default_rng(3))
-
 
 def test_invalid_discount_rejected():
     with pytest.raises(ValueError):

@@ -5,11 +5,9 @@ import pytest
 
 from macroplan.decposmdp import step_joint
 from macroplan.delivery import (AIR, EMPTY, GROUND, OBS_ALPHABET,
-                                BaseEState, DeliveryConfig, PackageDescriptor,
-                                RobotKind, base_estate, build_domain,
-                                delivery_reward, desk_config,
-                                generate_packages, observe_estate,
-                                success_curve, total_delivered)
+                                DeliveryConfig, PackageDescriptor, RobotKind,
+                                build_domain, desk_config, generate_packages,
+                                observe_estate, success_curve, total_delivered)
 from macroplan.errors import ConfigError, InitiationViolated
 from macroplan.search import PolicyController, JointPolicy
 
@@ -77,8 +75,6 @@ def test_package_descriptor_validation():
 
 
 def test_base_estate_and_robot_kind():
-    with pytest.raises(ValueError):
-        BaseEState(package=EMPTY, nearby=2)
     with pytest.raises(ValueError):
         RobotKind(kind="submarine")
     assert RobotKind(kind=AIR).kind == "air"
@@ -181,17 +177,6 @@ def test_observe_estate_cases(domain):
     for label in ("s-dr", "empty", "L-m", "L-a", "s-d2", "s-d1",
                   "rv-m", "rv-a", "none"):
         assert label in OBS_ALPHABET
-
-
-def test_base_estate_snapshot(domain):
-    config = fresh_config(domain)
-    w = config.world
-    w.positions = [np.array(domain.cfg.bases[0]),
-                   np.array(domain.cfg.bases[0]),
-                   np.array(domain.cfg.rendezvous)]
-    e = base_estate(w, 0, domain)
-    assert e.nearby == 1 and e.package == w.base_packages[0]
-    assert base_estate(w, 1, domain).nearby == 0
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +310,9 @@ def test_delivery_reward_helper(domain):
     set_base(domain, config, 0, PackageDescriptor(size=1, destination="d1"))
     run_macro(domain, config, rng, {0: "pickup"})
     run_macro(domain, config, rng, {0: "goto-dest-1"})
-    assert delivery_reward(("putdown", [0]), config, domain) == \
+    assert domain.team_reward([("putdown", [0])], config) == \
         domain.cfg.delivery_bonus
-    assert delivery_reward(("wait", [0]), config, domain) == 0.0
+    assert domain.team_reward([("wait", [0])], config) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -9,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macroplan.beliefs import (BeliefNorm, GainSpec, GaussianBelief,
-                               LinearGaussianModel, PredicateConstraints,
-                               StepCost, design_lma, stationary_covariance)
+                               LinearGaussianModel, Lma, LmaParams,
+                               PredicateConstraints, StepCost, design_lma,
+                               stationary_covariance)
 from macroplan.delivery import build_domain, desk_config
 from macroplan import tma as tma_module
-from macroplan.errors import (GoalUnreachable, MacroplanError, NonConvergent,
-                              NoOutgoingEdge, SingularChain)
+from macroplan.errors import (ConfigError, GoalUnreachable, MacroplanError,
+                              NonConvergent, NoOutgoingEdge, SingularChain)
 from macroplan.tma import (GraphEdge, Milestone, Tma, TmaConfig, TmaGraph,
                            construct_tma, estimate_edge, expected_times,
                            solve_graph_dp, success_probabilities,
@@ -440,6 +442,43 @@ class TestSerialization:
         assert tma2.values == tma.values
         assert tma2.time_to_goal == tma.time_to_goal
 
+    def test_gain_stored_once(self):
+        tma, _ = build_scalar_tma(seed=5)
+        d = tma_to_dict(tma)
+        assert d["format"] == "macroplan-tma-v2"
+        assert d["gain"] == tma.policy[tma.start_id].lma.params.gain.tolist()
+        assert {k for e in d["edges"] for k in e} == {
+            "from", "to", "landing_probs", "reward", "time", "sample_count"}
+
+    def test_v1_refused(self):
+        tma, _ = build_scalar_tma(seed=5)
+        d = tma_to_dict(tma)
+        d["format"] = "macroplan-tma-v1"
+        with pytest.raises(ConfigError, match="macroplan-tma-v1"):
+            tma_from_dict(d)
+
+    @staticmethod
+    def _set_start_edge_params(tma, params):
+        # the first edge of the start node, its funnel's params replaced
+        e = tma.graph.edges[tma.start_id][0]
+        e.lma = Lma(params=params, attractor=e.lma.attractor)
+
+    def test_other_gain_unrepresentable(self):
+        tma, _ = build_scalar_tma(seed=5)
+        p = tma.graph.edges[tma.start_id][0].lma.params
+        self._set_start_edge_params(
+            tma, dataclasses.replace(p, gain=2.0 * p.gain))
+        with pytest.raises(ValueError, match="another gain"):
+            tma_to_dict(tma)
+
+    def test_target_off_milestone_unrepresentable(self):
+        tma, _ = build_scalar_tma(seed=5)
+        p = tma.graph.edges[tma.start_id][0].lma.params
+        self._set_start_edge_params(
+            tma, LmaParams(gain=p.gain, target=p.target + 0.01))
+        with pytest.raises(ValueError, match="does not target"):
+            tma_to_dict(tma)
+
 
 def tma_build_problem():
     """The single-integrator problem of the benchmark's tma-build workload:
@@ -456,30 +495,51 @@ def tma_build_problem():
     return model, start, np.array([0.8, 0.8]), cfg
 
 
+def _belief_record(b):
+    return None if b is None else [b.mean.tolist(), b.cov.tolist()]
+
+
 def tma_digest(tma):
-    blob = json.dumps(tma_to_dict(tma), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    """sha256 of what a built TMA holds, independent of the file format:
+    milestones, every edge's controller and landing statistics, the policy
+    targets and the analytic maps."""
+    g = tma.graph
+    record = {
+        "milestones": [[i, ms.epsilon, _belief_record(ms.center)]
+                       for i, ms in sorted(g.milestones.items())],
+        "edges": [[e.from_id, e.to_id, e.lma.params.gain.tolist(),
+                   e.lma.params.target.tolist(),
+                   _belief_record(e.lma.attractor),
+                   sorted(e.landing_probs.items()), e.reward, e.time,
+                   e.sample_count]
+                  for i in sorted(g.edges) for e in g.edges[i]],
+        "policy": sorted((i, e.to_id) for i, e in tma.policy.items()),
+        "values": sorted(tma.values.items()),
+        "success": sorted(tma.success.items()),
+        "time_to_goal": sorted(tma.time_to_goal.items()),
+    }
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
 
 
-# sha256 of tma_to_dict per seed of tma_build_problem(), recorded with the
-# edges estimated in job order; None marks a seed that raises
+# tma_digest per seed of tma_build_problem(), recorded with the edges
+# estimated in job order; None marks a seed that raises
 TMA_BUILD_DIGESTS = {
     0: None,
-    1: "9f298100454c2b92bef44e08bf38e6464ac3c61ca86b80faa6865ce6e6a40773",
-    3: "ce694b0688b5700f25753d98afac9b6b9c3f56d28db4653d07df04f1deb43b0c",
-    4: "32c7a6db76eb270a1a5bf189195a49445dd5e75def28aba3391111237f36206c",
-    7: "8c81c03244aaa3dab4f35399d5e9a77911b6a680ce2dd5d7e415ec2968e7f8bc",
+    1: "bea2a343e3cc4d38e267ec41afe343f35e640812ab6fef5b06da71500c159c0e",
+    3: "9a59d92f2f4f06d68fc2200fa041bc70f52ad3fec442f3e2ce24e72917fce7a3",
+    4: "dc64a954e54aefdf91ebd67af846dba3108040438ff824b43de77be816368ce8",
+    7: "2f665dd1329381b4c9ff8cfd21116666e315a18f672619c01e4ed2cd72a9185b",
     13: None,
 }
 
 DESK_TMA_DIGESTS = {
-    "air:base-1": "aeebd2e27ef33787e868625d430291d166466fd02fb51ac53dca4a27bb340c3b",
-    "air:base-2": "cc1386f09f5349c09b3d910c561f161def6f7d6faec7eb07a7dc8984da2c7b96",
-    "air:dest-1": "2af061e7463a8dd4d80a91237e93d863abb426a64070f110e088d5d0ea043dbf",
-    "air:dest-2": "fa9c091106485218240916ed6ea6b2e53cb3288cf98f57f325b53afb0e9ea974",
-    "air:rv": "5ac604f87ee16b703b048e8e9bf57e5ca0563a3c0c30c19b1f9906d95969af78",
-    "ground:dest-r": "bf71a6d9bd648b907c6f3a3f0673ae99a9f9340133bbf333951794ec1365863a",
-    "ground:rv": "f26564441070cb7ec5f2c203d64cc4fdb4a248c62092f4ba455823b199021ab7",
+    "air:base-1": "bd2b7eb86c77187b0c85162af128102d088c9e2ed44e810dad2702d71b5e658c",
+    "air:base-2": "9a39e7cd5df01e7930ffb3f6cd0d736acc25d98b59c1ab6ae334d188ba9a49dd",
+    "air:dest-1": "9f1a7b5ad03314dd1c37da11a59e0c1f45444107601bcd34c7777e6ccbfcb8aa",
+    "air:dest-2": "8e99cfa1eccf787029995c02e123e2417adb39fcfd9b4a4e9f853d70e496553b",
+    "air:rv": "3a3e03ddd5c16596c4f80a2fbdf4496d272f164ea121ad5736dede4916681582",
+    "ground:dest-r": "69b9d0c4452ed4b723afbd24520efe0d9a68161eb9d26bc39c3f18c3be728373",
+    "ground:rv": "06d4b7d42d8485f8a2cc71712a7f6573fedc0d0afc8d191f5283581842d58ff2",
 }
 
 
