@@ -10,9 +10,8 @@ from .tma import (GraphEdge, Milestone, Tma, TmaConfig, TmaGraph, construct_tma,
                   estimate_edge, expected_times, load_tma, save_tma,
                   solve_graph_dp, success_probabilities)
 from .decposmdp import (AgentStatus, Domain, GraphTmaExecution, JointConfig,
-                        JointGraphExecution, MacroObservation, PolicyValue,
-                        RewardSpec, RolloutTrace, SegmentResult, TimedExecution,
-                        TmaSpec, estimate_transition_kernel,
+                        JointGraphExecution, PolicyValue, RewardSpec,
+                        RolloutTrace, SegmentResult, TimedExecution, TmaSpec,
                         evaluate_joint_policy, run_rollout, step_joint)
 from .search import (JointPolicy, Mask, PolicyController, SearchConfig,
                      SearchResult, controller_space_cardinality, create_mask,
@@ -21,7 +20,6 @@ from .search import (JointPolicy, Mask, PolicyController, SearchConfig,
                      write_value_trace)
 from .delivery import (DeliveryConfig, DeliveryDomain, PackageDescriptor,
                        RobotKind, WorldState, build_domain, desk_config,
-                       generate_packages, observe_estate, success_curve,
-                       total_delivered)
+                       observe_estate, success_curve, total_delivered)
 
 __version__ = "0.1.0"

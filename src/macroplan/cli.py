@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from typing import Optional
+from typing import Hashable, Optional
 
 import numpy as np
 import yaml
@@ -249,8 +249,14 @@ def _check_policy(policy, domain) -> None:
     for agent, c in enumerate(policy.controllers):
         roster = domain.roster(agent)
         n = len(c.nodes)
+        start = c.initial_node
+        if isinstance(start, bool) or not isinstance(start, int) \
+                or not 0 <= start < n:
+            raise ConfigError(
+                f"agent {agent}: initial node {start!r} is not a node index "
+                f"in [0, {n})")
         for i, label in enumerate(c.nodes):
-            if label not in roster:
+            if not isinstance(label, Hashable) or label not in roster:
                 raise ConfigError(
                     f"agent {agent} node {i}: unknown macro-action {label!r}")
             for obs in alphabet:

@@ -9,26 +9,17 @@ primitive-level discounted sum.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .beliefs import GaussianBelief, SimState, lma_step
+from .beliefs import SimState, lma_step
 from .errors import InitiationViolated
 from .tma import Tma
 
 # primitive steps a graph walk may spend on one edge before its agent dies
 MAX_EDGE_STEPS = 1000
-
-
-@dataclass(frozen=True)
-class MacroObservation:
-    """Observation emitted when a macro-action terminates."""
-
-    terminal_milestone: int
-    e_obs: Hashable
 
 
 @dataclass
@@ -63,8 +54,6 @@ class TmaSpec:
 
 @dataclass
 class AgentStatus:
-    tma_id: Optional[Hashable] = None
-    milestone_id: Optional[int] = None
     busy: bool = False
     dead: bool = False
 
@@ -80,17 +69,8 @@ class JointConfig:
     clock: int = 0
     executions: Dict[int, "Execution"] = field(default_factory=dict)
 
-    @property
-    def agent_beliefs(self) -> List[GaussianBelief]:
-        return [s.belief for s in self.sims]
-
     def alive(self) -> List[int]:
         return [i for i, st in enumerate(self.statuses) if not st.dead]
-
-    def clone(self) -> "JointConfig":
-        if self.executions:
-            raise ValueError("cannot clone mid-segment (executions pending)")
-        return copy.deepcopy(self)
 
 
 class Execution:
@@ -110,18 +90,15 @@ class StepOutcome:
     done: bool = False
     dead: Set[int] = field(default_factory=set)
     events: List[Hashable] = field(default_factory=list)
-    terminal_milestones: Dict[int, int] = field(default_factory=dict)
 
 
 class TimedExecution(Execution):
     """Fixed-duration task; its effect event fires at the terminal step."""
 
-    def __init__(self, spec: TmaSpec, agents: Sequence[int],
-                 terminal_milestones: Optional[Dict[int, int]] = None):
+    def __init__(self, spec: TmaSpec, agents: Sequence[int]):
         self.spec = spec
         self.agents = tuple(agents)
         self.remaining = int(spec.duration)
-        self.terminal_milestones = terminal_milestones or {a: -1 for a in self.agents}
 
     def step(self, config: JointConfig, rng: np.random.Generator) -> StepOutcome:
         self.remaining -= 1
@@ -130,7 +107,6 @@ class TimedExecution(Execution):
         out = StepOutcome(rewards={a: self.spec.step_reward for a in self.agents})
         if self.remaining <= 0:
             out.done = True
-            out.terminal_milestones = dict(self.terminal_milestones)
             if self.spec.effect is not None:
                 out.events = [(self.spec.effect, self.agents)]
         return out
@@ -173,8 +149,7 @@ class GraphTmaExecution(Execution):
         if self.hold_done:
             # station-keep on the goal for a single step
             return StepOutcome(rewards={agent: self.station_keep(sim, rng)},
-                               done=True,
-                               terminal_milestones={agent: tma.graph.goal_id})
+                               done=True)
         before = sim.accrued_reward
         lma_step(tma.policy[self.node].lma, sim, self.model, rng)
         out = StepOutcome(rewards={agent: sim.accrued_reward - before})
@@ -189,10 +164,8 @@ class GraphTmaExecution(Execution):
             if nid != self.node:
                 self.node = nid
                 self.steps_on_edge = 0
-                config.statuses[agent].milestone_id = nid
             if nid == tma.graph.goal_id:
                 out.done = True
-                out.terminal_milestones = {agent: nid}
                 return out
         if self.steps_on_edge >= MAX_EDGE_STEPS:
             out.dead = {agent}  # never-terminating funnel folds into failure
@@ -225,8 +198,6 @@ class JointGraphExecution(Execution):
             return out
         if self.finished == set(self.agents):
             out.done = True
-            out.terminal_milestones = {
-                a: self.subs[a].tma.graph.goal_id for a in self.agents}
             if self.spec.effect is not None:
                 out.events = [(self.spec.effect, self.agents)]
         return out
@@ -260,11 +231,9 @@ class Domain:
         raise NotImplementedError
 
     def observe(self, agent: int, config: JointConfig) -> Hashable:
+        """The e-state class a terminating agent observes; it labels the
+        controller edge the agent takes next."""
         raise NotImplementedError
-
-    def obs_class(self, obs: MacroObservation) -> Hashable:
-        """Controller edge label for an observation; defaults to e_obs."""
-        return obs.e_obs
 
     def obs_alphabet(self) -> List[Hashable]:
         raise NotImplementedError
@@ -275,9 +244,6 @@ class Domain:
     def e_dynamics(self, events: List, config: JointConfig,
                    rng: np.random.Generator) -> None:
         pass
-
-    def estate(self, config: JointConfig) -> Hashable:
-        return config.e_state
 
     def fallback_tma(self, agent: int) -> Optional[Hashable]:
         """Macro-action substituted when an assignment cannot initiate."""
@@ -290,15 +256,6 @@ class Domain:
         Defaults to the whole roster (unrestricted chaining)."""
         return sorted(self.roster(agent), key=str)
 
-    def belief_signature(self, agent: int, config: JointConfig) -> Hashable:
-        st = config.statuses[agent]
-        if st.dead:
-            return "dead"
-        spec = self.roster(agent).get(st.tma_id) if st.tma_id is not None else None
-        if spec is not None and spec.tma is not None:
-            return spec.tma.nearest_milestone_id(config.sims[agent].belief)
-        return st.milestone_id
-
 
 @dataclass
 class SegmentResult:
@@ -307,8 +264,7 @@ class SegmentResult:
     reward_Rtau: float
     tau_min: int
     terminated_agents: Set[int]
-    observations: Dict[int, MacroObservation]
-    next: JointConfig
+    observations: Dict[int, Hashable]     # terminated agent -> e-state class
     dead_agents: Set[int] = field(default_factory=set)
     primitive_rewards: List[float] = field(default_factory=list)
 
@@ -344,7 +300,6 @@ def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
         for a in exe.agents:
             config.executions[a] = exe
             config.statuses[a].busy = True
-            config.statuses[a].tma_id = exe.spec.id
 
     gamma = domain.rewards.discount
     n_agents = len(config.sims)
@@ -352,7 +307,7 @@ def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
     reward_rtau = 0.0
     prim = []
     terminated: Set[int] = set()
-    observations: Dict[int, MacroObservation] = {}
+    observations: Dict[int, Hashable] = {}
     dead: Set[int] = set()
     t = 0
     disc = 1.0
@@ -375,7 +330,7 @@ def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
                 config.executions.pop(a, None)
                 died = True
             if out.done and not out.dead:
-                done_execs.append((exe, out))
+                done_execs.append(exe)
         # agent rewards, then the team reward, summed in that order
         agent_rewards.append(domain.team_reward(events, config))
         rbar = sum(agent_rewards)
@@ -386,16 +341,12 @@ def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
 
         if done_execs:
             domain.e_dynamics(events, config, rng)
-            for exe, out in done_execs:
+            for exe in done_execs:
                 for a in exe.agents:
                     statuses[a].busy = False
                     config.executions.pop(a, None)
                     terminated.add(a)
-                    tm = out.terminal_milestones.get(a, -1)
-                    statuses[a].milestone_id = tm
-                    observations[a] = MacroObservation(
-                        terminal_milestone=tm,
-                        e_obs=domain.observe(a, config))
+                    observations[a] = domain.observe(a, config)
             break
         if died:
             if not any(not st.dead and st.busy for st in statuses):
@@ -405,7 +356,7 @@ def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
     config.clock += t
     return SegmentResult(reward_Rtau=reward_rtau, tau_min=t,
                          terminated_agents=terminated,
-                         observations=observations, next=config,
+                         observations=observations,
                          dead_agents=dead, primitive_rewards=prim)
 
 
@@ -413,7 +364,6 @@ def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
 class RolloutTrace:
     value: float
     primitive_value: float
-    macro_steps: int
     final: Optional[JointConfig] = None
 
 
@@ -421,7 +371,6 @@ class RolloutTrace:
 class PolicyValue:
     mean: float
     stderr: float
-    rollouts: List[RolloutTrace] = field(default_factory=list)
 
 
 def _resolve_assignments(policy, domain: Domain, config: JointConfig,
@@ -484,8 +433,8 @@ def run_rollout(policy, domain: Domain, horizon_macro_steps: int,
         prim_ledger.extend(seg.primitive_rewards)
         t_start += seg.tau_min
         for a in seg.terminated_agents:
-            label = domain.obs_class(seg.observations[a])
-            nodes[a] = policy.controllers[a].edge(nodes[a], label)
+            nodes[a] = policy.controllers[a].edge(nodes[a],
+                                                  seg.observations[a])
     primitive_value = float(sum(r * gamma ** t
                                 for t, r in enumerate(prim_ledger)))
     if abs(primitive_value - macro_value) > identity_tol * max(
@@ -493,7 +442,7 @@ def run_rollout(policy, domain: Domain, horizon_macro_steps: int,
         raise AssertionError(
             f"semi-Markov identity violated: {macro_value} vs {primitive_value}")
     return RolloutTrace(value=macro_value, primitive_value=primitive_value,
-                        macro_steps=t_start, final=config)
+                        final=config)
 
 
 def evaluate_joint_policy(policy, domain: Domain, n_rollouts: int,
@@ -504,29 +453,8 @@ def evaluate_joint_policy(policy, domain: Domain, n_rollouts: int,
     policy over independent seeded rollouts."""
     if n_rollouts < 1:
         raise ValueError("n_rollouts must be >= 1")
-    traces = [run_rollout(policy, domain, horizon_macro_steps, sub,
-                          identity_tol) for sub in rng.spawn(n_rollouts)]
-    arr = np.asarray([t.value for t in traces])
+    arr = np.asarray([run_rollout(policy, domain, horizon_macro_steps, sub,
+                                  identity_tol).value
+                      for sub in rng.spawn(n_rollouts)])
     stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
-    for t in traces:
-        t.final = None  # rollout configs are internal to the estimate
-    return PolicyValue(mean=float(arr.mean()), stderr=stderr, rollouts=traces)
-
-
-def estimate_transition_kernel(config: JointConfig,
-                               assigned: Dict[int, Hashable], domain: Domain,
-                               k_steps: int, n_sims: int,
-                               rng: np.random.Generator) -> Dict[Hashable, float]:
-    """Empirical one-segment transition kernel from a configuration under a
-    joint macro-action assignment.  Outcomes are keyed by (per-agent belief
-    signatures, e-state, capped segment length)."""
-    if n_sims < 1:
-        raise ValueError("n_sims must be >= 1")
-    counts: Dict[Hashable, int] = {}
-    for sub in rng.spawn(n_sims):
-        c = config.clone()
-        seg = step_joint(c, dict(assigned), domain, sub)
-        sig = tuple(domain.belief_signature(i, c) for i in range(domain.n_agents))
-        key = (sig, domain.estate(c), min(seg.tau_min, k_steps))
-        counts[key] = counts.get(key, 0) + 1
-    return {k: v / n_sims for k, v in sorted(counts.items(), key=str)}
+    return PolicyValue(mean=float(arr.mean()), stderr=stderr)

@@ -173,13 +173,6 @@ class _PackageTable:
         return self.packages[int(rng.choice(len(self.packages), p=self.p))]
 
 
-def generate_packages(rng: np.random.Generator,
-                      cfg: DeliveryConfig) -> PackageDescriptor:
-    """One draw from the configured categorical (size, destination) model;
-    a domain draws the same packages from a table it builds once."""
-    return _PackageTable(cfg.package_probs).draw(rng)
-
-
 def _air_model(cfg: DeliveryConfig) -> LinearGaussianModel:
     cost = StepCost(base=cfg.step_cost, u_weight=cfg.control_cost)
     x0, y0, x1, y1 = cfg.regulated

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.linalg
 
 from . import chains
 from .beliefs import (FILTER_PATH_MAX, BeliefNorm, GainSpec, GaussianBelief,
@@ -25,6 +26,12 @@ from .beliefs import (FILTER_PATH_MAX, BeliefNorm, GainSpec, GaussianBelief,
 from .errors import ConfigError, GoalUnreachable, NonConvergent, NoOutgoingEdge
 
 FAILURE_ID = 0
+
+# radius of the singleton start node's ball
+START_EPSILON = 1e-9
+
+# value-iteration convergence tolerance
+DP_TOL = 1e-9
 
 TMA_FORMAT = "macroplan-tma-v2"
 
@@ -163,14 +170,12 @@ class TmaConfig:
     k_neighbors: int = 4
     m_sims: int = 50
     epsilon: float = 0.1
-    start_epsilon: float = 1e-9
     max_steps: int = 10_000
     failure_value: float = -100.0
     gain_spec: GainSpec = field(default_factory=GainSpec)
     bounds_lo: Optional[np.ndarray] = None
     bounds_hi: Optional[np.ndarray] = None
     norm: BeliefNorm = field(default_factory=BeliefNorm)
-    dp_tol: float = 1e-9
 
 
 def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
@@ -240,7 +245,7 @@ def _stuck_nodes(graph: TmaGraph, transient: Sequence[int]) -> List[int]:
     return [i for i in transient if i not in reach]
 
 
-def solve_graph_dp(graph: TmaGraph, tol: float = 1e-9,
+def solve_graph_dp(graph: TmaGraph, tol: float = DP_TOL,
                    max_sweeps: int = 100_000
                    ) -> Tuple[Dict[int, float], Dict[int, GraphEdge]]:
     """Value iteration over the LMA graph with absorbing boundaries.
@@ -348,12 +353,25 @@ def _closed_start_set(start_id: int, jobs: Sequence[tuple],
     return sorted(reached)
 
 
+def _settle_projector(A: np.ndarray) -> Optional[np.ndarray]:
+    """Orthogonal projector onto null(A - I).  A funnel u = -L (x - target)
+    holds its target still only if A target = target, so only those states
+    can be milestones; None when A = I and every state is one."""
+    eye = np.eye(A.shape[0])
+    if np.array_equal(A, eye):
+        return None
+    basis = scipy.linalg.null_space(A - eye)
+    return basis @ basis.T
+
+
 def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
                   task_model: LinearGaussianModel, cfg: TmaConfig,
                   rng: np.random.Generator) -> Tma:
     """Build and solve a TMA graph (offline phase).
 
     Milestone ids: 0 failure, 1 goal, 2..n-1 sampled, n the singleton start.
+    Sampled means are projected onto null(A - I), the states a funnel can
+    settle on.
 
     Edges are estimated breadth-first from the start node.  If the nodes its
     edges reach never land on the goal or failure node, the start's success
@@ -384,13 +402,18 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
     hi = np.asarray(hi, dtype=float)
     n_sampled = cfg.n_nodes - 1  # goal is one of the n_nodes sampled milestones
     min_sep = 2.0 * cfg.epsilon  # overlapping balls would create free cycles
+    settle = _settle_projector(task_model.A)
     tries = 0
     next_id = 2
     while next_id < n_sampled + 1:
         mean = lo + (hi - lo) * rng.random(task_model.state_dim)
+        if settle is not None:
+            mean = settle @ mean
         tries += 1
         if tries > 1000 * max(n_sampled, 1):
-            raise ConfigError("could not sample constraint-free milestones")
+            where = "" if settle is None else " with A x = x"
+            raise ConfigError(
+                f"could not sample constraint-free milestones{where}")
         if task_model.constraint_set(mean):
             continue
         if any(np.linalg.norm(mean - ms.center.mean) < min_sep
@@ -402,7 +425,7 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
         next_id += 1
     start_id = n_sampled + 1
     milestones[start_id] = Milestone(id=start_id, center=start,
-                                     epsilon=cfg.start_epsilon)
+                                     epsilon=START_EPSILON)
 
     # k-nearest-neighbor connectivity by Euclidean distance between means;
     # the singleton start node is never a connection target
@@ -446,7 +469,7 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
 
     graph = TmaGraph(milestones=milestones, edges=edges, goal_id=1,
                      failure_value=cfg.failure_value)
-    values, policy = solve_graph_dp(graph, tol=cfg.dp_tol)
+    values, policy = solve_graph_dp(graph)
     success = success_probabilities(graph, policy)
     times = expected_times(graph, policy)
     if success[start_id] == 0.0:

@@ -257,6 +257,44 @@ def test_validate_policy(delivery_cfg_path, solve_out, tmp_path):
                  "--policy", wrong_path]) == EXIT_CONFIG
 
 
+def _set_initial_node(doc, value):
+    doc["controllers"][1]["initial_node"] = value
+
+
+def _set_list_label(doc, value):
+    doc["controllers"][1]["nodes"][4] = value
+
+
+@pytest.mark.parametrize("command", ["validate-policy", "success-curve"])
+@pytest.mark.parametrize("mutate, value, message", [
+    (_set_initial_node, 13, "agent 1: initial node 13 is not a node index "
+                            "in [0, 13)"),
+    (_set_initial_node, -1, "agent 1: initial node -1 is not a node index "
+                            "in [0, 13)"),
+    (_set_initial_node, "a", "agent 1: initial node 'a' is not a node index "
+                             "in [0, 13)"),
+    (_set_initial_node, True, "agent 1: initial node True is not a node "
+                              "index in [0, 13)"),
+    (_set_list_label, ["wait"], "agent 1 node 4: unknown macro-action "
+                                "['wait']"),
+], ids=["past-end", "negative", "string", "bool", "list-label"])
+def test_malformed_policy_exits_2(command, mutate, value, message,
+                                  delivery_cfg_path, solve_out, tmp_path,
+                                  capsys):
+    with open(os.path.join(solve_out, "mmcs_policy.json")) as f:
+        doc = json.load(f)
+    mutate(doc, value)
+    path = str(tmp_path / "bad.json")
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    argv = [command, "--config", delivery_cfg_path, "--policy", path]
+    if command == "success-curve":
+        argv += ["--budget", "2", "--out", str(tmp_path / "c.csv")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_compare_search(delivery_cfg_path, tmp_path):
     out = str(tmp_path / "cmp")
     assert main(["compare-search", "--config", delivery_cfg_path,

@@ -1,5 +1,5 @@
 """Tests for the Dec-POSMDP layer: asynchronous segments, the semi-Markov
-reward identity, joint executions, and the empirical transition kernel."""
+reward identity, and graph and joint executions."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,10 @@ from macroplan.beliefs import (GainSpec, GaussianBelief, LinearGaussianModel,
                                NoConstraints, PredicateConstraints, SimState,
                                StepCost, design_lma)
 from macroplan.decposmdp import (Domain, GraphTmaExecution, JointConfig,
-                                 JointGraphExecution, MacroObservation,
-                                 AgentStatus, RewardSpec, TimedExecution,
-                                 TmaSpec, estimate_transition_kernel,
-                                 evaluate_joint_policy, step_joint)
+                                 JointGraphExecution, AgentStatus, RewardSpec,
+                                 TimedExecution, TmaSpec,
+                                 evaluate_joint_policy, run_rollout,
+                                 step_joint)
 from macroplan.delivery import build_domain, desk_config
 from macroplan.errors import InitiationViolated
 from macroplan.search import SearchConfig, mmcs, sample_joint_policy
@@ -115,8 +115,7 @@ def test_effect_event_pays_team_reward_and_moves_estate():
     assert seg.tau_min == 2
     assert seg.reward_Rtau == pytest.approx(10.0)
     assert cfg.e_state == "dinged"
-    assert seg.observations[0] == MacroObservation(terminal_milestone=-1,
-                                                   e_obs="dinged")
+    assert seg.observations == {0: "dinged"}
 
 
 def test_initiation_violation_raises():
@@ -203,36 +202,6 @@ def test_evaluate_policy_deterministic_per_seed():
     assert a.mean == b.mean and a.stderr == b.stderr
 
 
-def test_transition_kernel_point_mass_on_deterministic_domain():
-    dom = TimedToyDomain()
-    cfg = dom.initial(np.random.default_rng(0))
-    kern = estimate_transition_kernel(cfg, {0: "t3", 1: "t9"}, dom,
-                                      k_steps=20, n_sims=32,
-                                      rng=np.random.default_rng(0))
-    assert len(kern) == 1
-    ((sig, estate, k), p), = kern.items()
-    assert p == pytest.approx(1.0)
-    assert k == 3 and estate == "idle"
-
-
-def test_transition_kernel_caps_segment_length():
-    dom = TimedToyDomain()
-    cfg = dom.initial(np.random.default_rng(0))
-    kern = estimate_transition_kernel(cfg, {0: "t9"}, dom, k_steps=4,
-                                      n_sims=8, rng=np.random.default_rng(0))
-    (_, _, k), = kern.keys()
-    assert k == 4
-
-
-def test_clone_refuses_mid_segment():
-    dom = TimedToyDomain()
-    rng = np.random.default_rng(0)
-    cfg = dom.initial(rng)
-    step_joint(cfg, {0: "t3", 1: "t9"}, dom, rng)  # agent 1 mid-execution
-    with pytest.raises(ValueError):
-        cfg.clone()
-
-
 # ---------------------------------------------------------------------------
 # graph-TMA executions on continuous dynamics
 # ---------------------------------------------------------------------------
@@ -312,7 +281,7 @@ def test_graph_execution_reaches_goal(small_tma):
     cfg = dom.initial(rng)
     seg = step_joint(cfg, {0: "go"}, dom, rng)
     assert seg.terminated_agents == {0}
-    assert seg.observations[0].terminal_milestone == tma.graph.goal_id
+    assert seg.observations == {0: 0}  # the e-state class, here the e-state
     goal = tma.graph.milestones[tma.graph.goal_id].center.mean
     assert np.linalg.norm(cfg.sims[0].belief.mean - goal) < 0.1
     # step cost 0.01/step, undiscounted
@@ -337,8 +306,7 @@ def test_joint_graph_execution_terminates_together(small_tma):
     cfg = dom.initial(rng)
     seg = step_joint(cfg, {0: "go", 1: "go"}, dom, rng)
     assert seg.terminated_agents == {0, 1}
-    for a in (0, 1):
-        assert seg.observations[a].terminal_milestone == tma.graph.goal_id
+    assert seg.observations == {0: 0, 1: 0}
 
 
 def test_constraint_violation_kills_agent_not_mission(small_tma):
@@ -373,15 +341,13 @@ def test_constraint_violation_kills_agent_not_mission(small_tma):
 
 def test_semi_markov_identity_on_graph_domain(small_tma):
     """Macro discounted sum equals the primitive discounted sum to 1e-9
-    (asserted inside evaluate_joint_policy on every rollout)."""
+    (also asserted inside run_rollout on every rollout)."""
     tma, model = small_tma
     dom = GraphToyDomain(tma, model)
     dom.rewards = RewardSpec(discount=0.97)
     c = _Controller(labels=["go", "wait"], edges={(0, 0): 1, (1, 0): 0})
-    pv = evaluate_joint_policy(_Policy([c]), dom, n_rollouts=5,
-                               horizon_macro_steps=6,
-                               rng=np.random.default_rng(8))
-    for tr in pv.rollouts:
+    for sub in np.random.default_rng(8).spawn(5):
+        tr = run_rollout(_Policy([c]), dom, 6, sub)
         assert tr.value == pytest.approx(tr.primitive_value, abs=1e-9)
 
 

@@ -6,7 +6,7 @@ import pytest
 from macroplan.decposmdp import step_joint
 from macroplan.delivery import (AIR, EMPTY, GROUND, OBS_ALPHABET,
                                 DeliveryConfig, PackageDescriptor, RobotKind,
-                                build_domain, desk_config, generate_packages,
+                                _PackageTable, build_domain, desk_config,
                                 observe_estate, success_curve, total_delivered)
 from macroplan.errors import ConfigError, InitiationViolated
 from macroplan.search import PolicyController, JointPolicy
@@ -96,11 +96,12 @@ def test_config_validation():
 
 def test_generate_packages_matches_categorical():
     cfg = desk_config()
+    table = _PackageTable(cfg.package_probs)
     rng = np.random.default_rng(42)
     n = 5000
     counts = {}
     for _ in range(n):
-        p = generate_packages(rng, cfg)
+        p = table.draw(rng)
         counts[(p.size, p.destination)] = counts.get((p.size, p.destination), 0) + 1
     for key, prob in cfg.package_probs.items():
         sigma = np.sqrt(n * prob * (1 - prob))
@@ -109,19 +110,17 @@ def test_generate_packages_matches_categorical():
 
 def test_domain_package_draws_match_per_draw_table(domain):
     def per_draw(rng, cfg):
-        # the table rebuilt on every draw, as generate_packages once did
+        # the table rebuilt on every draw
         items = sorted(cfg.package_probs.items())
         probs = np.array([p for _, p in items])
         k = rng.choice(len(items), p=probs / probs.sum())
         size, dest = items[int(k)][0]
         return PackageDescriptor(size=size, destination=dest)
 
-    want_rng, rng, free_rng = (np.random.default_rng(3) for _ in range(3))
+    want_rng, rng = (np.random.default_rng(3) for _ in range(2))
     want = [per_draw(want_rng, domain.cfg) for _ in range(500)]
     assert [domain._packages.draw(rng) for _ in range(500)] == want
-    assert [generate_packages(free_rng, domain.cfg)
-            for _ in range(500)] == want
-    assert rng.random() == want_rng.random() == free_rng.random()
+    assert rng.random() == want_rng.random()
     assert len(set(want)) == len(domain.cfg.package_probs)
 
 
@@ -191,7 +190,7 @@ def test_solo_pickup_and_delivery(domain):
     seg = run_macro(domain, config, rng, {0: "pickup"})
     assert config.world.carrying[0] == PackageDescriptor(size=1, destination="d2")
     assert not config.world.base_packages[0].present
-    assert seg.observations[0].e_obs == "s-d2"  # carried package dominates
+    assert seg.observations[0] == "s-d2"  # carried package dominates
 
     run_macro(domain, config, rng, {0: "goto-dest-2"})
     seg = run_macro(domain, config, rng, {0: "putdown"})
@@ -241,7 +240,7 @@ def test_truck_handoff_delivers_to_regulated_destination(domain):
     w = config.world
     assert w.carrying[0] is None
     assert w.carrying[2] == PackageDescriptor(size=1, destination="dr")
-    assert seg.observations[0].e_obs in ("rv-a", "rv-m")
+    assert seg.observations[0] in ("rv-a", "rv-m")
 
     run_macro(domain, config, rng, {2: "goto-dest-r"})
     run_macro(domain, config, rng, {2: "putdown"})
@@ -257,7 +256,7 @@ def test_joint_pickup_and_delivery(domain):
     seg = run_macro(domain, config, rng, {0: "joint-pickup", 1: "joint-pickup"})
     w = config.world
     assert w.joint_carry == PackageDescriptor(size=2, destination="d1")
-    assert seg.observations[0].e_obs == "s-d1"  # joint carry dominates
+    assert seg.observations[0] == "s-d1"  # joint carry dominates
 
     run_macro(domain, config, rng,
               {0: "joint-goto-dest-1", 1: "joint-goto-dest-1"})

@@ -365,6 +365,43 @@ class TestConstructTma:
         with pytest.raises(GoalUnreachable):
             build_scalar_tma(seed=1, n_nodes=2, constraints=blocked)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_double_integrator_milestones_can_settle(self, seed):
+        # velocities are drawn from [-0.2, 0.2]^2, but a funnel holds a
+        # target still only where (A - I) x = 0, that is at zero velocity
+        A = np.block([[np.eye(2), np.eye(2)], [np.zeros((2, 2)), np.eye(2)]])
+        model = LinearGaussianModel(
+            A=A, G=np.vstack([0.5 * np.eye(2), np.eye(2)]),
+            C=np.hstack([np.eye(2), np.zeros((2, 2))]), Q=2e-5 * np.eye(4),
+            R_obs=2e-5 * np.eye(2), step_cost=StepCost(base=0.01))
+        lo, hi = np.array([0, 0, -0.2, -0.2]), np.array([1, 1, 0.2, 0.2])
+        cfg = TmaConfig(n_nodes=5, k_neighbors=4, m_sims=5, epsilon=0.06,
+                        max_steps=400, bounds_lo=lo, bounds_hi=hi,
+                        gain_spec=GainSpec(kind="lqr", control_weight=8.0))
+        start = GaussianBelief([0.5, 0.7, 0.0, 0.0], 1e-4 * np.eye(4))
+        tma = construct_tma(start, [0.15, 0.2, 0.0, 0.0], model, cfg,
+                            np.random.default_rng(seed))
+        sampled = [ms.center.mean for i, ms in tma.graph.milestones.items()
+                   if i not in (0, 1, tma.start_id)]
+        assert len(sampled) == 3
+        for mean in sampled:
+            assert np.allclose((A - np.eye(4)) @ mean, 0.0, atol=1e-12)
+            assert np.all((lo[:2] <= mean[:2]) & (mean[:2] <= hi[:2]))
+        assert tma.success[tma.start_id] > 0.0
+
+    def test_no_settling_state_is_a_config_error(self):
+        # A = 0.9 I holds only the origin still: one milestone fits there
+        model = LinearGaussianModel(A=0.9 * np.eye(2), G=np.eye(2),
+                                    C=np.eye(2), Q=1e-4 * np.eye(2),
+                                    R_obs=1e-4 * np.eye(2))
+        cfg = TmaConfig(n_nodes=4, k_neighbors=2, m_sims=5, epsilon=0.06,
+                        max_steps=200, bounds_lo=np.zeros(2),
+                        bounds_hi=np.ones(2))
+        start = GaussianBelief([0.1, 0.1], 1e-4 * np.eye(2))
+        with pytest.raises(ConfigError, match="milestones with A x = x"):
+            construct_tma(start, [0.8, 0.8], model, cfg,
+                          np.random.default_rng(0))
+
 
 class TestQueryFromBelief:
     def setup_method(self):
