@@ -16,10 +16,9 @@ from .decposmdp import (AgentStatus, Domain, GraphTmaExecution, JointConfig,
 from .search import (JointPolicy, Mask, PolicyController, SearchConfig,
                      SearchResult, controller_space_cardinality, create_mask,
                      load_policy, mmcs, monte_carlo_search,
-                     sample_joint_policy, sample_valid_controller, save_policy,
-                     write_value_trace)
+                     sample_joint_policy, sample_valid_controller, save_policy)
 from .delivery import (DeliveryConfig, DeliveryDomain, PackageDescriptor,
-                       RobotKind, WorldState, build_domain, desk_config,
-                       observe_estate, success_curve, total_delivered)
+                       WorldState, build_domain, desk_config, success_curve,
+                       total_delivered)
 
 __version__ = "0.1.0"

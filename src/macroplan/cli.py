@@ -27,7 +27,7 @@ from .delivery import (DeliveryConfig, build_domain, desk_config,
 from .errors import (ConfigError, GoalUnreachable, NonConvergent,
                      NoValidSuccessor, SingularChain, Unstabilizable)
 from .search import (SearchConfig, load_policy, mmcs, monte_carlo_search,
-                     save_policy, write_value_trace)
+                     save_policy)
 from .tma import TmaConfig, construct_tma, save_tma
 
 EXIT_OK = 0
@@ -65,6 +65,8 @@ def _write_report(path: str, **fields) -> None:
 
 
 def _write_csv(path: str, header, rows) -> None:
+    """Write rows as CSV; floats are written by repr, so a file is
+    byte-identical across runs with the same seed."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
@@ -171,7 +173,8 @@ def _run_search(args, algorithm, name: str) -> int:
     result = algorithm(domain, scfg, rng)
     os.makedirs(args.out, exist_ok=True)
     save_policy(result.best_policy, os.path.join(args.out, f"{name}_policy.json"))
-    write_value_trace(result.trace, os.path.join(args.out, f"{name}_trace.csv"))
+    _write_csv(os.path.join(args.out, f"{name}_trace.csv"),
+               ["evaluation", "best_value"], result.trace)
     _write_csv(os.path.join(args.out, f"{name}_samples.csv"),
                ["evaluation", "value"], result.samples)
     _write_report(os.path.join(args.out, f"{name}_report.json"),
@@ -205,10 +208,9 @@ def cmd_compare_search(args) -> int:
         seed_i = args.seed + i
         a = mmcs(domain, scfg, np.random.default_rng(seed_i))
         b = monte_carlo_search(domain, scfg, np.random.default_rng(seed_i))
-        write_value_trace(a.trace,
-                          os.path.join(args.out, f"mmcs_trace_{i}.csv"))
-        write_value_trace(b.trace,
-                          os.path.join(args.out, f"mc_trace_{i}.csv"))
+        for name, res in (("mmcs", a), ("mc", b)):
+            _write_csv(os.path.join(args.out, f"{name}_trace_{i}.csv"),
+                       ["evaluation", "best_value"], res.trace)
         _write_csv(os.path.join(args.out, f"scatter_{i}.csv"),
                    ["evaluation", "mmcs_value", "mc_value"],
                    [(e, va, vb) for (e, va), (_, vb)
@@ -248,6 +250,9 @@ def _check_policy(policy, domain) -> None:
     alphabet = domain.obs_alphabet()
     for agent, c in enumerate(policy.controllers):
         roster = domain.roster(agent)
+        if not isinstance(c.nodes, list):
+            raise ConfigError(f"agent {agent}: nodes {c.nodes!r} is not a "
+                              f"list of macro-actions")
         n = len(c.nodes)
         start = c.initial_node
         if isinstance(start, bool) or not isinstance(start, int) \

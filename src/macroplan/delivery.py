@@ -10,8 +10,8 @@ ground robot at a rendezvous point and trucked in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .beliefs import (GainSpec, GaussianBelief, LinearGaussianModel,
                       RectConstraints, NoConstraints, SimState, StepCost)
 from .decposmdp import (AgentStatus, Domain, Execution, GraphTmaExecution,
                         JointConfig, JointGraphExecution, RewardSpec,
-                        TimedExecution, TmaSpec)
+                        TimedExecution, TmaSpec, run_rollout)
 from .errors import ConfigError
 from .tma import Tma, TmaConfig, construct_tma
 
@@ -55,28 +55,17 @@ class PackageDescriptor:
 EMPTY = PackageDescriptor(size=0, destination=NO_PACKAGE)
 
 
-@dataclass(frozen=True)
-class RobotKind:
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (AIR, GROUND):
-            raise ValueError(f"unknown robot kind {self.kind!r}")
-
-
 @dataclass
 class WorldState:
     """Mutable per-rollout world: base inventories, carried packages,
     truck load, delivery tallies, and a package-conservation ledger."""
 
     base_packages: List[PackageDescriptor]
-    positions: List[np.ndarray]
     carrying: List[Optional[PackageDescriptor]]
     joint_carry: Optional[PackageDescriptor] = None  # shared by both air robots
     delivered: Dict[str, int] = field(default_factory=lambda: {d: 0 for d in DESTS})
     pending_refill: List[int] = field(default_factory=list)
     created: int = 0
-    dropped_ok: int = 0
     dropped_lost: int = 0
 
     def in_flight(self) -> int:
@@ -86,7 +75,8 @@ class WorldState:
         return n
 
     def audit_ok(self) -> bool:
-        return self.created == self.dropped_ok + self.dropped_lost + self.in_flight()
+        return self.created == (sum(self.delivered.values())
+                                + self.dropped_lost + self.in_flight())
 
 
 @dataclass
@@ -133,6 +123,23 @@ class DeliveryConfig:
     n_rollouts: int = 2
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(f.default, (int, float))
+                    and (isinstance(value, bool)
+                         or not isinstance(value, (int, float)))):
+                raise ConfigError(f"{f.name} must be a number, not {value!r}")
+        if self.air_dynamics not in ("single", "double"):
+            raise ConfigError(f"unknown air dynamics {self.air_dynamics!r}")
+        if not 0.0 < self.discount <= 1.0:
+            raise ConfigError("discount must lie in (0, 1]")
+        if self.tma_max_steps < 1 or self.tma_epsilon <= 0:
+            raise ConfigError("tma_max_steps and tma_epsilon must be positive")
+        if self.obs_noise <= 0 or self.process_noise < 0:
+            raise ConfigError("obs_noise must be positive and process_noise "
+                              "non-negative")
+        if len(self.bases) != 2 or any(len(xy) != 2 for xy in self.bases):
+            raise ConfigError("bases must be two (x, y) points")
         total = sum(self.package_probs.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"package probabilities sum to {total}, not 1")
@@ -173,36 +180,25 @@ class _PackageTable:
         return self.packages[int(rng.choice(len(self.packages), p=self.p))]
 
 
-def _air_model(cfg: DeliveryConfig) -> LinearGaussianModel:
+def _model(cfg: DeliveryConfig, dynamics: str,
+           constraints) -> LinearGaussianModel:
+    """A robot's planar model: a "single" or "double" integrator."""
     cost = StepCost(base=cfg.step_cost, u_weight=cfg.control_cost)
-    x0, y0, x1, y1 = cfg.regulated
-    constraints = RectConstraints(rects=[((x0, y0), (x1, y1))])
-    if cfg.air_dynamics == "single":
+    if dynamics == "single":
         n = 2
         return LinearGaussianModel(
             A=np.eye(n), G=cfg.dt * np.eye(n), C=np.eye(n),
             Q=cfg.process_noise * np.eye(n), R_obs=cfg.obs_noise * np.eye(n),
             step_cost=cost, constraints=constraints)
-    if cfg.air_dynamics != "double":
-        raise ConfigError(f"unknown air dynamics {cfg.air_dynamics!r}")
     dt = cfg.dt
     A = np.block([[np.eye(2), dt * np.eye(2)],
                   [np.zeros((2, 2)), np.eye(2)]])
     G = np.vstack([0.5 * dt ** 2 * np.eye(2), dt * np.eye(2)])
     C = np.hstack([np.eye(2), np.zeros((2, 2))])
-    Q = np.diag([cfg.process_noise] * 2 + [cfg.process_noise] * 2)
+    Q = np.diag([cfg.process_noise] * 4)
     return LinearGaussianModel(A=A, G=G, C=C, Q=Q,
                                R_obs=cfg.obs_noise * np.eye(2),
                                step_cost=cost, constraints=constraints)
-
-
-def _ground_model(cfg: DeliveryConfig) -> LinearGaussianModel:
-    n = 2
-    return LinearGaussianModel(
-        A=np.eye(n), G=cfg.dt * np.eye(n), C=np.eye(n),
-        Q=cfg.process_noise * np.eye(n), R_obs=cfg.obs_noise * np.eye(n),
-        step_cost=StepCost(base=cfg.step_cost, u_weight=cfg.control_cost),
-        constraints=NoConstraints())
 
 
 def _dist(p: np.ndarray, q: np.ndarray) -> float:
@@ -301,10 +297,12 @@ class DeliveryDomain(Domain):
     def __init__(self, cfg: DeliveryConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.n_agents = 3
-        self.kinds = [RobotKind(AIR), RobotKind(AIR), RobotKind(GROUND)]
+        self.kinds = (AIR, AIR, GROUND)
         self.rewards = RewardSpec(discount=cfg.discount)
-        self.air_model = _air_model(cfg)
-        self.ground_model = _ground_model(cfg)
+        x0, y0, x1, y1 = cfg.regulated
+        self.air_model = _model(cfg, cfg.air_dynamics,
+                                RectConstraints(rects=[((x0, y0), (x1, y1))]))
+        self.ground_model = _model(cfg, "single", NoConstraints())
         # site coordinates as arrays for the distance tests
         self._bases_xy = [np.asarray(xy, dtype=float) for xy in cfg.bases]
         self._dests_xy = {d: np.asarray(xy, dtype=float)
@@ -332,10 +330,10 @@ class DeliveryDomain(Domain):
             for (name, xy), r in zip(sorted(sites_ground.items()),
                                      rng.spawn(len(sites_ground)))}
 
-        self._rosters = [self._air_roster(), self._air_roster(),
-                         self._ground_roster()]
-        self._succ = [_air_successors(), _air_successors(),
-                      _ground_successors()]
+        # both air robots share one roster and one successor table
+        air_roster, air_succ = self._air_roster(), _air_successors()
+        self._rosters = [air_roster, air_roster, self._ground_roster()]
+        self._succ = [air_succ, air_succ, _ground_successors()]
 
     # ----- roster construction -------------------------------------------
     def _air_roster(self) -> Dict[str, TmaSpec]:
@@ -413,14 +411,11 @@ class DeliveryDomain(Domain):
                 for b in self._start_beliefs]
         world = WorldState(
             base_packages=[self._packages.draw(rng) for _ in cfg.bases],
-            positions=[s.belief.mean[:2].copy() for s in sims],
             carrying=[None] * 3,
             pending_refill=[0] * len(cfg.bases))
         world.created = sum(1 for p in world.base_packages if p.present)
-        config = JointConfig(sims=sims, statuses=[AgentStatus() for _ in range(3)],
-                             e_state=None, world=world)
-        config.e_state = self._estate_tuple(world)
-        return config
+        return JointConfig(sims=sims, statuses=[AgentStatus() for _ in range(3)],
+                           e_state=None, world=world)
 
     # ----- geometry helpers -----------------------------------------------
     def _pos(self, agent: int, config: JointConfig) -> np.ndarray:
@@ -439,27 +434,49 @@ class DeliveryDomain(Domain):
         return (_dist(self._pos(a, config), self._pos(b, config))
                 <= self.cfg.colocate_radius + self.cfg.site_radius)
 
+    def _at_destination(self, pkg: PackageDescriptor, agents,
+                        config: JointConfig) -> bool:
+        dest_xy = self._dests_xy[pkg.destination]
+        return all(self._at(a, dest_xy, config) for a in agents)
+
     # ----- observations -----------------------------------------------------
     def observe(self, agent: int, config: JointConfig) -> str:
+        """Locally observable environmental observation class for one robot,
+        placed at its belief mean."""
         world: WorldState = config.world
-        # belief means are replaced on every step, never written in place,
-        # so views of them are snapshots
-        for i in range(self.n_agents):
-            world.positions[i] = self._pos(i, config)
-        return observe_estate(agent, world, self)
-
-    def _estate_tuple(self, world: WorldState) -> Hashable:
-        return (tuple((p.size, p.destination) for p in world.base_packages),
-                world.carrying[2] is not None)
+        carried = world.carrying[agent]
+        if carried is None and self.kinds[agent] == AIR:
+            carried = world.joint_carry
+        if carried is not None:
+            return f"s-{carried.destination}"
+        j = self._base_at(agent, config)
+        if j is not None:
+            pkg = world.base_packages[j]
+            if not pkg.present:
+                return "empty"
+            if pkg.size == 1:
+                return f"s-{pkg.destination}"
+            xy = self._bases_xy[j]
+            nearby = any(i != agent and self.kinds[i] == AIR
+                         and self._at(i, xy, config)
+                         for i in range(self.n_agents))
+            return "L-a" if nearby else "L-m"
+        rv = self._rendezvous_xy
+        if self._at(agent, rv, config):
+            near = any(self.kinds[i] != self.kinds[agent]
+                       and self._at(i, rv, config)
+                       for i in range(self.n_agents))
+            return "rv-a" if near else "rv-m"
+        return "none"
 
     # ----- initiation predicates -------------------------------------------
     def initiation_ok(self, agent: int, tma_id: str,
                       config: JointConfig) -> bool:
         world: WorldState = config.world
-        kind = self.kinds[agent].kind
         if tma_id not in self._rosters[agent]:
             return False
-        carrying_joint = world.joint_carry is not None and kind == AIR
+        carrying_joint = (world.joint_carry is not None
+                          and self.kinds[agent] == AIR)
         if tma_id == "wait":
             return True
         if tma_id.startswith("goto-") and not tma_id.startswith("joint-"):
@@ -474,24 +491,23 @@ class DeliveryDomain(Domain):
             return (j is not None and world.carrying[agent] is None
                     and not carrying_joint
                     and world.base_packages[j].size == 1)
+        # joint macro-actions and place-on-truck are in the air roster only:
+        # the agent is air robot 0 or 1, and 1 - agent is its partner
         if tma_id == "joint-pickup":
             j = self._base_at(agent, config)
             if j is None or world.base_packages[j].size != 2:
                 return False
             if world.carrying[agent] is not None or carrying_joint:
                 return False
-            other = 1 - agent if agent in (0, 1) else None
-            return other is not None and self._colocated(agent, other, config)
+            return self._colocated(agent, 1 - agent, config)
         if tma_id == "putdown":
             return world.carrying[agent] is not None
         if tma_id == "joint-putdown":
-            other = 1 - agent if agent in (0, 1) else None
-            return (world.joint_carry is not None and other is not None
-                    and self._colocated(agent, other, config))
+            return (world.joint_carry is not None
+                    and self._colocated(agent, 1 - agent, config))
         if tma_id == "place-on-truck":
             pkg = world.carrying[agent]
-            return (kind == AIR and pkg is not None
-                    and pkg.destination == "dr"
+            return (pkg is not None and pkg.destination == "dr"
                     and self._at(agent, self._rendezvous_xy, config)
                     and self._colocated(agent, 2, config)
                     and world.carrying[2] is None)
@@ -534,10 +550,7 @@ class DeliveryDomain(Domain):
         world: WorldState = config.world
         pkg = (world.joint_carry if name == "joint-putdown"
                else world.carrying[agents[0]])
-        if pkg is None:
-            return 0.0
-        dest_xy = self._dests_xy[pkg.destination]
-        if all(self._at(a, dest_xy, config) for a in agents):
+        if pkg is not None and self._at_destination(pkg, agents, config):
             return self.cfg.delivery_bonus
         return 0.0
 
@@ -591,51 +604,15 @@ class DeliveryDomain(Domain):
                         and self._colocated(a, 2, config)):
                     world.carrying[a] = None
                     world.carrying[2] = pkg
-        config.e_state = self._estate_tuple(world)
         assert world.audit_ok(), "package conservation violated"
 
     def _settle_drop(self, pkg: PackageDescriptor, agents,
                      config: JointConfig) -> None:
         world: WorldState = config.world
-        dest_xy = self._dests_xy[pkg.destination]
-        if all(self._at(a, dest_xy, config) for a in agents):
+        if self._at_destination(pkg, agents, config):
             world.delivered[pkg.destination] += 1
-            world.dropped_ok += 1
         else:
             world.dropped_lost += 1
-
-
-def observe_estate(agent: int, world: WorldState,
-                   domain: DeliveryDomain) -> str:
-    """Locally observable environmental observation class for one robot."""
-    cfg = domain.cfg
-    pos = world.positions[agent]
-    carried = world.carrying[agent]
-    if carried is None and world.joint_carry is not None \
-            and domain.kinds[agent].kind == AIR:
-        carried = world.joint_carry
-    if carried is not None:
-        return f"s-{carried.destination}"
-    for j, xy in enumerate(domain._bases_xy):
-        if _dist(pos, xy) <= cfg.site_radius:
-            pkg = world.base_packages[j]
-            if not pkg.present:
-                return "empty"
-            if pkg.size == 1:
-                return f"s-{pkg.destination}"
-            nearby = any(
-                i != agent and domain.kinds[i].kind == AIR
-                and _dist(world.positions[i], xy) <= cfg.site_radius
-                for i in range(domain.n_agents))
-            return "L-a" if nearby else "L-m"
-    rv = domain._rendezvous_xy
-    if _dist(pos, rv) <= cfg.site_radius:
-        others = [i for i in range(domain.n_agents) if i != agent
-                  and domain.kinds[i].kind != domain.kinds[agent].kind]
-        near = any(_dist(world.positions[i], rv) <= cfg.site_radius
-                   for i in others)
-        return "rv-a" if near else "rv-m"
-    return "none"
 
 
 def total_delivered(config: JointConfig) -> int:
@@ -646,7 +623,6 @@ def success_curve(policy, domain: DeliveryDomain, n_runs: int, horizon: int,
                   rng: np.random.Generator) -> List[Tuple[int, float]]:
     """P(deliver >= k packages) over seeded runs, for k = 0..max observed.
     Non-increasing in k by construction."""
-    from .decposmdp import run_rollout
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     counts = [total_delivered(run_rollout(policy, domain, horizon, sub).final)
@@ -657,8 +633,6 @@ def success_curve(policy, domain: DeliveryDomain, n_runs: int, horizon: int,
 
 
 def build_domain(cfg: DeliveryConfig,
-                 rng: Optional[np.random.Generator] = None) -> DeliveryDomain:
+                 rng: np.random.Generator) -> DeliveryDomain:
     """Construct the delivery domain, building all movement TMA graphs."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     return DeliveryDomain(cfg, rng)

@@ -10,7 +10,6 @@ sampling on the remaining free choices.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -55,10 +54,9 @@ def save_policy(policy: JointPolicy, path: str) -> None:
         f.write("\n")
 
 
-def load_policy(path: str, obs_labels: Optional[Dict[str, Hashable]] = None
-                ) -> JointPolicy:
-    """Read a policy written by save_policy.  Observation labels were
-    stringified on save; ``obs_labels`` maps them back (identity default)."""
+def load_policy(path: str) -> JointPolicy:
+    """Read a policy written by save_policy; observation labels come back
+    as the strings they were saved as."""
     with open(path) as f:
         d = json.load(f)
     if d.get("format") != "macroplan-policy-v1":
@@ -67,8 +65,7 @@ def load_policy(path: str, obs_labels: Optional[Dict[str, Hashable]] = None
     for c in d["controllers"]:
         edges = {}
         for n, o, t in c["edges"]:
-            key = obs_labels[o] if obs_labels else o
-            edges[(int(n), key)] = int(t)
+            edges[(int(n), o)] = int(t)
         controllers.append(PolicyController(nodes=c["nodes"], edges=edges,
                                             initial_node=c["initial_node"]))
     return JointPolicy(controllers=controllers)
@@ -294,16 +291,6 @@ def monte_carlo_search(domain: Domain, cfg: SearchConfig,
                        rng: np.random.Generator) -> SearchResult:
     """Unmasked baseline: every policy is drawn fresh from the full space."""
     return mmcs(domain, cfg, rng, use_mask=False)
-
-
-def write_value_trace(trace: Sequence[Tuple[int, float]], path: str) -> None:
-    """Write an (evaluation index, best value so far) trace as CSV; float
-    repr keeps the file byte-identical across runs with the same seed."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["evaluation", "best_value"])
-        for i, v in trace:
-            w.writerow([i, repr(float(v))])
 
 
 def controller_space_cardinality(domain: Domain, agent: int,

@@ -175,14 +175,12 @@ class TmaConfig:
     gain_spec: GainSpec = field(default_factory=GainSpec)
     bounds_lo: Optional[np.ndarray] = None
     bounds_hi: Optional[np.ndarray] = None
-    norm: BeliefNorm = field(default_factory=BeliefNorm)
 
 
 def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
                   all_milestones: Dict[int, Milestone],
                   model: LinearGaussianModel, m: int, max_steps: int,
-                  rng: np.random.Generator,
-                  norm: BeliefNorm = BeliefNorm()) -> GraphEdge:
+                  rng: np.random.Generator) -> GraphEdge:
     """Monte Carlo estimate of one edge's landing distribution, reward and
     duration.  Starts are the milestone center plus Gaussian mean jitter
     (sigma = epsilon/3); timeouts fold into the failure node's mass."""
@@ -201,7 +199,7 @@ def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
         truth = mean + cov_sqrt @ rng.standard_normal(center.mean.shape)
         sim = SimState(truth=truth,
                        belief=GaussianBelief._trusted(mean, center.cov))
-        rec = run_lma(lma, sim, stops, model, max_steps, rng, norm)
+        rec = run_lma(lma, sim, stops, model, max_steps, rng)
         if rec.outcome == TerminationRecord.LANDED:
             counts[rec.region_id] += 1
         else:
@@ -454,7 +452,7 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
         i, j, lma = jobs[k]
         results[k] = estimate_edge(milestones[i], lma, j, milestones,
                                    task_model, cfg.m_sims, cfg.max_steps,
-                                   subs[k], cfg.norm)
+                                   subs[k])
         return results[k]
 
     cut_off = _closed_start_set(start_id, jobs, estimate)
@@ -475,7 +473,7 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
     if success[start_id] == 0.0:
         raise GoalUnreachable("zero success probability from the start node")
     return Tma(graph=graph, policy=policy, values=values, success=success,
-               time_to_goal=times, norm=cfg.norm, start_id=start_id,
+               time_to_goal=times, start_id=start_id,
                model=task_model)
 
 

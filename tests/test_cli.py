@@ -98,13 +98,23 @@ def test_build_tma_rejects_threads_flag(tma_cfg_path, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_build_tma_bad_config_exits_2(tmp_path):
+def test_build_tma_bad_config_exits_2(tmp_path, capsys):
     bad = write_yaml(tmp_path / "bad.yaml", {"model": {"A": [[1.0]]}})
     assert main(["build-tma", "--config", bad, "--seed", "0",
                  "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
     missing = str(tmp_path / "nope.yaml")
     assert main(["build-tma", "--config", missing, "--seed", "0",
                  "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
+    # every TMA uses the default belief norm; a config cannot set one
+    cfg = copy.deepcopy(TMA_CONFIG)
+    cfg["tma"]["norm"] = {"w_mean": 1.0, "w_cov": 0.5}
+    path = write_yaml(tmp_path / "norm.yaml", cfg)
+    capsys.readouterr()
+    assert main(["build-tma", "--config", path,
+                 "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad TMA config: ")
+    assert "norm" in err and len(err.splitlines()) == 1
 
 
 def test_build_tma_unreachable_goal_exits_3(tmp_path):
@@ -180,6 +190,21 @@ def test_solve_rejects_empty_search_sizes(key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: bad search config: ")
     assert key in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"discount": 2.0}, "discount must lie in (0, 1]"),
+    ({"tma_max_steps": 0}, "tma_max_steps and tma_epsilon must be positive"),
+    ({"tma_epsilon": -0.1}, "tma_max_steps and tma_epsilon must be positive"),
+    ({"bases": [[0.15, 0.85]]}, "bases must be two (x, y) points"),
+    ({"site_radius": "x"}, "site_radius must be a number, not 'x'"),
+], ids=["discount", "max-steps", "epsilon", "one-base", "string-radius"])
+def test_solve_rejects_bad_delivery_override(override, message, tmp_path,
+                                             capsys):
+    path = write_yaml(tmp_path / "bad.yaml", {**DELIVERY_CONFIG, **override})
+    rc = main(["solve", "--config", path, "--out", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_solve_artifacts(solve_out):
@@ -265,6 +290,10 @@ def _set_list_label(doc, value):
     doc["controllers"][1]["nodes"][4] = value
 
 
+def _set_nodes(doc, value):
+    doc["controllers"][1]["nodes"] = value
+
+
 @pytest.mark.parametrize("command", ["validate-policy", "success-curve"])
 @pytest.mark.parametrize("mutate, value, message", [
     (_set_initial_node, 13, "agent 1: initial node 13 is not a node index "
@@ -277,7 +306,8 @@ def _set_list_label(doc, value):
                               "index in [0, 13)"),
     (_set_list_label, ["wait"], "agent 1 node 4: unknown macro-action "
                                 "['wait']"),
-], ids=["past-end", "negative", "string", "bool", "list-label"])
+    (_set_nodes, 5, "agent 1: nodes 5 is not a list of macro-actions"),
+], ids=["past-end", "negative", "string", "bool", "list-label", "int-nodes"])
 def test_malformed_policy_exits_2(command, mutate, value, message,
                                   delivery_cfg_path, solve_out, tmp_path,
                                   capsys):

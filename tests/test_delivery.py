@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from macroplan.beliefs import GaussianBelief
 from macroplan.decposmdp import step_joint
-from macroplan.delivery import (AIR, EMPTY, GROUND, OBS_ALPHABET,
-                                DeliveryConfig, PackageDescriptor, RobotKind,
-                                _PackageTable, build_domain, desk_config,
-                                observe_estate, success_curve, total_delivered)
+from macroplan.delivery import (EMPTY, OBS_ALPHABET, DeliveryConfig,
+                                PackageDescriptor, _PackageTable, build_domain,
+                                desk_config, success_curve, total_delivered)
 from macroplan.errors import ConfigError, InitiationViolated
 from macroplan.search import PolicyController, JointPolicy
 
@@ -30,8 +30,15 @@ def set_base(domain, config, j, pkg):
     if pkg.present:
         w.created += 1
     w.pending_refill[j] = 0
-    config.e_state = domain._estate_tuple(w)
     assert w.audit_ok()
+
+
+def place(config, agent, xy):
+    """Move an agent's belief mean, the position it is observed at, to xy."""
+    b = config.sims[agent].belief
+    mean = b.mean.copy()
+    mean[:2] = xy
+    config.sims[agent].belief = GaussianBelief(mean=mean, cov=b.cov)
 
 
 def run_macro(domain, config, rng, assigned, max_segments=200):
@@ -72,13 +79,6 @@ def test_package_descriptor_validation():
         PackageDescriptor(size=3, destination="d1")
     with pytest.raises(ValueError):
         PackageDescriptor(size=1, destination="d9")
-
-
-def test_base_estate_and_robot_kind():
-    with pytest.raises(ValueError):
-        RobotKind(kind="submarine")
-    assert RobotKind(kind=AIR).kind == "air"
-    assert RobotKind(kind=GROUND).kind == "ground"
 
 
 def test_config_validation():
@@ -144,35 +144,35 @@ def test_observe_estate_cases(domain):
     cfg = domain.cfg
     config = fresh_config(domain)
     w = config.world
-    w.positions = [np.array(cfg.bases[0]), np.array(cfg.bases[1]),
-                   np.array(cfg.rendezvous)]
+    for agent, xy in enumerate((cfg.bases[0], cfg.bases[1], cfg.rendezvous)):
+        place(config, agent, xy)
 
     set_base(domain, config, 0, PackageDescriptor(size=1, destination="dr"))
-    assert observe_estate(0, w, domain) == "s-dr"
+    assert domain.observe(0, config) == "s-dr"
     set_base(domain, config, 0, EMPTY)
-    assert observe_estate(0, w, domain) == "empty"
+    assert domain.observe(0, config) == "empty"
     set_base(domain, config, 0, PackageDescriptor(size=2, destination="d1"))
-    assert observe_estate(0, w, domain) == "L-m"  # partner at the other base
-    w.positions[1] = np.array(cfg.bases[0])
-    assert observe_estate(0, w, domain) == "L-a"
+    assert domain.observe(0, config) == "L-m"  # partner at the other base
+    place(config, 1, cfg.bases[0])
+    assert domain.observe(0, config) == "L-a"
 
     # carrying dominates location
     w.carrying[0] = PackageDescriptor(size=1, destination="d2")
-    assert observe_estate(0, w, domain) == "s-d2"
+    assert domain.observe(0, config) == "s-d2"
     w.carrying[0] = None
     w.joint_carry = PackageDescriptor(size=2, destination="d1")
-    assert observe_estate(0, w, domain) == "s-d1"
+    assert domain.observe(0, config) == "s-d1"
     w.joint_carry = None
 
     # rendezvous: the ground robot sees an air robot only if one is there
-    assert observe_estate(2, w, domain) == "rv-m"
-    w.positions[1] = np.array(cfg.rendezvous)
-    assert observe_estate(2, w, domain) == "rv-a"
-    assert observe_estate(1, w, domain) == "rv-a"  # symmetric for the air side
+    assert domain.observe(2, config) == "rv-m"
+    place(config, 1, cfg.rendezvous)
+    assert domain.observe(2, config) == "rv-a"
+    assert domain.observe(1, config) == "rv-a"  # symmetric for the air side
 
     # nowhere special
-    w.positions[0] = np.array([0.5, 0.99])
-    assert observe_estate(0, w, domain) == "none"
+    place(config, 0, [0.5, 0.99])
+    assert domain.observe(0, config) == "none"
     for label in ("s-dr", "empty", "L-m", "L-a", "s-d2", "s-d1",
                   "rv-m", "rv-a", "none"):
         assert label in OBS_ALPHABET
@@ -195,7 +195,7 @@ def test_solo_pickup_and_delivery(domain):
     run_macro(domain, config, rng, {0: "goto-dest-2"})
     seg = run_macro(domain, config, rng, {0: "putdown"})
     w = config.world
-    assert w.delivered["d2"] == 1 and w.dropped_ok == 1
+    assert w.delivered["d2"] == 1 and w.dropped_lost == 0
     assert w.carrying[0] is None and w.audit_ok()
     assert total_delivered(config) == 1
     # the +10 bonus lands in the discounted segment reward

@@ -1,7 +1,11 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+top-level name of the package is used somewhere.
 
-A deletion that leaves an import behind shows here.  ``__init__.py`` only
-re-exports, so it is not scanned; neither are the tests.
+A deletion that leaves an import behind shows here, and so does a function,
+class or constant that only its own definition mentions.  ``__init__.py``
+only re-exports, so it is not scanned, and its re-exports do not count as
+uses.  The tests and the benchmark count as users but are not scanned for
+unused imports.
 """
 
 import ast
@@ -9,8 +13,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "macroplan"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "macroplan"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# where a use of a package name counts
+USERS = MODULES + sorted((ROOT / "tests").rglob("*.py")) \
+    + sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def imported_names(tree):
@@ -58,3 +66,49 @@ def test_module_uses_every_import(path):
                     for name, line in imported_names(tree).items()
                     if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def top_level_names(tree):
+    """Name -> defining statement of each top-level function, class and
+    constant, dunders left out."""
+    defs = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defs[stmt.name] = stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target])
+            for node in targets:
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Name):
+                        defs[sub.id] = stmt
+    return {n: s for n, s in defs.items() if not n.startswith("__")}
+
+
+def referenced_names(stmt):
+    """Identifiers a statement reads: names, attributes, and strings that
+    are identifiers (quoted annotations; the bench tracer binds by
+    attribute name)."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            out.add(node.value)
+    return out
+
+
+def test_every_top_level_name_is_used():
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in USERS}
+    uses = [(stmt, referenced_names(stmt))
+            for tree in trees.values() for stmt in tree.body]
+    unused = sorted(
+        f"{path.name}:{name}"
+        for path in MODULES
+        for name, own in top_level_names(trees[path]).items()
+        if not any(name in names for stmt, names in uses if stmt is not own))
+    assert not unused, f"top-level names nothing uses: {unused}"

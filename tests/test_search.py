@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from macroplan.beliefs import GaussianBelief, SimState
+from macroplan.cli import _write_csv
 from macroplan.decposmdp import (AgentStatus, Domain, JointConfig, RewardSpec,
                                  TimedExecution, TmaSpec)
 from macroplan.errors import NoValidSuccessor
 from macroplan.search import (JointPolicy, PolicyController, SearchConfig,
                               controller_space_cardinality, create_mask,
                               load_policy, mmcs, monte_carlo_search,
-                              sample_valid_controller, save_policy,
-                              write_value_trace)
+                              sample_valid_controller, save_policy)
 
 
 def _dummy_sim():
@@ -269,7 +269,7 @@ def test_value_trace_bytes_identical(tmp_path):
     for i in range(2):
         res = mmcs(dom, cfg, np.random.default_rng(11))
         p = str(tmp_path / f"trace{i}.csv")
-        write_value_trace(res.trace, p)
+        _write_csv(p, ["evaluation", "best_value"], res.trace)
         paths.append(p)
     with open(paths[0], "rb") as f0, open(paths[1], "rb") as f1:
         assert f0.read() == f1.read()

@@ -432,10 +432,12 @@ class TestQueryFromBelief:
                                     Q=1e-4 * np.eye(2), R_obs=1e-4 * np.eye(2))
         cfg = TmaConfig(n_nodes=5, k_neighbors=2, m_sims=5, epsilon=0.05,
                         max_steps=300, bounds_lo=np.zeros(2),
-                        bounds_hi=np.ones(2), norm=BeliefNorm(0.7, 0.3))
+                        bounds_hi=np.ones(2))
         start = GaussianBelief([0.1, 0.2], [[2e-3, 4e-4], [4e-4, 1e-3]])
-        tma = construct_tma(start, [0.8, 0.7], model, cfg,
-                            np.random.default_rng(3))
+        tma = dataclasses.replace(
+            construct_tma(start, [0.8, 0.7], model, cfg,
+                          np.random.default_rng(3)),
+            norm=BeliefNorm(0.7, 0.3))
         ids = sorted(i for i in tma.graph.milestones if i != 0)
         means = np.stack([tma.graph.milestones[i].center.mean for i in ids])
         covs = np.stack([tma.graph.milestones[i].center.cov for i in ids])
