@@ -9,6 +9,7 @@ as a funnel in belief space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -30,7 +31,7 @@ class StepCost:
     u_weight: float = 0.0
 
     def __call__(self, x: np.ndarray, u: np.ndarray) -> float:
-        return -(self.base + self.u_weight * float(u @ u))
+        return -(self.base + self.u_weight * float(u.dot(u)))
 
     def to_dict(self) -> dict:
         return {"base": self.base, "u_weight": self.u_weight}
@@ -159,7 +160,10 @@ class LinearGaussianModel:
             raise ValueError("Q must be PSD")
         if np.min(np.linalg.eigvalsh(self.R_obs)) <= 0:
             raise ValueError("R_obs must be PD")
-        # noise square roots, computed once per model
+        # state dimension, noise draw length and noise square roots,
+        # computed once per model
+        self._n = n
+        self._n_noise = n + m
         self._sq = _psd_sqrt(self.Q)
         self._sr = _psd_sqrt(self.R_obs)
         # posterior covariance bytes -> (Kalman gain, next posterior covariance)
@@ -252,10 +256,19 @@ class GaussianBelief:
 @dataclass(frozen=True)
 class BeliefNorm:
     """Weighted distance between beliefs: Euclidean on means plus Frobenius
-    on covariances.  The milestone membership test uses this norm."""
+    on covariances.  The milestone membership test uses this norm.  It is a
+    norm only for ``w_mean > 0`` and ``w_cov >= 0``, so other weights are
+    refused."""
 
     w_mean: float = 1.0
     w_cov: float = 0.1
+
+    def __post_init__(self):
+        if not (math.isfinite(self.w_mean) and math.isfinite(self.w_cov)
+                and self.w_mean > 0 and self.w_cov >= 0):
+            raise ValueError(f"belief norm weights must be finite with "
+                             f"w_mean > 0 and w_cov >= 0, not w_mean="
+                             f"{self.w_mean!r}, w_cov={self.w_cov!r}")
 
     def distance(self, b: GaussianBelief, c: GaussianBelief) -> float:
         dm = float(np.linalg.norm(b.mean - c.mean))
@@ -274,10 +287,13 @@ class BeliefNorm:
 class LmaParams:
     gain: np.ndarray   # control x state feedback gain
     target: np.ndarray  # desired state mean
+    # -gain, negated once: ``-gain @ v`` is ``(-gain) @ v``
+    neg_gain: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gain", np.atleast_2d(np.asarray(self.gain, dtype=float)))
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float).ravel())
+        object.__setattr__(self, "neg_gain", -self.gain)
 
 
 @dataclass(frozen=True)
@@ -288,7 +304,7 @@ class Lma:
     attractor: GaussianBelief
 
     def control(self, belief_mean: np.ndarray) -> np.ndarray:
-        return -self.params.gain @ (belief_mean - self.params.target)
+        return self.params.neg_gain.dot(belief_mean - self.params.target)
 
 
 @dataclass
@@ -380,23 +396,27 @@ def design_lma(model: LinearGaussianModel, target: np.ndarray,
 
 def lma_step(lma: Lma, sim: SimState, model: LinearGaussianModel,
              rng: np.random.Generator) -> SimState:
-    """Advance truth and belief one step under the LMA; mutates ``sim``."""
+    """Advance truth and belief one step under the LMA; mutates ``sim``.
+
+    Every product is ``ndarray.dot``: the same bits as ``@`` at about half
+    the call cost on these small arrays."""
     belief = sim.belief
     u = lma.control(belief.mean)
     sim.accrued_reward += model.step_cost(sim.truth, u)
 
     # one draw holds the process noise, then the observation noise: the
     # same numbers, in the same order, as two separate draws
-    n = model._sq.shape[0]
-    noise = rng.standard_normal(n + model._sr.shape[0])
-    gu = model.G @ u
-    truth = model.A @ sim.truth + gu + model._sq @ noise[:n]
-    z = model.C @ truth + model._sr @ noise[n:]
+    n = model._n
+    noise = rng.standard_normal(model._n_noise)
+    A, C = model.A, model.C
+    gu = model.G.dot(u)
+    truth = A.dot(sim.truth) + gu + model._sq.dot(noise[:n])
+    z = C.dot(truth) + model._sr.dot(noise[n:])
 
     # Kalman predict + update (time-varying exact filter)
     K, cov = model._filter_update(belief.cov)
-    mp = model.A @ belief.mean + gu
-    mean = mp + K @ (z - model.C @ mp)
+    mp = A.dot(belief.mean) + gu
+    mean = mp + K.dot(z - C.dot(mp))
 
     sim.truth = truth
     sim.belief = GaussianBelief._trusted(mean, cov)
@@ -430,30 +450,30 @@ class StopRegions:
         self.means = np.stack([r.center.mean for r in self.regions])
         self.covs = np.stack([r.center.cov.ravel() for r in self.regions])
         self.eps = np.array([r.epsilon for r in self.regions])
-        # (w_cov, covariance bytes) -> covariance terms of the shortlist;
-        # beliefs follow their model's bounded filter path, so few occur
-        self._cov_terms: Dict[Tuple[float, bytes],
-                              Tuple[np.ndarray, np.ndarray]] = {}
+        # (w_mean, w_cov, covariance bytes) -> squared radius of each ball
+        # in the mean at that covariance; beliefs follow their model's
+        # bounded filter path, so few covariances occur
+        self._radius2: Dict[Tuple[float, float, bytes], np.ndarray] = {}
 
     def shortlist(self, b: GaussianBelief, norm: BeliefNorm) -> np.ndarray:
         """Indices, in region order, of the regions whose ball may hold
-        ``b``.  The stacked norms can differ from ``BeliefNorm.distance`` in
-        the last bits, far inside the 1e-9 relative slack, so this is a
-        superset of the regions that hold ``b``; the caller decides with the
-        scalar test."""
-        key = (norm.w_cov, b.cov.tobytes())
-        terms = self._cov_terms.get(key)
-        if terms is None:
+        ``b``.  A ball holds ``b`` when ``w_mean*dm + w_cov*dc <= eps``, so
+        ``dm`` is at most ``(eps - w_cov*dc)/w_mean``; the radius adds a
+        1e-9 relative slack, far above the last-bit differences between
+        these stacked norms and ``BeliefNorm.distance``, so this is a
+        superset of the regions that hold ``b`` and the caller decides with
+        the scalar test.  A negative radius is stored as -1: no mean is
+        that close."""
+        key = (norm.w_mean, norm.w_cov, b.cov.tobytes())
+        r2 = self._radius2.get(key)
+        if r2 is None:
             dc = np.linalg.norm(self.covs - b.cov.ravel(), axis=1)
-            terms = (norm.w_cov * dc - self.eps, abs(norm.w_cov) * dc)
-            if len(self._cov_terms) < FILTER_PATH_MAX:
-                self._cov_terms[key] = terms
-        # np.linalg.norm(axis=1) and np.flatnonzero without their argument
-        # handling
+            r = ((1 + 1e-9) * self.eps - norm.w_cov * dc) / norm.w_mean
+            r2 = np.where(r < 0, -1.0, r * r)
+            if len(self._radius2) < FILTER_PATH_MAX:
+                self._radius2[key] = r2
         d = self.means - b.mean
-        dm = np.sqrt(np.add.reduce(d * d, axis=1))
-        return (norm.w_mean * dm + terms[0]
-                <= 1e-9 * (abs(norm.w_mean) * dm + terms[1])).nonzero()[0]
+        return (np.add.reduce(d * d, axis=1) <= r2).nonzero()[0]
 
 
 def run_lma(lma: Lma, start: SimState, stop_regions: Sequence,

@@ -133,6 +133,15 @@ class DeliveryConfig:
             raise ConfigError(f"unknown air dynamics {self.air_dynamics!r}")
         if not 0.0 < self.discount <= 1.0:
             raise ConfigError("discount must lie in (0, 1]")
+        for name in ("dt", "site_radius"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        if self.colocate_radius < 0:
+            raise ConfigError("colocate_radius must be non-negative")
+        for name in ("pickup_steps", "putdown_steps", "place_steps",
+                     "wait_steps"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
         if self.tma_max_steps < 1 or self.tma_epsilon <= 0:
             raise ConfigError("tma_max_steps and tma_epsilon must be positive")
         if self.obs_noise <= 0 or self.process_noise < 0:

@@ -231,6 +231,66 @@ class TestLmaStep:
                 assert sim.accrued_reward == reward
             assert rng.random() == ref_rng.random()
 
+    @pytest.mark.parametrize("dims", [1, 2, 4], ids=[
+        "scalar", "single-integrator", "double-integrator"])
+    def test_matches_matmul_reference_to_the_bit(self, dims):
+        # the reference is the step written with ``@`` for every product and
+        # the gain negated on every call; the step cost has a nonzero
+        # u_weight so that a change in u·u shows
+        if dims == 4:
+            A = np.block([[np.eye(2), np.eye(2)], [np.zeros((2, 2)), np.eye(2)]])
+            G = np.vstack([0.5 * np.eye(2), np.eye(2)])
+            C = np.hstack([np.eye(2), np.zeros((2, 2))])
+            target, start = [0.8, 0.7, 0.0, 0.0], [0.1, 0.2, 0.05, -0.03]
+        else:
+            A = G = C = np.eye(dims)
+            target, start = [0.8, 0.7][:dims], [0.1, 0.2][:dims]
+        m = LinearGaussianModel(A=A, G=G, C=C, Q=1e-4 * np.eye(len(A)),
+                                R_obs=2e-4 * np.eye(len(C)),
+                                step_cost=StepCost(base=0.01, u_weight=0.3))
+        lma = design_lma(m, target, GainSpec(kind="lqr", control_weight=8.0))
+
+        def reference(truth, mean, cov, reward, rng):
+            u = -lma.params.gain @ (mean - lma.params.target)
+            reward += -(m.step_cost.base + m.step_cost.u_weight * float(u @ u))
+            n = m._sq.shape[0]
+            noise = rng.standard_normal(n + m._sr.shape[0])
+            gu = m.G @ u
+            truth = m.A @ truth + gu + m._sq @ noise[:n]
+            z = m.C @ truth + m._sr @ noise[n:]
+            K, cov = m._filter_update(cov)
+            mp = m.A @ mean + gu
+            return truth, mp + K @ (z - m.C @ mp), cov, reward
+
+        for seed in range(4):
+            sim = SimState(truth=np.array(start) + 0.01,
+                           belief=GaussianBelief(start, 1e-3 * np.eye(len(A))))
+            ref = (sim.truth, sim.belief.mean, sim.belief.cov, 0.0)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(320):
+                lma_step(lma, sim, m, rng)
+                ref = reference(*ref, ref_rng)
+                assert sim.truth.tobytes() == ref[0].tobytes()
+                assert sim.belief.mean.tobytes() == ref[1].tobytes()
+                assert sim.belief.cov.tobytes() == ref[2].tobytes()
+                assert sim.accrued_reward == ref[3]
+            assert sim.accrued_reward < -320 * 0.01   # u·u counted
+            assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("w_mean, w_cov", [
+    (0.0, 0.1), (-1.0, 0.1), (1.0, -0.1), (-1.0, -0.1), (np.nan, 0.1),
+    (1.0, np.inf), (np.inf, 0.1)])
+def test_belief_norm_refuses_weights_that_make_no_norm(w_mean, w_cov):
+    with pytest.raises(ValueError, match="belief norm weights"):
+        BeliefNorm(w_mean=w_mean, w_cov=w_cov)
+
+
+def test_belief_norm_accepts_zero_covariance_weight():
+    b = GaussianBelief([0.0, 3.0], np.eye(2))
+    c = GaussianBelief([4.0, 0.0], 2 * np.eye(2))
+    assert BeliefNorm(w_mean=0.5, w_cov=0.0).distance(b, c) == 2.5
+
 
 def make_milestone(mid, mean, cov, eps):
     return Milestone(id=mid, center=GaussianBelief(mean, cov), epsilon=eps)
@@ -344,6 +404,46 @@ class TestRunLma:
                     assert np.array_equal(stops.shortlist(b, norm), want)
                     seen += 0 < want.size < len(regions)
         assert seen > 20   # the shortlists are neither empty nor everything
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           dims=st.sampled_from([1, 2, 4]),
+           norm=st.sampled_from([BeliefNorm(), BeliefNorm(w_mean=0.7, w_cov=0.4),
+                                 BeliefNorm(w_mean=3.0, w_cov=0.0),
+                                 BeliefNorm(w_mean=0.05, w_cov=2.0)]),
+           ulps=st.integers(min_value=-2, max_value=2))
+    def test_shortlist_holds_every_ball_the_scalar_test_accepts(
+            self, seed, dims, norm, ulps):
+        # the belief sits on one region's boundary to the bit, or a few ulps
+        # inside or outside it; the other balls are random
+        rng = np.random.default_rng(seed)
+
+        def psd(scale):
+            a = rng.standard_normal((dims, dims))
+            return scale * (a @ a.T)
+
+        centers = [GaussianBelief(rng.random(dims), psd(1e-2)) for _ in range(6)]
+        j = int(rng.integers(len(centers)))
+        b = GaussianBelief(centers[j].mean + 0.1 * rng.standard_normal(dims),
+                           centers[j].cov + psd(1e-3) if rng.random() < 0.7
+                           else centers[j].cov.copy())
+        eps = [0.05 + 0.4 * rng.random() for _ in centers]
+        eps[j] = norm.distance(b, centers[j])
+        for _ in range(abs(ulps)):
+            eps[j] = np.nextafter(eps[j], np.inf if ulps > 0 else 0.0)
+        regions = [make_milestone(mid, c.mean, c.cov, e)
+                   for mid, (c, e) in enumerate(zip(centers, eps), start=2)]
+        stops = StopRegions(regions)
+        holds = [k for k, r in enumerate(regions)
+                 if norm.distance(b, r.center) <= r.epsilon]
+        assert (j in holds) == (ulps >= 0)
+        for _ in range(2):   # a cache miss, then a hit
+            short = stops.shortlist(b, norm)
+            assert set(holds) <= set(short.tolist())
+            assert list(short) == sorted(short)
+            # near-exact: nothing clearly outside its ball is listed
+            assert all(norm.distance(b, regions[k].center)
+                       <= regions[k].epsilon * (1 + 1e-8) for k in short)
 
     def test_seed_determinism(self):
         recs = []

@@ -198,7 +198,17 @@ def test_solve_rejects_empty_search_sizes(key, tmp_path, capsys):
     ({"tma_epsilon": -0.1}, "tma_max_steps and tma_epsilon must be positive"),
     ({"bases": [[0.15, 0.85]]}, "bases must be two (x, y) points"),
     ({"site_radius": "x"}, "site_radius must be a number, not 'x'"),
-], ids=["discount", "max-steps", "epsilon", "one-base", "string-radius"])
+    ({"dt": 0}, "dt must be positive"),
+    ({"site_radius": -1}, "site_radius must be positive"),
+    ({"colocate_radius": -0.01}, "colocate_radius must be non-negative"),
+    ({"pickup_steps": -3}, "pickup_steps must be at least 1"),
+    ({"putdown_steps": 0}, "putdown_steps must be at least 1"),
+    ({"place_steps": 0}, "place_steps must be at least 1"),
+    ({"wait_steps": 0}, "wait_steps must be at least 1"),
+], ids=["discount", "max-steps", "epsilon", "one-base", "string-radius",
+        "zero-dt", "negative-site-radius", "negative-colocate-radius",
+        "negative-pickup-steps", "zero-putdown-steps", "zero-place-steps",
+        "zero-wait-steps"])
 def test_solve_rejects_bad_delivery_override(override, message, tmp_path,
                                              capsys):
     path = write_yaml(tmp_path / "bad.yaml", {**DELIVERY_CONFIG, **override})

@@ -9,9 +9,12 @@ unused imports.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
+
+import macroplan
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "macroplan"
@@ -112,3 +115,16 @@ def test_every_top_level_name_is_used():
         for name, own in top_level_names(trees[path]).items()
         if not any(name in names for stmt, names in uses if stmt is not own))
     assert not unused, f"top-level names nothing uses: {unused}"
+
+
+def test_bench_tracer_bindings_exist():
+    # the traced benchmark run replaces each bound attribute by name, so a
+    # rename in the package would crash it with a KeyError
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for _, targets, _ in tracer.bindings(macroplan)
+               for owner, attr in targets if attr not in vars(owner)]
+    assert not missing, f"traced names the package lacks: {missing}"

@@ -496,6 +496,13 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="macroplan-tma-v1"):
             tma_from_dict(d)
 
+    def test_norm_with_negative_weight_refused(self):
+        tma, _ = build_scalar_tma(seed=5)
+        d = tma_to_dict(tma)
+        d["norm"]["w_cov"] = -0.1
+        with pytest.raises(ValueError, match="belief norm weights"):
+            tma_from_dict(d)
+
     @staticmethod
     def _set_start_edge_params(tma, params):
         # the first edge of the start node, its funnel's params replaced
