@@ -114,6 +114,12 @@ class PredicateConstraints(Constraints):
 # bound only stops growth under an endless stream of distinct starts.
 FILTER_PATH_MAX = 4096
 
+# Relative slack of the cheap ball and disk tests that decide before an
+# exact membership test: far above the last-bit differences between two
+# ways of computing one distance, so a cheap test that says "surely
+# outside" (or "surely inside") never contradicts the exact test.
+BALL_SLACK = 1e-9
+
 
 def _check_symmetric(m: np.ndarray, name: str, tol: float = 1e-9) -> None:
     if not np.allclose(m, m.T, atol=tol):
@@ -458,8 +464,8 @@ class StopRegions:
     def shortlist(self, b: GaussianBelief, norm: BeliefNorm) -> np.ndarray:
         """Indices, in region order, of the regions whose ball may hold
         ``b``.  A ball holds ``b`` when ``w_mean*dm + w_cov*dc <= eps``, so
-        ``dm`` is at most ``(eps - w_cov*dc)/w_mean``; the radius adds a
-        1e-9 relative slack, far above the last-bit differences between
+        ``dm`` is at most ``(eps - w_cov*dc)/w_mean``; the radius adds the
+        relative ``BALL_SLACK``, far above the last-bit differences between
         these stacked norms and ``BeliefNorm.distance``, so this is a
         superset of the regions that hold ``b`` and the caller decides with
         the scalar test.  A negative radius is stored as -1: no mean is
@@ -468,7 +474,7 @@ class StopRegions:
         r2 = self._radius2.get(key)
         if r2 is None:
             dc = np.linalg.norm(self.covs - b.cov.ravel(), axis=1)
-            r = ((1 + 1e-9) * self.eps - norm.w_cov * dc) / norm.w_mean
+            r = ((1 + BALL_SLACK) * self.eps - norm.w_cov * dc) / norm.w_mean
             r2 = np.where(r < 0, -1.0, r * r)
             if len(self._radius2) < FILTER_PATH_MAX:
                 self._radius2[key] = r2

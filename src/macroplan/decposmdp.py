@@ -74,22 +74,21 @@ class JointConfig:
 
 
 class Execution:
-    """One running macro-action instance covering one or more agents."""
+    """One running macro-action instance covering one or more agents.
+
+    ``step`` advances it one primitive step.  It adds each of its agents'
+    step reward into ``rewards``, indexed by agent, appends its effect
+    events to ``events`` and the agents that died to ``dead``, and returns
+    whether the macro-action terminated; a step that kills an agent does
+    not terminate it."""
 
     agents: Tuple[int, ...]
     spec: TmaSpec
 
-    def step(self, config: JointConfig, rng: np.random.Generator
-             ) -> "StepOutcome":  # pragma: no cover - interface
+    def step(self, config: JointConfig, rng: np.random.Generator,
+             rewards: List[float], events: List,
+             dead: List[int]) -> bool:  # pragma: no cover - interface
         raise NotImplementedError
-
-
-@dataclass
-class StepOutcome:
-    rewards: Dict[int, float]
-    done: bool = False
-    dead: Set[int] = field(default_factory=set)
-    events: List[Hashable] = field(default_factory=list)
 
 
 class TimedExecution(Execution):
@@ -100,16 +99,18 @@ class TimedExecution(Execution):
         self.agents = tuple(agents)
         self.remaining = int(spec.duration)
 
-    def step(self, config: JointConfig, rng: np.random.Generator) -> StepOutcome:
+    def step(self, config: JointConfig, rng: np.random.Generator,
+             rewards: List[float], events: List, dead: List[int]) -> bool:
         self.remaining -= 1
+        r = self.spec.step_reward
         for a in self.agents:
             config.sims[a].elapsed += 1
-        out = StepOutcome(rewards={a: self.spec.step_reward for a in self.agents})
-        if self.remaining <= 0:
-            out.done = True
-            if self.spec.effect is not None:
-                out.events = [(self.spec.effect, self.agents)]
-        return out
+            rewards[a] += r
+        if self.remaining > 0:
+            return False
+        if self.spec.effect is not None:
+            events.append((self.spec.effect, self.agents))
+        return True
 
 
 class GraphTmaExecution(Execution):
@@ -122,18 +123,10 @@ class GraphTmaExecution(Execution):
         self.agents = (agent,)
         self.tma = tma = spec.tma
         self.model = tma.model
-        d = tma.distances(config.sims[agent].belief)
-        g = tma._goal_idx
+        entry = tma.entry_node(config.sims[agent].belief)
         # assigned while already inside the goal ball: hold one step, done
-        self.hold_done = bool(d[g] <= tma._eps[g])
-        if self.hold_done:
-            self.node = tma.graph.goal_id
-        else:
-            # enter the graph at the nearest milestone that has a policy
-            # edge; ids are sorted and argmin takes the first of equal
-            # distances, so ties go to the lower id
-            entry = tma._entry_idx
-            self.node = int(tma._ids[entry[np.argmin(d[entry])]])
+        self.hold_done = entry is None
+        self.node = tma.graph.goal_id if entry is None else entry
         self.steps_on_edge = 0
 
     def station_keep(self, sim: SimState, rng: np.random.Generator) -> float:
@@ -142,34 +135,32 @@ class GraphTmaExecution(Execution):
         lma_step(self.tma.station_lma, sim, self.model, rng)
         return sim.accrued_reward - before
 
-    def step(self, config: JointConfig, rng: np.random.Generator) -> StepOutcome:
+    def step(self, config: JointConfig, rng: np.random.Generator,
+             rewards: List[float], events: List, dead: List[int]) -> bool:
         agent = self.agents[0]
         sim = config.sims[agent]
-        tma = self.tma
         if self.hold_done:
             # station-keep on the goal for a single step
-            return StepOutcome(rewards={agent: self.station_keep(sim, rng)},
-                               done=True)
+            rewards[agent] += self.station_keep(sim, rng)
+            return True
+        tma = self.tma
         before = sim.accrued_reward
         lma_step(tma.policy[self.node].lma, sim, self.model, rng)
-        out = StepOutcome(rewards={agent: sim.accrued_reward - before})
+        rewards[agent] += sim.accrued_reward - before
         if self.model.constraint_set(sim.truth):
-            out.dead = {agent}
-            return out
+            dead.append(agent)
+            return False
         self.steps_on_edge += 1
-        # the first stop node (goal or policy node) whose ball holds the belief
-        inside = (tma.distances(sim.belief) <= tma._eps) & tma._stop
-        if inside.any():
-            nid = int(tma._ids[inside.argmax()])
+        nid = tma.stop_node(sim.belief)
+        if nid is not None:
             if nid != self.node:
                 self.node = nid
                 self.steps_on_edge = 0
             if nid == tma.graph.goal_id:
-                out.done = True
-                return out
+                return True
         if self.steps_on_edge >= MAX_EDGE_STEPS:
-            out.dead = {agent}  # never-terminating funnel folds into failure
-        return out
+            dead.append(agent)  # never-terminating funnel folds into failure
+        return False
 
 
 class JointGraphExecution(Execution):
@@ -182,25 +173,20 @@ class JointGraphExecution(Execution):
         self.subs = {a: GraphTmaExecution(spec, a, config) for a in self.agents}
         self.finished: Set[int] = set()
 
-    def step(self, config: JointConfig, rng: np.random.Generator) -> StepOutcome:
-        out = StepOutcome(rewards={})
+    def step(self, config: JointConfig, rng: np.random.Generator,
+             rewards: List[float], events: List, dead: List[int]) -> bool:
+        n_dead = len(dead)
         for a in sorted(self.agents):
             sub = self.subs[a]
             if a in self.finished:
-                out.rewards[a] = sub.station_keep(config.sims[a], rng)
-                continue
-            sub_out = sub.step(config, rng)
-            out.rewards[a] = sub_out.rewards[a]
-            out.dead |= sub_out.dead
-            if sub_out.done:
+                rewards[a] += sub.station_keep(config.sims[a], rng)
+            elif sub.step(config, rng, rewards, events, dead):
                 self.finished.add(a)
-        if out.dead:
-            return out
-        if self.finished == set(self.agents):
-            out.done = True
-            if self.spec.effect is not None:
-                out.events = [(self.spec.effect, self.agents)]
-        return out
+        if len(dead) > n_dead or len(self.finished) < len(self.agents):
+            return False
+        if self.spec.effect is not None:
+            events.append((self.spec.effect, self.agents))
+        return True
 
 
 class Domain:
@@ -271,12 +257,10 @@ class SegmentResult:
 
 def _running_executions(config: JointConfig) -> List[Execution]:
     """Each running execution once, in the order of its lowest agent."""
-    execs = []
-    seen = set()
+    execs: List[Execution] = []
     for a in sorted(config.executions):
         exe = config.executions[a]
-        if id(exe) not in seen:
-            seen.add(id(exe))
+        if exe not in execs:   # executions compare by identity
             execs.append(exe)
     return execs
 
@@ -314,26 +298,21 @@ def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
     # the running executions change within a segment only when an agent dies
     execs = _running_executions(config)
     while execs:
-        agent_rewards = [0.0] * n_agents
+        rewards = [0.0] * n_agents
         events: List = []
+        died: List[int] = []
         done_execs = []
-        died = False
         for exe in execs:
-            out = exe.step(config, rng)
-            for a, r in out.rewards.items():
-                agent_rewards[a] += r
-            events.extend(out.events)
-            for a in out.dead:
-                statuses[a].dead = True
-                statuses[a].busy = False
-                dead.add(a)
-                config.executions.pop(a, None)
-                died = True
-            if out.done and not out.dead:
+            if exe.step(config, rng, rewards, events, died):
                 done_execs.append(exe)
+        for a in died:
+            statuses[a].dead = True
+            statuses[a].busy = False
+            dead.add(a)
+            config.executions.pop(a, None)
         # agent rewards, then the team reward, summed in that order
-        agent_rewards.append(domain.team_reward(events, config))
-        rbar = sum(agent_rewards)
+        rewards.append(domain.team_reward(events, config))
+        rbar = sum(rewards)
         reward_rtau += disc * rbar
         prim.append(rbar)
         t += 1

@@ -15,8 +15,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .beliefs import (GainSpec, GaussianBelief, LinearGaussianModel,
-                      RectConstraints, NoConstraints, SimState, StepCost)
+from .beliefs import (BALL_SLACK, GainSpec, GaussianBelief,
+                      LinearGaussianModel, RectConstraints, NoConstraints,
+                      SimState, StepCost)
 from .decposmdp import (AgentStatus, Domain, Execution, GraphTmaExecution,
                         JointConfig, JointGraphExecution, RewardSpec,
                         TimedExecution, TmaSpec, run_rollout)
@@ -69,9 +70,13 @@ class WorldState:
     dropped_lost: int = 0
 
     def in_flight(self) -> int:
-        n = sum(1 for p in self.base_packages if p.present)
-        n += sum(1 for p in self.carrying if p is not None)
-        n += 1 if self.joint_carry is not None else 0
+        n = 0 if self.joint_carry is None else 1
+        for p in self.base_packages:
+            if p.present:
+                n += 1
+        for p in self.carrying:
+            if p is not None:
+                n += 1
         return n
 
     def audit_ok(self) -> bool:
@@ -125,10 +130,18 @@ class DeliveryConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if (isinstance(f.default, (int, float))
-                    and (isinstance(value, bool)
-                         or not isinstance(value, (int, float)))):
-                raise ConfigError(f"{f.name} must be a number, not {value!r}")
+            if isinstance(f.default, int):   # counts of steps, nodes, runs
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ConfigError(
+                        f"{f.name} must be an integer, not {value!r}")
+            elif isinstance(f.default, float):
+                if isinstance(value, bool) or not isinstance(value,
+                                                             (int, float)):
+                    raise ConfigError(
+                        f"{f.name} must be a number, not {value!r}")
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(
+                        f"{f.name} must be finite, not {value!r}")
         if self.air_dynamics not in ("single", "double"):
             raise ConfigError(f"unknown air dynamics {self.air_dynamics!r}")
         if not 0.0 < self.discount <= 1.0:
@@ -215,6 +228,11 @@ def _dist(p: np.ndarray, q: np.ndarray) -> float:
     ``np.linalg.norm(p - q)``, which also takes the root of ``d.dot(d)``."""
     d = p - q
     return math.sqrt(d.dot(d))
+
+
+def _xy(point) -> Tuple[float, float]:
+    x, y = point
+    return float(x), float(y)
 
 
 def _goal_mean(model: LinearGaussianModel, xy) -> np.ndarray:
@@ -312,11 +330,13 @@ class DeliveryDomain(Domain):
         self.air_model = _model(cfg, cfg.air_dynamics,
                                 RectConstraints(rects=[((x0, y0), (x1, y1))]))
         self.ground_model = _model(cfg, "single", NoConstraints())
-        # site coordinates as arrays for the distance tests
-        self._bases_xy = [np.asarray(xy, dtype=float) for xy in cfg.bases]
-        self._dests_xy = {d: np.asarray(xy, dtype=float)
-                          for d, xy in cfg.dests.items()}
-        self._rendezvous_xy = np.asarray(cfg.rendezvous, dtype=float)
+        # site coordinates as float pairs for the distance tests, and the
+        # site disk's radius less and plus the slack of the cheap test
+        self._bases_xy = [_xy(xy) for xy in cfg.bases]
+        self._dests_xy = {d: _xy(xy) for d, xy in cfg.dests.items()}
+        self._rendezvous_xy = _xy(cfg.rendezvous)
+        self._site_inner = (1 - BALL_SLACK) * cfg.site_radius
+        self._site_outer = (1 + BALL_SLACK) * cfg.site_radius
         self._packages = _PackageTable(cfg.package_probs)
         # start beliefs, validated once: beliefs are replaced on every step,
         # never written in place, so all rollouts can start from them
@@ -430,7 +450,18 @@ class DeliveryDomain(Domain):
     def _pos(self, agent: int, config: JointConfig) -> np.ndarray:
         return config.sims[agent].belief.mean[:2]
 
-    def _at(self, agent: int, xy: np.ndarray, config: JointConfig) -> bool:
+    def _at(self, agent: int, xy: Tuple[float, float],
+            config: JointConfig) -> bool:
+        """Whether the site disk at ``xy`` holds the robot's belief mean:
+        ``_dist(mean, xy) <= site_radius``.  A float distance decides
+        unless it lies within ``BALL_SLACK`` of the radius, where the exact
+        test runs."""
+        x, y = config.sims[agent].belief.mean.tolist()[:2]
+        d = math.hypot(x - xy[0], y - xy[1])
+        if d > self._site_outer:
+            return False
+        if d <= self._site_inner:
+            return True
         return _dist(self._pos(agent, config), xy) <= self.cfg.site_radius
 
     def _base_at(self, agent: int, config: JointConfig) -> Optional[int]:

@@ -12,6 +12,7 @@ initial belief.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -19,10 +20,10 @@ import numpy as np
 import scipy.linalg
 
 from . import chains
-from .beliefs import (FILTER_PATH_MAX, BeliefNorm, GainSpec, GaussianBelief,
-                      LinearGaussianModel, Lma, LmaParams, SimState,
-                      StopRegions, TerminationRecord, _psd_sqrt, design_lma,
-                      run_lma)
+from .beliefs import (BALL_SLACK, FILTER_PATH_MAX, BeliefNorm, GainSpec,
+                      GaussianBelief, LinearGaussianModel, Lma, LmaParams,
+                      SimState, StopRegions, TerminationRecord, _psd_sqrt,
+                      design_lma, run_lma)
 from .errors import ConfigError, GoalUnreachable, NonConvergent, NoOutgoingEdge
 
 FAILURE_ID = 0
@@ -119,10 +120,12 @@ class Tma:
         entry = np.array([i in self.policy for i in ids], dtype=bool)
         self._entry_idx = np.flatnonzero(entry)
         self._stop = entry | (self._ids == goal)
-        # covariance bytes -> weighted covariance term of distances();
-        # beliefs follow the models' bounded filter paths, so few distinct
+        # the means as float tuples, for the cheap ball tests
+        self._mean_rows = [tuple(m) for m in self._means.tolist()]
+        # covariance bytes -> _cov_terms() at that covariance; beliefs
+        # follow the models' bounded filter paths, so few distinct
         # covariances occur
-        self._cov_dist: Dict[bytes, np.ndarray] = {}
+        self._cov_cache: Dict[bytes, tuple] = {}
         self.station_lma = None
         if self.policy:
             # holds a belief on the goal with the policy's shared gain
@@ -132,21 +135,68 @@ class Tma:
                 params=LmaParams(gain=edge.lma.params.gain, target=center.mean),
                 attractor=center)
 
+    def _cov_terms(self, cov: np.ndarray) -> tuple:
+        """The weighted covariance term of ``distances()`` at ``cov``, the
+        goal ball's inner radius, and (center, outer radius) of each stop
+        ball whose outer radius is not negative.
+
+        A ball holds a belief when ``w_mean*dm + dc <= eps``, so its mean
+        distance ``dm`` is at most ``(eps - dc)/w_mean``.  The inner and
+        outer radii move that bound by ``BALL_SLACK`` relative to ``eps``:
+        a mean within the inner radius is surely inside, and one beyond the
+        outer radius surely outside, whatever the rounding of either
+        distance."""
+        key = cov.tobytes()
+        terms = self._cov_cache.get(key)
+        if terms is None:
+            dc = self.norm.w_cov * np.linalg.norm(
+                (self._covs - cov[None, :, :]).reshape(len(self._ids), -1),
+                axis=1)
+            dc.setflags(write=False)
+            w, eps, g = self.norm.w_mean, self._eps, self._goal_idx
+            inner = ((1 - BALL_SLACK) * eps[g] - dc[g]) / w
+            outer = (((1 + BALL_SLACK) * eps - dc) / w).tolist()
+            stops = [(self._mean_rows[k], outer[k])
+                     for k in np.flatnonzero(self._stop) if outer[k] >= 0]
+            terms = (dc, float(inner), stops)
+            if len(self._cov_cache) < FILTER_PATH_MAX:
+                self._cov_cache[key] = terms
+        return terms
+
     def distances(self, b: GaussianBelief) -> np.ndarray:
         # np.linalg.norm(diff, axis=1) without its argument handling: the
         # same products and reduction, so the same bits
         diff = self._means - b.mean
         dm = np.sqrt(np.add.reduce(diff * diff, axis=1))
-        key = b.cov.tobytes()
-        dc = self._cov_dist.get(key)
-        if dc is None:
-            dc = self.norm.w_cov * np.linalg.norm(
-                (self._covs - b.cov[None, :, :]).reshape(len(self._ids), -1),
-                axis=1)
-            dc.setflags(write=False)
-            if len(self._cov_dist) < FILTER_PATH_MAX:
-                self._cov_dist[key] = dc
-        return self.norm.w_mean * dm + dc
+        return self.norm.w_mean * dm + self._cov_terms(b.cov)[0]
+
+    def entry_node(self, b: GaussianBelief) -> Optional[int]:
+        """Where a walk from ``b`` enters the graph: None when the goal ball
+        holds ``b``, else the nearest policy node, ties to the lower id.
+        ``distances`` runs only when ``b`` is not surely in the goal ball."""
+        g = self._goal_idx
+        inner = self._cov_terms(b.cov)[1]
+        if math.dist(b.mean.tolist(), self._mean_rows[g]) <= inner:
+            return None
+        d = self.distances(b)
+        if d[g] <= self._eps[g]:
+            return None
+        # ids are sorted and argmin takes the first of equal distances
+        entry = self._entry_idx
+        return int(self._ids[entry[np.argmin(d[entry])]])
+
+    def stop_node(self, b: GaussianBelief) -> Optional[int]:
+        """The first stop node (the goal or a policy node), in id order,
+        whose ball holds ``b``; None if none does.  ``distances`` runs only
+        when some stop ball may hold ``b``."""
+        m = b.mean.tolist()
+        for center, outer in self._cov_terms(b.cov)[2]:
+            if math.dist(m, center) <= outer:
+                break
+        else:
+            return None
+        inside = (self.distances(b) <= self._eps) & self._stop
+        return int(self._ids[inside.argmax()]) if inside.any() else None
 
     def nearest_milestone_id(self, b: GaussianBelief) -> int:
         d = self.distances(b)

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 import yaml
 
-from macroplan.beliefs import (GainSpec, GaussianBelief, LinearGaussianModel,
-                               SimState, StepCost, NoConstraints, design_lma,
-                               run_lma, stationary_covariance,
+from macroplan.beliefs import (GaussianBelief, LinearGaussianModel, SimState,
+                               design_lma, run_lma, stationary_covariance,
                                TerminationRecord)
 from macroplan.chains import (absorption_probabilities,
                               expected_absorption_times)
@@ -28,8 +27,7 @@ from macroplan.delivery import build_domain, desk_config, success_curve
 from macroplan.search import (JointPolicy, PolicyController, SearchConfig,
                               mmcs, monte_carlo_search, sample_joint_policy)
 from macroplan.tma import (FAILURE_ID, GraphEdge, Milestone, TmaGraph,
-                           expected_times, solve_graph_dp,
-                           success_probabilities)
+                           solve_graph_dp)
 
 
 from conftest import ACCEPTANCE_RESULTS

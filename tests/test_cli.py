@@ -205,10 +205,17 @@ def test_solve_rejects_empty_search_sizes(key, tmp_path, capsys):
     ({"putdown_steps": 0}, "putdown_steps must be at least 1"),
     ({"place_steps": 0}, "place_steps must be at least 1"),
     ({"wait_steps": 0}, "wait_steps must be at least 1"),
+    ({"pickup_steps": 1.5}, "pickup_steps must be an integer, not 1.5"),
+    ({"tma_sims": 6.0}, "tma_sims must be an integer, not 6.0"),
+    ({"delivery_bonus": float("nan")}, "delivery_bonus must be finite, not nan"),
+    ({"obs_noise": float("inf")}, "obs_noise must be finite, not inf"),
+    ({"failure_value": float("-inf")},
+     "failure_value must be finite, not -inf"),
 ], ids=["discount", "max-steps", "epsilon", "one-base", "string-radius",
         "zero-dt", "negative-site-radius", "negative-colocate-radius",
         "negative-pickup-steps", "zero-putdown-steps", "zero-place-steps",
-        "zero-wait-steps"])
+        "zero-wait-steps", "fractional-pickup-steps", "float-tma-sims",
+        "nan-delivery-bonus", "infinite-obs-noise", "infinite-failure-value"])
 def test_solve_rejects_bad_delivery_override(override, message, tmp_path,
                                              capsys):
     path = write_yaml(tmp_path / "bad.yaml", {**DELIVERY_CONFIG, **override})

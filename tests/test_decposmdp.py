@@ -1,9 +1,12 @@
 """Tests for the Dec-POSMDP layer: asynchronous segments, the semi-Markov
 reward identity, and graph and joint executions."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from macroplan import decposmdp
 from macroplan.beliefs import (GainSpec, GaussianBelief, LinearGaussianModel,
                                NoConstraints, PredicateConstraints, SimState,
                                StepCost, design_lma)
@@ -419,3 +422,66 @@ def test_desk_mmcs_value_trace_is_bit_exact(desk_domain):
     assert [repr(v) for _, v in result.trace] == (
         ["-1.1883737585176766"] * 6 + ["3.7792235629555635"] * 4
         + ["8.746820884428804"] * 2)
+
+
+def _segment_digest(monkeypatch, run) -> str:
+    """sha256 over every SegmentResult that ``step_joint`` returns while
+    ``run()`` runs: duration, reward reprs, terminations, observations and
+    deaths."""
+    h = hashlib.sha256()
+    inner = decposmdp.step_joint
+
+    def recording(*args):
+        seg = inner(*args)
+        h.update(repr((seg.tau_min, repr(seg.reward_Rtau),
+                       [repr(r) for r in seg.primitive_rewards],
+                       sorted(seg.terminated_agents),
+                       sorted(seg.observations.items()),
+                       sorted(seg.dead_agents))).encode())
+        return seg
+
+    monkeypatch.setattr(decposmdp, "step_joint", recording)
+    run()
+    return h.hexdigest()
+
+
+def test_desk_segments_are_bit_exact(desk_domain, monkeypatch):
+    def run():
+        for s in range(6):
+            evaluate_joint_policy(
+                sample_joint_policy(desk_domain, 13, np.random.default_rng(s)),
+                desk_domain, 3, 40, np.random.default_rng(200 + s))
+
+    assert _segment_digest(monkeypatch, run) == (
+        "8d2f15b67fcabdfb4a88e5d6a45d8ef4542b1a7f88f812c181fdcf34355daf4e")
+
+
+def test_joint_and_lethal_graph_segments_are_bit_exact(small_tma, monkeypatch):
+    """Desk rollouts start no joint graph walk, so this guard runs joint
+    walks on the toy graph domain, with deaths: every fifth constraint
+    check kills the agent it checks."""
+    tma, _ = small_tma
+    checks = [0]
+
+    def every_fifth(x):
+        checks[0] += 1
+        return checks[0] % 5 == 0
+
+    lethal = _integrator_model(constraints=PredicateConstraints(every_fifth))
+    lethal_tma = Tma(graph=tma.graph, policy=tma.policy, values=tma.values,
+                     success=tma.success, time_to_goal=tma.time_to_goal,
+                     start_id=tma.start_id, model=lethal)
+    dom = GraphToyDomain(lethal_tma, lethal, n_agents=2, joint=True)
+    c0 = _Controller(labels=["go", "wait"], edges={(0, 0): 1, (1, 0): 0})
+    c1 = _Controller(labels=["go", "wait", "wait"],
+                     edges={(0, 0): 1, (1, 0): 2, (2, 0): 0})
+    deaths = []
+
+    def run():
+        for sub in np.random.default_rng(9).spawn(6):
+            final = run_rollout(_Policy([c0, c1]), dom, 8, sub).final
+            deaths.append(len(final.statuses) - len(final.alive()))
+
+    assert _segment_digest(monkeypatch, run) == (
+        "beb8f67a52aeefe7c4222c9b363683ef868b39c22d8aaec4dacd869ad13a9b24")
+    assert sum(deaths) > 0

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macroplan.beliefs import GaussianBelief
 from macroplan.decposmdp import step_joint
 from macroplan.delivery import (EMPTY, OBS_ALPHABET, DeliveryConfig,
-                                PackageDescriptor, _PackageTable, build_domain,
-                                desk_config, success_curve, total_delivered)
+                                PackageDescriptor, _PackageTable, _dist,
+                                build_domain, desk_config, success_curve,
+                                total_delivered)
 from macroplan.errors import ConfigError, InitiationViolated
 from macroplan.search import PolicyController, JointPolicy
 
@@ -336,3 +339,42 @@ def test_success_curve_shape_and_monotonicity(domain):
     assert all(a >= b for a, b in zip(ps, ps[1:]))
     # an all-wait team never delivers
     assert len(curve) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(site=st.integers(min_value=0, max_value=5),
+       across=st.floats(min_value=-0.95, max_value=0.95),
+       side=st.sampled_from([-1.0, 1.0]))
+def test_site_disk_test_agrees_with_the_exact_distance(domain, site, across,
+                                                       side):
+    """``_at`` decides with a float distance against radii ``BALL_SLACK``
+    inside and outside the site disk, and runs the exact ``_dist`` test
+    only near its edge.  On belief means on the edge to the bit, or up to
+    two ulps inside or outside it, it gives the exact answer."""
+    sites = [*domain._bases_xy, *domain._dests_xy.values(),
+             domain._rendezvous_xy]
+    sx, sy = sites[site]
+    radius = domain.cfg.site_radius
+    y = sy + across * radius
+
+    def exact(x):
+        return _dist(np.array([x, y]), np.array([sx, sy])) <= radius
+
+    # bisect to the last x inside the disk on this side of the site
+    inside, outside = sx, sx + side * 2 * radius
+    while True:
+        mid = 0.5 * (inside + outside)
+        if mid in (inside, outside):
+            break
+        if exact(mid):
+            inside = mid
+        else:
+            outside = mid
+    config = fresh_config(domain)
+    for ulps in range(-2, 3):
+        x = inside
+        for _ in range(abs(ulps)):
+            x = np.nextafter(x, outside if ulps > 0 else sx)
+        place(config, 0, (x, y))
+        assert exact(x) == (ulps <= 0)
+        assert domain._at(0, (sx, sy), config) == exact(x)

@@ -467,6 +467,83 @@ class TestQueryFromBelief:
             assert t >= 0.0
 
 
+class TestCheapBallTests:
+    """``entry_node`` and ``stop_node`` decide most beliefs with a float
+    mean distance against radii that lie ``BALL_SLACK`` inside and outside
+    each ball, and call ``distances`` only near a boundary.  On a belief
+    that sits on a ball's boundary to the bit, or up to two ulps inside or
+    outside it, they must give what the exact test gives."""
+
+    @staticmethod
+    def exact(tma, b):
+        d = tma.distances(b)
+        inside = d <= tma._eps
+        ids = tma._ids.tolist()
+        goal = tma.graph.goal_id
+        entry = (None if inside[ids.index(goal)] else
+                 min((d[k], i) for k, i in enumerate(ids)
+                     if i in tma.policy)[1])
+        stop = next((i for k, i in enumerate(ids)
+                     if inside[k] and (i in tma.policy or i == goal)), None)
+        return entry, stop
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           dims=st.sampled_from([1, 2, 4]),
+           norm=st.sampled_from([BeliefNorm(), BeliefNorm(w_mean=0.7, w_cov=0.4),
+                                 BeliefNorm(w_mean=3.0, w_cov=0.0),
+                                 BeliefNorm(w_mean=0.05, w_cov=2.0)]),
+           ball=st.sampled_from([1, 2, 3, 4]))
+    def test_cheap_tests_agree_with_the_exact_test_at_a_boundary(
+            self, seed, dims, norm, ball):
+        # ids 1 (the goal) to 5; nodes 2-4 have policy edges, node 5 has
+        # none, so it is neither an entry nor a stop node.  The belief
+        # sits near ``ball``, whose radius is set to the belief's exact
+        # distance and then moved by -2..2 ulps.
+        rng = np.random.default_rng(seed)
+
+        def psd(scale):
+            a = rng.standard_normal((dims, dims))
+            return scale * (a @ a.T)
+
+        ids = range(1, 6)
+        centers = {i: GaussianBelief(rng.random(dims), psd(1e-2)) for i in ids}
+        eps = {i: 0.05 + 0.1 * rng.random() for i in ids}
+        c = centers[ball]
+        b = GaussianBelief(c.mean + 0.1 * rng.standard_normal(dims),
+                           c.cov + psd(1e-3) if rng.random() < 0.7
+                           else c.cov.copy())
+        goal = centers[1]
+        lma = Lma(params=LmaParams(gain=np.eye(dims), target=goal.mean),
+                  attractor=goal)
+
+        def build():
+            milestones = {0: Milestone(id=0, center=None, epsilon=1.0)}
+            milestones.update({i: Milestone(id=i, center=centers[i],
+                                            epsilon=eps[i]) for i in ids})
+            policy = {i: GraphEdge(from_id=i, to_id=1, lma=lma,
+                                   landing_probs={0: 0.0, 1: 1.0},
+                                   reward=-1.0, time=1.0, sample_count=1)
+                      for i in (2, 3, 4)}
+            graph = TmaGraph(milestones=milestones,
+                             edges={i: [e] for i, e in policy.items()},
+                             goal_id=1, failure_value=-100.0)
+            return Tma(graph=graph, policy=policy, values={}, success={},
+                       time_to_goal={}, norm=norm)
+
+        on_edge = float(build().distances(b)[ball - 1])
+        for ulps in range(-2, 3):
+            eps[ball] = on_edge
+            for _ in range(abs(ulps)):
+                eps[ball] = np.nextafter(eps[ball], np.inf if ulps > 0 else 0.0)
+            ref = build()
+            assert (ref.distances(b)[ball - 1] <= eps[ball]) == (ulps >= 0)
+            want = self.exact(ref, b)
+            tma = build()
+            for _ in range(2):   # a cache miss, then a hit
+                assert (tma.entry_node(b), tma.stop_node(b)) == want
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         tma, _ = build_scalar_tma(seed=5)
