@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -119,6 +119,12 @@ FILTER_PATH_MAX = 4096
 # ways of computing one distance, so a cheap test that says "surely
 # outside" (or "surely inside") never contradicts the exact test.
 BALL_SLACK = 1e-9
+
+# The belief metric: W_MEAN times the Euclidean distance between means plus
+# W_COV times the Frobenius distance between covariances.  A milestone is
+# the ball of beliefs within its epsilon of its center under this metric.
+W_MEAN = 1.0
+W_COV = 0.1
 
 
 def _check_symmetric(m: np.ndarray, name: str, tol: float = 1e-9) -> None:
@@ -257,36 +263,6 @@ class GaussianBelief:
         object.__setattr__(b, "mean", mean)
         object.__setattr__(b, "cov", cov)
         return b
-
-
-@dataclass(frozen=True)
-class BeliefNorm:
-    """Weighted distance between beliefs: Euclidean on means plus Frobenius
-    on covariances.  The milestone membership test uses this norm.  It is a
-    norm only for ``w_mean > 0`` and ``w_cov >= 0``, so other weights are
-    refused."""
-
-    w_mean: float = 1.0
-    w_cov: float = 0.1
-
-    def __post_init__(self):
-        if not (math.isfinite(self.w_mean) and math.isfinite(self.w_cov)
-                and self.w_mean > 0 and self.w_cov >= 0):
-            raise ValueError(f"belief norm weights must be finite with "
-                             f"w_mean > 0 and w_cov >= 0, not w_mean="
-                             f"{self.w_mean!r}, w_cov={self.w_cov!r}")
-
-    def distance(self, b: GaussianBelief, c: GaussianBelief) -> float:
-        dm = float(np.linalg.norm(b.mean - c.mean))
-        dc = float(np.linalg.norm(b.cov - c.cov))
-        return self.w_mean * dm + self.w_cov * dc
-
-    def to_dict(self) -> dict:
-        return {"w_mean": self.w_mean, "w_cov": self.w_cov}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BeliefNorm":
-        return cls(w_mean=d["w_mean"], w_cov=d["w_cov"])
 
 
 @dataclass(frozen=True)
@@ -444,73 +420,97 @@ class TerminationRecord:
     TIMEOUT = "timeout"
 
 
-class StopRegions:
-    """Stop regions with their centers and radii stacked for the shortlist
-    test in ``run_lma``; build once and pass to every run over the same
-    regions."""
+class BallIndex:
+    """Milestone balls under the belief metric, stacked once; ``first``
+    finds the first of them, in a given order, that holds a belief.
 
-    def __init__(self, regions: Sequence):
-        if not regions:
-            raise ValueError("stop_regions must be non-empty")
-        self.regions = list(regions)
-        self.means = np.stack([r.center.mean for r in self.regions])
-        self.covs = np.stack([r.center.cov.ravel() for r in self.regions])
-        self.eps = np.array([r.epsilon for r in self.regions])
-        # (w_mean, w_cov, covariance bytes) -> squared radius of each ball
-        # in the mean at that covariance; beliefs follow their model's
-        # bounded filter path, so few covariances occur
-        self._radius2: Dict[Tuple[float, float, bytes], np.ndarray] = {}
+    ``balls`` are items with ``id``, ``center`` (GaussianBelief) and
+    ``epsilon`` attributes; positions in the index follow their order."""
 
-    def shortlist(self, b: GaussianBelief, norm: BeliefNorm) -> np.ndarray:
-        """Indices, in region order, of the regions whose ball may hold
-        ``b``.  A ball holds ``b`` when ``w_mean*dm + w_cov*dc <= eps``, so
-        ``dm`` is at most ``(eps - w_cov*dc)/w_mean``; the radius adds the
-        relative ``BALL_SLACK``, far above the last-bit differences between
-        these stacked norms and ``BeliefNorm.distance``, so this is a
-        superset of the regions that hold ``b`` and the caller decides with
-        the scalar test.  A negative radius is stored as -1: no mean is
-        that close."""
-        key = (norm.w_mean, norm.w_cov, b.cov.tobytes())
-        r2 = self._radius2.get(key)
-        if r2 is None:
-            dc = np.linalg.norm(self.covs - b.cov.ravel(), axis=1)
-            r = ((1 + BALL_SLACK) * self.eps - norm.w_cov * dc) / norm.w_mean
-            r2 = np.where(r < 0, -1.0, r * r)
-            if len(self._radius2) < FILTER_PATH_MAX:
-                self._radius2[key] = r2
-        d = self.means - b.mean
-        return (np.add.reduce(d * d, axis=1) <= r2).nonzero()[0]
+    def __init__(self, balls: Sequence):
+        if not balls:
+            raise ValueError("a ball index needs at least one ball")
+        self.ids = [ball.id for ball in balls]
+        self.means = np.stack([ball.center.mean for ball in balls])
+        self.eps = np.array([ball.epsilon for ball in balls], dtype=float)
+        self._covs = np.stack([ball.center.cov.ravel() for ball in balls])
+        # the means as float tuples, for the cheap test in ``first``
+        self._rows = [tuple(m) for m in self.means.tolist()]
+        # covariance bytes -> _cov_terms() at that covariance; beliefs
+        # follow their models' bounded filter paths, so few covariances occur
+        self._cov_cache: Dict[bytes, tuple] = {}
+
+    def _cov_terms(self, cov: np.ndarray) -> tuple:
+        """The weighted covariance term of every ball's distance at ``cov``,
+        and each ball's inner and outer radius in the mean.
+
+        A ball holds a belief when ``W_MEAN*dm + dc <= eps``, so its mean
+        distance ``dm`` is at most ``(eps - dc)/W_MEAN``.  The inner and
+        outer radii move that bound by ``BALL_SLACK`` relative to ``eps``:
+        a mean within the inner radius is surely inside, and one beyond the
+        outer radius surely outside, whatever the rounding of either
+        distance.  The terms are shared, and their array is read-only."""
+        key = cov.tobytes()
+        terms = self._cov_cache.get(key)
+        if terms is None:
+            dc = W_COV * np.linalg.norm(self._covs - cov.ravel(), axis=1)
+            dc.setflags(write=False)
+            inner = (((1 - BALL_SLACK) * self.eps - dc) / W_MEAN).tolist()
+            outer = (((1 + BALL_SLACK) * self.eps - dc) / W_MEAN).tolist()
+            terms = (dc, inner, outer)
+            if len(self._cov_cache) < FILTER_PATH_MAX:
+                self._cov_cache[key] = terms
+        return terms
+
+    def distances(self, b: GaussianBelief) -> np.ndarray:
+        """The belief metric from ``b`` to every ball's center."""
+        # np.linalg.norm(diff, axis=1) without its argument handling: the
+        # same products and reduction, so the same bits
+        diff = self.means - b.mean
+        dm = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        return W_MEAN * dm + self._cov_terms(b.cov)[0]
+
+    def first(self, b: GaussianBelief, order: Iterable[int]) -> Optional[int]:
+        """The position of the first ball, taken in ``order``, whose
+        ``distances`` entry is at most its epsilon; None if there is none.
+        A float mean distance decides outside the band between a ball's
+        inner and outer radius; only within it do ``distances`` run."""
+        _, inner, outer = self._cov_terms(b.cov)
+        m = b.mean.tolist()
+        rows = self._rows
+        for k in order:
+            d = math.dist(m, rows[k])
+            if d <= outer[k] and (d <= inner[k]
+                                  or self.distances(b)[k] <= self.eps[k]):
+                return k
+        return None
 
 
-def run_lma(lma: Lma, start: SimState, stop_regions: Sequence,
+def run_lma(lma: Lma, start: SimState, stops: BallIndex,
             model: LinearGaussianModel, max_steps: int,
             rng: np.random.Generator,
-            norm: BeliefNorm = BeliefNorm()) -> TerminationRecord:
-    """Run the funnel until the belief enters a stop region, the truth
+            order: Optional[Sequence[int]] = None) -> TerminationRecord:
+    """Run the funnel until the belief enters a stop ball, the truth
     violates the constraint set (failure node, region id 0), or max_steps.
 
-    ``stop_regions`` is a ``StopRegions`` or a sequence whose items need
-    ``id``, ``center`` (GaussianBelief) and ``epsilon`` attributes; the
-    failure check comes from the model.
+    The belief lands in the first ball of ``stops``, taken in ``order``
+    (every ball, in index order, by default), that holds it; the failure
+    check comes from the model.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    if not isinstance(stop_regions, StopRegions):
-        stop_regions = StopRegions(stop_regions)
-    regions = stop_regions.regions
+    if order is None:
+        order = range(len(stops.ids))
     sim = start
     start_elapsed = sim.elapsed
     start_reward = sim.accrued_reward
     while True:
-        # the landing decision is the scalar test, in region order
-        b = sim.belief
-        for k in stop_regions.shortlist(b, norm):
-            region = regions[k]
-            if norm.distance(b, region.center) <= region.epsilon:
-                return TerminationRecord(
-                    outcome=TerminationRecord.LANDED, region_id=region.id,
-                    elapsed_steps=sim.elapsed - start_elapsed,
-                    accrued_reward=sim.accrued_reward - start_reward)
+        k = stops.first(sim.belief, order)
+        if k is not None:
+            return TerminationRecord(
+                outcome=TerminationRecord.LANDED, region_id=stops.ids[k],
+                elapsed_steps=sim.elapsed - start_elapsed,
+                accrued_reward=sim.accrued_reward - start_reward)
         if sim.elapsed - start_elapsed >= max_steps:
             return TerminationRecord(
                 outcome=TerminationRecord.TIMEOUT, region_id=None,

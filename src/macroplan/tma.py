@@ -12,7 +12,6 @@ initial belief.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -20,10 +19,9 @@ import numpy as np
 import scipy.linalg
 
 from . import chains
-from .beliefs import (BALL_SLACK, FILTER_PATH_MAX, BeliefNorm, GainSpec,
-                      GaussianBelief, LinearGaussianModel, Lma, LmaParams,
-                      SimState, StopRegions, TerminationRecord, _psd_sqrt,
-                      design_lma, run_lma)
+from .beliefs import (BallIndex, GainSpec, GaussianBelief,
+                      LinearGaussianModel, Lma, LmaParams, SimState,
+                      TerminationRecord, _psd_sqrt, design_lma, run_lma)
 from .errors import ConfigError, GoalUnreachable, NonConvergent, NoOutgoingEdge
 
 FAILURE_ID = 0
@@ -34,7 +32,7 @@ START_EPSILON = 1e-9
 # value-iteration convergence tolerance
 DP_TOL = 1e-9
 
-TMA_FORMAT = "macroplan-tma-v2"
+TMA_FORMAT = "macroplan-tma-v3"
 
 
 @dataclass(frozen=True)
@@ -91,6 +89,12 @@ class TmaGraph:
         return self.edges.get(node_id, [])
 
 
+def ball_index(milestones: Dict[int, Milestone]) -> BallIndex:
+    """The balls of every milestone but the failure node, in id order."""
+    return BallIndex([ms for i, ms in sorted(milestones.items())
+                      if i != FAILURE_ID])
+
+
 @dataclass
 class Tma:
     """A solved TMA: graph, greedy policy, and its closed-form analytics."""
@@ -100,32 +104,22 @@ class Tma:
     values: Dict[int, float]
     success: Dict[int, float]
     time_to_goal: Dict[int, float]
-    norm: BeliefNorm = field(default_factory=BeliefNorm)
     start_id: Optional[int] = None
     model: Optional[LinearGaussianModel] = None
 
     def __post_init__(self):
-        self._refresh_cache()
-
-    def _refresh_cache(self):
-        ids = sorted(i for i in self.graph.milestones if i != FAILURE_ID)
+        self._balls = ball_index(self.graph.milestones)
+        ids = self._balls.ids
         self._ids = np.array(ids, dtype=int)
-        self._means = np.stack([self.graph.milestones[i].center.mean for i in ids])
-        self._covs = np.stack([self.graph.milestones[i].center.cov for i in ids])
-        self._eps = np.array([self.graph.milestones[i].epsilon for i in ids])
         goal = self.graph.goal_id
-        # index of the goal in _ids; nodes a walk may enter (policy nodes)
-        # and nodes where it may stop (those and the goal)
-        self._goal_idx = ids.index(goal)
-        entry = np.array([i in self.policy for i in ids], dtype=bool)
-        self._entry_idx = np.flatnonzero(entry)
-        self._stop = entry | (self._ids == goal)
-        # the means as float tuples, for the cheap ball tests
-        self._mean_rows = [tuple(m) for m in self._means.tolist()]
-        # covariance bytes -> _cov_terms() at that covariance; beliefs
-        # follow the models' bounded filter paths, so few distinct
-        # covariances occur
-        self._cov_cache: Dict[bytes, tuple] = {}
+        # positions in _ids of the goal, of the nodes a walk may enter
+        # (policy nodes), and of the nodes where it may stop (those and the
+        # goal), each in id order
+        self._goal_order = (ids.index(goal),)
+        self._entry_idx = np.array([k for k, i in enumerate(ids)
+                                    if i in self.policy], dtype=int)
+        self._stop_order = [k for k, i in enumerate(ids)
+                            if i in self.policy or i == goal]
         self.station_lma = None
         if self.policy:
             # holds a belief on the goal with the policy's shared gain
@@ -135,76 +129,31 @@ class Tma:
                 params=LmaParams(gain=edge.lma.params.gain, target=center.mean),
                 attractor=center)
 
-    def _cov_terms(self, cov: np.ndarray) -> tuple:
-        """The weighted covariance term of ``distances()`` at ``cov``, the
-        goal ball's inner radius, and (center, outer radius) of each stop
-        ball whose outer radius is not negative.
-
-        A ball holds a belief when ``w_mean*dm + dc <= eps``, so its mean
-        distance ``dm`` is at most ``(eps - dc)/w_mean``.  The inner and
-        outer radii move that bound by ``BALL_SLACK`` relative to ``eps``:
-        a mean within the inner radius is surely inside, and one beyond the
-        outer radius surely outside, whatever the rounding of either
-        distance."""
-        key = cov.tobytes()
-        terms = self._cov_cache.get(key)
-        if terms is None:
-            dc = self.norm.w_cov * np.linalg.norm(
-                (self._covs - cov[None, :, :]).reshape(len(self._ids), -1),
-                axis=1)
-            dc.setflags(write=False)
-            w, eps, g = self.norm.w_mean, self._eps, self._goal_idx
-            inner = ((1 - BALL_SLACK) * eps[g] - dc[g]) / w
-            outer = (((1 + BALL_SLACK) * eps - dc) / w).tolist()
-            stops = [(self._mean_rows[k], outer[k])
-                     for k in np.flatnonzero(self._stop) if outer[k] >= 0]
-            terms = (dc, float(inner), stops)
-            if len(self._cov_cache) < FILTER_PATH_MAX:
-                self._cov_cache[key] = terms
-        return terms
-
     def distances(self, b: GaussianBelief) -> np.ndarray:
-        # np.linalg.norm(diff, axis=1) without its argument handling: the
-        # same products and reduction, so the same bits
-        diff = self._means - b.mean
-        dm = np.sqrt(np.add.reduce(diff * diff, axis=1))
-        return self.norm.w_mean * dm + self._cov_terms(b.cov)[0]
+        return self._balls.distances(b)
 
     def entry_node(self, b: GaussianBelief) -> Optional[int]:
         """Where a walk from ``b`` enters the graph: None when the goal ball
-        holds ``b``, else the nearest policy node, ties to the lower id.
-        ``distances`` runs only when ``b`` is not surely in the goal ball."""
-        g = self._goal_idx
-        inner = self._cov_terms(b.cov)[1]
-        if math.dist(b.mean.tolist(), self._mean_rows[g]) <= inner:
-            return None
-        d = self.distances(b)
-        if d[g] <= self._eps[g]:
+        holds ``b``, else the nearest policy node, ties to the lower id."""
+        if self._balls.first(b, self._goal_order) is not None:
             return None
         # ids are sorted and argmin takes the first of equal distances
         entry = self._entry_idx
-        return int(self._ids[entry[np.argmin(d[entry])]])
+        return int(self._ids[entry[np.argmin(self.distances(b)[entry])]])
 
     def stop_node(self, b: GaussianBelief) -> Optional[int]:
         """The first stop node (the goal or a policy node), in id order,
-        whose ball holds ``b``; None if none does.  ``distances`` runs only
-        when some stop ball may hold ``b``."""
-        m = b.mean.tolist()
-        for center, outer in self._cov_terms(b.cov)[2]:
-            if math.dist(m, center) <= outer:
-                break
-        else:
-            return None
-        inside = (self.distances(b) <= self._eps) & self._stop
-        return int(self._ids[inside.argmax()]) if inside.any() else None
+        whose ball holds ``b``; None if none does."""
+        k = self._balls.first(b, self._stop_order)
+        return None if k is None else self._balls.ids[k]
 
     def nearest_milestone_id(self, b: GaussianBelief) -> int:
-        d = self.distances(b)
-        inside = np.flatnonzero(d <= self._eps)
-        if inside.size:
-            return int(self._ids[inside[0]])   # ids sorted, so lowest id wins
-        # nearest overall; ties break to the lower id via argmin order
-        return int(self._ids[int(np.argmin(d))])
+        """The lowest id whose ball holds ``b``, else the nearest milestone,
+        ties to the lower id."""
+        k = self._balls.first(b, range(len(self._ids)))
+        if k is None:
+            k = int(np.argmin(self.distances(b)))
+        return self._balls.ids[k]
 
     def query_from_belief(self, b: GaussianBelief) -> Tuple[float, float, float]:
         """Value, success probability and expected completion time for ``b``."""
@@ -228,20 +177,20 @@ class TmaConfig:
 
 
 def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
-                  all_milestones: Dict[int, Milestone],
-                  model: LinearGaussianModel, m: int, max_steps: int,
-                  rng: np.random.Generator) -> GraphEdge:
+                  balls: BallIndex, model: LinearGaussianModel, m: int,
+                  max_steps: int, rng: np.random.Generator) -> GraphEdge:
     """Monte Carlo estimate of one edge's landing distribution, reward and
     duration.  Starts are the milestone center plus Gaussian mean jitter
-    (sigma = epsilon/3); timeouts fold into the failure node's mass."""
+    (sigma = epsilon/3); a run lands in the first ball of ``balls``, in
+    index order, other than the start milestone's.  Timeouts fold into the
+    failure node's mass."""
     if m < 1:
         raise ValueError("m must be >= 1")
     center = start_milestone.center
     sigma = start_milestone.epsilon / 3.0
-    stops = StopRegions([ms for i, ms in sorted(all_milestones.items())
-                         if i not in (FAILURE_ID, start_milestone.id)])
+    order = [k for k, i in enumerate(balls.ids) if i != start_milestone.id]
     cov_sqrt = _psd_sqrt(center.cov)
-    counts: Dict[int, int] = {i: 0 for i in all_milestones}
+    counts: Dict[int, int] = dict.fromkeys([FAILURE_ID, *balls.ids], 0)
     total_reward = 0.0
     total_time = 0.0
     for _ in range(m):
@@ -249,7 +198,7 @@ def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
         truth = mean + cov_sqrt @ rng.standard_normal(center.mean.shape)
         sim = SimState(truth=truth,
                        belief=GaussianBelief._trusted(mean, center.cov))
-        rec = run_lma(lma, sim, stops, model, max_steps, rng)
+        rec = run_lma(lma, sim, balls, model, max_steps, rng, order)
         if rec.outcome == TerminationRecord.LANDED:
             counts[rec.region_id] += 1
         else:
@@ -496,11 +445,12 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
     # every job owns its child generator, so the order in which edges are
     # estimated changes no edge
     subs = rng.spawn(len(jobs))
+    balls = ball_index(milestones)
     results: List[Optional[GraphEdge]] = [None] * len(jobs)
 
     def estimate(k: int) -> GraphEdge:
         i, j, lma = jobs[k]
-        results[k] = estimate_edge(milestones[i], lma, j, milestones,
+        results[k] = estimate_edge(milestones[i], lma, j, balls,
                                    task_model, cfg.m_sims, cfg.max_steps,
                                    subs[k])
         return results[k]
@@ -563,7 +513,6 @@ def tma_to_dict(tma: Tma) -> dict:
         "goal_id": g.goal_id,
         "start_id": tma.start_id,
         "failure_value": g.failure_value,
-        "norm": tma.norm.to_dict(),
         "model": tma.model.to_dict() if tma.model is not None else None,
         "gain": None if gain is None else gain.tolist(),
         "milestones": [
@@ -613,7 +562,6 @@ def tma_from_dict(d: dict) -> Tma:
                values={int(k): v for k, v in d["values"].items()},
                success={int(k): v for k, v in d["success"].items()},
                time_to_goal={int(k): v for k, v in d["time_to_goal"].items()},
-               norm=BeliefNorm.from_dict(d["norm"]),
                start_id=d.get("start_id"), model=model)
 
 

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 import yaml
 
-from macroplan.beliefs import (GaussianBelief, LinearGaussianModel, SimState,
-                               design_lma, run_lma, stationary_covariance,
+from macroplan.beliefs import (BallIndex, GaussianBelief,
+                               LinearGaussianModel, SimState, design_lma,
+                               run_lma, stationary_covariance,
                                TerminationRecord)
 from macroplan.chains import (absorption_probabilities,
                               expected_absorption_times)
@@ -242,7 +243,8 @@ def test_riccati_fixed_point_and_funnel():
             assert _riccati_residual(model, P) <= 1e-9
             target = np.zeros(model.state_dim) + 0.8
             lma = design_lma(model, target)
-            stop = [Milestone(id=1, center=lma.attractor, epsilon=0.05)]
+            stop = BallIndex([Milestone(id=1, center=lma.attractor,
+                                        epsilon=0.05)])
             landed = 0
             for _ in range(1000):
                 x0 = np.full(model.state_dim, 0.1)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macroplan.beliefs import (BeliefNorm, GainSpec, GaussianBelief,
-                               LinearGaussianModel, SimState, StepCost,
-                               StopRegions, TerminationRecord,
+from macroplan.beliefs import (W_COV, W_MEAN, BallIndex, GainSpec,
+                               GaussianBelief, LinearGaussianModel, SimState,
+                               StepCost, TerminationRecord,
                                PredicateConstraints, design_lma, lma_step,
                                run_lma, stationary_covariance)
 from macroplan.errors import NonConvergent, Unstabilizable
@@ -278,22 +278,17 @@ class TestLmaStep:
             assert rng.random() == ref_rng.random()
 
 
-@pytest.mark.parametrize("w_mean, w_cov", [
-    (0.0, 0.1), (-1.0, 0.1), (1.0, -0.1), (-1.0, -0.1), (np.nan, 0.1),
-    (1.0, np.inf), (np.inf, 0.1)])
-def test_belief_norm_refuses_weights_that_make_no_norm(w_mean, w_cov):
-    with pytest.raises(ValueError, match="belief norm weights"):
-        BeliefNorm(w_mean=w_mean, w_cov=w_cov)
-
-
-def test_belief_norm_accepts_zero_covariance_weight():
-    b = GaussianBelief([0.0, 3.0], np.eye(2))
-    c = GaussianBelief([4.0, 0.0], 2 * np.eye(2))
-    assert BeliefNorm(w_mean=0.5, w_cov=0.0).distance(b, c) == 2.5
-
-
 def make_milestone(mid, mean, cov, eps):
     return Milestone(id=mid, center=GaussianBelief(mean, cov), epsilon=eps)
+
+
+def exact_distances(b, centers):
+    """The belief metric from ``b`` to each center, by the stacked
+    ``np.linalg.norm`` reductions."""
+    means = np.stack([c.mean for c in centers])
+    covs = np.stack([c.cov.ravel() for c in centers])
+    return (W_MEAN * np.linalg.norm(means - b.mean, axis=1)
+            + W_COV * np.linalg.norm(covs - b.cov.ravel(), axis=1))
 
 
 class TestRunLma:
@@ -302,11 +297,12 @@ class TestRunLma:
         self.p = stationary_covariance(self.m)
         self.lma = design_lma(self.m, [1.0])
         self.goal = make_milestone(1, np.array([1.0]), self.p, 0.1)
+        self.stops = BallIndex([self.goal])
 
     def test_start_inside_lands_immediately(self):
         sim = SimState(truth=np.array([1.0]),
                        belief=GaussianBelief([1.0], self.p))
-        rec = run_lma(self.lma, sim, [self.goal], self.m, 100,
+        rec = run_lma(self.lma, sim, self.stops, self.m, 100,
                       np.random.default_rng(0))
         assert rec.outcome == TerminationRecord.LANDED
         assert rec.region_id == 1
@@ -317,7 +313,7 @@ class TestRunLma:
         for seed in range(1000):
             sim = SimState(truth=np.array([0.0]),
                            belief=GaussianBelief([0.0], self.p))
-            rec = run_lma(self.lma, sim, [self.goal], self.m, 10_000,
+            rec = run_lma(self.lma, sim, self.stops, self.m, 10_000,
                           np.random.default_rng(seed))
             hits += rec.outcome == TerminationRecord.LANDED
         # Wilson interval at 99% target: >= 990/1000 clears the bar
@@ -328,7 +324,7 @@ class TestRunLma:
                          constraints=PredicateConstraints(lambda x: True))
         sim = SimState(truth=np.array([0.0]),
                        belief=GaussianBelief([0.0], self.p))
-        rec = run_lma(self.lma, sim, [self.goal], m, 100, np.random.default_rng(0))
+        rec = run_lma(self.lma, sim, self.stops, m, 100, np.random.default_rng(0))
         assert rec.outcome == TerminationRecord.FAILED
         assert rec.region_id == 0
         assert rec.elapsed_steps == 1
@@ -337,7 +333,8 @@ class TestRunLma:
         far = make_milestone(1, np.array([100.0]), self.p, 1e-6)
         sim = SimState(truth=np.array([0.0]),
                        belief=GaussianBelief([0.0], self.p))
-        rec = run_lma(self.lma, sim, [far], self.m, 5, np.random.default_rng(0))
+        rec = run_lma(self.lma, sim, BallIndex([far]), self.m, 5,
+                      np.random.default_rng(0))
         assert rec.outcome == TerminationRecord.TIMEOUT
         assert rec.elapsed_steps == 5
 
@@ -347,109 +344,66 @@ class TestRunLma:
         high = make_milestone(3, np.array([0.3]), self.p, 0.5)
         sim = SimState(truth=np.array([0.25]),
                        belief=GaussianBelief([0.25], self.p))
-        rec = run_lma(self.lma, sim, [low, high], self.m, 10,
+        rec = run_lma(self.lma, sim, BallIndex([low, high]), self.m, 10,
                       np.random.default_rng(0))
         assert (rec.outcome, rec.region_id, rec.elapsed_steps) == (
             TerminationRecord.LANDED, 2, 0)
 
-    def test_landing_follows_scalar_distance_to_the_bit(self):
+    def test_landing_follows_exact_distance_to_the_bit(self):
         # a ball whose radius is exactly the belief's distance holds it, and
         # one a single ulp smaller does not
         rng = np.random.default_rng(11)
         m = LinearGaussianModel(A=np.eye(2), G=np.eye(2), C=np.eye(2),
                                 Q=1e-4 * np.eye(2), R_obs=1e-4 * np.eye(2))
         lma = design_lma(m, [0.0, 0.0])
-        norm = BeliefNorm(w_mean=1.0, w_cov=0.1)
         for _ in range(300):
             a = rng.standard_normal((2, 2))
             b = GaussianBelief(rng.standard_normal(2), a @ a.T)
             c = rng.standard_normal((2, 2))
             center = GaussianBelief(rng.standard_normal(2), c @ c.T)
-            d = norm.distance(b, center)
+            d = exact_distances(b, [center])[0]
             for eps, lands in ((d, True), (np.nextafter(d, 0.0), False)):
                 region = Milestone(id=2, center=center, epsilon=eps)
                 sim = SimState(truth=b.mean.copy(), belief=b)
-                rec = run_lma(lma, sim, [region], m, 1,
-                              np.random.default_rng(0), norm)
+                rec = run_lma(lma, sim, BallIndex([region]), m, 1,
+                              np.random.default_rng(0))
                 assert (rec.elapsed_steps == 0) == lands
 
-    def test_cached_shortlist_matches_uncached_on_miss_and_hit(self):
-        # the covariance term is cached per covariance; a miss, a hit (same
-        # covariance, other mean, other array object) and the plain stacked
-        # test give the same shortlist
+    def test_cached_ball_index_matches_uncached_on_miss_and_hit(self):
+        # the covariance terms are cached per covariance; a miss, a hit
+        # (same covariance, other mean, other array object) and the plain
+        # stacked test give the same distances and the same first ball, in
+        # index order and in reverse
         rng = np.random.default_rng(5)
         regions = []
         for mid in range(2, 9):
             a = rng.standard_normal((2, 2))
             regions.append(make_milestone(mid, rng.random(2), 1e-2 * (a @ a.T),
                                           0.2 + 0.3 * rng.random()))
-        stops = StopRegions(regions)
-        means = np.stack([r.center.mean for r in regions])
-        covs = np.stack([r.center.cov.ravel() for r in regions])
+        balls = BallIndex(regions)
         eps = np.array([r.epsilon for r in regions])
         seen = 0
-        for norm in (BeliefNorm(), BeliefNorm(w_mean=0.7, w_cov=0.4)):
-            for _ in range(30):
-                a = rng.standard_normal((2, 2))
-                cov = 1e-2 * (a @ a.T)
-                for _ in range(3):
-                    b = GaussianBelief(rng.random(2), cov.copy())
-                    dm = np.linalg.norm(means - b.mean, axis=1)
-                    dc = np.linalg.norm(covs - b.cov.ravel(), axis=1)
-                    want = np.flatnonzero(
-                        norm.w_mean * dm + norm.w_cov * dc - eps
-                        <= 1e-9 * (abs(norm.w_mean) * dm
-                                   + abs(norm.w_cov) * dc))
-                    assert np.array_equal(stops.shortlist(b, norm), want)
-                    assert np.array_equal(stops.shortlist(b, norm), want)
-                    seen += 0 < want.size < len(regions)
-        assert seen > 20   # the shortlists are neither empty nor everything
-
-    @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-           dims=st.sampled_from([1, 2, 4]),
-           norm=st.sampled_from([BeliefNorm(), BeliefNorm(w_mean=0.7, w_cov=0.4),
-                                 BeliefNorm(w_mean=3.0, w_cov=0.0),
-                                 BeliefNorm(w_mean=0.05, w_cov=2.0)]),
-           ulps=st.integers(min_value=-2, max_value=2))
-    def test_shortlist_holds_every_ball_the_scalar_test_accepts(
-            self, seed, dims, norm, ulps):
-        # the belief sits on one region's boundary to the bit, or a few ulps
-        # inside or outside it; the other balls are random
-        rng = np.random.default_rng(seed)
-
-        def psd(scale):
-            a = rng.standard_normal((dims, dims))
-            return scale * (a @ a.T)
-
-        centers = [GaussianBelief(rng.random(dims), psd(1e-2)) for _ in range(6)]
-        j = int(rng.integers(len(centers)))
-        b = GaussianBelief(centers[j].mean + 0.1 * rng.standard_normal(dims),
-                           centers[j].cov + psd(1e-3) if rng.random() < 0.7
-                           else centers[j].cov.copy())
-        eps = [0.05 + 0.4 * rng.random() for _ in centers]
-        eps[j] = norm.distance(b, centers[j])
-        for _ in range(abs(ulps)):
-            eps[j] = np.nextafter(eps[j], np.inf if ulps > 0 else 0.0)
-        regions = [make_milestone(mid, c.mean, c.cov, e)
-                   for mid, (c, e) in enumerate(zip(centers, eps), start=2)]
-        stops = StopRegions(regions)
-        holds = [k for k, r in enumerate(regions)
-                 if norm.distance(b, r.center) <= r.epsilon]
-        assert (j in holds) == (ulps >= 0)
-        for _ in range(2):   # a cache miss, then a hit
-            short = stops.shortlist(b, norm)
-            assert set(holds) <= set(short.tolist())
-            assert list(short) == sorted(short)
-            # near-exact: nothing clearly outside its ball is listed
-            assert all(norm.distance(b, regions[k].center)
-                       <= regions[k].epsilon * (1 + 1e-8) for k in short)
+        for _ in range(30):
+            a = rng.standard_normal((2, 2))
+            cov = 1e-2 * (a @ a.T)
+            for _ in range(3):
+                b = GaussianBelief(rng.random(2), cov.copy())
+                d = exact_distances(b, [r.center for r in regions])
+                inside = np.flatnonzero(d <= eps).tolist()
+                for order, want in ((range(7), inside[:1]),
+                                    (range(6, -1, -1), inside[-1:])):
+                    for _ in range(2):
+                        assert balls.distances(b).tobytes() == d.tobytes()
+                        assert balls.first(b, order) == (want[0] if want
+                                                         else None)
+                seen += 1 < len(inside) < len(regions)
+        assert seen > 10   # beliefs in several balls, but not in all
 
     def test_seed_determinism(self):
         recs = []
         for _ in range(2):
             sim = SimState(truth=np.array([0.0]),
                            belief=GaussianBelief([0.0], self.p))
-            recs.append(run_lma(self.lma, sim, [self.goal], self.m, 10_000,
+            recs.append(run_lma(self.lma, sim, self.stops, self.m, 10_000,
                                 np.random.default_rng(42)))
         assert recs[0] == recs[1]

@@ -9,16 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macroplan.beliefs import (BeliefNorm, GainSpec, GaussianBelief,
-                               LinearGaussianModel, Lma, LmaParams,
-                               PredicateConstraints, StepCost, design_lma,
+from macroplan.beliefs import (W_COV, W_MEAN, BallIndex, GainSpec,
+                               GaussianBelief, LinearGaussianModel, Lma,
+                               LmaParams, PredicateConstraints, SimState,
+                               StepCost, design_lma, run_lma,
                                stationary_covariance)
 from macroplan.delivery import build_domain, desk_config
 from macroplan import tma as tma_module
 from macroplan.errors import (ConfigError, GoalUnreachable, MacroplanError,
                               NonConvergent, NoOutgoingEdge, SingularChain)
 from macroplan.tma import (GraphEdge, Milestone, Tma, TmaConfig, TmaGraph,
-                           construct_tma, estimate_edge, expected_times,
+                           ball_index, construct_tma, estimate_edge,
+                           expected_times,
                            solve_graph_dp, success_probabilities,
                            tma_from_dict, tma_to_dict)
 
@@ -298,7 +300,7 @@ class TestEstimateEdge:
               1: Milestone(id=1, center=GaussianBelief([1.0], p), epsilon=0.05),
               2: Milestone(id=2, center=GaussianBelief([0.0], p), epsilon=1e-6)}
         lma = design_lma(model, [1.0])
-        e = estimate_edge(ms[2], lma, 1, ms, model, m=20, max_steps=1000,
+        e = estimate_edge(ms[2], lma, 1, ball_index(ms), model, m=20, max_steps=1000,
                           rng=np.random.default_rng(0))
         assert e.landing_probs[1] == 1.0
         assert e.time > 0
@@ -312,9 +314,9 @@ class TestEstimateEdge:
               1: Milestone(id=1, center=GaussianBelief([1.0], p), epsilon=0.05),
               2: Milestone(id=2, center=GaussianBelief([0.0], p), epsilon=0.02)}
         lma = design_lma(model_wall, [1.0])
-        e_small = estimate_edge(ms[2], lma, 1, ms, model_wall, m=1000,
+        e_small = estimate_edge(ms[2], lma, 1, ball_index(ms), model_wall, m=1000,
                                 max_steps=1000, rng=np.random.default_rng(1))
-        e_big = estimate_edge(ms[2], lma, 1, ms, model_wall, m=10_000,
+        e_big = estimate_edge(ms[2], lma, 1, ball_index(ms), model_wall, m=10_000,
                               max_steps=1000, rng=np.random.default_rng(2))
         p_ref = e_big.landing_probs[1]
         tol = 3 * np.sqrt(max(p_ref * (1 - p_ref), 1e-6) / 1000)
@@ -330,7 +332,7 @@ class TestEstimateEdge:
               1: Milestone(id=1, center=GaussianBelief([1.0], p), epsilon=0.05),
               2: Milestone(id=2, center=GaussianBelief([0.0], p), epsilon=0.02)}
         lma = design_lma(model, [1.0])
-        e = estimate_edge(ms[2], lma, 1, ms, model, m=200, max_steps=1000,
+        e = estimate_edge(ms[2], lma, 1, ball_index(ms), model, m=200, max_steps=1000,
                           rng=np.random.default_rng(3))
         assert e.landing_probs[0] >= 0.95
 
@@ -434,10 +436,8 @@ class TestQueryFromBelief:
                         max_steps=300, bounds_lo=np.zeros(2),
                         bounds_hi=np.ones(2))
         start = GaussianBelief([0.1, 0.2], [[2e-3, 4e-4], [4e-4, 1e-3]])
-        tma = dataclasses.replace(
-            construct_tma(start, [0.8, 0.7], model, cfg,
-                          np.random.default_rng(3)),
-            norm=BeliefNorm(0.7, 0.3))
+        tma = construct_tma(start, [0.8, 0.7], model, cfg,
+                            np.random.default_rng(3))
         ids = sorted(i for i in tma.graph.milestones if i != 0)
         means = np.stack([tma.graph.milestones[i].center.mean for i in ids])
         covs = np.stack([tma.graph.milestones[i].center.cov for i in ids])
@@ -446,7 +446,7 @@ class TestQueryFromBelief:
             dm = np.linalg.norm(means - b.mean[None, :], axis=1)
             dc = np.linalg.norm((covs - b.cov[None, :, :]).reshape(len(ids), -1),
                                 axis=1)
-            return tma.norm.w_mean * dm + tma.norm.w_cov * dc
+            return W_MEAN * dm + W_COV * dc
 
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -468,56 +468,61 @@ class TestQueryFromBelief:
 
 
 class TestCheapBallTests:
-    """``entry_node`` and ``stop_node`` decide most beliefs with a float
-    mean distance against radii that lie ``BALL_SLACK`` inside and outside
-    each ball, and call ``distances`` only near a boundary.  On a belief
-    that sits on a ball's boundary to the bit, or up to two ulps inside or
-    outside it, they must give what the exact test gives."""
-
-    @staticmethod
-    def exact(tma, b):
-        d = tma.distances(b)
-        inside = d <= tma._eps
-        ids = tma._ids.tolist()
-        goal = tma.graph.goal_id
-        entry = (None if inside[ids.index(goal)] else
-                 min((d[k], i) for k, i in enumerate(ids)
-                     if i in tma.policy)[1])
-        stop = next((i for k, i in enumerate(ids)
-                     if inside[k] and (i in tma.policy or i == goal)), None)
-        return entry, stop
+    """The ball index decides most beliefs with a float mean distance
+    against radii that lie ``BALL_SLACK`` inside and outside each ball, and
+    runs the exact ``distances`` only near a boundary.  On a belief that
+    sits on a ball's boundary to the bit, or up to two ulps inside or
+    outside it, ``run_lma`` landings and ``Tma.entry_node`` and
+    ``stop_node`` must give what the exact test gives."""
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            dims=st.sampled_from([1, 2, 4]),
-           norm=st.sampled_from([BeliefNorm(), BeliefNorm(w_mean=0.7, w_cov=0.4),
-                                 BeliefNorm(w_mean=3.0, w_cov=0.0),
-                                 BeliefNorm(w_mean=0.05, w_cov=2.0)]),
            ball=st.sampled_from([1, 2, 3, 4]))
     def test_cheap_tests_agree_with_the_exact_test_at_a_boundary(
-            self, seed, dims, norm, ball):
+            self, seed, dims, ball):
         # ids 1 (the goal) to 5; nodes 2-4 have policy edges, node 5 has
         # none, so it is neither an entry nor a stop node.  The belief
         # sits near ``ball``, whose radius is set to the belief's exact
-        # distance and then moved by -2..2 ulps.
+        # distance and then moved by -2..2 ulps.  The landing leaves out
+        # the ball of ``source``, as edge estimation leaves out the ball an
+        # edge starts in.
         rng = np.random.default_rng(seed)
 
         def psd(scale):
             a = rng.standard_normal((dims, dims))
             return scale * (a @ a.T)
 
-        ids = range(1, 6)
+        ids = [1, 2, 3, 4, 5]
         centers = {i: GaussianBelief(rng.random(dims), psd(1e-2)) for i in ids}
         eps = {i: 0.05 + 0.1 * rng.random() for i in ids}
         c = centers[ball]
         b = GaussianBelief(c.mean + 0.1 * rng.standard_normal(dims),
                            c.cov + psd(1e-3) if rng.random() < 0.7
                            else c.cov.copy())
+        source = int(rng.integers(1, 6))
         goal = centers[1]
         lma = Lma(params=LmaParams(gain=np.eye(dims), target=goal.mean),
                   attractor=goal)
+        model = LinearGaussianModel(A=np.eye(dims), G=np.eye(dims),
+                                    C=np.eye(dims), Q=1e-4 * np.eye(dims),
+                                    R_obs=1e-4 * np.eye(dims))
+        means = np.stack([centers[i].mean for i in ids])
+        covs = np.stack([centers[i].cov.ravel() for i in ids])
+        exact = (W_MEAN * np.linalg.norm(means - b.mean, axis=1)
+                 + W_COV * np.linalg.norm(covs - b.cov.ravel(), axis=1))
 
-        def build():
+        for ulps in range(-2, 3):
+            eps[ball] = float(exact[ball - 1])
+            for _ in range(abs(ulps)):
+                eps[ball] = np.nextafter(eps[ball], np.inf if ulps > 0 else 0.0)
+            inside = [i for k, i in enumerate(ids) if exact[k] <= eps[i]]
+            assert (ball in inside) == (ulps >= 0)
+            land = next((i for i in inside if i != source), None)
+            stop = next((i for i in inside if i != 5), None)
+            entry = None if 1 in inside else min(
+                (exact[k], i) for k, i in enumerate(ids) if i in (2, 3, 4))[1]
+
             milestones = {0: Milestone(id=0, center=None, epsilon=1.0)}
             milestones.update({i: Milestone(id=i, center=centers[i],
                                             epsilon=eps[i]) for i in ids})
@@ -528,20 +533,20 @@ class TestCheapBallTests:
             graph = TmaGraph(milestones=milestones,
                              edges={i: [e] for i, e in policy.items()},
                              goal_id=1, failure_value=-100.0)
-            return Tma(graph=graph, policy=policy, values={}, success={},
-                       time_to_goal={}, norm=norm)
-
-        on_edge = float(build().distances(b)[ball - 1])
-        for ulps in range(-2, 3):
-            eps[ball] = on_edge
-            for _ in range(abs(ulps)):
-                eps[ball] = np.nextafter(eps[ball], np.inf if ulps > 0 else 0.0)
-            ref = build()
-            assert (ref.distances(b)[ball - 1] <= eps[ball]) == (ulps >= 0)
-            want = self.exact(ref, b)
-            tma = build()
-            for _ in range(2):   # a cache miss, then a hit
-                assert (tma.entry_node(b), tma.stop_node(b)) == want
+            tma = Tma(graph=graph, policy=policy, values={}, success={},
+                      time_to_goal={})
+            balls = ball_index(milestones)
+            order = [k for k, i in enumerate(ids) if i != source]
+            # a cache miss, then a hit on another array of the same bits
+            for belief in (b, GaussianBelief(b.mean.copy(), b.cov.copy())):
+                assert tma.distances(belief).tobytes() == exact.tobytes()
+                sim = SimState(truth=belief.mean.copy(), belief=belief)
+                rec = run_lma(lma, sim, balls, model, 1,
+                              np.random.default_rng(0), order)
+                landed = rec.region_id if rec.elapsed_steps == 0 else None
+                assert landed == land
+                assert (tma.entry_node(belief), tma.stop_node(belief)) == (
+                    entry, stop)
 
 
 class TestSerialization:
@@ -561,7 +566,7 @@ class TestSerialization:
     def test_gain_stored_once(self):
         tma, _ = build_scalar_tma(seed=5)
         d = tma_to_dict(tma)
-        assert d["format"] == "macroplan-tma-v2"
+        assert d["format"] == "macroplan-tma-v3"
         assert d["gain"] == tma.policy[tma.start_id].lma.params.gain.tolist()
         assert {k for e in d["edges"] for k in e} == {
             "from", "to", "landing_probs", "reward", "time", "sample_count"}
@@ -573,11 +578,14 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="macroplan-tma-v1"):
             tma_from_dict(d)
 
-    def test_norm_with_negative_weight_refused(self):
+    def test_v2_refused(self):
+        # v2 files also stored belief-norm weights, which are now fixed
         tma, _ = build_scalar_tma(seed=5)
         d = tma_to_dict(tma)
-        d["norm"]["w_cov"] = -0.1
-        with pytest.raises(ValueError, match="belief norm weights"):
+        assert "norm" not in d
+        d["format"] = "macroplan-tma-v2"
+        with pytest.raises(ConfigError,
+                           match="macroplan-tma-v2.*rebuild it with build-tma"):
             tma_from_dict(d)
 
     @staticmethod
