@@ -79,8 +79,9 @@ class Execution:
     ``step`` advances it one primitive step.  It adds each of its agents'
     step reward into ``rewards``, indexed by agent, appends its effect
     events to ``events`` and the agents that died to ``dead``, and returns
-    whether the macro-action terminated; a step that kills an agent does
-    not terminate it."""
+    whether the macro-action terminated.  A death ends a single-agent walk
+    without terminating it; it ends a joint walk, which then terminates
+    without its effect for the members still alive."""
 
     agents: Tuple[int, ...]
     spec: TmaSpec
@@ -165,7 +166,8 @@ class GraphTmaExecution(Execution):
 
 class JointGraphExecution(Execution):
     """Two linked graph walks; terminates when both reach their goals.
-    An agent that arrives first station-keeps until its partner lands."""
+    An agent that arrives first station-keeps until its partner lands.
+    A member's death ends the walk that step, without its effect."""
 
     def __init__(self, spec: TmaSpec, agents: Sequence[int], config: JointConfig):
         self.spec = spec
@@ -182,7 +184,9 @@ class JointGraphExecution(Execution):
                 rewards[a] += sub.station_keep(config.sims[a], rng)
             elif sub.step(config, rng, rewards, events, dead):
                 self.finished.add(a)
-        if len(dead) > n_dead or len(self.finished) < len(self.agents):
+        if len(dead) > n_dead:
+            return True
+        if len(self.finished) < len(self.agents):
             return False
         if self.spec.effect is not None:
             events.append((self.spec.effect, self.agents))
@@ -322,6 +326,8 @@ def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
             domain.e_dynamics(events, config, rng)
             for exe in done_execs:
                 for a in exe.agents:
+                    if statuses[a].dead:
+                        continue   # the dead neither terminate nor observe
                     statuses[a].busy = False
                     config.executions.pop(a, None)
                     terminated.add(a)

@@ -342,6 +342,48 @@ def test_constraint_violation_kills_agent_not_mission(small_tma):
     assert cfg.alive() == [1]
 
 
+def test_joint_walk_ends_when_a_member_dies(small_tma):
+    """A member's death ends a joint walk that step, without its effect:
+    the survivor terminates and observes, the dead agent does neither.
+    Agent 1 walks where every state is lethal; if the walk kept its dead
+    member, that agent would die again every step and the segment would
+    never end, so the constraint raises after 10,000 checks."""
+    tma, model = small_tma
+    checks = [0]
+
+    def lethal_everywhere(x):
+        checks[0] += 1
+        if checks[0] > 10_000:
+            raise RuntimeError("the joint segment never ended")
+        return True
+
+    lethal = _integrator_model(
+        constraints=PredicateConstraints(lethal_everywhere))
+
+    effects = []
+
+    class OneLethalDomain(GraphToyDomain):
+        def begin_executions(self, assigned, config, rng):
+            [exe] = super().begin_executions(assigned, config, rng)
+            exe.subs[1].model = lethal
+            return [exe]
+
+        def e_dynamics(self, events, config, rng):
+            effects.extend(events)
+
+    dom = OneLethalDomain(tma, model, n_agents=2, joint=True)
+    rng = np.random.default_rng(5)
+    cfg = dom.initial(rng)
+    seg = step_joint(cfg, {0: "go", 1: "go"}, dom, rng)
+    assert seg.tau_min == 1
+    assert seg.dead_agents == {1}
+    assert seg.terminated_agents == {0}
+    assert seg.observations == {0: 0}
+    assert effects == []
+    assert cfg.alive() == [0]
+    assert not cfg.statuses[0].busy and cfg.executions == {}
+
+
 def test_semi_markov_identity_on_graph_domain(small_tma):
     """Macro discounted sum equals the primitive discounted sum to 1e-9
     (also asserted inside run_rollout on every rollout)."""
@@ -483,5 +525,5 @@ def test_joint_and_lethal_graph_segments_are_bit_exact(small_tma, monkeypatch):
             deaths.append(len(final.statuses) - len(final.alive()))
 
     assert _segment_digest(monkeypatch, run) == (
-        "beb8f67a52aeefe7c4222c9b363683ef868b39c22d8aaec4dacd869ad13a9b24")
+        "2d7191fc97773bc32474fca60a3c41d6667f90b92da30fcc426d2667a6b0fa8f")
     assert sum(deaths) > 0
