@@ -21,6 +21,9 @@ from .tma import Tma
 # primitive steps a graph walk may spend on one edge before its agent dies
 MAX_EDGE_STEPS = 1000
 
+# relative tolerance of the semi-Markov identity every rollout checks
+IDENTITY_TOL = 1e-9
+
 
 @dataclass
 class RewardSpec:
@@ -60,11 +63,11 @@ class AgentStatus:
 
 @dataclass
 class JointConfig:
-    """The Dec-POSMDP state: per-agent simulations plus the e-state."""
+    """The Dec-POSMDP state: per-agent simulations plus the environment
+    state, ``world``, which only the domain reads."""
 
     sims: List[SimState]
     statuses: List[AgentStatus]
-    e_state: Hashable
     world: Any = None
     clock: int = 0
     executions: Dict[int, "Execution"] = field(default_factory=dict)
@@ -393,8 +396,7 @@ def _resolve_assignments(policy, domain: Domain, config: JointConfig,
 
 
 def run_rollout(policy, domain: Domain, horizon_macro_steps: int,
-                rng: np.random.Generator,
-                identity_tol: float = 1e-9) -> RolloutTrace:
+                rng: np.random.Generator) -> RolloutTrace:
     """One seeded rollout of a joint policy.  Asserts the semi-Markov
     bookkeeping identity: the macro-level discounted sum equals the
     primitive-level one."""
@@ -422,7 +424,7 @@ def run_rollout(policy, domain: Domain, horizon_macro_steps: int,
                                                   seg.observations[a])
     primitive_value = float(sum(r * gamma ** t
                                 for t, r in enumerate(prim_ledger)))
-    if abs(primitive_value - macro_value) > identity_tol * max(
+    if abs(primitive_value - macro_value) > IDENTITY_TOL * max(
             1.0, abs(primitive_value)):
         raise AssertionError(
             f"semi-Markov identity violated: {macro_value} vs {primitive_value}")
@@ -432,14 +434,13 @@ def run_rollout(policy, domain: Domain, horizon_macro_steps: int,
 
 def evaluate_joint_policy(policy, domain: Domain, n_rollouts: int,
                           horizon_macro_steps: int,
-                          rng: np.random.Generator,
-                          identity_tol: float = 1e-9) -> PolicyValue:
+                          rng: np.random.Generator) -> PolicyValue:
     """Monte Carlo estimate of the joint value of a finite-state-controller
     policy over independent seeded rollouts."""
     if n_rollouts < 1:
         raise ValueError("n_rollouts must be >= 1")
-    arr = np.asarray([run_rollout(policy, domain, horizon_macro_steps, sub,
-                                  identity_tol).value
+    arr = np.asarray([run_rollout(policy, domain, horizon_macro_steps,
+                                  sub).value
                       for sub in rng.spawn(n_rollouts)])
     stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return PolicyValue(mean=float(arr.mean()), stderr=stderr)

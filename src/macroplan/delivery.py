@@ -444,7 +444,7 @@ class DeliveryDomain(Domain):
             pending_refill=[0] * len(cfg.bases))
         world.created = sum(1 for p in world.base_packages if p.present)
         return JointConfig(sims=sims, statuses=[AgentStatus() for _ in range(3)],
-                           e_state=None, world=world)
+                           world=world)
 
     # ----- geometry helpers -----------------------------------------------
     def _pos(self, agent: int, config: JointConfig) -> np.ndarray:

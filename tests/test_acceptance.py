@@ -299,7 +299,7 @@ def test_semi_markov_identity(desk_domain):
         for _ in range(30):
             pol = sample_joint_policy(desk_domain, 13, rng)
             trace = run_rollout(pol, desk_domain, cfg.horizon_macro_steps,
-                                rng.spawn(1)[0], identity_tol=1e-9)
+                                rng.spawn(1)[0])
             assert abs(trace.value - trace.primitive_value) <= 1e-9 * max(
                 1.0, abs(trace.value))
 
@@ -343,7 +343,7 @@ class _TwoTimerDomain(Domain):
     def initial(self, rng):
         return JointConfig(sims=[_dummy_sim(), _dummy_sim()],
                            statuses=[AgentStatus(), AgentStatus()],
-                           e_state=0, world=None)
+                           world=None)
 
 
 def test_asynchronous_termination():
@@ -445,7 +445,7 @@ class _TinyDomain(Domain):
 
     def initial(self, rng):
         return JointConfig(sims=[_dummy_sim()], statuses=[AgentStatus()],
-                           e_state=0, world=None)
+                           world=None)
 
 
 def _enumerate_tiny_policies():

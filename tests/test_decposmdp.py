@@ -53,7 +53,7 @@ class TimedToyDomain(Domain):
     def initial(self, rng):
         return JointConfig(sims=[_dummy_sim() for _ in range(self.n_agents)],
                            statuses=[AgentStatus() for _ in range(self.n_agents)],
-                           e_state="idle")
+                           world="idle")
 
     def initiation_ok(self, agent, tma_id, config):
         return tma_id != "never"
@@ -63,7 +63,7 @@ class TimedToyDomain(Domain):
                 for a, tid in sorted(assigned.items())]
 
     def observe(self, agent, config):
-        return config.e_state
+        return config.world
 
     def obs_alphabet(self):
         return ["idle", "dinged"]
@@ -73,7 +73,7 @@ class TimedToyDomain(Domain):
 
     def e_dynamics(self, events, config, rng):
         if any(e[0] == "ding" for e in events):
-            config.e_state = "dinged"
+            config.world = "dinged"
 
     def fallback_tma(self, agent):
         return "wait"
@@ -117,7 +117,7 @@ def test_effect_event_pays_team_reward_and_moves_estate():
     seg = step_joint(cfg, {0: "ding"}, dom, rng)
     assert seg.tau_min == 2
     assert seg.reward_Rtau == pytest.approx(10.0)
-    assert cfg.e_state == "dinged"
+    assert cfg.world == "dinged"
     assert seg.observations == {0: "dinged"}
 
 
@@ -255,7 +255,7 @@ class GraphToyDomain(Domain):
                                                        cov=1e-4 * np.eye(2))))
         return JointConfig(sims=sims,
                            statuses=[AgentStatus() for _ in range(self.n_agents)],
-                           e_state=0)
+                           world=0)
 
     def initiation_ok(self, agent, tma_id, config):
         return True
@@ -274,7 +274,7 @@ class GraphToyDomain(Domain):
         return out
 
     def observe(self, agent, config):
-        return config.e_state
+        return config.world
 
 
 def test_graph_execution_reaches_goal(small_tma):
@@ -419,7 +419,7 @@ def test_graph_entry_node_breaks_distance_ties_to_lower_id():
     belief = GaussianBelief([0.5, 0.5], p)
     config = JointConfig(
         sims=[SimState(truth=belief.mean.copy(), belief=belief)],
-        statuses=[AgentStatus()], e_state=0)
+        statuses=[AgentStatus()], world=0)
     d = tma.distances(belief)
     by_id = dict(zip(tma._ids.tolist(), d))
     assert by_id[2] == by_id[3] and by_id[4] < by_id[2]

@@ -43,7 +43,7 @@ class DingDomain(Domain):
 
     def initial(self, rng):
         return JointConfig(sims=[_dummy_sim()], statuses=[AgentStatus()],
-                           e_state="o")
+                           world="o")
 
     def initiation_ok(self, agent, tma_id, config):
         return True
