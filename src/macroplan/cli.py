@@ -114,7 +114,7 @@ def _delivery_config(data: dict) -> DeliveryConfig:
             current = getattr(base, key)
             if isinstance(current, tuple):
                 val = tuple(tuple(x) if isinstance(x, list) else x for x in val)
-            if isinstance(current, dict):
+            if isinstance(current, dict) and isinstance(val, dict):
                 fixed = {}
                 for k, p in val.items():
                     if isinstance(k, str) and "," in k:
@@ -132,7 +132,10 @@ def _delivery_config(data: dict) -> DeliveryConfig:
 
 def _search_config(data: dict, cfg: DeliveryConfig,
                    budget: Optional[int]) -> SearchConfig:
-    s = dict(data.get("search", {}))
+    s = data.get("search", {})
+    if not isinstance(s, dict):
+        raise ConfigError(f"search must be a mapping, not {s!r}")
+    s = dict(s)
     s.setdefault("n_rollouts", cfg.n_rollouts)
     s.setdefault("horizon_macro_steps", cfg.horizon_macro_steps)
     if budget is not None:

@@ -162,6 +162,19 @@ class DeliveryConfig:
                               "non-negative")
         if len(self.bases) != 2 or any(len(xy) != 2 for xy in self.bases):
             raise ConfigError("bases must be two (x, y) points")
+        if not (isinstance(self.dests, dict) and set(self.dests) == set(DESTS)):
+            raise ConfigError(f"dests must map each of {', '.join(DESTS)} to "
+                              f"an (x, y) point, not {self.dests!r}")
+        if not isinstance(self.package_probs, dict):
+            raise ConfigError(f"package_probs must be a mapping, not "
+                              f"{self.package_probs!r}")
+        for key in self.package_probs:
+            if key != (0, NO_PACKAGE) and not (
+                    isinstance(key, tuple) and len(key) == 2
+                    and key[0] in (1, 2) and key[1] in DESTS):
+                raise ConfigError(
+                    f"package_probs key {key!r} is not (0, {NO_PACKAGE!r}) "
+                    f"or a size 1 or 2 with a destination in {DESTS}")
         total = sum(self.package_probs.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"package probabilities sum to {total}, not 1")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -87,6 +87,14 @@ class SearchConfig:
     horizon_macro_steps: int = 14
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, int):
+                ok, kind = isinstance(value, int), "an integer"
+            else:
+                ok, kind = isinstance(value, (int, float)), "a number"
+            if isinstance(value, bool) or not ok:
+                raise ValueError(f"{f.name} must be {kind}, not {value!r}")
         if not (0.0 < self.mask_threshold <= 1.0):
             raise ValueError("mask_threshold must lie in (0, 1]")
         if self.budget < 1 or self.iter_max_mc < 1 or self.k_d < 1:

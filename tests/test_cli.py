@@ -211,11 +211,36 @@ def test_solve_rejects_empty_search_sizes(key, tmp_path, capsys):
     ({"obs_noise": float("inf")}, "obs_noise must be finite, not inf"),
     ({"failure_value": float("-inf")},
      "failure_value must be finite, not -inf"),
+    ({"dests": 5}, "dests must map each of d1, d2, dr to an (x, y) point, "
+                   "not 5"),
+    ({"dests": {"d1": [0.1, 0.2]}},
+     "dests must map each of d1, d2, dr to an (x, y) point, "
+     "not {'d1': [0.1, 0.2]}"),
+    ({"package_probs": [1, 2]}, "package_probs must be a mapping, not [1, 2]"),
+    ({"package_probs": {"1,zz": 1.0}},
+     "package_probs key (1, 'zz') is not (0, '-') or a size 1 or 2 with a "
+     "destination in ('d1', 'd2', 'dr')"),
+    ({"package_probs": {"x": 1.0}},
+     "package_probs key 'x' is not (0, '-') or a size 1 or 2 with a "
+     "destination in ('d1', 'd2', 'dr')"),
+    ({"package_probs": {"3,d1": 1.0}},
+     "package_probs key (3, 'd1') is not (0, '-') or a size 1 or 2 with a "
+     "destination in ('d1', 'd2', 'dr')"),
+    ({"search": 5}, "search must be a mapping, not 5"),
+    ({"search": [1]}, "search must be a mapping, not [1]"),
+    ({"search": {**DELIVERY_CONFIG["search"], "n_nodes": 2.5}},
+     "bad search config: n_nodes must be an integer, not 2.5"),
+    ({"search": {**DELIVERY_CONFIG["search"], "budget": True}},
+     "bad search config: budget must be an integer, not True"),
 ], ids=["discount", "max-steps", "epsilon", "one-base", "string-radius",
         "zero-dt", "negative-site-radius", "negative-colocate-radius",
         "negative-pickup-steps", "zero-putdown-steps", "zero-place-steps",
         "zero-wait-steps", "fractional-pickup-steps", "float-tma-sims",
-        "nan-delivery-bonus", "infinite-obs-noise", "infinite-failure-value"])
+        "nan-delivery-bonus", "infinite-obs-noise", "infinite-failure-value",
+        "int-dests", "dests-without-dr", "list-package-probs",
+        "unknown-package-destination", "package-key-without-size",
+        "package-size-3", "int-search", "list-search",
+        "fractional-search-nodes", "bool-search-budget"])
 def test_solve_rejects_bad_delivery_override(override, message, tmp_path,
                                              capsys):
     path = write_yaml(tmp_path / "bad.yaml", {**DELIVERY_CONFIG, **override})
