@@ -428,14 +428,12 @@ class BallIndex:
     ``epsilon`` attributes; positions in the index follow their order."""
 
     def __init__(self, balls: Sequence):
-        if not balls:
-            raise ValueError("a ball index needs at least one ball")
         self.ids = [ball.id for ball in balls]
-        self.means = np.stack([ball.center.mean for ball in balls])
-        self.eps = np.array([ball.epsilon for ball in balls], dtype=float)
+        self._means = np.stack([ball.center.mean for ball in balls])
         self._covs = np.stack([ball.center.cov.ravel() for ball in balls])
+        self._eps = np.array([ball.epsilon for ball in balls], dtype=float)
         # the means as float tuples, for the cheap test in ``first``
-        self._rows = [tuple(m) for m in self.means.tolist()]
+        self._rows = [tuple(m) for m in self._means.tolist()]
         # covariance bytes -> _cov_terms() at that covariance; beliefs
         # follow their models' bounded filter paths, so few covariances occur
         self._cov_cache: Dict[bytes, tuple] = {}
@@ -455,8 +453,8 @@ class BallIndex:
         if terms is None:
             dc = W_COV * np.linalg.norm(self._covs - cov.ravel(), axis=1)
             dc.setflags(write=False)
-            inner = (((1 - BALL_SLACK) * self.eps - dc) / W_MEAN).tolist()
-            outer = (((1 + BALL_SLACK) * self.eps - dc) / W_MEAN).tolist()
+            inner = (((1 - BALL_SLACK) * self._eps - dc) / W_MEAN).tolist()
+            outer = (((1 + BALL_SLACK) * self._eps - dc) / W_MEAN).tolist()
             terms = (dc, inner, outer)
             if len(self._cov_cache) < FILTER_PATH_MAX:
                 self._cov_cache[key] = terms
@@ -466,7 +464,7 @@ class BallIndex:
         """The belief metric from ``b`` to every ball's center."""
         # np.linalg.norm(diff, axis=1) without its argument handling: the
         # same products and reduction, so the same bits
-        diff = self.means - b.mean
+        diff = self._means - b.mean
         dm = np.sqrt(np.add.reduce(diff * diff, axis=1))
         return W_MEAN * dm + self._cov_terms(b.cov)[0]
 
@@ -481,7 +479,7 @@ class BallIndex:
         for k in order:
             d = math.dist(m, rows[k])
             if d <= outer[k] and (d <= inner[k]
-                                  or self.distances(b)[k] <= self.eps[k]):
+                                  or self.distances(b)[k] <= self._eps[k]):
                 return k
         return None
 
