@@ -399,6 +399,54 @@ class TestRunLma:
                 seen += 1 < len(inside) < len(regions)
         assert seen > 10   # beliefs in several balls, but not in all
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           dims=st.sampled_from([1, 2, 4]),
+           ulps=st.integers(min_value=-2, max_value=2))
+    def test_shortlist_holds_every_ball_the_scalar_test_accepts(
+            self, seed, dims, ulps):
+        # the belief sits on one region's boundary to the bit, or a few ulps
+        # inside or outside it; the other balls are random.  The index holds
+        # a belief in exactly the balls the exact test accepts, and run_lma
+        # lands in the first of them
+        rng = np.random.default_rng(seed)
+
+        def psd(scale):
+            a = rng.standard_normal((dims, dims))
+            return scale * (a @ a.T)
+
+        centers = [GaussianBelief(rng.random(dims), psd(1e-2)) for _ in range(6)]
+        j = int(rng.integers(len(centers)))
+        b = GaussianBelief(centers[j].mean + 0.1 * rng.standard_normal(dims),
+                           centers[j].cov + psd(1e-3) if rng.random() < 0.7
+                           else centers[j].cov.copy())
+        d = exact_distances(b, centers)
+        eps = [0.05 + 0.4 * rng.random() for _ in centers]
+        eps[j] = float(d[j])
+        for _ in range(abs(ulps)):
+            eps[j] = np.nextafter(eps[j], np.inf if ulps > 0 else 0.0)
+        regions = [make_milestone(mid, c.mean, c.cov, e)
+                   for mid, (c, e) in enumerate(zip(centers, eps), start=2)]
+        balls = BallIndex(regions)
+        holds = [k for k in range(len(regions)) if d[k] <= eps[k]]
+        assert (j in holds) == (ulps >= 0)
+        for _ in range(2):   # a cache miss, then a hit
+            assert balls.distances(b).tobytes() == d.tobytes()
+            assert [k for k in range(len(regions))
+                    if balls.first(b, [k]) is not None] == holds
+            assert balls.first(b, range(len(regions))) == (
+                holds[0] if holds else None)
+        m = LinearGaussianModel(A=np.eye(dims), G=np.eye(dims), C=np.eye(dims),
+                                Q=1e-4 * np.eye(dims), R_obs=1e-4 * np.eye(dims))
+        sim = SimState(truth=b.mean.copy(), belief=b)
+        rec = run_lma(design_lma(m, np.zeros(dims)), sim, balls, m, 1,
+                      np.random.default_rng(0))
+        if holds:
+            assert (rec.outcome, rec.region_id, rec.elapsed_steps) == (
+                TerminationRecord.LANDED, regions[holds[0]].id, 0)
+        else:
+            assert rec.elapsed_steps == 1
+
     def test_seed_determinism(self):
         recs = []
         for _ in range(2):
