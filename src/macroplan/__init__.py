@@ -7,16 +7,16 @@ from .errors import (ConfigError, GoalUnreachable, InitiationViolated,
                      MacroplanError, NonConvergent, NoOutgoingEdge,
                      NoValidSuccessor, SingularChain, Unstabilizable)
 from .tma import (GraphEdge, Milestone, Tma, TmaConfig, TmaGraph, construct_tma,
-                  estimate_edge, expected_times, load_tma, save_tma,
-                  solve_graph_dp, success_probabilities)
+                  estimate_edge, expected_times, save_tma, solve_graph_dp,
+                  success_probabilities)
 from .decposmdp import (AgentStatus, Domain, GraphTmaExecution, JointConfig,
                         JointGraphExecution, PolicyValue, RewardSpec,
                         RolloutTrace, SegmentResult, TimedExecution, TmaSpec,
                         evaluate_joint_policy, run_rollout, step_joint)
 from .search import (JointPolicy, Mask, PolicyController, SearchConfig,
-                     SearchResult, controller_space_cardinality, create_mask,
-                     load_policy, mmcs, monte_carlo_search,
-                     sample_joint_policy, sample_valid_controller, save_policy)
+                     SearchResult, create_mask, load_policy, mmcs,
+                     monte_carlo_search, sample_joint_policy,
+                     sample_valid_controller, save_policy)
 from .delivery import (DeliveryConfig, DeliveryDomain, PackageDescriptor,
                        WorldState, build_domain, desk_config, success_curve,
                        total_delivered)

@@ -23,18 +23,21 @@ from .errors import NonConvergent, Unstabilizable
 class StepCost:
     """Per-step reward ``-(base + u_weight * ||u||^2)``.
 
-    Kept as a small serializable structure instead of a bare callable so
-    models can round-trip through config files.
+    Kept as a small structure instead of a bare callable so models can be
+    read from config files.  Both weights are non-negative: a step that
+    pays a reward would let a graph DP cycle for ever.
     """
 
     base: float = 0.0
     u_weight: float = 0.0
 
+    def __post_init__(self):
+        if self.base < 0 or self.u_weight < 0:
+            raise ValueError(f"step cost weights must be non-negative, not "
+                             f"base={self.base!r}, u_weight={self.u_weight!r}")
+
     def __call__(self, x: np.ndarray, u: np.ndarray) -> float:
         return -(self.base + self.u_weight * float(u.dot(u)))
-
-    def to_dict(self) -> dict:
-        return {"base": self.base, "u_weight": self.u_weight}
 
     @classmethod
     def from_dict(cls, d: dict) -> "StepCost":
@@ -45,9 +48,6 @@ class Constraints:
     """State-constraint predicate; ``violates(x) == True`` means failure."""
 
     def violates(self, x: np.ndarray) -> bool:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:  # pragma: no cover - interface
         raise NotImplementedError
 
     @staticmethod
@@ -66,9 +66,6 @@ class Constraints:
 class NoConstraints(Constraints):
     def violates(self, x: np.ndarray) -> bool:
         return False
-
-    def to_dict(self) -> dict:
-        return {"kind": "none"}
 
 
 class RectConstraints(Constraints):
@@ -94,13 +91,9 @@ class RectConstraints(Constraints):
                 return True
         return False
 
-    def to_dict(self) -> dict:
-        return {"kind": "rects", "rects": [list(map(list, r)) for r in self.rects],
-                "bounds": list(map(list, self.bounds)) if self.bounds else None}
-
 
 class PredicateConstraints(Constraints):
-    """Arbitrary predicate; not serializable, for in-process use."""
+    """Arbitrary predicate, for in-process use; no config names it."""
 
     def __init__(self, fn: Callable[[np.ndarray], bool]):
         self.fn = fn
@@ -189,10 +182,6 @@ class LinearGaussianModel:
     def control_dim(self) -> int:
         return self.G.shape[1]
 
-    @property
-    def obs_dim(self) -> int:
-        return self.C.shape[0]
-
     def constraint_set(self, x: np.ndarray) -> bool:
         return self.constraints.violates(x)
 
@@ -216,14 +205,6 @@ class LinearGaussianModel:
             if len(self._filter_path) < FILTER_PATH_MAX:
                 self._filter_path[key] = hit
         return hit
-
-    def to_dict(self) -> dict:
-        return {
-            "A": self.A.tolist(), "G": self.G.tolist(), "C": self.C.tolist(),
-            "Q": self.Q.tolist(), "R_obs": self.R_obs.tolist(),
-            "step_cost": self.step_cost.to_dict(),
-            "constraints": self.constraints.to_dict(),
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearGaussianModel":
@@ -307,11 +288,6 @@ class GainSpec:
     state_weight: float = 1.0
     control_weight: float = 1.0
     fixed_gain: Optional[np.ndarray] = None
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "state_weight": self.state_weight,
-                "control_weight": self.control_weight,
-                "fixed_gain": None if self.fixed_gain is None else np.asarray(self.fixed_gain).tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GainSpec":

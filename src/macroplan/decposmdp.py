@@ -43,7 +43,6 @@ class TmaSpec:
     (movement) or a fixed-duration task with a world effect."""
 
     id: Hashable
-    name: str
     tma: Optional[Tma] = None
     duration: Optional[int] = None
     agents_required: int = 1

@@ -149,6 +149,11 @@ class DeliveryConfig:
         for name in ("dt", "site_radius"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        for name in ("step_cost", "control_cost"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative")
+        if self.failure_value > 0:
+            raise ConfigError("failure_value must be non-positive")
         if self.colocate_radius < 0:
             raise ConfigError("colocate_radius must be non-negative")
         for name in ("pickup_steps", "putdown_steps", "place_steps",
@@ -383,54 +388,42 @@ class DeliveryDomain(Domain):
         r = {}
         for j in (1, 2):
             r[f"goto-base-{j}"] = TmaSpec(id=f"goto-base-{j}",
-                                          name=f"Go to Base {j}",
                                           tma=self._air_tmas[f"base-{j}"])
             r[f"goto-dest-{j}"] = TmaSpec(id=f"goto-dest-{j}",
-                                          name=f"Go to Dest {j}",
                                           tma=self._air_tmas[f"dest-{j}"])
             r[f"joint-goto-dest-{j}"] = TmaSpec(
-                id=f"joint-goto-dest-{j}", name=f"Joint go to Dest {j}",
-                tma=self._air_tmas[f"dest-{j}"], agents_required=2)
-        r["goto-rv"] = TmaSpec(id="goto-rv", name="Go to rendezvous",
-                               tma=self._air_tmas["rv"])
-        r["pickup"] = TmaSpec(id="pickup", name="Pick up package",
-                              duration=cfg.pickup_steps, effect="pickup",
-                              step_reward=-cfg.step_cost)
+                id=f"joint-goto-dest-{j}", tma=self._air_tmas[f"dest-{j}"],
+                agents_required=2)
+        r["goto-rv"] = TmaSpec(id="goto-rv", tma=self._air_tmas["rv"])
+        r["pickup"] = TmaSpec(id="pickup", duration=cfg.pickup_steps,
+                              effect="pickup", step_reward=-cfg.step_cost)
         r["joint-pickup"] = TmaSpec(id="joint-pickup",
-                                    name="Joint pick up package",
                                     duration=cfg.pickup_steps,
                                     effect="joint-pickup", agents_required=2,
                                     step_reward=-cfg.step_cost)
-        r["putdown"] = TmaSpec(id="putdown", name="Put down package",
-                               duration=cfg.putdown_steps, effect="putdown",
-                               step_reward=-cfg.step_cost)
+        r["putdown"] = TmaSpec(id="putdown", duration=cfg.putdown_steps,
+                               effect="putdown", step_reward=-cfg.step_cost)
         r["joint-putdown"] = TmaSpec(id="joint-putdown",
-                                     name="Joint put down package",
                                      duration=cfg.putdown_steps,
                                      effect="joint-putdown", agents_required=2,
                                      step_reward=-cfg.step_cost)
         r["place-on-truck"] = TmaSpec(id="place-on-truck",
-                                      name="Place package on truck",
                                       duration=cfg.place_steps,
                                       effect="place-on-truck",
                                       step_reward=-cfg.step_cost)
-        r["wait"] = TmaSpec(id="wait", name="Wait at current location",
-                            duration=cfg.wait_steps,
+        r["wait"] = TmaSpec(id="wait", duration=cfg.wait_steps,
                             step_reward=-cfg.step_cost)
         return r
 
     def _ground_roster(self) -> Dict[str, TmaSpec]:
         cfg = self.cfg
         return {
-            "goto-rv": TmaSpec(id="goto-rv", name="Go to rendezvous",
-                               tma=self._ground_tmas["rv"]),
-            "goto-dest-r": TmaSpec(id="goto-dest-r", name="Go to Dest r",
+            "goto-rv": TmaSpec(id="goto-rv", tma=self._ground_tmas["rv"]),
+            "goto-dest-r": TmaSpec(id="goto-dest-r",
                                    tma=self._ground_tmas["dest-r"]),
-            "putdown": TmaSpec(id="putdown", name="Put down package",
-                               duration=cfg.putdown_steps, effect="putdown",
-                               step_reward=-cfg.step_cost),
-            "wait": TmaSpec(id="wait", name="Wait at current location",
-                            duration=cfg.wait_steps,
+            "putdown": TmaSpec(id="putdown", duration=cfg.putdown_steps,
+                               effect="putdown", step_reward=-cfg.step_cost),
+            "wait": TmaSpec(id="wait", duration=cfg.wait_steps,
                             step_reward=-cfg.step_cost),
         }
 

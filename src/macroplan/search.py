@@ -299,52 +299,3 @@ def monte_carlo_search(domain: Domain, cfg: SearchConfig,
                        rng: np.random.Generator) -> SearchResult:
     """Unmasked baseline: every policy is drawn fresh from the full space."""
     return mmcs(domain, cfg, rng, use_mask=False)
-
-
-def controller_space_cardinality(domain: Domain, agent: int,
-                                 n_nodes: int) -> int:
-    """Exact number of valid controllers for one agent.
-
-    Groups labelings by their label-count vector c: the number of labelings
-    is the multinomial coefficient, and each node labeled pi contributes an
-    independent edge choice of size sum(c[pi'] for valid successors pi')
-    per observation class.  Count vectors with an empty choice set for an
-    occupied label contribute nothing.
-    """
-    roster = sorted(domain.roster(agent), key=str)
-    alphabet = domain.obs_alphabet()
-    k = len(roster)
-    succ_idx = {
-        (pi, obs): [roster.index(s) for s in
-                    domain.valid_successors(agent, pi, obs) if s in roster]
-        for pi in roster for obs in alphabet}
-
-    total = 0
-    fact = [math.factorial(i) for i in range(n_nodes + 1)]
-
-    def compositions(remaining: int, parts: int):
-        if parts == 1:
-            yield (remaining,)
-            return
-        for head in range(remaining + 1):
-            for tail in compositions(remaining - head, parts - 1):
-                yield (head,) + tail
-
-    for c in compositions(n_nodes, k):
-        coeff = fact[n_nodes]
-        for ci in c:
-            coeff //= fact[ci]
-        term = coeff
-        for pi_i, pi in enumerate(roster):
-            if c[pi_i] == 0:
-                continue
-            w = 1
-            for obs in alphabet:
-                s = sum(c[j] for j in succ_idx[(pi, obs)])
-                w *= s
-            if w == 0:
-                term = 0
-                break
-            term *= w ** c[pi_i]
-        total += term
-    return total

@@ -5,8 +5,7 @@ neighbors with funnel controllers, estimates every edge's landing
 distribution, reward and duration by offline simulation, and solves an
 undiscounted dynamic program over the graph with absorbing goal and failure
 nodes.  Success probabilities and expected completion times then come from
-the absorbing-chain linear systems, so the planner can query them for any
-initial belief.
+the absorbing-chain linear systems.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ START_EPSILON = 1e-9
 # value-iteration convergence tolerance
 DP_TOL = 1e-9
 
-TMA_FORMAT = "macroplan-tma-v3"
+TMA_FORMAT = "macroplan-tma-v4"
 
 
 @dataclass(frozen=True)
@@ -147,19 +146,6 @@ class Tma:
         k = self._balls.first(b, self._stop_order)
         return None if k is None else self._balls.ids[k]
 
-    def nearest_milestone_id(self, b: GaussianBelief) -> int:
-        """The lowest id whose ball holds ``b``, else the nearest milestone,
-        ties to the lower id."""
-        k = self._balls.first(b, range(len(self._ids)))
-        if k is None:
-            k = int(np.argmin(self.distances(b)))
-        return self._balls.ids[k]
-
-    def query_from_belief(self, b: GaussianBelief) -> Tuple[float, float, float]:
-        """Value, success probability and expected completion time for ``b``."""
-        nid = self.nearest_milestone_id(b)
-        return self.values[nid], self.success[nid], self.time_to_goal[nid]
-
 
 @dataclass(frozen=True)
 class TmaConfig:
@@ -174,6 +160,10 @@ class TmaConfig:
     gain_spec: GainSpec = field(default_factory=GainSpec)
     bounds_lo: Optional[np.ndarray] = None
     bounds_hi: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.failure_value > 0:
+            raise ValueError("failure_value must be non-positive")
 
 
 def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
@@ -478,43 +468,22 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# the TMA file: a report of one build, which nothing reads back
 
 def _belief_to_dict(b: GaussianBelief) -> dict:
     return {"mean": b.mean.tolist(), "cov": b.cov.tolist()}
 
 
-def _belief_from_dict(d: dict) -> GaussianBelief:
-    return GaussianBelief(mean=np.array(d["mean"]), cov=np.array(d["cov"]))
-
-
-def _shared_gain(g: TmaGraph) -> Optional[np.ndarray]:
-    """The one feedback gain of every edge's funnel, whose target is its
-    target milestone's center; ValueError if an edge differs, as the file
-    format could not hold it."""
-    edges = [e for i in sorted(g.edges) for e in g.edges[i]]
-    for e in edges:
-        p, a, center = e.lma.params, e.lma.attractor, g.milestones[e.to_id].center
-        if not np.array_equal(p.gain, edges[0].lma.params.gain):
-            raise ValueError(f"edge {e.from_id}->{e.to_id} has another gain")
-        if not (np.array_equal(p.target, center.mean)
-                and np.array_equal(a.mean, center.mean)
-                and np.array_equal(a.cov, center.cov)):
-            raise ValueError(f"edge {e.from_id}->{e.to_id} does not target "
-                             f"milestone {e.to_id}'s center")
-    return edges[0].lma.params.gain if edges else None
-
-
 def tma_to_dict(tma: Tma) -> dict:
     g = tma.graph
-    gain = _shared_gain(g)
+    # construct_tma builds every edge from the one gain it designs
+    edges = [e for i in sorted(g.edges) for e in g.edges[i]]
     return {
         "format": TMA_FORMAT,
         "goal_id": g.goal_id,
         "start_id": tma.start_id,
         "failure_value": g.failure_value,
-        "model": tma.model.to_dict() if tma.model is not None else None,
-        "gain": None if gain is None else gain.tolist(),
+        "gain": edges[0].lma.params.gain.tolist() if edges else None,
         "milestones": [
             {"id": ms.id, "epsilon": ms.epsilon,
              "center": None if ms.center is None else _belief_to_dict(ms.center)}
@@ -523,7 +492,7 @@ def tma_to_dict(tma: Tma) -> dict:
             {"from": e.from_id, "to": e.to_id,
              "landing_probs": {str(k): v for k, v in sorted(e.landing_probs.items())},
              "reward": e.reward, "time": e.time, "sample_count": e.sample_count}
-            for i in sorted(g.edges) for e in g.edges[i]],
+            for e in edges],
         "policy": {str(i): e.to_id for i, e in sorted(tma.policy.items())},
         "values": {str(i): v for i, v in sorted(tma.values.items())},
         "success": {str(i): v for i, v in sorted(tma.success.items())},
@@ -531,45 +500,7 @@ def tma_to_dict(tma: Tma) -> dict:
     }
 
 
-def tma_from_dict(d: dict) -> Tma:
-    if d.get("format") != TMA_FORMAT:
-        raise ConfigError(f"unsupported TMA format {d.get('format')!r}, "
-                          f"expected {TMA_FORMAT!r}: rebuild it with build-tma")
-    milestones = {}
-    for m in d["milestones"]:
-        milestones[m["id"]] = Milestone(
-            id=m["id"], epsilon=m["epsilon"],
-            center=None if m["center"] is None else _belief_from_dict(m["center"]))
-    gain = None if d["gain"] is None else np.array(d["gain"])
-    edges: Dict[int, List[GraphEdge]] = {}
-    edge_index: Dict[Tuple[int, int], GraphEdge] = {}
-    for e in d["edges"]:
-        center = milestones[e["to"]].center
-        lma = Lma(params=LmaParams(gain=gain, target=center.mean),
-                  attractor=center)
-        edge = GraphEdge(from_id=e["from"], to_id=e["to"], lma=lma,
-                         landing_probs={int(k): v for k, v in e["landing_probs"].items()},
-                         reward=e["reward"], time=e["time"],
-                         sample_count=e["sample_count"])
-        edges.setdefault(edge.from_id, []).append(edge)
-        edge_index[(edge.from_id, edge.to_id)] = edge
-    graph = TmaGraph(milestones=milestones, edges=edges,
-                     goal_id=d["goal_id"], failure_value=d["failure_value"])
-    policy = {int(i): edge_index[(int(i), to)] for i, to in d["policy"].items()}
-    model = (LinearGaussianModel.from_dict(d["model"])
-             if d.get("model") is not None else None)
-    return Tma(graph=graph, policy=policy,
-               values={int(k): v for k, v in d["values"].items()},
-               success={int(k): v for k, v in d["success"].items()},
-               time_to_goal={int(k): v for k, v in d["time_to_goal"].items()},
-               start_id=d.get("start_id"), model=model)
-
-
 def save_tma(tma: Tma, path: str) -> None:
     with open(path, "w") as f:
         json.dump(tma_to_dict(tma), f, indent=1, sort_keys=True)
 
-
-def load_tma(path: str) -> Tma:
-    with open(path) as f:
-        return tma_from_dict(json.load(f))

@@ -105,16 +105,22 @@ def test_build_tma_bad_config_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.yaml")
     assert main(["build-tma", "--config", missing, "--seed", "0",
                  "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
-    # every TMA uses the default belief norm; a config cannot set one
-    cfg = copy.deepcopy(TMA_CONFIG)
-    cfg["tma"]["norm"] = {"w_mean": 1.0, "w_cov": 0.5}
-    path = write_yaml(tmp_path / "norm.yaml", cfg)
-    capsys.readouterr()
-    assert main(["build-tma", "--config", path,
-                 "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error: bad TMA config: ")
-    assert "norm" in err and len(err.splitlines()) == 1
+    # every TMA uses the default belief norm; a config cannot set one.  A
+    # positive failure value or a negative step cost would leave the graph
+    # DP nothing to converge on.
+    for section, key, value, word in [
+            ("tma", "norm", {"w_mean": 1.0, "w_cov": 0.5}, "norm"),
+            ("tma", "failure_value", 5, "failure_value"),
+            ("model", "step_cost", {"base": -1, "u_weight": 0.0}, "base=-1")]:
+        cfg = copy.deepcopy(TMA_CONFIG)
+        cfg[section][key] = value
+        path = write_yaml(tmp_path / f"{key}.yaml", cfg)
+        capsys.readouterr()
+        assert main(["build-tma", "--config", path,
+                     "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad TMA config: ")
+        assert word in err and len(err.splitlines()) == 1
 
 
 def test_build_tma_unreachable_goal_exits_3(tmp_path):
@@ -226,6 +232,9 @@ def test_solve_rejects_empty_search_sizes(key, tmp_path, capsys):
     ({"package_probs": {"3,d1": 1.0}},
      "package_probs key (3, 'd1') is not (0, '-') or a size 1 or 2 with a "
      "destination in ('d1', 'd2', 'dr')"),
+    ({"failure_value": 5}, "failure_value must be non-positive"),
+    ({"step_cost": -1}, "step_cost must be non-negative"),
+    ({"control_cost": -1}, "control_cost must be non-negative"),
     ({"search": 5}, "search must be a mapping, not 5"),
     ({"search": [1]}, "search must be a mapping, not [1]"),
     ({"search": {**DELIVERY_CONFIG["search"], "n_nodes": 2.5}},
@@ -239,7 +248,8 @@ def test_solve_rejects_empty_search_sizes(key, tmp_path, capsys):
         "nan-delivery-bonus", "infinite-obs-noise", "infinite-failure-value",
         "int-dests", "dests-without-dr", "list-package-probs",
         "unknown-package-destination", "package-key-without-size",
-        "package-size-3", "int-search", "list-search",
+        "package-size-3", "positive-failure-value", "negative-step-cost",
+        "negative-control-cost", "int-search", "list-search",
         "fractional-search-nodes", "bool-search-budget"])
 def test_solve_rejects_bad_delivery_override(override, message, tmp_path,
                                              capsys):

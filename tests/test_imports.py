@@ -1,15 +1,16 @@
 """Every module of the package uses each name it imports, and every
-top-level name of the package is used somewhere.
+top-level name, method and property of the package is used somewhere.
 
 A deletion that leaves an import behind shows here, and so does a function,
-class or constant that only its own definition mentions.  ``__init__.py``
-only re-exports, so it is not scanned, and its re-exports do not count as
-uses.  The tests and the benchmark count as users but are not scanned for
-unused imports.
+class, constant, method or property that only its own definition mentions.
+``__init__.py`` only re-exports, so it is not scanned, and its re-exports do
+not count as uses.  The tests and the benchmark count as users but are not
+scanned for unused imports.
 """
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -89,25 +90,23 @@ def top_level_names(tree):
     return {n: s for n, s in defs.items() if not n.startswith("__")}
 
 
-def referenced_names(stmt):
-    """Identifiers a statement reads: names, attributes, and strings that
-    are identifiers (quoted annotations; the bench tracer binds by
-    attribute name)."""
-    out = set()
-    for node in ast.walk(stmt):
+def references(tree):
+    """Each identifier a tree reads, once per read: names, attributes, and
+    strings that are identifiers (quoted annotations; the bench tracer
+    binds by attribute name)."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            yield node.id
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            yield node.attr
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier()):
-            out.add(node.value)
-    return out
+            yield node.value
 
 
 def test_every_top_level_name_is_used():
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in USERS}
-    uses = [(stmt, referenced_names(stmt))
+    uses = [(stmt, set(references(stmt)))
             for tree in trees.values() for stmt in tree.body]
     unused = sorted(
         f"{path.name}:{name}"
@@ -115,6 +114,29 @@ def test_every_top_level_name_is_used():
         for name, own in top_level_names(trees[path]).items()
         if not any(name in names for stmt, names in uses if stmt is not own))
     assert not unused, f"top-level names nothing uses: {unused}"
+
+
+def methods(tree):
+    """``Class.name`` -> definition of each method and property of each
+    top-level class, dunders left out."""
+    return {f"{stmt.name}.{item.name}": item
+            for stmt in tree.body if isinstance(stmt, ast.ClassDef)
+            for item in stmt.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("__")}
+
+
+def test_every_method_and_property_is_used():
+    # by name only: a use of any attribute of that name counts, so this
+    # finds a method whose name nothing else reads
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in USERS}
+    reads = Counter(name for tree in trees.values() for name in references(tree))
+    unused = sorted(
+        f"{path.name}:{qualname}"
+        for path in MODULES
+        for qualname, own in methods(trees[path]).items()
+        if reads[own.name] == sum(1 for n in references(own) if n == own.name))
+    assert not unused, f"methods and properties nothing uses: {unused}"
 
 
 def test_bench_tracer_bindings_exist():

@@ -1,5 +1,5 @@
 """Tests for finite-state-controller policy search: sampling validity,
-mask construction, search behavior, and the exact controller-space count."""
+mask construction and search behavior."""
 
 import itertools
 import os
@@ -13,9 +13,9 @@ from macroplan.decposmdp import (AgentStatus, Domain, JointConfig, RewardSpec,
                                  TimedExecution, TmaSpec)
 from macroplan.errors import NoValidSuccessor
 from macroplan.search import (JointPolicy, PolicyController, SearchConfig,
-                              controller_space_cardinality, create_mask,
-                              load_policy, mmcs, monte_carlo_search,
-                              sample_valid_controller, save_policy)
+                              create_mask, load_policy, mmcs,
+                              monte_carlo_search, sample_valid_controller,
+                              save_policy)
 
 
 def _dummy_sim():
@@ -33,8 +33,8 @@ class DingDomain(Domain):
         self.n_agents = 1
         self.rewards = RewardSpec(discount=1.0)
         self._roster = {
-            "ding": TmaSpec(id="ding", name="ding", duration=2, effect="ding"),
-            "wait": TmaSpec(id="wait", name="wait", duration=1),
+            "ding": TmaSpec(id="ding", duration=2, effect="ding"),
+            "wait": TmaSpec(id="wait", duration=1),
         }
         self._succ = successors
 
@@ -275,34 +275,3 @@ def test_value_trace_bytes_identical(tmp_path):
         assert f0.read() == f1.read()
     assert os.path.getsize(paths[0]) > 0
 
-
-# ---------------------------------------------------------------------------
-# controller-space cardinality
-# ---------------------------------------------------------------------------
-
-def test_cardinality_complete_successors_closed_form():
-    """Unrestricted chaining: k^n labelings times n choices per (node, obs)."""
-    dom = DingDomain()
-    n = 3
-    expected = 2 ** n * n ** (n * 1)
-    assert controller_space_cardinality(dom, 0, n) == expected
-
-
-def test_cardinality_matches_brute_force_enumeration():
-    succ = {"ding": ["wait"], "wait": ["ding", "wait"]}
-    dom = DingDomain(successors=succ)
-    n = 3
-    count = 0
-    for labels in itertools.product(sorted(dom.roster(0)), repeat=n):
-        ok = True
-        choices = 1
-        for lb in labels:
-            t = sum(1 for lb2 in labels if lb2 in succ[lb])
-            if t == 0:
-                ok = False
-                break
-            choices *= t
-        if ok:
-            count += choices
-    assert controller_space_cardinality(dom, 0, n) == count
-    assert count < 2 ** n * n ** n  # restriction really prunes the space
