@@ -16,7 +16,7 @@ from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .errors import NonConvergent, Unstabilizable
+from .errors import NonConvergent, Unstabilizable, check_field_types
 
 
 @dataclass(frozen=True)
@@ -289,6 +289,15 @@ class GainSpec:
     control_weight: float = 1.0
     fixed_gain: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        check_field_types(self, ValueError)
+        if self.kind not in ("lqr", "fixed"):
+            raise ValueError(f"unknown gain spec kind {self.kind!r}")
+        if self.state_weight < 0 or self.control_weight < 0:
+            raise ValueError(
+                f"gain weights must be non-negative, not state_weight="
+                f"{self.state_weight!r}, control_weight={self.control_weight!r}")
+
     @classmethod
     def from_dict(cls, d: dict) -> "GainSpec":
         fg = d.get("fixed_gain")
@@ -331,7 +340,7 @@ def design_lma(model: LinearGaussianModel, target: np.ndarray,
         if gain_spec.fixed_gain is None:
             raise ValueError("fixed gain spec requires fixed_gain")
         L = np.atleast_2d(np.asarray(gain_spec.fixed_gain, dtype=float))
-    elif gain_spec.kind == "lqr":
+    else:
         n, m = model.state_dim, model.control_dim
         Qw = gain_spec.state_weight * np.eye(n)
         Rw = gain_spec.control_weight * np.eye(m)
@@ -340,8 +349,6 @@ def design_lma(model: LinearGaussianModel, target: np.ndarray,
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as e:
             raise Unstabilizable(f"LQR design failed: {e}") from e
         L = np.linalg.solve(Rw + model.G.T @ X @ model.G, model.G.T @ X @ model.A)
-    else:
-        raise ValueError(f"unknown gain spec kind {gain_spec.kind!r}")
 
     closed = model.A - model.G @ L
     rho = np.max(np.abs(np.linalg.eigvals(closed)))

@@ -92,7 +92,7 @@ def _tma_setup(data: dict):
             if key in t:
                 t[key] = np.array(t[key], dtype=float)
         cfg = TmaConfig(**t)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ConfigError) as e:
         raise ConfigError(f"bad TMA config: {e}") from e
     return model, start, goal, cfg
 
@@ -302,19 +302,19 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=None)
         p.add_argument("--out", required=True)
         for flag, kw in extra.items():
             p.add_argument(flag, **kw)
         p.set_defaults(fn=fn)
         return p
 
+    budget = {"--budget": dict(type=int, default=None)}
     add("build-tma", cmd_build_tma)
-    add("solve", cmd_solve)
-    add("mc-baseline", cmd_mc_baseline)
-    add("compare-search", cmd_compare_search,
+    add("solve", cmd_solve, **budget)
+    add("mc-baseline", cmd_mc_baseline, **budget)
+    add("compare-search", cmd_compare_search, **budget,
         **{"--seeds": dict(type=int, default=20)})
-    add("success-curve", cmd_success_curve,
+    add("success-curve", cmd_success_curve, **budget,
         **{"--policy": dict(required=True)})
     vp = sub.add_parser("validate-policy")
     vp.add_argument("--config", required=True)

@@ -42,7 +42,6 @@ class TmaSpec:
     """A macro-action available to an agent: either a solved graph TMA
     (movement) or a fixed-duration task with a world effect."""
 
-    id: Hashable
     tma: Optional[Tma] = None
     duration: Optional[int] = None
     agents_required: int = 1
@@ -405,7 +404,6 @@ def run_rollout(policy, domain: Domain, horizon_macro_steps: int,
              for i in range(domain.n_agents)]
     macro_value = 0.0
     prim_ledger: List[float] = []
-    t_start = 0
     for _ in range(horizon_macro_steps):
         if not config.alive():
             break
@@ -415,9 +413,8 @@ def run_rollout(policy, domain: Domain, horizon_macro_steps: int,
         seg = step_joint(config, assigned, domain, rng)
         if seg.tau_min == 0:
             break
-        macro_value += gamma ** t_start * seg.reward_Rtau
+        macro_value += gamma ** (config.clock - seg.tau_min) * seg.reward_Rtau
         prim_ledger.extend(seg.primitive_rewards)
-        t_start += seg.tau_min
         for a in seg.terminated_agents:
             nodes[a] = policy.controllers[a].edge(nodes[a],
                                                   seg.observations[a])

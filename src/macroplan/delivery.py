@@ -10,7 +10,7 @@ ground robot at a rendezvous point and trucked in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -21,7 +21,7 @@ from .beliefs import (BALL_SLACK, GainSpec, GaussianBelief,
 from .decposmdp import (AgentStatus, Domain, Execution, GraphTmaExecution,
                         JointConfig, JointGraphExecution, RewardSpec,
                         TimedExecution, TmaSpec, run_rollout)
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types, is_finite_number
 from .tma import Tma, TmaConfig, construct_tma
 
 AIR, GROUND = "air", "ground"
@@ -128,20 +128,7 @@ class DeliveryConfig:
     n_rollouts: int = 2
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, int):   # counts of steps, nodes, runs
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(
-                        f"{f.name} must be an integer, not {value!r}")
-            elif isinstance(f.default, float):
-                if isinstance(value, bool) or not isinstance(value,
-                                                             (int, float)):
-                    raise ConfigError(
-                        f"{f.name} must be a number, not {value!r}")
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ConfigError(
-                        f"{f.name} must be finite, not {value!r}")
+        check_field_types(self, ConfigError)
         if self.air_dynamics not in ("single", "double"):
             raise ConfigError(f"unknown air dynamics {self.air_dynamics!r}")
         if not 0.0 < self.discount <= 1.0:
@@ -149,7 +136,7 @@ class DeliveryConfig:
         for name in ("dt", "site_radius"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("step_cost", "control_cost"):
+        for name in ("step_cost", "control_cost", "control_weight"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if self.failure_value > 0:
@@ -170,6 +157,15 @@ class DeliveryConfig:
         if not (isinstance(self.dests, dict) and set(self.dests) == set(DESTS)):
             raise ConfigError(f"dests must map each of {', '.join(DESTS)} to "
                               f"an (x, y) point, not {self.dests!r}")
+        points = {"bases[0]": self.bases[0], "bases[1]": self.bases[1],
+                  **{f"dests[{d!r}]": self.dests[d] for d in DESTS},
+                  "rendezvous": self.rendezvous, "regulated": self.regulated}
+        for name, point in points.items():
+            size = 4 if name == "regulated" else 2
+            if not (isinstance(point, (tuple, list)) and len(point) == size
+                    and all(is_finite_number(v) for v in point)):
+                raise ConfigError(f"{name} must be {size} finite numbers, "
+                                  f"not {point!r}")
         if not isinstance(self.package_probs, dict):
             raise ConfigError(f"package_probs must be a mapping, not "
                               f"{self.package_probs!r}")
@@ -277,17 +273,27 @@ def _build_movement_tma(model: LinearGaussianModel, xy, cfg: DeliveryConfig,
     return construct_tma(start, _goal_mean(model, xy), model, tma_cfg, rng)
 
 
-# air TMA ids
-AIR_TMAS = ["goto-base-1", "goto-base-2", "goto-dest-1", "goto-dest-2",
-            "joint-goto-dest-1", "joint-goto-dest-2", "goto-rv",
-            "pickup", "joint-pickup", "putdown", "joint-putdown",
-            "place-on-truck", "wait"]
-GROUND_TMAS = ["goto-rv", "goto-dest-r", "putdown", "wait"]
+def _roster(cfg: DeliveryConfig, tmas: Dict[str, Tma],
+            moves: Dict[str, str], tasks: Dict[str, int]) -> Dict[str, TmaSpec]:
+    """One robot kind's macro-actions.  ``moves`` maps an id to the site of
+    its TMA in ``tmas``; ``tasks`` maps an id to its step count, paid at the
+    step cost.  Every task but ``wait`` fires its own id as its effect, and
+    an id starting with ``joint-`` needs two agents."""
+    roster = {tid: TmaSpec(tma=tmas[site]) for tid, site in moves.items()}
+    roster.update({tid: TmaSpec(duration=steps, step_reward=-cfg.step_cost,
+                                effect=None if tid == "wait" else tid)
+                   for tid, steps in tasks.items()})
+    for tid, spec in roster.items():
+        if tid.startswith("joint-"):
+            spec.agents_required = 2
+    return roster
+
 
 _MOVE_AIR = ["goto-base-1", "goto-base-2", "wait"]
 
 
-def _air_successors() -> Dict[Tuple[str, str], List[str]]:
+def _air_successors(roster: Dict[str, TmaSpec]
+                    ) -> Dict[Tuple[str, str], List[str]]:
     """Termination/initiation compatibility for air robots, keyed by
     (terminating macro-action, observation class)."""
     default = {
@@ -301,7 +307,7 @@ def _air_successors() -> Dict[Tuple[str, str], List[str]]:
         "rv-a": ["place-on-truck", "wait"],
         "rv-m": ["wait", "goto-base-1", "goto-base-2"],
     }
-    table = {(pi, obs): list(succ) for pi in AIR_TMAS
+    table = {(pi, obs): list(succ) for pi in roster
              for obs, succ in default.items()}
     table.update({
         ("pickup", "s-d1"): ["goto-dest-1", "wait"],
@@ -318,7 +324,8 @@ def _air_successors() -> Dict[Tuple[str, str], List[str]]:
     return table
 
 
-def _ground_successors() -> Dict[Tuple[str, str], List[str]]:
+def _ground_successors(roster: Dict[str, TmaSpec]
+                       ) -> Dict[Tuple[str, str], List[str]]:
     default = {
         "none": ["goto-rv", "wait"],
         "rv-a": ["wait", "goto-rv"],
@@ -329,7 +336,7 @@ def _ground_successors() -> Dict[Tuple[str, str], List[str]]:
     # non-empty so controller sampling stays well-defined
     for obs in OBS_ALPHABET:
         default.setdefault(obs, ["wait"])
-    table = {(pi, obs): list(succ) for pi in GROUND_TMAS
+    table = {(pi, obs): list(succ) for pi in roster
              for obs, succ in default.items()}
     table[("goto-dest-r", "s-dr")] = ["putdown", "wait"]
     table[("putdown", "none")] = ["goto-rv", "wait"]
@@ -377,55 +384,25 @@ class DeliveryDomain(Domain):
             for (name, xy), r in zip(sorted(sites_ground.items()),
                                      rng.spawn(len(sites_ground)))}
 
+        air = _roster(cfg, self._air_tmas,
+                      moves={"goto-base-1": "base-1", "goto-base-2": "base-2",
+                             "goto-dest-1": "dest-1", "goto-dest-2": "dest-2",
+                             "joint-goto-dest-1": "dest-1",
+                             "joint-goto-dest-2": "dest-2", "goto-rv": "rv"},
+                      tasks={"pickup": cfg.pickup_steps,
+                             "joint-pickup": cfg.pickup_steps,
+                             "putdown": cfg.putdown_steps,
+                             "joint-putdown": cfg.putdown_steps,
+                             "place-on-truck": cfg.place_steps,
+                             "wait": cfg.wait_steps})
+        ground = _roster(cfg, self._ground_tmas,
+                         moves={"goto-rv": "rv", "goto-dest-r": "dest-r"},
+                         tasks={"putdown": cfg.putdown_steps,
+                                "wait": cfg.wait_steps})
         # both air robots share one roster and one successor table
-        air_roster, air_succ = self._air_roster(), _air_successors()
-        self._rosters = [air_roster, air_roster, self._ground_roster()]
-        self._succ = [air_succ, air_succ, _ground_successors()]
-
-    # ----- roster construction -------------------------------------------
-    def _air_roster(self) -> Dict[str, TmaSpec]:
-        cfg = self.cfg
-        r = {}
-        for j in (1, 2):
-            r[f"goto-base-{j}"] = TmaSpec(id=f"goto-base-{j}",
-                                          tma=self._air_tmas[f"base-{j}"])
-            r[f"goto-dest-{j}"] = TmaSpec(id=f"goto-dest-{j}",
-                                          tma=self._air_tmas[f"dest-{j}"])
-            r[f"joint-goto-dest-{j}"] = TmaSpec(
-                id=f"joint-goto-dest-{j}", tma=self._air_tmas[f"dest-{j}"],
-                agents_required=2)
-        r["goto-rv"] = TmaSpec(id="goto-rv", tma=self._air_tmas["rv"])
-        r["pickup"] = TmaSpec(id="pickup", duration=cfg.pickup_steps,
-                              effect="pickup", step_reward=-cfg.step_cost)
-        r["joint-pickup"] = TmaSpec(id="joint-pickup",
-                                    duration=cfg.pickup_steps,
-                                    effect="joint-pickup", agents_required=2,
-                                    step_reward=-cfg.step_cost)
-        r["putdown"] = TmaSpec(id="putdown", duration=cfg.putdown_steps,
-                               effect="putdown", step_reward=-cfg.step_cost)
-        r["joint-putdown"] = TmaSpec(id="joint-putdown",
-                                     duration=cfg.putdown_steps,
-                                     effect="joint-putdown", agents_required=2,
-                                     step_reward=-cfg.step_cost)
-        r["place-on-truck"] = TmaSpec(id="place-on-truck",
-                                      duration=cfg.place_steps,
-                                      effect="place-on-truck",
-                                      step_reward=-cfg.step_cost)
-        r["wait"] = TmaSpec(id="wait", duration=cfg.wait_steps,
-                            step_reward=-cfg.step_cost)
-        return r
-
-    def _ground_roster(self) -> Dict[str, TmaSpec]:
-        cfg = self.cfg
-        return {
-            "goto-rv": TmaSpec(id="goto-rv", tma=self._ground_tmas["rv"]),
-            "goto-dest-r": TmaSpec(id="goto-dest-r",
-                                   tma=self._ground_tmas["dest-r"]),
-            "putdown": TmaSpec(id="putdown", duration=cfg.putdown_steps,
-                               effect="putdown", step_reward=-cfg.step_cost),
-            "wait": TmaSpec(id="wait", duration=cfg.wait_steps,
-                            step_reward=-cfg.step_cost),
-        }
+        air_succ = _air_successors(air)
+        self._rosters = [air, air, ground]
+        self._succ = [air_succ, air_succ, _ground_successors(ground)]
 
     # ----- Domain interface ----------------------------------------------
     def roster(self, agent: int) -> Dict[str, TmaSpec]:

@@ -1,4 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the field check every
+config dataclass runs."""
+
+import sys
+from dataclasses import fields
+from typing import Type
 
 
 class MacroplanError(Exception):
@@ -38,3 +43,26 @@ class InitiationViolated(MacroplanError):
 
 class ConfigError(MacroplanError):
     """Scenario or command configuration is inconsistent."""
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is an int or float, not a bool, that a finite float
+    can hold: not nan, not infinite, and no int too large to convert."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def check_field_types(config, error: Type[Exception]) -> None:
+    """Raise ``error`` unless each field of the dataclass ``config`` whose
+    default is an int holds an int, and each whose default is a float holds
+    a finite number; a bool is neither."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(f.default, int):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise error(f"{f.name} must be an integer, not {value!r}")
+        elif isinstance(f.default, float):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise error(f"{f.name} must be a number, not {value!r}")
+            if not is_finite_number(value):
+                raise error(f"{f.name} must be finite, not {value!r}")

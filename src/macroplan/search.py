@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .decposmdp import Domain, evaluate_joint_policy
-from .errors import NoValidSuccessor
+from .errors import NoValidSuccessor, check_field_types
 
 
 @dataclass
@@ -87,14 +87,7 @@ class SearchConfig:
     horizon_macro_steps: int = 14
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, int):
-                ok, kind = isinstance(value, int), "an integer"
-            else:
-                ok, kind = isinstance(value, (int, float)), "a number"
-            if isinstance(value, bool) or not ok:
-                raise ValueError(f"{f.name} must be {kind}, not {value!r}")
+        check_field_types(self, ValueError)
         if not (0.0 < self.mask_threshold <= 1.0):
             raise ValueError("mask_threshold must lie in (0, 1]")
         if self.budget < 1 or self.iter_max_mc < 1 or self.k_d < 1:
@@ -196,13 +189,13 @@ def create_mask(elites: Sequence[Tuple[float, JointPolicy]], domain: Domain,
 
     For each agent and each (macro-action label, observation) pair, count the
     successor labels chosen across all elite controller edges; if the modal
-    successor's frequency reaches ``threshold`` the pair is masked.  The best
-    policy's edges are rewritten so every masked pair points at a node
-    carrying the modal label (the lowest such node); pairs with no carrier
-    node in the best policy are dropped from the mask.
+    successor's frequency reaches ``threshold`` the pair is masked.  Pairs
+    whose successor no node of the best policy carries are dropped from the
+    mask.  Returns the masks and ``best`` itself, the policy the masked
+    sampler perturbs; the sampler points every masked edge at the lowest
+    node carrying its successor.
     """
     masks: List[Mask] = []
-    rewritten = []
     for agent in range(domain.n_agents):
         counts: Dict[Tuple[Hashable, Hashable], Dict[Hashable, int]] = {}
         for _, pol in elites:
@@ -212,29 +205,15 @@ def create_mask(elites: Sequence[Tuple[float, JointPolicy]], domain: Domain,
                 bucket = counts.setdefault(key, {})
                 succ = c.nodes[tgt]
                 bucket[succ] = bucket.get(succ, 0) + 1
+        carried = set(best.controllers[agent].nodes)
         mask: Mask = {}
         for key, bucket in counts.items():
             total = sum(bucket.values())
             modal, n_modal = max(bucket.items(), key=lambda kv: (kv[1], str(kv[0])))
-            if n_modal / total >= threshold:
+            if n_modal / total >= threshold and modal in carried:
                 mask[key] = modal
-        base = best.controllers[agent]
-        labels = list(base.nodes)
-        carrier = {}
-        for i, lb in enumerate(labels):
-            carrier.setdefault(lb, i)
-        edges = dict(base.edges)
-        for (lb, obs), succ in list(mask.items()):
-            if succ not in carrier:
-                del mask[(lb, obs)]
-                continue
-            for i, node_lb in enumerate(labels):
-                if node_lb == lb:
-                    edges[(i, obs)] = carrier[succ]
         masks.append(mask)
-        rewritten.append(PolicyController(nodes=labels, edges=edges,
-                                          initial_node=base.initial_node))
-    return masks, JointPolicy(controllers=rewritten)
+    return masks, best
 
 
 @dataclass

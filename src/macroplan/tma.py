@@ -21,7 +21,8 @@ from . import chains
 from .beliefs import (BallIndex, GainSpec, GaussianBelief,
                       LinearGaussianModel, Lma, LmaParams, SimState,
                       TerminationRecord, _psd_sqrt, design_lma, run_lma)
-from .errors import ConfigError, GoalUnreachable, NonConvergent, NoOutgoingEdge
+from .errors import (ConfigError, GoalUnreachable, NonConvergent, NoOutgoingEdge,
+                     check_field_types)
 
 FAILURE_ID = 0
 
@@ -162,8 +163,17 @@ class TmaConfig:
     bounds_hi: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        check_field_types(self, ConfigError)
+        if self.n_nodes < 2:
+            raise ConfigError("n_nodes must be >= 2")
+        if self.k_neighbors < 1 or self.m_sims < 1:
+            raise ConfigError("k_neighbors and m_sims must be >= 1")
+        if self.epsilon <= 0:
+            raise ConfigError("epsilon must be positive")
+        if self.max_steps < 1:
+            raise ConfigError("max_steps must be >= 1")
         if self.failure_value > 0:
-            raise ValueError("failure_value must be non-positive")
+            raise ConfigError("failure_value must be non-positive")
 
 
 def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
@@ -367,10 +377,6 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
     graph DP.  Otherwise every edge is estimated, with the same result as in
     job order.
     """
-    if cfg.n_nodes < 2:
-        raise ConfigError("n_nodes must be >= 2")
-    if cfg.k_neighbors < 1 or cfg.m_sims < 1:
-        raise ConfigError("k_neighbors and m_sims must be >= 1")
     goal_mean = np.asarray(goal_mean, dtype=float).ravel()
 
     # one gain/filter design serves every edge (stationary model)

@@ -314,8 +314,8 @@ class _TwoTimerDomain(Domain):
     def __init__(self):
         self.rewards = RewardSpec(discount=1.0)
         self._roster = {
-            "t3": TmaSpec(id="t3", duration=3, step_reward=-1.0),
-            "t9": TmaSpec(id="t9", duration=9, step_reward=-1.0),
+            "t3": TmaSpec(duration=3, step_reward=-1.0),
+            "t9": TmaSpec(duration=9, step_reward=-1.0),
         }
 
     def roster(self, agent):
@@ -415,9 +415,9 @@ class _TinyDomain(Domain):
     def __init__(self):
         self.rewards = RewardSpec(discount=1.0)
         self._roster = {
-            "good": TmaSpec(id="good", duration=1,
+            "good": TmaSpec(duration=1,
                             step_reward=5.0),
-            "bad": TmaSpec(id="bad", duration=1,
+            "bad": TmaSpec(duration=1,
                            step_reward=-1.0),
         }
 

@@ -98,6 +98,17 @@ def test_build_tma_rejects_threads_flag(tma_cfg_path, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_build_tma_rejects_budget_flag(tma_cfg_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["build-tma", "--config", tma_cfg_path, "--budget", "7",
+              "--out", str(tmp_path / "x.json")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == \
+        "macroplan: error: unrecognized arguments: --budget 7"
+    assert "Traceback" not in err
+
+
 def test_build_tma_bad_config_exits_2(tmp_path, capsys):
     bad = write_yaml(tmp_path / "bad.yaml", {"model": {"A": [[1.0]]}})
     assert main(["build-tma", "--config", bad, "--seed", "0",
@@ -108,10 +119,23 @@ def test_build_tma_bad_config_exits_2(tmp_path, capsys):
     # every TMA uses the default belief norm; a config cannot set one.  A
     # positive failure value or a negative step cost would leave the graph
     # DP nothing to converge on.
+    gain = TMA_CONFIG["tma"]["gain_spec"]
     for section, key, value, word in [
             ("tma", "norm", {"w_mean": 1.0, "w_cov": 0.5}, "norm"),
             ("tma", "failure_value", 5, "failure_value"),
-            ("model", "step_cost", {"base": -1, "u_weight": 0.0}, "base=-1")]:
+            ("model", "step_cost", {"base": -1, "u_weight": 0.0}, "base=-1"),
+            ("tma", "epsilon", 0, "epsilon must be positive"),
+            ("tma", "epsilon", -1, "epsilon must be positive"),
+            ("tma", "epsilon", float("nan"), "epsilon must be finite"),
+            ("tma", "max_steps", 0, "max_steps must be >= 1"),
+            ("tma", "max_steps", 2.5, "max_steps must be an integer"),
+            ("tma", "k_neighbors", 1.5, "k_neighbors must be an integer"),
+            ("tma", "n_nodes", 3.5, "n_nodes must be an integer"),
+            ("tma", "gain_spec", {**gain, "kind": "bogus"}, "'bogus'"),
+            ("tma", "gain_spec", {**gain, "state_weight": -1},
+             "state_weight=-1"),
+            ("tma", "gain_spec", {**gain, "control_weight": -1},
+             "control_weight=-1")]:
         cfg = copy.deepcopy(TMA_CONFIG)
         cfg[section][key] = value
         path = write_yaml(tmp_path / f"{key}.yaml", cfg)
@@ -241,6 +265,20 @@ def test_solve_rejects_empty_search_sizes(key, tmp_path, capsys):
      "bad search config: n_nodes must be an integer, not 2.5"),
     ({"search": {**DELIVERY_CONFIG["search"], "budget": True}},
      "bad search config: budget must be an integer, not True"),
+    ({"bases": [[0.1, "a"], [0.85, 0.85]]},
+     "bases[0] must be 2 finite numbers, not (0.1, 'a')"),
+    ({"dests": {"d1": [0.15, "x"], "d2": [0.85, 0.2], "dr": [0.5, 0.06]}},
+     "dests['d1'] must be 2 finite numbers, not [0.15, 'x']"),
+    ({"bases": [[0.15, 0.85], [float("nan"), 0.85]]},
+     "bases[1] must be 2 finite numbers, not (nan, 0.85)"),
+    ({"rendezvous": [float("inf"), 0.45]},
+     "rendezvous must be 2 finite numbers, not (inf, 0.45)"),
+    ({"regulated": [0.32, 0.0, 0.68, True]},
+     "regulated must be 4 finite numbers, not (0.32, 0.0, 0.68, True)"),
+    ({"control_weight": -1}, "control_weight must be non-negative"),
+    ({"step_cost": 10 ** 400}, f"step_cost must be finite, not {10 ** 400}"),
+    ({"rendezvous": [10 ** 400, 0.45]},
+     f"rendezvous must be 2 finite numbers, not ({10 ** 400}, 0.45)"),
 ], ids=["discount", "max-steps", "epsilon", "one-base", "string-radius",
         "zero-dt", "negative-site-radius", "negative-colocate-radius",
         "negative-pickup-steps", "zero-putdown-steps", "zero-place-steps",
@@ -250,7 +288,10 @@ def test_solve_rejects_empty_search_sizes(key, tmp_path, capsys):
         "unknown-package-destination", "package-key-without-size",
         "package-size-3", "positive-failure-value", "negative-step-cost",
         "negative-control-cost", "int-search", "list-search",
-        "fractional-search-nodes", "bool-search-budget"])
+        "fractional-search-nodes", "bool-search-budget", "string-base",
+        "string-dest", "nan-base", "infinite-rendezvous", "bool-regulated",
+        "negative-control-weight", "huge-int-step-cost",
+        "huge-int-rendezvous"])
 def test_solve_rejects_bad_delivery_override(override, message, tmp_path,
                                              capsys):
     path = write_yaml(tmp_path / "bad.yaml", {**DELIVERY_CONFIG, **override})

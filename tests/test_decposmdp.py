@@ -38,13 +38,11 @@ class TimedToyDomain(Domain):
         self.n_agents = 2
         self.rewards = RewardSpec(discount=gamma)
         self._roster = {
-            "t3": TmaSpec(id="t3", duration=3, step_reward=-1.0),
-            "t9": TmaSpec(id="t9", duration=9, step_reward=-1.0),
-            "ding": TmaSpec(id="ding", duration=2,
-                            step_reward=0.0, effect="ding"),
-            "wait": TmaSpec(id="wait", duration=1,
-                            step_reward=0.0),
-            "never": TmaSpec(id="never", duration=1),
+            "t3": TmaSpec(duration=3, step_reward=-1.0),
+            "t9": TmaSpec(duration=9, step_reward=-1.0),
+            "ding": TmaSpec(duration=2, step_reward=0.0, effect="ding"),
+            "wait": TmaSpec(duration=1, step_reward=0.0),
+            "never": TmaSpec(duration=1),
         }
 
     def roster(self, agent):
@@ -238,8 +236,8 @@ class GraphToyDomain(Domain):
         self.rewards = RewardSpec(discount=1.0)
         spec_kw = dict(tma=tma, agents_required=2 if joint else 1,
                        effect="arrived" if joint else None)
-        self._roster = {"go": TmaSpec(id="go", **spec_kw),
-                        "wait": TmaSpec(id="wait", duration=1)}
+        self._roster = {"go": TmaSpec(**spec_kw),
+                        "wait": TmaSpec(duration=1)}
         self._model = model
         self._joint = joint
 
@@ -317,7 +315,7 @@ def test_constraint_violation_kills_agent_not_mission(small_tma):
     # same dynamics, but the whole workspace is forbidden: first step dies
     lethal = _integrator_model(
         constraints=PredicateConstraints(lambda x: True))
-    spec = TmaSpec(id="go", tma=tma)
+    spec = TmaSpec(tma=tma)
 
     class LethalDomain(GraphToyDomain):
         def begin_executions(self, assigned, config, rng):
@@ -415,7 +413,7 @@ def test_graph_entry_node_breaks_distance_ties_to_lower_id():
                      goal_id=1, failure_value=-100.0)
     tma = Tma(graph=graph, policy=policy, values={}, success={},
               time_to_goal={}, model=model)
-    spec = TmaSpec(id="go", tma=tma)
+    spec = TmaSpec(tma=tma)
     belief = GaussianBelief([0.5, 0.5], p)
     config = JointConfig(
         sims=[SimState(truth=belief.mean.copy(), belief=belief)],

@@ -97,6 +97,51 @@ def test_config_validation():
         DeliveryConfig(rendezvous=(0.5, 0.1))
 
 
+def test_rosters_pin_every_macro_action(domain):
+    """Each agent's macro-actions, written out: a movement's goal milestone
+    sits at its site; a task's duration, effect, group size and per-step
+    reward come from the config."""
+    cfg = domain.cfg
+    b1, b2 = cfg.bases
+    d = cfg.dests
+    # id -> site of a movement, or (duration, effect, agents_required)
+    air = {"goto-base-1": b1, "goto-base-2": b2, "goto-dest-1": d["d1"],
+           "goto-dest-2": d["d2"], "joint-goto-dest-1": d["d1"],
+           "joint-goto-dest-2": d["d2"], "goto-rv": cfg.rendezvous,
+           "pickup": (cfg.pickup_steps, "pickup", 1),
+           "joint-pickup": (cfg.pickup_steps, "joint-pickup", 2),
+           "putdown": (cfg.putdown_steps, "putdown", 1),
+           "joint-putdown": (cfg.putdown_steps, "joint-putdown", 2),
+           "place-on-truck": (cfg.place_steps, "place-on-truck", 1),
+           "wait": (cfg.wait_steps, None, 1)}
+    ground = {"goto-rv": cfg.rendezvous, "goto-dest-r": d["dr"],
+              "putdown": (cfg.putdown_steps, "putdown", 1),
+              "wait": (cfg.wait_steps, None, 1)}
+    for agent, want in enumerate([air, air, ground]):
+        roster = domain.roster(agent)
+        assert set(roster) == set(want)
+        for tid, spec in roster.items():
+            if len(want[tid]) == 2:
+                goal = spec.tma.graph.milestones[spec.tma.graph.goal_id]
+                assert tuple(goal.center.mean[:2]) == want[tid], tid
+                assert (spec.duration, spec.effect, spec.agents_required,
+                        spec.step_reward) == (None, None,
+                                              2 if tid.startswith("joint-")
+                                              else 1, 0.0), tid
+            else:
+                duration, effect, group = want[tid]
+                assert spec.tma is None, tid
+                assert (spec.duration, spec.effect, spec.agents_required,
+                        spec.step_reward) == (duration, effect, group,
+                                              -cfg.step_cost), tid
+            for obs in OBS_ALPHABET:
+                assert set(domain.valid_successors(agent, tid, obs)) \
+                    <= set(roster), (tid, obs)
+    for j in (1, 2):
+        r = domain.roster(0)
+        assert r[f"goto-dest-{j}"].tma is r[f"joint-goto-dest-{j}"].tma
+
+
 def test_generate_packages_matches_categorical():
     cfg = desk_config()
     table = _PackageTable(cfg.package_probs)

@@ -33,8 +33,8 @@ class DingDomain(Domain):
         self.n_agents = 1
         self.rewards = RewardSpec(discount=1.0)
         self._roster = {
-            "ding": TmaSpec(id="ding", duration=2, effect="ding"),
-            "wait": TmaSpec(id="wait", duration=1),
+            "ding": TmaSpec(duration=2, effect="ding"),
+            "wait": TmaSpec(duration=1),
         }
         self._succ = successors
 
@@ -126,6 +126,18 @@ def test_masked_sampling_copies_labels_and_masked_edges():
         assert c.edges[(0, "o")] == 1  # masked edge copied verbatim
 
 
+def test_masked_sampling_points_masked_edges_at_lowest_carrier():
+    dom = DingDomain()
+    base = PolicyController(nodes=["ding", "wait", "wait"],
+                            edges={(0, "o"): 2, (1, "o"): 0, (2, "o"): 0})
+    mask = {("ding", "o"): "wait"}
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        c = sample_valid_controller(dom, 0, n_nodes=3, rng=rng,
+                                    mask=mask, base=base)
+        assert c.edges[(0, "o")] == 1  # lowest wait node, not base's 2
+
+
 # ---------------------------------------------------------------------------
 # mask construction
 # ---------------------------------------------------------------------------
@@ -140,9 +152,9 @@ def test_create_mask_freezes_consensus_pairs():
     consensus = _policy(["ding", "wait"], {(0, "o"): 1, (1, "o"): 0})
     dissent = _policy(["ding", "ding"], {(0, "o"): 0, (1, "o"): 1})
     elites = [(1.0, consensus)] * 4 + [(0.5, dissent)]
-    masks, rewritten = create_mask(elites, dom, threshold=0.6, best=consensus)
+    masks, base = create_mask(elites, dom, threshold=0.6, best=consensus)
     assert masks[0].get(("ding", "o")) == "wait"
-    assert rewritten.controllers[0].edges[(0, "o")] == 1
+    assert base is consensus
 
 
 def test_create_mask_below_threshold_leaves_pair_free():
@@ -159,21 +171,11 @@ def test_create_mask_drops_pair_without_carrier_in_best():
     dom = DingDomain()
     elite = _policy(["ding", "ding"], {(0, "o"): 1, (1, "o"): 0})
     best = _policy(["wait", "wait"], {(0, "o"): 0, (1, "o"): 1})
-    masks, rewritten = create_mask([(1.0, elite)] * 3, dom, threshold=0.6,
-                                   best=best)
+    masks, base = create_mask([(1.0, elite)] * 3, dom, threshold=0.6,
+                              best=best)
     # consensus says ding->ding, but best has no ding node to point at
     assert ("ding", "o") not in masks[0]
-    assert rewritten.controllers[0].edges == best.controllers[0].edges
-
-
-def test_create_mask_rewrites_to_lowest_carrier_node():
-    dom = DingDomain()
-    elite = _policy(["ding", "wait", "wait"],
-                    {(0, "o"): 2, (1, "o"): 0, (2, "o"): 0})
-    masks, rewritten = create_mask([(1.0, elite)] * 3, dom, threshold=0.6,
-                                   best=elite)
-    assert masks[0][("ding", "o")] == "wait"
-    assert rewritten.controllers[0].edges[(0, "o")] == 1  # lowest wait node
+    assert base is best
 
 
 # ---------------------------------------------------------------------------

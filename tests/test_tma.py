@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macroplan.beliefs import (W_COV, W_MEAN, BallIndex, GainSpec,
-                               GaussianBelief, LinearGaussianModel, Lma,
-                               LmaParams, PredicateConstraints, SimState,
-                               StepCost, design_lma, run_lma,
-                               stationary_covariance)
+from macroplan.beliefs import (W_COV, W_MEAN, GainSpec, GaussianBelief,
+                               LinearGaussianModel, Lma, LmaParams,
+                               PredicateConstraints, SimState, StepCost,
+                               design_lma, run_lma, stationary_covariance)
 from macroplan.delivery import build_domain, desk_config
 from macroplan import tma as tma_module
 from macroplan.errors import (ConfigError, GoalUnreachable, MacroplanError,
