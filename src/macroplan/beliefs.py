@@ -21,7 +21,7 @@ from .errors import NonConvergent, Unstabilizable, check_field_types
 
 @dataclass(frozen=True)
 class StepCost:
-    """Per-step reward ``-(base + u_weight * ||u||^2)``.
+    """Per-step reward ``-(base + u_weight * ||u||^2)``, paid by ``lma_step``.
 
     Kept as a small structure instead of a bare callable so models can be
     read from config files.  Both weights are non-negative: a step that
@@ -35,9 +35,6 @@ class StepCost:
         if self.base < 0 or self.u_weight < 0:
             raise ValueError(f"step cost weights must be non-negative, not "
                              f"base={self.base!r}, u_weight={self.u_weight!r}")
-
-    def __call__(self, x: np.ndarray, u: np.ndarray) -> float:
-        return -(self.base + self.u_weight * float(u.dot(u)))
 
     @classmethod
     def from_dict(cls, d: dict) -> "StepCost":
@@ -239,10 +236,12 @@ class GaussianBelief:
     @classmethod
     def _trusted(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianBelief":
         """Validation-free constructor for hot simulation loops whose inputs
-        are already float arrays with symmetrized covariances."""
+        are already float arrays with symmetrized covariances; it fills the
+        instance dict, which a frozen dataclass leaves writable."""
         b = object.__new__(cls)
-        object.__setattr__(b, "mean", mean)
-        object.__setattr__(b, "cov", cov)
+        fields = b.__dict__
+        fields["mean"] = mean
+        fields["cov"] = cov
         return b
 
 
@@ -261,13 +260,11 @@ class LmaParams:
 
 @dataclass(frozen=True)
 class Lma:
-    """Local macro-action: feedback gain and attractor belief."""
+    """Local macro-action: feedback gain and attractor belief; its control
+    at belief mean ``m`` is ``-gain (m - target)``."""
 
     params: LmaParams
     attractor: GaussianBelief
-
-    def control(self, belief_mean: np.ndarray) -> np.ndarray:
-        return self.params.neg_gain.dot(belief_mean - self.params.target)
 
 
 @dataclass
@@ -366,8 +363,15 @@ def lma_step(lma: Lma, sim: SimState, model: LinearGaussianModel,
     Every product is ``ndarray.dot``: the same bits as ``@`` at about half
     the call cost on these small arrays."""
     belief = sim.belief
-    u = lma.control(belief.mean)
-    sim.accrued_reward += model.step_cost(sim.truth, u)
+    params = lma.params
+    u = params.neg_gain.dot(belief.mean - params.target)
+    # the step cost; at u_weight == 0 its product adds +0.0 to base for
+    # any finite u, so it is left out
+    cost = model.step_cost
+    if cost.u_weight:
+        sim.accrued_reward -= cost.base + cost.u_weight * float(u.dot(u))
+    else:
+        sim.accrued_reward -= cost.base
 
     # one draw holds the process noise, then the observation noise: the
     # same numbers, in the same order, as two separate draws

@@ -9,8 +9,10 @@ primitive-level discounted sum.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Dict, FrozenSet, Hashable, List, Optional, Sequence,
+                    Set, Tuple)
 
 import numpy as np
 
@@ -230,6 +232,8 @@ class Domain:
         raise NotImplementedError
 
     def team_reward(self, events: List, config: JointConfig) -> float:
+        """The team's reward for the effect events one primitive step
+        fired; called only on a step that fired at least one."""
         return 0.0
 
     def e_dynamics(self, events: List, config: JointConfig,
@@ -246,6 +250,24 @@ class Domain:
         termination set of ``tma_id`` under observation ``obs_label``.
         Defaults to the whole roster (unrestricted chaining)."""
         return sorted(self.roster(agent), key=str)
+
+    @functools.cached_property
+    def sampling_tables(self) -> List[Tuple[List[Hashable], Dict[
+            Hashable, List[Tuple[Hashable, FrozenSet[Hashable]]]]]]:
+        """Per agent, what the controller sampler reads: the roster in
+        sampling order (by ``str``), and for each macro-action the
+        observations in ``obs_alphabet`` order, each with its
+        ``valid_successors`` as a set.  Rosters and successors never
+        change, so they are read once per domain."""
+        alphabet = self.obs_alphabet()
+        tables = []
+        for agent in range(self.n_agents):
+            roster = sorted(self.roster(agent), key=str)
+            tables.append((roster, {
+                lb: [(obs, frozenset(self.valid_successors(agent, lb, obs)))
+                     for obs in alphabet]
+                for lb in roster}))
+        return tables
 
 
 @dataclass
@@ -315,8 +337,9 @@ def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
             statuses[a].busy = False
             dead.add(a)
             config.executions.pop(a, None)
-        # agent rewards, then the team reward, summed in that order
-        rewards.append(domain.team_reward(events, config))
+        # agent rewards, then the team reward, summed in that order; a
+        # step that fired no event pays no team reward
+        rewards.append(domain.team_reward(events, config) if events else 0.0)
         rbar = sum(rewards)
         reward_rtau += disc * rbar
         prim.append(rbar)
@@ -362,6 +385,8 @@ class PolicyValue:
 def _resolve_assignments(policy, domain: Domain, config: JointConfig,
                          nodes: List[int]) -> Dict[int, Hashable]:
     assigned = {}
+    # joint macro-action -> the agents assigned it, in agent order
+    groups: Dict[Hashable, List[int]] = {}
     for i, st in enumerate(config.statuses):
         if st.dead or st.busy:
             continue
@@ -371,19 +396,14 @@ def _resolve_assignments(policy, domain: Domain, config: JointConfig,
             if tma_id is None:
                 continue
         assigned[i] = tma_id
+        if domain.roster(i)[tma_id].agents_required > 1:
+            groups.setdefault(tma_id, []).append(i)
     # joint macro-actions need a consistent partner group this segment;
     # unpaired agents, and agents beyond the group size, fall back
-    groups: Dict[Hashable, List[int]] = {}
-    for i, tid in assigned.items():
-        groups.setdefault(tid, []).append(i)
     for tid, members in groups.items():
         required = domain.roster(members[0])[tid].agents_required
-        if required > len(members):
-            unpaired = members
-        elif required > 1:
-            unpaired = members[required:]
-        else:
-            continue
+        unpaired = (members if required > len(members)
+                    else members[required:])
         for i in unpaired:
             fb = domain.fallback_tma(i)
             if fb is not None:

@@ -9,6 +9,7 @@ ground robot at a rendezvous point and trucked in.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -144,9 +145,11 @@ class DeliveryConfig:
         if self.colocate_radius < 0:
             raise ConfigError("colocate_radius must be non-negative")
         for name in ("pickup_steps", "putdown_steps", "place_steps",
-                     "wait_steps"):
+                     "wait_steps", "tma_neighbors", "tma_sims"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+        if self.tma_nodes < 2:
+            raise ConfigError("tma_nodes must be at least 2")
         if self.tma_max_steps < 1 or self.tma_epsilon <= 0:
             raise ConfigError("tma_max_steps and tma_epsilon must be positive")
         if self.obs_noise <= 0 or self.process_noise < 0:
@@ -203,17 +206,23 @@ def desk_config() -> DeliveryConfig:
 
 class _PackageTable:
     """The categorical (size, destination) package model, built once: its
-    descriptors in sorted key order and their normalized probabilities."""
+    descriptors in sorted key order and the cumulative distribution of
+    their normalized probabilities."""
 
     def __init__(self, package_probs: Dict[Tuple[int, str], float]):
         items = sorted(package_probs.items())
         probs = np.array([p for _, p in items])
         self.packages = [PackageDescriptor(size=size, destination=dest)
                          for (size, dest), _ in items]
-        self.p = probs / probs.sum()
+        # the CDF exactly as Generator.choice(k, p=p) builds it on each call
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
 
     def draw(self, rng: np.random.Generator) -> PackageDescriptor:
-        return self.packages[int(rng.choice(len(self.packages), p=self.p))]
+        """``packages[rng.choice(len(packages), p=p)]``: one uniform draw,
+        searched in the CDF from the right, as ``choice`` does it."""
+        return self.packages[bisect.bisect_right(self._cdf, rng.random())]
 
 
 def _model(cfg: DeliveryConfig, dynamics: str,
@@ -433,23 +442,27 @@ class DeliveryDomain(Domain):
     def _pos(self, agent: int, config: JointConfig) -> np.ndarray:
         return config.sims[agent].belief.mean[:2]
 
-    def _at(self, agent: int, xy: Tuple[float, float],
-            config: JointConfig) -> bool:
-        """Whether the site disk at ``xy`` holds the robot's belief mean:
-        ``_dist(mean, xy) <= site_radius``.  A float distance decides
-        unless it lies within ``BALL_SLACK`` of the radius, where the exact
-        test runs."""
-        x, y = config.sims[agent].belief.mean.tolist()[:2]
+    def _xy_of(self, agent: int, config: JointConfig) -> List[float]:
+        """The robot's belief mean in the plane, as the floats ``_at``
+        tests; read once per decision, then tested against every site."""
+        return config.sims[agent].belief.mean.tolist()[:2]
+
+    def _at(self, pos: List[float], xy: Tuple[float, float]) -> bool:
+        """Whether the site disk at ``xy`` holds the plane position ``pos``
+        of a belief mean: ``_dist(mean[:2], xy) <= site_radius``.  A float
+        distance decides unless it lies within ``BALL_SLACK`` of the
+        radius, where the exact test runs."""
+        x, y = pos
         d = math.hypot(x - xy[0], y - xy[1])
         if d > self._site_outer:
             return False
         if d <= self._site_inner:
             return True
-        return _dist(self._pos(agent, config), xy) <= self.cfg.site_radius
+        return _dist(np.array(pos), xy) <= self.cfg.site_radius
 
-    def _base_at(self, agent: int, config: JointConfig) -> Optional[int]:
+    def _base_at(self, pos: List[float]) -> Optional[int]:
         for j, xy in enumerate(self._bases_xy):
-            if self._at(agent, xy, config):
+            if self._at(pos, xy):
                 return j
         return None
 
@@ -460,7 +473,7 @@ class DeliveryDomain(Domain):
     def _at_destination(self, pkg: PackageDescriptor, agents,
                         config: JointConfig) -> bool:
         dest_xy = self._dests_xy[pkg.destination]
-        return all(self._at(a, dest_xy, config) for a in agents)
+        return all(self._at(self._xy_of(a, config), dest_xy) for a in agents)
 
     # ----- observations -----------------------------------------------------
     def observe(self, agent: int, config: JointConfig) -> str:
@@ -472,7 +485,8 @@ class DeliveryDomain(Domain):
             carried = world.joint_carry
         if carried is not None:
             return f"s-{carried.destination}"
-        j = self._base_at(agent, config)
+        pos = self._xy_of(agent, config)
+        j = self._base_at(pos)
         if j is not None:
             pkg = world.base_packages[j]
             if not pkg.present:
@@ -481,13 +495,13 @@ class DeliveryDomain(Domain):
                 return f"s-{pkg.destination}"
             xy = self._bases_xy[j]
             nearby = any(i != agent and self.kinds[i] == AIR
-                         and self._at(i, xy, config)
+                         and self._at(self._xy_of(i, config), xy)
                          for i in range(self.n_agents))
             return "L-a" if nearby else "L-m"
         rv = self._rendezvous_xy
-        if self._at(agent, rv, config):
+        if self._at(pos, rv):
             near = any(self.kinds[i] != self.kinds[agent]
-                       and self._at(i, rv, config)
+                       and self._at(self._xy_of(i, config), rv)
                        for i in range(self.n_agents))
             return "rv-a" if near else "rv-m"
         return "none"
@@ -510,14 +524,14 @@ class DeliveryDomain(Domain):
             return (world.joint_carry is not None
                     and world.joint_carry.destination == dest)
         if tma_id == "pickup":
-            j = self._base_at(agent, config)
+            j = self._base_at(self._xy_of(agent, config))
             return (j is not None and world.carrying[agent] is None
                     and not carrying_joint
                     and world.base_packages[j].size == 1)
         # joint macro-actions and place-on-truck are in the air roster only:
         # the agent is air robot 0 or 1, and 1 - agent is its partner
         if tma_id == "joint-pickup":
-            j = self._base_at(agent, config)
+            j = self._base_at(self._xy_of(agent, config))
             if j is None or world.base_packages[j].size != 2:
                 return False
             if world.carrying[agent] is not None or carrying_joint:
@@ -531,7 +545,8 @@ class DeliveryDomain(Domain):
         if tma_id == "place-on-truck":
             pkg = world.carrying[agent]
             return (pkg is not None and pkg.destination == "dr"
-                    and self._at(agent, self._rendezvous_xy, config)
+                    and self._at(self._xy_of(agent, config),
+                                 self._rendezvous_xy)
                     and self._colocated(agent, 2, config)
                     and world.carrying[2] is None)
         return True
@@ -594,7 +609,7 @@ class DeliveryDomain(Domain):
         for name, agents in events:
             if name == "pickup":
                 a = agents[0]
-                j = self._base_at(a, config)
+                j = self._base_at(self._xy_of(a, config))
                 if (j is not None and world.base_packages[j].size == 1
                         and world.carrying[a] is None):
                     world.carrying[a] = world.base_packages[j]
@@ -602,7 +617,7 @@ class DeliveryDomain(Domain):
                     world.pending_refill[j] = 2
             elif name == "joint-pickup":
                 a = agents[0]
-                j = self._base_at(a, config)
+                j = self._base_at(self._xy_of(a, config))
                 if (j is not None and world.base_packages[j].size == 2
                         and world.joint_carry is None):
                     world.joint_carry = world.base_packages[j]
@@ -623,7 +638,8 @@ class DeliveryDomain(Domain):
                 a = agents[0]
                 pkg = world.carrying[a]
                 if (pkg is not None and world.carrying[2] is None
-                        and self._at(a, self._rendezvous_xy, config)
+                        and self._at(self._xy_of(a, config),
+                                     self._rendezvous_xy)
                         and self._colocated(a, 2, config)):
                     world.carrying[a] = None
                     world.carrying[2] = pkg

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +59,8 @@ def load_policy(path: str) -> JointPolicy:
     as the strings they were saved as."""
     with open(path) as f:
         d = json.load(f)
+    if not isinstance(d, dict):
+        raise ValueError(f"a policy is a JSON object, not {type(d).__name__}")
     if d.get("format") != "macroplan-policy-v1":
         raise ValueError(f"unrecognized policy format {d.get('format')!r}")
     controllers = []
@@ -100,6 +102,13 @@ class SearchConfig:
             raise ValueError("explore_rate must lie in (0, 1]")
 
 
+def _pick(rng: np.random.Generator, items: Sequence):
+    """A uniform draw from ``items``, ``items[rng.integers(len(items))]``.
+    ``integers(1)`` returns 0 without advancing the generator, so a single
+    item is returned without the call."""
+    return items[0] if len(items) == 1 else items[rng.integers(len(items))]
+
+
 def sample_valid_controller(domain: Domain, agent: int, n_nodes: int,
                             rng: np.random.Generator,
                             mask: Optional[Mask] = None,
@@ -116,17 +125,15 @@ def sample_valid_controller(domain: Domain, agent: int, n_nodes: int,
     with probability ``explore_rate`` (otherwise copied from ``base`` when
     still valid).
     """
-    roster = sorted(domain.roster(agent), key=str)
-    alphabet = domain.obs_alphabet()
+    roster, successors = domain.sampling_tables[agent]
+    perturb = bool(mask) and base is not None
     if mask:
         pinned = {lb for lb, _ in mask} | set(mask.values())
-    # (label, obs) -> valid successor labels, read once per call
-    succ: Dict[Tuple[Hashable, Hashable], Set[Hashable]] = {}
     for _ in range(max_attempts):
-        if mask and base is not None:
+        if perturb:
             labels = [lb if (lb in pinned
                              or rng.random() >= explore_rate)
-                      else roster[int(rng.integers(len(roster)))]
+                      else _pick(rng, roster)
                       for lb in base.nodes]
         else:
             labels = [roster[k] for k in rng.integers(len(roster),
@@ -136,30 +143,25 @@ def sample_valid_controller(domain: Domain, agent: int, n_nodes: int,
             carrier.setdefault(lb, i)
         ok = True
         edges: Dict[Tuple[int, Hashable], int] = {}
-        # (label, obs) -> nodes carrying a valid successor, for this labeling
-        node_targets: Dict[Tuple[Hashable, Hashable], List[int]] = {}
+        # successor set -> nodes whose label is in it, for this labeling
+        node_targets: Dict[FrozenSet[Hashable], List[int]] = {}
         for i, lb in enumerate(labels):
-            for obs in alphabet:
+            for obs, valid in successors[lb]:
                 if mask and (lb, obs) in mask and mask[(lb, obs)] in carrier:
                     edges[(i, obs)] = carrier[mask[(lb, obs)]]
                     continue
-                targets = node_targets.get((lb, obs))
+                targets = node_targets.get(valid)
                 if targets is None:
-                    valid = succ.get((lb, obs))
-                    if valid is None:
-                        valid = succ[(lb, obs)] = set(
-                            domain.valid_successors(agent, lb, obs))
-                    targets = node_targets[(lb, obs)] = [
+                    targets = node_targets[valid] = [
                         k for k, other in enumerate(labels) if other in valid]
                 if not targets:
                     ok = False
                     break
-                if (mask and base is not None
-                        and rng.random() >= explore_rate
+                if (perturb and rng.random() >= explore_rate
                         and base.edges.get((i, obs)) in targets):
                     edges[(i, obs)] = base.edges[(i, obs)]
                 else:
-                    edges[(i, obs)] = int(targets[rng.integers(len(targets))])
+                    edges[(i, obs)] = _pick(rng, targets)
             if not ok:
                 break
         if ok:

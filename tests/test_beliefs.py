@@ -88,7 +88,8 @@ class TestDesignLma:
     def test_control_zero_at_target(self):
         m = scalar_model()
         lma = design_lma(m, [0.4])
-        assert lma.control(np.array([0.4])) == pytest.approx(0.0)
+        u = -lma.params.gain @ (np.array([0.4]) - lma.params.target)
+        assert u == pytest.approx(0.0)
 
     def test_attractor_matches_stationary_covariance(self):
         m = scalar_model()
@@ -142,7 +143,8 @@ class TestLmaStep:
         rng = np.random.default_rng(3)
         for _ in range(4):
             lma_step(lma, sim, m, rng)
-        assert sim.accrued_reward == pytest.approx(-1.0)
+        # u_weight == 0: each step pays exactly -base
+        assert sim.accrued_reward == -1.0
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=40))
@@ -173,8 +175,9 @@ class TestLmaStep:
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(300):
                 lma_step(lma, sim, m, rng)
-                u = lma.control(mean)
-                reward += m.step_cost(truth, u)
+                u = -lma.params.gain @ (mean - lma.params.target)
+                reward += -(m.step_cost.base
+                            + m.step_cost.u_weight * float(u @ u))
                 truth = (m.A @ truth + m.G @ u
                          + m._sq @ ref_rng.standard_normal(2))
                 z = m.C @ truth + m._sr @ ref_rng.standard_normal(1)
@@ -216,8 +219,9 @@ class TestLmaStep:
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(200):
                 lma_step(lma, sim, m, rng)
-                u = lma.control(mean)
-                reward += m.step_cost(truth, u)
+                u = -lma.params.gain @ (mean - lma.params.target)
+                reward += -(m.step_cost.base
+                            + m.step_cost.u_weight * float(u @ u))
                 w = m._sq @ ref_rng.standard_normal(4)
                 truth = m.A @ truth + m.G @ u + w
                 v = m._sr @ ref_rng.standard_normal(2)

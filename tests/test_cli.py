@@ -209,6 +209,21 @@ def test_wrong_format_policy_file_exits_2(delivery_cfg_path, tmp_path, capsys):
                    f"policy format 'macroplan-tma-v1'\n")
 
 
+@pytest.mark.parametrize("doc, kind", [([], "list"), ("x", "str"),
+                                       (5, "int")])
+def test_non_object_policy_file_exits_2(doc, kind, delivery_cfg_path,
+                                        tmp_path, capsys):
+    path = str(tmp_path / "policy.json")
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    rc = main(["validate-policy", "--config", delivery_cfg_path,
+               "--policy", path])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: cannot read policy {path}: a policy is a JSON "
+        f"object, not {kind}\n")
+
+
 @pytest.mark.parametrize("key", ["n_nodes", "n_rollouts",
                                  "horizon_macro_steps"])
 def test_solve_rejects_empty_search_sizes(key, tmp_path, capsys):
@@ -276,6 +291,9 @@ def test_solve_rejects_empty_search_sizes(key, tmp_path, capsys):
     ({"regulated": [0.32, 0.0, 0.68, True]},
      "regulated must be 4 finite numbers, not (0.32, 0.0, 0.68, True)"),
     ({"control_weight": -1}, "control_weight must be non-negative"),
+    ({"tma_nodes": 1}, "tma_nodes must be at least 2"),
+    ({"tma_neighbors": 0}, "tma_neighbors must be at least 1"),
+    ({"tma_sims": 0}, "tma_sims must be at least 1"),
     ({"step_cost": 10 ** 400}, f"step_cost must be finite, not {10 ** 400}"),
     ({"rendezvous": [10 ** 400, 0.45]},
      f"rendezvous must be 2 finite numbers, not ({10 ** 400}, 0.45)"),
@@ -290,8 +308,8 @@ def test_solve_rejects_empty_search_sizes(key, tmp_path, capsys):
         "negative-control-cost", "int-search", "list-search",
         "fractional-search-nodes", "bool-search-budget", "string-base",
         "string-dest", "nan-base", "infinite-rendezvous", "bool-regulated",
-        "negative-control-weight", "huge-int-step-cost",
-        "huge-int-rendezvous"])
+        "negative-control-weight", "one-tma-node", "zero-tma-neighbors",
+        "zero-tma-sims", "huge-int-step-cost", "huge-int-rendezvous"])
 def test_solve_rejects_bad_delivery_override(override, message, tmp_path,
                                              capsys):
     path = write_yaml(tmp_path / "bad.yaml", {**DELIVERY_CONFIG, **override})

@@ -157,6 +157,9 @@ def test_generate_packages_matches_categorical():
 
 
 def test_domain_package_draws_match_per_draw_table(domain):
+    """The domain's table searches numpy's own CDF with one uniform draw,
+    which is what ``Generator.choice(k, p=p)`` does once its checks pass:
+    the same packages, and the generator left in the same state."""
     def per_draw(rng, cfg):
         # the table rebuilt on every draw
         items = sorted(cfg.package_probs.items())
@@ -166,8 +169,8 @@ def test_domain_package_draws_match_per_draw_table(domain):
         return PackageDescriptor(size=size, destination=dest)
 
     want_rng, rng = (np.random.default_rng(3) for _ in range(2))
-    want = [per_draw(want_rng, domain.cfg) for _ in range(500)]
-    assert [domain._packages.draw(rng) for _ in range(500)] == want
+    want = [per_draw(want_rng, domain.cfg) for _ in range(10_000)]
+    assert [domain._packages.draw(rng) for _ in range(10_000)] == want
     assert rng.random() == want_rng.random()
     assert len(set(want)) == len(domain.cfg.package_probs)
 
@@ -422,4 +425,4 @@ def test_site_disk_test_agrees_with_the_exact_distance(domain, site, across,
             x = np.nextafter(x, outside if ulps > 0 else sx)
         place(config, 0, (x, y))
         assert exact(x) == (ulps <= 0)
-        assert domain._at(0, (sx, sy), config) == exact(x)
+        assert domain._at(domain._xy_of(0, config), (sx, sy)) == exact(x)
