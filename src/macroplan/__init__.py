@@ -1,8 +1,8 @@
 """Belief-space macro-action planning for decentralized multi-robot teams."""
 
 from .beliefs import (GainSpec, GaussianBelief, LinearGaussianModel, Lma,
-                      LmaParams, SimState, StepCost, TerminationRecord,
-                      design_lma, lma_step, run_lma, stationary_covariance)
+                      SimState, StepCost, TerminationRecord, design_lma,
+                      lma_step, run_lma, stationary_covariance)
 from .errors import (ConfigError, GoalUnreachable, InitiationViolated,
                      MacroplanError, NonConvergent, NoOutgoingEdge,
                      NoValidSuccessor, SingularChain, Unstabilizable)

@@ -246,25 +246,19 @@ class GaussianBelief:
 
 
 @dataclass(frozen=True)
-class LmaParams:
+class Lma:
+    """Local macro-action, a funnel: a feedback gain and the attractor
+    belief it contracts onto; its control at belief mean ``m`` is
+    ``-gain (m - attractor.mean)``."""
+
     gain: np.ndarray   # control x state feedback gain
-    target: np.ndarray  # desired state mean
+    attractor: GaussianBelief
     # -gain, negated once: ``-gain @ v`` is ``(-gain) @ v``
     neg_gain: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gain", np.atleast_2d(np.asarray(self.gain, dtype=float)))
-        object.__setattr__(self, "target", np.asarray(self.target, dtype=float).ravel())
         object.__setattr__(self, "neg_gain", -self.gain)
-
-
-@dataclass(frozen=True)
-class Lma:
-    """Local macro-action: feedback gain and attractor belief; its control
-    at belief mean ``m`` is ``-gain (m - target)``."""
-
-    params: LmaParams
-    attractor: GaussianBelief
 
 
 @dataclass
@@ -273,7 +267,6 @@ class SimState:
 
     truth: np.ndarray
     belief: GaussianBelief
-    elapsed: int = 0
     accrued_reward: float = 0.0
 
 
@@ -352,8 +345,7 @@ def design_lma(model: LinearGaussianModel, target: np.ndarray,
     if rho >= 1.0:
         raise Unstabilizable(f"closed-loop spectral radius {rho:.4f} >= 1")
     p_post = stationary_covariance(model)
-    return Lma(params=LmaParams(gain=L, target=target),
-               attractor=GaussianBelief(mean=target, cov=p_post))
+    return Lma(gain=L, attractor=GaussianBelief(mean=target, cov=p_post))
 
 
 def lma_step(lma: Lma, sim: SimState, model: LinearGaussianModel,
@@ -363,8 +355,7 @@ def lma_step(lma: Lma, sim: SimState, model: LinearGaussianModel,
     Every product is ``ndarray.dot``: the same bits as ``@`` at about half
     the call cost on these small arrays."""
     belief = sim.belief
-    params = lma.params
-    u = params.neg_gain.dot(belief.mean - params.target)
+    u = lma.neg_gain.dot(belief.mean - lma.attractor.mean)
     # the step cost; at u_weight == 0 its product adds +0.0 to base for
     # any finite u, so it is left out
     cost = model.step_cost
@@ -389,7 +380,6 @@ def lma_step(lma: Lma, sim: SimState, model: LinearGaussianModel,
 
     sim.truth = truth
     sim.belief = GaussianBelief._trusted(mean, cov)
-    sim.elapsed += 1
     return sim
 
 
@@ -487,23 +477,24 @@ def run_lma(lma: Lma, start: SimState, stops: BallIndex,
     if order is None:
         order = range(len(stops.ids))
     sim = start
-    start_elapsed = sim.elapsed
+    steps = 0
     start_reward = sim.accrued_reward
     while True:
         k = stops.first(sim.belief, order)
         if k is not None:
             return TerminationRecord(
                 outcome=TerminationRecord.LANDED, region_id=stops.ids[k],
-                elapsed_steps=sim.elapsed - start_elapsed,
+                elapsed_steps=steps,
                 accrued_reward=sim.accrued_reward - start_reward)
-        if sim.elapsed - start_elapsed >= max_steps:
+        if steps >= max_steps:
             return TerminationRecord(
                 outcome=TerminationRecord.TIMEOUT, region_id=None,
-                elapsed_steps=sim.elapsed - start_elapsed,
+                elapsed_steps=steps,
                 accrued_reward=sim.accrued_reward - start_reward)
         lma_step(lma, sim, model, rng)
+        steps += 1
         if model.constraint_set(sim.truth):
             return TerminationRecord(
                 outcome=TerminationRecord.FAILED, region_id=0,
-                elapsed_steps=sim.elapsed - start_elapsed,
+                elapsed_steps=steps,
                 accrued_reward=sim.accrued_reward - start_reward)

@@ -292,6 +292,17 @@ def cmd_validate_policy(args) -> int:
     return EXIT_OK
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no less than ``low``, so a bad count
+    exits 2 with a message that names its flag."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, not {value}")
+        return value
+    return integer
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="macroplan",
@@ -301,24 +312,24 @@ def main(argv=None) -> int:
     def add(name, fn, **extra):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_at_least(0), default=0)
         p.add_argument("--out", required=True)
         for flag, kw in extra.items():
             p.add_argument(flag, **kw)
         p.set_defaults(fn=fn)
         return p
 
-    budget = {"--budget": dict(type=int, default=None)}
+    budget = {"--budget": dict(type=_at_least(1), default=None)}
     add("build-tma", cmd_build_tma)
     add("solve", cmd_solve, **budget)
     add("mc-baseline", cmd_mc_baseline, **budget)
     add("compare-search", cmd_compare_search, **budget,
-        **{"--seeds": dict(type=int, default=20)})
+        **{"--seeds": dict(type=_at_least(1), default=20)})
     add("success-curve", cmd_success_curve, **budget,
         **{"--policy": dict(required=True)})
     vp = sub.add_parser("validate-policy")
     vp.add_argument("--config", required=True)
-    vp.add_argument("--seed", type=int, default=0)
+    vp.add_argument("--seed", type=_at_least(0), default=0)
     vp.add_argument("--policy", required=True)
     vp.set_defaults(fn=cmd_validate_policy)
 

@@ -57,14 +57,14 @@ class TmaSpec:
 
 @dataclass
 class AgentStatus:
-    busy: bool = False
     dead: bool = False
 
 
 @dataclass
 class JointConfig:
     """The Dec-POSMDP state: per-agent simulations plus the environment
-    state, ``world``, which only the domain reads."""
+    state, ``world``, which only the domain reads.  An agent is busy while
+    it has an entry in ``executions``."""
 
     sims: List[SimState]
     statuses: List[AgentStatus]
@@ -108,7 +108,6 @@ class TimedExecution(Execution):
         self.remaining -= 1
         r = self.spec.step_reward
         for a in self.agents:
-            config.sims[a].elapsed += 1
             rewards[a] += r
         if self.remaining > 0:
             return False
@@ -136,7 +135,8 @@ class GraphTmaExecution(Execution):
     def station_keep(self, sim: SimState, rng: np.random.Generator) -> float:
         """One step holding the belief on the goal; returns its reward."""
         before = sim.accrued_reward
-        lma_step(self.tma.station_lma, sim, self.model, rng)
+        tma = self.tma
+        lma_step(tma.funnels[tma.graph.goal_id], sim, self.model, rng)
         return sim.accrued_reward - before
 
     def step(self, config: JointConfig, rng: np.random.Generator,
@@ -149,7 +149,8 @@ class GraphTmaExecution(Execution):
             return True
         tma = self.tma
         before = sim.accrued_reward
-        lma_step(tma.policy[self.node].lma, sim, self.model, rng)
+        lma_step(tma.funnels[tma.policy[self.node].to_id], sim, self.model,
+                 rng)
         rewards[agent] += sim.accrued_reward - before
         if self.model.constraint_set(sim.truth):
             dead.append(agent)
@@ -300,8 +301,7 @@ def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
     violations raise.  Rewards are discounted from the segment start.
     """
     for agent, tma_id in assigned.items():
-        st = config.statuses[agent]
-        if st.dead or st.busy:
+        if config.statuses[agent].dead or agent in config.executions:
             raise InitiationViolated(f"agent {agent} cannot accept a macro-action")
         if not domain.initiation_ok(agent, tma_id, config):
             raise InitiationViolated(
@@ -310,7 +310,6 @@ def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
     for exe in new_execs:
         for a in exe.agents:
             config.executions[a] = exe
-            config.statuses[a].busy = True
 
     gamma = domain.rewards.discount
     n_agents = len(config.sims)
@@ -334,7 +333,6 @@ def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
                 done_execs.append(exe)
         for a in died:
             statuses[a].dead = True
-            statuses[a].busy = False
             dead.add(a)
             config.executions.pop(a, None)
         # agent rewards, then the team reward, summed in that order; a
@@ -352,13 +350,12 @@ def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
                 for a in exe.agents:
                     if statuses[a].dead:
                         continue   # the dead neither terminate nor observe
-                    statuses[a].busy = False
                     config.executions.pop(a, None)
                     terminated.add(a)
                     observations[a] = domain.observe(a, config)
             break
         if died:
-            if not any(not st.dead and st.busy for st in statuses):
+            if not config.executions:
                 break  # everyone died mid-segment
             execs = _running_executions(config)
 
@@ -388,7 +385,7 @@ def _resolve_assignments(policy, domain: Domain, config: JointConfig,
     # joint macro-action -> the agents assigned it, in agent order
     groups: Dict[Hashable, List[int]] = {}
     for i, st in enumerate(config.statuses):
-        if st.dead or st.busy:
+        if st.dead or i in config.executions:
             continue
         tma_id = policy.controllers[i].nodes[nodes[i]]
         if not domain.initiation_ok(i, tma_id, config):
@@ -428,7 +425,7 @@ def run_rollout(policy, domain: Domain, horizon_macro_steps: int,
         if not config.alive():
             break
         assigned = _resolve_assignments(policy, domain, config, nodes)
-        if not assigned and not any(st.busy for st in config.statuses):
+        if not assigned and not config.executions:
             break
         seg = step_joint(config, assigned, domain, rng)
         if seg.tau_min == 0:

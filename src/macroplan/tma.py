@@ -19,8 +19,8 @@ import scipy.linalg
 
 from . import chains
 from .beliefs import (BallIndex, GainSpec, GaussianBelief,
-                      LinearGaussianModel, Lma, LmaParams, SimState,
-                      TerminationRecord, _psd_sqrt, design_lma, run_lma)
+                      LinearGaussianModel, Lma, SimState, TerminationRecord,
+                      _psd_sqrt, design_lma, run_lma)
 from .errors import (ConfigError, GoalUnreachable, NonConvergent, NoOutgoingEdge,
                      check_field_types)
 
@@ -52,11 +52,11 @@ class Milestone:
 
 @dataclass
 class GraphEdge:
-    """A funnel edge with its estimated landing statistics."""
+    """The estimated landing statistics of running milestone ``to_id``'s
+    funnel from milestone ``from_id``."""
 
     from_id: int
     to_id: int
-    lma: Lma
     landing_probs: Dict[int, float]
     reward: float
     time: float
@@ -97,13 +97,15 @@ def ball_index(milestones: Dict[int, Milestone]) -> BallIndex:
 
 @dataclass
 class Tma:
-    """A solved TMA: graph, greedy policy, and its closed-form analytics."""
+    """A solved TMA: graph, greedy policy, its closed-form analytics, and
+    the funnel of every milestone an edge targets, goal included."""
 
     graph: TmaGraph
     policy: Dict[int, GraphEdge]
     values: Dict[int, float]
     success: Dict[int, float]
     time_to_goal: Dict[int, float]
+    funnels: Dict[int, Lma]
     start_id: Optional[int] = None
     model: Optional[LinearGaussianModel] = None
 
@@ -120,14 +122,6 @@ class Tma:
                                     if i in self.policy], dtype=int)
         self._stop_order = [k for k, i in enumerate(ids)
                             if i in self.policy or i == goal]
-        self.station_lma = None
-        if self.policy:
-            # holds a belief on the goal with the policy's shared gain
-            edge = next(iter(self.policy.values()))
-            center = self.graph.milestones[goal].center
-            self.station_lma = Lma(
-                params=LmaParams(gain=edge.lma.params.gain, target=center.mean),
-                attractor=center)
 
     def distances(self, b: GaussianBelief) -> np.ndarray:
         return self._balls.distances(b)
@@ -180,10 +174,10 @@ def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
                   balls: BallIndex, model: LinearGaussianModel, m: int,
                   max_steps: int, rng: np.random.Generator) -> GraphEdge:
     """Monte Carlo estimate of one edge's landing distribution, reward and
-    duration.  Starts are the milestone center plus Gaussian mean jitter
-    (sigma = epsilon/3); a run lands in the first ball of ``balls``, in
-    index order, other than the start milestone's.  Timeouts fold into the
-    failure node's mass."""
+    duration under ``lma``, milestone ``to_id``'s funnel.  Starts are the
+    milestone center plus Gaussian mean jitter (sigma = epsilon/3); a run
+    lands in the first ball of ``balls``, in index order, other than the
+    start milestone's.  Timeouts fold into the failure node's mass."""
     if m < 1:
         raise ValueError("m must be >= 1")
     center = start_milestone.center
@@ -207,7 +201,7 @@ def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
         total_time += rec.elapsed_steps
     probs = {i: c / m for i, c in counts.items()}
     mean_time = max(total_time / m, 1e-9)  # edge times must stay positive
-    return GraphEdge(from_id=start_milestone.id, to_id=to_id, lma=lma,
+    return GraphEdge(from_id=start_milestone.id, to_id=to_id,
                      landing_probs=probs, reward=total_reward / m,
                      time=mean_time, sample_count=m)
 
@@ -338,7 +332,7 @@ def _closed_start_set(start_id: int, jobs: Sequence[tuple],
     leaves itself, and they are returned sorted.
     """
     by_node: Dict[int, List[int]] = {}
-    for k, (i, _, _) in enumerate(jobs):
+    for k, (i, _) in enumerate(jobs):
         by_node.setdefault(i, []).append(k)
     reached = [start_id]
     for i in reached:   # grows while it is read: breadth-first order
@@ -379,15 +373,13 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
     """
     goal_mean = np.asarray(goal_mean, dtype=float).ravel()
 
-    # one gain/filter design serves every edge (stationary model)
+    # one gain/filter design serves every funnel (stationary model)
     base_lma = design_lma(task_model, goal_mean, cfg.gain_spec)
     p_stat = base_lma.attractor.cov
-    gain = base_lma.params.gain
 
     milestones: Dict[int, Milestone] = {
         FAILURE_ID: Milestone(id=FAILURE_ID, center=None, epsilon=1.0),
-        1: Milestone(id=1, center=GaussianBelief(mean=goal_mean, cov=p_stat),
-                     epsilon=cfg.epsilon),
+        1: Milestone(id=1, center=base_lma.attractor, epsilon=cfg.epsilon),
     }
     lo = cfg.bounds_lo if cfg.bounds_lo is not None else np.zeros(task_model.state_dim)
     hi = cfg.bounds_hi if cfg.bounds_hi is not None else np.ones(task_model.state_dim)
@@ -423,6 +415,9 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
     # k-nearest-neighbor connectivity by Euclidean distance between means;
     # the singleton start node is never a connection target
     target_ids = [i for i in milestones if i not in (FAILURE_ID, start_id)]
+    # each target's funnel, run by every edge into it
+    funnels = {j: Lma(gain=base_lma.gain, attractor=milestones[j].center)
+               for j in target_ids}
     target_means = np.stack([milestones[i].center.mean for i in target_ids])
     jobs = []
     for i in sorted(milestones):
@@ -432,11 +427,7 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
         d = np.linalg.norm(target_means - src.center.mean[None, :], axis=1)
         order = [target_ids[k] for k in np.argsort(d, kind="stable")
                  if target_ids[k] != i]
-        for j in order[:cfg.k_neighbors]:
-            center = milestones[j].center
-            lma = Lma(params=LmaParams(gain=gain, target=center.mean),
-                      attractor=center)
-            jobs.append((i, j, lma))
+        jobs += [(i, j) for j in order[:cfg.k_neighbors]]
 
     # every job owns its child generator, so the order in which edges are
     # estimated changes no edge
@@ -445,8 +436,8 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
     results: List[Optional[GraphEdge]] = [None] * len(jobs)
 
     def estimate(k: int) -> GraphEdge:
-        i, j, lma = jobs[k]
-        results[k] = estimate_edge(milestones[i], lma, j, balls,
+        i, j = jobs[k]
+        results[k] = estimate_edge(milestones[i], funnels[j], j, balls,
                                    task_model, cfg.m_sims, cfg.max_steps,
                                    subs[k])
         return results[k]
@@ -469,7 +460,7 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
     if success[start_id] == 0.0:
         raise GoalUnreachable("zero success probability from the start node")
     return Tma(graph=graph, policy=policy, values=values, success=success,
-               time_to_goal=times, start_id=start_id,
+               time_to_goal=times, funnels=funnels, start_id=start_id,
                model=task_model)
 
 
@@ -482,14 +473,14 @@ def _belief_to_dict(b: GaussianBelief) -> dict:
 
 def tma_to_dict(tma: Tma) -> dict:
     g = tma.graph
-    # construct_tma builds every edge from the one gain it designs
     edges = [e for i in sorted(g.edges) for e in g.edges[i]]
     return {
         "format": TMA_FORMAT,
         "goal_id": g.goal_id,
         "start_id": tma.start_id,
         "failure_value": g.failure_value,
-        "gain": edges[0].lma.params.gain.tolist() if edges else None,
+        # construct_tma gives every funnel the gain it designs
+        "gain": tma.funnels[g.goal_id].gain.tolist(),
         "milestones": [
             {"id": ms.id, "epsilon": ms.epsilon,
              "center": None if ms.center is None else _belief_to_dict(ms.center)}

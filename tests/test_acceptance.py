@@ -136,9 +136,7 @@ def test_analytic_chain_vs_simulation():
 # ---------------------------------------------------------------------------
 
 def _toy_edge(from_id, to_id, probs, reward, time_=1.0):
-    lma = design_lma(LinearGaussianModel(
-        A=[[1.0]], G=[[1.0]], C=[[1.0]], Q=[[1e-4]], R_obs=[[1e-4]]), [0.0])
-    return GraphEdge(from_id=from_id, to_id=to_id, lma=lma,
+    return GraphEdge(from_id=from_id, to_id=to_id,
                      landing_probs=probs, reward=reward, time=time_,
                      sample_count=1)
 
@@ -355,7 +353,7 @@ def test_asynchronous_termination():
         assert seg.tau_min == 3
         assert seg.terminated_agents == {0}
         assert set(seg.observations) == {0}
-        assert config.statuses[1].busy and not config.statuses[0].busy
+        assert 1 in config.executions and 0 not in config.executions
         # the long macro-action keeps running through later segments
         seg = step_joint(config, {0: "t3"}, domain, rng)
         assert seg.tau_min == 3 and seg.terminated_agents == {0}

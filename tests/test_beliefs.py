@@ -66,7 +66,7 @@ class TestDesignLma:
     def test_scalar_lqr_stabilizes(self):
         m = scalar_model(a=1.0, g=1.0)
         lma = design_lma(m, [0.0], GainSpec(kind="lqr"))
-        a_cl = 1.0 - lma.params.gain[0, 0]
+        a_cl = 1.0 - lma.gain[0, 0]
         assert abs(a_cl) < 1.0
         # oracle: iterate the scalar control DARE by hand, weights (1,1)
         x = 1.0
@@ -76,19 +76,19 @@ class TestDesignLma:
                 break
             x = x_next
         l_expected = x / (1.0 + x)
-        assert abs(lma.params.gain[0, 0] - l_expected) <= 1e-9
+        assert abs(lma.gain[0, 0] - l_expected) <= 1e-9
 
     def test_deadbeat_fixed_gain(self):
         m = LinearGaussianModel(A=np.eye(2), G=np.eye(2), C=np.eye(2),
                                 Q=0.01 * np.eye(2), R_obs=0.01 * np.eye(2))
         lma = design_lma(m, [0.3, 0.7], GainSpec(kind="fixed", fixed_gain=np.eye(2)))
-        closed = m.A - m.G @ lma.params.gain
+        closed = m.A - m.G @ lma.gain
         assert np.max(np.abs(np.linalg.eigvals(closed))) == pytest.approx(0.0, abs=1e-12)
 
     def test_control_zero_at_target(self):
         m = scalar_model()
         lma = design_lma(m, [0.4])
-        u = -lma.params.gain @ (np.array([0.4]) - lma.params.target)
+        u = -lma.gain @ (np.array([0.4]) - lma.attractor.mean)
         assert u == pytest.approx(0.0)
 
     def test_attractor_matches_stationary_covariance(self):
@@ -111,7 +111,6 @@ class TestLmaStep:
         lma_step(lma, sim, m, np.random.default_rng(0))
         assert sim.truth[0] == pytest.approx(0.5, abs=1e-8)
         assert sim.belief.mean[0] == pytest.approx(0.5, abs=1e-8)
-        assert sim.elapsed == 1
 
     def test_single_step_kalman_algebra(self):
         # hand-computed posterior: prior 1.0 -> predict a^2*1+q -> update
@@ -175,7 +174,7 @@ class TestLmaStep:
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(300):
                 lma_step(lma, sim, m, rng)
-                u = -lma.params.gain @ (mean - lma.params.target)
+                u = -lma.gain @ (mean - lma.attractor.mean)
                 reward += -(m.step_cost.base
                             + m.step_cost.u_weight * float(u @ u))
                 truth = (m.A @ truth + m.G @ u
@@ -219,7 +218,7 @@ class TestLmaStep:
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(200):
                 lma_step(lma, sim, m, rng)
-                u = -lma.params.gain @ (mean - lma.params.target)
+                u = -lma.gain @ (mean - lma.attractor.mean)
                 reward += -(m.step_cost.base
                             + m.step_cost.u_weight * float(u @ u))
                 w = m._sq @ ref_rng.standard_normal(4)
@@ -255,7 +254,7 @@ class TestLmaStep:
         lma = design_lma(m, target, GainSpec(kind="lqr", control_weight=8.0))
 
         def reference(truth, mean, cov, reward, rng):
-            u = -lma.params.gain @ (mean - lma.params.target)
+            u = -lma.gain @ (mean - lma.attractor.mean)
             reward += -(m.step_cost.base + m.step_cost.u_weight * float(u @ u))
             n = m._sq.shape[0]
             noise = rng.standard_normal(n + m._sr.shape[0])

@@ -109,6 +109,29 @@ def test_build_tma_rejects_budget_flag(tma_cfg_path, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("build-tma", "--seed", "-1"),
+    ("success-curve", "--budget", "0"),
+    ("success-curve", "--budget", "-3"),
+    ("compare-search", "--seeds", "-2"),
+])
+def test_bad_count_flag_exits_2(command, flag, value, tma_cfg_path,
+                                delivery_cfg_path, solve_out, tmp_path,
+                                capsys):
+    config = tma_cfg_path if command == "build-tma" else delivery_cfg_path
+    argv = [command, "--config", config, flag, value,
+            "--out", str(tmp_path / "out")]
+    if command == "success-curve":
+        argv += ["--policy", os.path.join(solve_out, "mmcs_policy.json")]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"argument {flag}: " in err.splitlines()[-1]
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_build_tma_bad_config_exits_2(tmp_path, capsys):
     bad = write_yaml(tmp_path / "bad.yaml", {"model": {"A": [[1.0]]}})
     assert main(["build-tma", "--config", bad, "--seed", "0",

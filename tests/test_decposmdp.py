@@ -85,8 +85,8 @@ def test_asynchronous_termination_segments():
     seg = step_joint(cfg, {0: "t3", 1: "t9"}, dom, rng)
     assert seg.tau_min == 3
     assert seg.terminated_agents == {0}
-    assert cfg.statuses[0].busy is False
-    assert cfg.statuses[1].busy is True
+    assert 0 not in cfg.executions
+    assert 1 in cfg.executions
     # agent 1 keeps running; agent 0 starts a fresh 3-step task
     seg2 = step_joint(cfg, {0: "t3"}, dom, rng)
     assert seg2.tau_min == 3
@@ -379,7 +379,7 @@ def test_joint_walk_ends_when_a_member_dies(small_tma):
     assert seg.observations == {0: 0}
     assert effects == []
     assert cfg.alive() == [0]
-    assert not cfg.statuses[0].busy and cfg.executions == {}
+    assert cfg.executions == {}
 
 
 def test_semi_markov_identity_on_graph_domain(small_tma):
@@ -405,14 +405,14 @@ def test_graph_entry_node_breaks_distance_ties_to_lower_id():
         milestones[i] = Milestone(id=i, center=GaussianBelief(xy, p),
                                   epsilon=0.05)
     lma = design_lma(model, centers[1])
-    policy = {i: GraphEdge(from_id=i, to_id=1, lma=lma,
+    policy = {i: GraphEdge(from_id=i, to_id=1,
                            landing_probs={0: 0.0, 1: 1.0}, reward=-1.0,
                            time=1.0, sample_count=1) for i in (3, 2)}
     graph = TmaGraph(milestones=milestones,
                      edges={i: [e] for i, e in policy.items()},
                      goal_id=1, failure_value=-100.0)
     tma = Tma(graph=graph, policy=policy, values={}, success={},
-              time_to_goal={}, model=model)
+              time_to_goal={}, funnels={1: lma}, model=model)
     spec = TmaSpec(tma=tma)
     belief = GaussianBelief([0.5, 0.5], p)
     config = JointConfig(
@@ -510,7 +510,7 @@ def test_joint_and_lethal_graph_segments_are_bit_exact(small_tma, monkeypatch):
     lethal = _integrator_model(constraints=PredicateConstraints(every_fifth))
     lethal_tma = Tma(graph=tma.graph, policy=tma.policy, values=tma.values,
                      success=tma.success, time_to_goal=tma.time_to_goal,
-                     start_id=tma.start_id, model=lethal)
+                     funnels=tma.funnels, start_id=tma.start_id, model=lethal)
     dom = GraphToyDomain(lethal_tma, lethal, n_agents=2, joint=True)
     c0 = _Controller(labels=["go", "wait"], edges={(0, 0): 1, (1, 0): 0})
     c1 = _Controller(labels=["go", "wait", "wait"],

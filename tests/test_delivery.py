@@ -53,17 +53,17 @@ def run_macro(domain, config, rng, assigned, max_segments=200):
     for _ in range(max_segments):
         # joint macro-actions must begin together, so only assign the
         # scripted macros once every pending agent is simultaneously idle
-        ready = not started and all(not config.statuses[a].busy
+        ready = not started and all(a not in config.executions
                                     and not config.statuses[a].dead
                                     for a in pending)
         now = dict(pending) if ready else {}
         for i in config.alive():
-            if not config.statuses[i].busy and i not in now and (
+            if i not in config.executions and i not in now and (
                     started or i not in pending):
                 now[i] = domain.fallback_tma(i)
         last = step_joint(config, now, domain, rng)
         started |= set(now) & set(pending)
-        if all(a in started and not config.statuses[a].busy
+        if all(a in started and a not in config.executions
                for a in pending):
             return last
     raise AssertionError("scripted macro-action did not complete")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macroplan.beliefs import (W_COV, W_MEAN, GainSpec, GaussianBelief,
-                               LinearGaussianModel, Lma, LmaParams,
+                               LinearGaussianModel, Lma,
                                PredicateConstraints, SimState, StepCost,
                                design_lma, run_lma, stationary_covariance)
 from macroplan.delivery import build_domain, desk_config
@@ -29,8 +29,7 @@ def scalar_model(**kw):
 
 
 def edge(from_id, to_id, probs, reward=-1.0, time=1.0):
-    lma = design_lma(scalar_model(), [0.0])
-    return GraphEdge(from_id=from_id, to_id=to_id, lma=lma,
+    return GraphEdge(from_id=from_id, to_id=to_id,
                      landing_probs=probs, reward=reward, time=time,
                      sample_count=1)
 
@@ -439,8 +438,7 @@ class TestCheapBallTests:
                            else c.cov.copy())
         source = int(rng.integers(1, 6))
         goal = centers[1]
-        lma = Lma(params=LmaParams(gain=np.eye(dims), target=goal.mean),
-                  attractor=goal)
+        lma = Lma(gain=np.eye(dims), attractor=goal)
         model = LinearGaussianModel(A=np.eye(dims), G=np.eye(dims),
                                     C=np.eye(dims), Q=1e-4 * np.eye(dims),
                                     R_obs=1e-4 * np.eye(dims))
@@ -463,7 +461,7 @@ class TestCheapBallTests:
             milestones = {0: Milestone(id=0, center=None, epsilon=1.0)}
             milestones.update({i: Milestone(id=i, center=centers[i],
                                             epsilon=eps[i]) for i in ids})
-            policy = {i: GraphEdge(from_id=i, to_id=1, lma=lma,
+            policy = {i: GraphEdge(from_id=i, to_id=1,
                                    landing_probs={0: 0.0, 1: 1.0},
                                    reward=-1.0, time=1.0, sample_count=1)
                       for i in (2, 3, 4)}
@@ -471,7 +469,7 @@ class TestCheapBallTests:
                              edges={i: [e] for i, e in policy.items()},
                              goal_id=1, failure_value=-100.0)
             tma = Tma(graph=graph, policy=policy, values={}, success={},
-                      time_to_goal={})
+                      time_to_goal={}, funnels={1: lma})
             balls = ball_index(milestones)
             order = [k for k, i in enumerate(ids) if i != source]
             # a cache miss, then a hit on another array of the same bits
@@ -526,7 +524,7 @@ class TestSerialization:
         d = tma_to_dict(tma)
         assert d["format"] == "macroplan-tma-v4"
         assert "model" not in d
-        assert d["gain"] == tma.policy[tma.start_id].lma.params.gain.tolist()
+        assert d["gain"] == tma.funnels[tma.graph.goal_id].gain.tolist()
         assert {k for e in d["edges"] for k in e} == {
             "from", "to", "landing_probs", "reward", "time", "sample_count"}
 
@@ -558,9 +556,9 @@ def tma_digest(tma):
     record = {
         "milestones": [[i, ms.epsilon, _belief_record(ms.center)]
                        for i, ms in sorted(g.milestones.items())],
-        "edges": [[e.from_id, e.to_id, e.lma.params.gain.tolist(),
-                   e.lma.params.target.tolist(),
-                   _belief_record(e.lma.attractor),
+        "edges": [[e.from_id, e.to_id, tma.funnels[e.to_id].gain.tolist(),
+                   tma.funnels[e.to_id].attractor.mean.tolist(),
+                   _belief_record(tma.funnels[e.to_id].attractor),
                    sorted(e.landing_probs.items()), e.reward, e.time,
                    e.sample_count]
                   for i in sorted(g.edges) for e in g.edges[i]],
@@ -611,6 +609,20 @@ def test_construct_tma_outputs_are_bit_exact():
            **{f"ground:{k}": tma_digest(t)
               for k, t in domain._ground_tmas.items()}}
     assert got == DESK_TMA_DIGESTS
+
+
+def test_every_funnel_shares_the_one_gain_the_file_reports():
+    model, start, goal, cfg = tma_build_problem()
+    built = construct_tma(start, goal, model, cfg, np.random.default_rng(1))
+    desk = build_domain(desk_config(), np.random.default_rng(0))
+    for tma in (built, desk._air_tmas["rv"]):
+        g = tma.graph
+        assert set(tma.funnels) == set(g.milestones) - {0, tma.start_id}
+        gain = tma.funnels[g.goal_id].gain
+        for j, funnel in tma.funnels.items():
+            assert funnel.attractor is g.milestones[j].center
+            assert np.array_equal(funnel.gain, gain)
+        assert tma_to_dict(tma)["gain"] == gain.tolist()
 
 
 def count_calls(monkeypatch, name):
