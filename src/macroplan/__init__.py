@@ -9,7 +9,7 @@ from .errors import (ConfigError, GoalUnreachable, InitiationViolated,
 from .tma import (GraphEdge, Milestone, Tma, TmaConfig, TmaGraph, construct_tma,
                   estimate_edge, expected_times, save_tma, solve_graph_dp,
                   success_probabilities)
-from .decposmdp import (AgentStatus, Domain, GraphTmaExecution, JointConfig,
+from .decposmdp import (Domain, GraphTmaExecution, JointConfig,
                         JointGraphExecution, PolicyValue, RewardSpec,
                         RolloutTrace, SegmentResult, TimedExecution, TmaSpec,
                         evaluate_joint_policy, run_rollout, step_joint)

@@ -24,14 +24,15 @@ class StepCost:
     """Per-step reward ``-(base + u_weight * ||u||^2)``, paid by ``lma_step``.
 
     Kept as a small structure instead of a bare callable so models can be
-    read from config files.  Both weights are non-negative: a step that
-    pays a reward would let a graph DP cycle for ever.
+    read from config files.  Both weights are finite and non-negative: a
+    step that pays a reward would let a graph DP cycle for ever.
     """
 
     base: float = 0.0
     u_weight: float = 0.0
 
     def __post_init__(self):
+        check_field_types(self, ValueError)
         if self.base < 0 or self.u_weight < 0:
             raise ValueError(f"step cost weights must be non-negative, not "
                              f"base={self.base!r}, u_weight={self.u_weight!r}")
@@ -182,6 +183,17 @@ class LinearGaussianModel:
     def constraint_set(self, x: np.ndarray) -> bool:
         return self.constraints.violates(x)
 
+    def _riccati_step(self, cov: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Kalman gain and posterior covariance one predict/update step after
+        posterior ``cov``; the Joseph form keeps the covariance PSD, and it
+        is returned unsymmetrized."""
+        A, C = self.A, self.C
+        Pm = A @ cov @ A.T + self.Q
+        S = C @ Pm @ C.T + self.R_obs
+        K = np.linalg.solve(S.T, (Pm @ C.T).T).T
+        ikc = np.eye(self._n) - K @ C
+        return K, ikc @ Pm @ ikc.T + K @ self.R_obs @ K.T
+
     def _filter_update(self, cov: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Kalman gain and posterior covariance one predict/update step after
         posterior ``cov``.  Neither depends on the data, so each distinct
@@ -190,11 +202,7 @@ class LinearGaussianModel:
         key = cov.tobytes()
         hit = self._filter_path.get(key)
         if hit is None:
-            Pm = self.A @ cov @ self.A.T + self.Q
-            S = self.C @ Pm @ self.C.T + self.R_obs
-            K = np.linalg.solve(S.T, (Pm @ self.C.T).T).T
-            ikc = np.eye(self.state_dim) - K @ self.C
-            nxt = ikc @ Pm @ ikc.T + K @ self.R_obs @ K.T  # Joseph form
+            K, nxt = self._riccati_step(cov)
             nxt = 0.5 * (nxt + nxt.T)
             K.setflags(write=False)
             nxt.setflags(write=False)
@@ -283,6 +291,8 @@ class GainSpec:
         check_field_types(self, ValueError)
         if self.kind not in ("lqr", "fixed"):
             raise ValueError(f"unknown gain spec kind {self.kind!r}")
+        if self.kind == "fixed" and self.fixed_gain is None:
+            raise ValueError("fixed gain spec requires fixed_gain")
         if self.state_weight < 0 or self.control_weight < 0:
             raise ValueError(
                 f"gain weights must be non-negative, not state_weight="
@@ -300,18 +310,11 @@ def stationary_covariance(model: LinearGaussianModel, tol: float = 1e-12,
                           max_iter: int = 100_000) -> np.ndarray:
     """Posterior covariance fixed point of the Kalman filter, by fixed-point
     iteration of the measurement-updated Riccati recurrence."""
-    n = model.state_dim
-    A, C, Q, R = model.A, model.C, model.Q, model.R_obs
-    P = Q + np.eye(n)
+    P = model.Q + np.eye(model.state_dim)
     for _ in range(max_iter):
-        Pm = A @ P @ A.T + Q
-        S = C @ Pm @ C.T + R
-        K = np.linalg.solve(S.T, (Pm @ C.T).T).T
-        ikc = np.eye(n) - K @ C
-        P_next = ikc @ Pm @ ikc.T + K @ R @ K.T  # Joseph form keeps PSD
+        P_next = model._riccati_step(P)[1]
         if np.max(np.abs(P_next - P)) <= tol:
-            P_next = 0.5 * (P_next + P_next.T)
-            return P_next
+            return 0.5 * (P_next + P_next.T)
         P = P_next
     raise NonConvergent(
         f"Riccati iteration did not converge in {max_iter} iterations "
@@ -327,8 +330,6 @@ def design_lma(model: LinearGaussianModel, target: np.ndarray,
     """
     target = np.asarray(target, dtype=float).ravel()
     if gain_spec.kind == "fixed":
-        if gain_spec.fixed_gain is None:
-            raise ValueError("fixed gain spec requires fixed_gain")
         L = np.atleast_2d(np.asarray(gain_spec.fixed_gain, dtype=float))
     else:
         n, m = model.state_dim, model.control_dim

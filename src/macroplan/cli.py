@@ -79,18 +79,39 @@ def _write_csv(path: str, header, rows) -> None:
 # config parsing
 # ---------------------------------------------------------------------------
 
+def _finite_array(value, shape: tuple, name: str) -> np.ndarray:
+    """``value`` as a float array of ``shape`` whose entries are finite."""
+    try:
+        a = np.array(value, dtype=float)
+        ok = a.shape == shape and np.all(np.isfinite(a))
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name} must be finite numbers of shape {shape}, "
+                          f"not {value!r}")
+    return a
+
+
 def _tma_setup(data: dict):
+    """The model, start belief, goal and settings of a TMA config; start,
+    goal, bounds and a fixed gain must fit the model's dimensions."""
     try:
         model = LinearGaussianModel.from_dict(data["model"])
-        start = GaussianBelief(mean=np.array(data["start"]["mean"], dtype=float),
-                               cov=np.array(data["start"]["cov"], dtype=float))
-        goal = np.array(data["goal_mean"], dtype=float)
+        n = model.state_dim
+        start = GaussianBelief(
+            mean=_finite_array(data["start"]["mean"], (n,), "start.mean"),
+            cov=_finite_array(data["start"]["cov"], (n, n), "start.cov"))
+        goal = _finite_array(data["goal_mean"], (n,), "goal_mean")
         t = dict(data.get("tma", {}))
         if "gain_spec" in t:
-            t["gain_spec"] = GainSpec.from_dict(t["gain_spec"])
+            g = dict(t["gain_spec"])
+            if g.get("kind") == "fixed" and g.get("fixed_gain") is not None:
+                g["fixed_gain"] = _finite_array(
+                    g["fixed_gain"], (model.control_dim, n), "fixed_gain")
+            t["gain_spec"] = GainSpec.from_dict(g)
         for key in ("bounds_lo", "bounds_hi"):
             if key in t:
-                t[key] = np.array(t[key], dtype=float)
+                t[key] = _finite_array(t[key], (n,), key)
         cfg = TmaConfig(**t)
     except (KeyError, TypeError, ValueError, ConfigError) as e:
         raise ConfigError(f"bad TMA config: {e}") from e

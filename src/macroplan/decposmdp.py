@@ -56,24 +56,16 @@ class TmaSpec:
 
 
 @dataclass
-class AgentStatus:
-    dead: bool = False
-
-
-@dataclass
 class JointConfig:
     """The Dec-POSMDP state: per-agent simulations plus the environment
     state, ``world``, which only the domain reads.  An agent is busy while
-    it has an entry in ``executions``."""
+    it has an entry in ``executions``, and dead once it is in ``dead``."""
 
     sims: List[SimState]
-    statuses: List[AgentStatus]
     world: Any = None
     clock: int = 0
     executions: Dict[int, "Execution"] = field(default_factory=dict)
-
-    def alive(self) -> List[int]:
-        return [i for i, st in enumerate(self.statuses) if not st.dead]
+    dead: Set[int] = field(default_factory=set)
 
 
 class Execution:
@@ -217,11 +209,10 @@ class Domain:
                       config: JointConfig) -> bool:
         raise NotImplementedError
 
-    def begin_executions(self, assigned: Dict[int, Hashable],
-                         config: JointConfig,
-                         rng: np.random.Generator) -> List[Execution]:
-        """Create executions for newly assigned agents; joint macro-actions
-        must arrive in consistently assigned groups."""
+    def begin_executions(self, starts: List[Tuple[TmaSpec, Tuple[int, ...]]],
+                         config: JointConfig) -> List[Execution]:
+        """One execution per start: a macro-action's spec and the agents,
+        in agent order, that begin it together."""
         raise NotImplementedError
 
     def observe(self, agent: int, config: JointConfig) -> Hashable:
@@ -277,7 +268,6 @@ class SegmentResult:
 
     reward_Rtau: float
     tau_min: int
-    terminated_agents: Set[int]
     observations: Dict[int, Hashable]     # terminated agent -> e-state class
     dead_agents: Set[int] = field(default_factory=set)
     primitive_rewards: List[float] = field(default_factory=list)
@@ -293,30 +283,60 @@ def _running_executions(config: JointConfig) -> List[Execution]:
     return execs
 
 
+def _starts(assigned: Dict[int, Hashable], domain: Domain
+            ) -> Tuple[List[Tuple[TmaSpec, Tuple[int, ...]]], List[int]]:
+    """The starts an assignment makes, and the agents it leaves over.
+
+    A single-agent macro-action starts as ``(spec, (agent,))``.  A joint
+    one starts only as a whole group: its spec and its first
+    ``agents_required`` members in agent order.  Members of a short group,
+    and members beyond the group size, are left over."""
+    starts = []
+    groups: Dict[Hashable, Tuple[TmaSpec, List[int]]] = {}
+    for agent, tma_id in assigned.items():
+        spec = domain.roster(agent)[tma_id]
+        if spec.agents_required > 1:
+            groups.setdefault(tma_id, (spec, []))[1].append(agent)
+        else:
+            starts.append((spec, (agent,)))
+    left: List[int] = []
+    for spec, members in groups.values():
+        members.sort()
+        n = spec.agents_required
+        if len(members) < n:
+            left += members
+        else:
+            starts.append((spec, tuple(members[:n])))
+            left += members[n:]
+    return starts, left
+
+
 def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
                domain: Domain, rng: np.random.Generator) -> SegmentResult:
     """Advance all agents in lockstep until the first macro-action terminates.
 
     ``assigned`` maps idle agents to their next macro-action; initiation
-    violations raise.  Rewards are discounted from the segment start.
+    violations, including a joint macro-action assigned to other than its
+    whole group, raise.  Rewards are discounted from the segment start.
     """
     for agent, tma_id in assigned.items():
-        if config.statuses[agent].dead or agent in config.executions:
+        if agent in config.dead or agent in config.executions:
             raise InitiationViolated(f"agent {agent} cannot accept a macro-action")
         if not domain.initiation_ok(agent, tma_id, config):
             raise InitiationViolated(
                 f"macro-action {tma_id!r} cannot initiate for agent {agent}")
-    new_execs = domain.begin_executions(assigned, config, rng)
-    for exe in new_execs:
+    starts, left = _starts(assigned, domain)
+    if left:
+        raise InitiationViolated(
+            f"agents {left} hold a joint macro-action without its whole group")
+    for exe in domain.begin_executions(starts, config):
         for a in exe.agents:
             config.executions[a] = exe
 
     gamma = domain.rewards.discount
     n_agents = len(config.sims)
-    statuses = config.statuses
     reward_rtau = 0.0
     prim = []
-    terminated: Set[int] = set()
     observations: Dict[int, Hashable] = {}
     dead: Set[int] = set()
     t = 0
@@ -332,7 +352,7 @@ def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
             if exe.step(config, rng, rewards, events, died):
                 done_execs.append(exe)
         for a in died:
-            statuses[a].dead = True
+            config.dead.add(a)
             dead.add(a)
             config.executions.pop(a, None)
         # agent rewards, then the team reward, summed in that order; a
@@ -348,20 +368,16 @@ def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
             domain.e_dynamics(events, config, rng)
             for exe in done_execs:
                 for a in exe.agents:
-                    if statuses[a].dead:
+                    if a in config.dead:
                         continue   # the dead neither terminate nor observe
                     config.executions.pop(a, None)
-                    terminated.add(a)
                     observations[a] = domain.observe(a, config)
             break
         if died:
-            if not config.executions:
-                break  # everyone died mid-segment
             execs = _running_executions(config)
 
     config.clock += t
     return SegmentResult(reward_Rtau=reward_rtau, tau_min=t,
-                         terminated_agents=terminated,
                          observations=observations,
                          dead_agents=dead, primitive_rewards=prim)
 
@@ -382,10 +398,8 @@ class PolicyValue:
 def _resolve_assignments(policy, domain: Domain, config: JointConfig,
                          nodes: List[int]) -> Dict[int, Hashable]:
     assigned = {}
-    # joint macro-action -> the agents assigned it, in agent order
-    groups: Dict[Hashable, List[int]] = {}
-    for i, st in enumerate(config.statuses):
-        if st.dead or i in config.executions:
+    for i in range(len(config.sims)):
+        if i in config.dead or i in config.executions:
             continue
         tma_id = policy.controllers[i].nodes[nodes[i]]
         if not domain.initiation_ok(i, tma_id, config):
@@ -393,20 +407,13 @@ def _resolve_assignments(policy, domain: Domain, config: JointConfig,
             if tma_id is None:
                 continue
         assigned[i] = tma_id
-        if domain.roster(i)[tma_id].agents_required > 1:
-            groups.setdefault(tma_id, []).append(i)
-    # joint macro-actions need a consistent partner group this segment;
-    # unpaired agents, and agents beyond the group size, fall back
-    for tid, members in groups.items():
-        required = domain.roster(members[0])[tid].agents_required
-        unpaired = (members if required > len(members)
-                    else members[required:])
-        for i in unpaired:
-            fb = domain.fallback_tma(i)
-            if fb is not None:
-                assigned[i] = fb
-            else:
-                del assigned[i]
+    # agents left over from a joint macro-action's group fall back
+    for i in _starts(assigned, domain)[1]:
+        fb = domain.fallback_tma(i)
+        if fb is not None:
+            assigned[i] = fb
+        else:
+            del assigned[i]
     return assigned
 
 
@@ -422,19 +429,14 @@ def run_rollout(policy, domain: Domain, horizon_macro_steps: int,
     macro_value = 0.0
     prim_ledger: List[float] = []
     for _ in range(horizon_macro_steps):
-        if not config.alive():
-            break
         assigned = _resolve_assignments(policy, domain, config, nodes)
         if not assigned and not config.executions:
             break
         seg = step_joint(config, assigned, domain, rng)
-        if seg.tau_min == 0:
-            break
         macro_value += gamma ** (config.clock - seg.tau_min) * seg.reward_Rtau
         prim_ledger.extend(seg.primitive_rewards)
-        for a in seg.terminated_agents:
-            nodes[a] = policy.controllers[a].edge(nodes[a],
-                                                  seg.observations[a])
+        for a, obs in seg.observations.items():
+            nodes[a] = policy.controllers[a].edge(nodes[a], obs)
     primitive_value = float(sum(r * gamma ** t
                                 for t, r in enumerate(prim_ledger)))
     if abs(primitive_value - macro_value) > IDENTITY_TOL * max(

@@ -19,9 +19,9 @@ import numpy as np
 from .beliefs import (BALL_SLACK, GainSpec, GaussianBelief,
                       LinearGaussianModel, RectConstraints, NoConstraints,
                       SimState, StepCost)
-from .decposmdp import (AgentStatus, Domain, Execution, GraphTmaExecution,
-                        JointConfig, JointGraphExecution, RewardSpec,
-                        TimedExecution, TmaSpec, run_rollout)
+from .decposmdp import (Domain, Execution, GraphTmaExecution, JointConfig,
+                        JointGraphExecution, RewardSpec, TimedExecution,
+                        TmaSpec, run_rollout)
 from .errors import ConfigError, check_field_types, is_finite_number
 from .tma import Tma, TmaConfig, construct_tma
 
@@ -435,8 +435,7 @@ class DeliveryDomain(Domain):
             carrying=[None] * 3,
             pending_refill=[0] * len(cfg.bases))
         world.created = sum(1 for p in world.base_packages if p.present)
-        return JointConfig(sims=sims, statuses=[AgentStatus() for _ in range(3)],
-                           world=world)
+        return JointConfig(sims=sims, world=world)
 
     # ----- geometry helpers -----------------------------------------------
     def _pos(self, agent: int, config: JointConfig) -> np.ndarray:
@@ -516,7 +515,7 @@ class DeliveryDomain(Domain):
                           and self.kinds[agent] == AIR)
         if tma_id == "wait":
             return True
-        if tma_id.startswith("goto-") and not tma_id.startswith("joint-"):
+        if tma_id.startswith("goto-"):
             # solo movement is unavailable while sharing a large package
             return not carrying_joint
         if tma_id.startswith("joint-goto-dest-"):
@@ -552,28 +551,16 @@ class DeliveryDomain(Domain):
         return True
 
     # ----- execution construction -------------------------------------------
-    def begin_executions(self, assigned: Dict[int, str], config: JointConfig,
-                         rng: np.random.Generator) -> List[Execution]:
+    def begin_executions(self, starts: List[Tuple[TmaSpec, Tuple[int, ...]]],
+                         config: JointConfig) -> List[Execution]:
         out: List[Execution] = []
-        joint_groups: Dict[str, List[int]] = {}
-        for agent, tid in sorted(assigned.items()):
-            spec = self._rosters[agent][tid]
-            if spec.agents_required == 2:
-                joint_groups.setdefault(tid, []).append(agent)
-                continue
-            if spec.tma is not None:
-                out.append(GraphTmaExecution(spec, agent, config))
+        for spec, agents in starts:
+            if spec.tma is None:
+                out.append(TimedExecution(spec, agents))
+            elif len(agents) == 1:
+                out.append(GraphTmaExecution(spec, agents[0], config))
             else:
-                out.append(TimedExecution(spec, [agent]))
-        for tid, members in joint_groups.items():
-            spec = self._rosters[members[0]][tid]
-            if len(members) != spec.agents_required:
-                raise ConfigError(
-                    f"joint macro-action {tid} assigned to {len(members)} agents")
-            if spec.tma is not None:
-                out.append(JointGraphExecution(spec, members, config))
-            else:
-                out.append(TimedExecution(spec, members))
+                out.append(JointGraphExecution(spec, agents, config))
         return out
 
     # ----- rewards and environmental dynamics --------------------------------

@@ -21,7 +21,7 @@ from macroplan.beliefs import (BallIndex, GaussianBelief,
 from macroplan.chains import (absorption_probabilities,
                               expected_absorption_times)
 from macroplan.cli import EXIT_OK, main as cli_main
-from macroplan.decposmdp import (AgentStatus, Domain, JointConfig, RewardSpec,
+from macroplan.decposmdp import (Domain, JointConfig, RewardSpec,
                                  TimedExecution, TmaSpec, run_rollout,
                                  step_joint)
 from macroplan.delivery import build_domain, desk_config, success_curve
@@ -328,9 +328,8 @@ class _TwoTimerDomain(Domain):
     def initiation_ok(self, agent, tma_id, config):
         return True
 
-    def begin_executions(self, assigned, config, rng):
-        return [TimedExecution(self._roster[t], [a])
-                for a, t in sorted(assigned.items())]
+    def begin_executions(self, starts, config):
+        return [TimedExecution(spec, agents) for spec, agents in starts]
 
     def team_reward(self, events, config):
         return 0.0
@@ -339,9 +338,7 @@ class _TwoTimerDomain(Domain):
         pass
 
     def initial(self, rng):
-        return JointConfig(sims=[_dummy_sim(), _dummy_sim()],
-                           statuses=[AgentStatus(), AgentStatus()],
-                           world=None)
+        return JointConfig(sims=[_dummy_sim(), _dummy_sim()], world=None)
 
 
 def test_asynchronous_termination():
@@ -351,14 +348,13 @@ def test_asynchronous_termination():
         config = domain.initial(rng)
         seg = step_joint(config, {0: "t3", 1: "t9"}, domain, rng)
         assert seg.tau_min == 3
-        assert seg.terminated_agents == {0}
         assert set(seg.observations) == {0}
         assert 1 in config.executions and 0 not in config.executions
         # the long macro-action keeps running through later segments
         seg = step_joint(config, {0: "t3"}, domain, rng)
-        assert seg.tau_min == 3 and seg.terminated_agents == {0}
+        assert seg.tau_min == 3 and set(seg.observations) == {0}
         seg = step_joint(config, {0: "t9"}, domain, rng)
-        assert seg.tau_min == 3 and seg.terminated_agents == {1}
+        assert seg.tau_min == 3 and set(seg.observations) == {1}
         assert config.clock == 9
 
 
@@ -431,9 +427,8 @@ class _TinyDomain(Domain):
     def initiation_ok(self, agent, tma_id, config):
         return True
 
-    def begin_executions(self, assigned, config, rng):
-        return [TimedExecution(self._roster[t], [a])
-                for a, t in sorted(assigned.items())]
+    def begin_executions(self, starts, config):
+        return [TimedExecution(spec, agents) for spec, agents in starts]
 
     def team_reward(self, events, config):
         return 0.0
@@ -442,8 +437,7 @@ class _TinyDomain(Domain):
         pass
 
     def initial(self, rng):
-        return JointConfig(sims=[_dummy_sim()], statuses=[AgentStatus()],
-                           world=None)
+        return JointConfig(sims=[_dummy_sim()], world=None)
 
 
 def _enumerate_tiny_policies():

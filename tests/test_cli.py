@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 
 import pytest
@@ -28,6 +29,10 @@ TMA_CONFIG = {
             "gain_spec": {"kind": "lqr", "state_weight": 1.0,
                           "control_weight": 8.0, "fixed_gain": None}},
 }
+
+# the example TMA config that the mutation test below edits one leaf at a time
+TMA_EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "tma_single.yaml")
 
 DELIVERY_CONFIG = {
     "preset": "desk",
@@ -158,7 +163,13 @@ def test_build_tma_bad_config_exits_2(tmp_path, capsys):
             ("tma", "gain_spec", {**gain, "state_weight": -1},
              "state_weight=-1"),
             ("tma", "gain_spec", {**gain, "control_weight": -1},
-             "control_weight=-1")]:
+             "control_weight=-1"),
+            ("tma", "gain_spec", {**gain, "kind": "fixed"}, "fixed_gain"),
+            ("tma", "gain_spec", {**gain, "kind": "fixed",
+                                  "fixed_gain": [[1.0]]}, "fixed_gain"),
+            ("tma", "gain_spec", {**gain, "kind": "fixed",
+                                  "fixed_gain": [["x", 0.0], [0.0, 1.0]]},
+             "fixed_gain")]:
         cfg = copy.deepcopy(TMA_CONFIG)
         cfg[section][key] = value
         path = write_yaml(tmp_path / f"{key}.yaml", cfg)
@@ -168,6 +179,45 @@ def test_build_tma_bad_config_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: bad TMA config: ")
         assert word in err and len(err.splitlines()) == 1
+
+
+def _leaf_paths(tree, path=()):
+    """Key path of every value in nested mappings that is not a mapping."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def test_build_tma_config_mutations_exit_cleanly(tmp_path, capsys):
+    """Each leaf of the example TMA config set to each value of a fixed
+    pool: ``build-tma`` exits 0, 2 or 3, and on 2 or 3 prints one line,
+    never a traceback."""
+    with open(TMA_EXAMPLE) as f:
+        example = yaml.safe_load(f)
+    pool = [None, "x", math.nan, -1, [], [[1.0]], [1.0, 1.0, 1.0]]
+    out = str(tmp_path / "x.json")
+    failures = []
+    for path in _leaf_paths(example):
+        for value in pool:
+            cfg = copy.deepcopy(example)
+            node = cfg
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = copy.deepcopy(value)
+            cfg_path = write_yaml(tmp_path / "mutant.yaml", cfg)
+            capsys.readouterr()
+            try:
+                rc = main(["build-tma", "--config", cfg_path, "--out", out])
+            except Exception as e:  # any escape is a failure
+                failures.append((path, value, repr(e)))
+                continue
+            err = capsys.readouterr().err
+            if rc not in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE) or (
+                    rc != EXIT_OK and len(err.splitlines()) != 1):
+                failures.append((path, value, rc, err))
+    assert not failures, failures
 
 
 def test_build_tma_unreachable_goal_exits_3(tmp_path):

@@ -11,7 +11,7 @@ from macroplan.beliefs import (GainSpec, GaussianBelief, LinearGaussianModel,
                                NoConstraints, PredicateConstraints, SimState,
                                StepCost, design_lma)
 from macroplan.decposmdp import (Domain, GraphTmaExecution, JointConfig,
-                                 JointGraphExecution, AgentStatus, RewardSpec,
+                                 JointGraphExecution, RewardSpec,
                                  TimedExecution, TmaSpec,
                                  evaluate_joint_policy, run_rollout,
                                  step_joint)
@@ -50,15 +50,13 @@ class TimedToyDomain(Domain):
 
     def initial(self, rng):
         return JointConfig(sims=[_dummy_sim() for _ in range(self.n_agents)],
-                           statuses=[AgentStatus() for _ in range(self.n_agents)],
                            world="idle")
 
     def initiation_ok(self, agent, tma_id, config):
         return tma_id != "never"
 
-    def begin_executions(self, assigned, config, rng):
-        return [TimedExecution(self._roster[tid], [a])
-                for a, tid in sorted(assigned.items())]
+    def begin_executions(self, starts, config):
+        return [TimedExecution(spec, agents) for spec, agents in starts]
 
     def observe(self, agent, config):
         return config.world
@@ -84,16 +82,16 @@ def test_asynchronous_termination_segments():
     cfg = dom.initial(rng)
     seg = step_joint(cfg, {0: "t3", 1: "t9"}, dom, rng)
     assert seg.tau_min == 3
-    assert seg.terminated_agents == {0}
+    assert set(seg.observations) == {0}
     assert 0 not in cfg.executions
     assert 1 in cfg.executions
     # agent 1 keeps running; agent 0 starts a fresh 3-step task
     seg2 = step_joint(cfg, {0: "t3"}, dom, rng)
     assert seg2.tau_min == 3
-    assert seg2.terminated_agents == {0}
+    assert set(seg2.observations) == {0}
     seg3 = step_joint(cfg, {0: "t3"}, dom, rng)
     assert seg3.tau_min == 3
-    assert seg3.terminated_agents == {0, 1}
+    assert set(seg3.observations) == {0, 1}
     assert cfg.clock == 9
 
 
@@ -251,24 +249,20 @@ class GraphToyDomain(Domain):
             sims.append(SimState(truth=mean.copy(),
                                  belief=GaussianBelief(mean=mean,
                                                        cov=1e-4 * np.eye(2))))
-        return JointConfig(sims=sims,
-                           statuses=[AgentStatus() for _ in range(self.n_agents)],
-                           world=0)
+        return JointConfig(sims=sims, world=0)
 
     def initiation_ok(self, agent, tma_id, config):
         return True
 
-    def begin_executions(self, assigned, config, rng):
-        if self._joint and set(assigned.values()) == {"go"}:
-            return [JointGraphExecution(self._roster["go"],
-                                        sorted(assigned), config)]
+    def begin_executions(self, starts, config):
         out = []
-        for a, tid in sorted(assigned.items()):
-            spec = self._roster[tid]
+        for spec, agents in starts:
             if spec.duration is not None:
-                out.append(TimedExecution(spec, [a]))
+                out.append(TimedExecution(spec, agents))
+            elif len(agents) == 1:
+                out.append(GraphTmaExecution(spec, agents[0], config))
             else:
-                out.append(GraphTmaExecution(spec, a, config))
+                out.append(JointGraphExecution(spec, agents, config))
         return out
 
     def observe(self, agent, config):
@@ -281,7 +275,6 @@ def test_graph_execution_reaches_goal(small_tma):
     rng = np.random.default_rng(3)
     cfg = dom.initial(rng)
     seg = step_joint(cfg, {0: "go"}, dom, rng)
-    assert seg.terminated_agents == {0}
     assert seg.observations == {0: 0}  # the e-state class, here the e-state
     goal = tma.graph.milestones[tma.graph.goal_id].center.mean
     assert np.linalg.norm(cfg.sims[0].belief.mean - goal) < 0.1
@@ -297,7 +290,7 @@ def test_graph_execution_at_goal_holds_one_step(small_tma):
     step_joint(cfg, {0: "go"}, dom, rng)
     seg = step_joint(cfg, {0: "go"}, dom, rng)  # already at the goal
     assert seg.tau_min == 1
-    assert seg.terminated_agents == {0}
+    assert set(seg.observations) == {0}
 
 
 def test_joint_graph_execution_terminates_together(small_tma):
@@ -306,7 +299,6 @@ def test_joint_graph_execution_terminates_together(small_tma):
     rng = np.random.default_rng(5)
     cfg = dom.initial(rng)
     seg = step_joint(cfg, {0: "go", 1: "go"}, dom, rng)
-    assert seg.terminated_agents == {0, 1}
     assert seg.observations == {0: 0, 1: 0}
 
 
@@ -315,18 +307,13 @@ def test_constraint_violation_kills_agent_not_mission(small_tma):
     # same dynamics, but the whole workspace is forbidden: first step dies
     lethal = _integrator_model(
         constraints=PredicateConstraints(lambda x: True))
-    spec = TmaSpec(tma=tma)
 
     class LethalDomain(GraphToyDomain):
-        def begin_executions(self, assigned, config, rng):
-            out = []
-            for a, tid in sorted(assigned.items()):
-                if tid == "go" and a == 0:
-                    exe = GraphTmaExecution(spec, a, config)
+        def begin_executions(self, starts, config):
+            out = super().begin_executions(starts, config)
+            for exe in out:
+                if isinstance(exe, GraphTmaExecution) and exe.agents == (0,):
                     exe.model = lethal
-                    out.append(exe)
-                else:
-                    out.append(TimedExecution(self._roster["wait"], [a]))
             return out
 
     dom = LethalDomain(tma, lethal, n_agents=2)
@@ -334,10 +321,9 @@ def test_constraint_violation_kills_agent_not_mission(small_tma):
     cfg = dom.initial(rng)
     seg = step_joint(cfg, {0: "go", 1: "wait"}, dom, rng)
     assert 0 in seg.dead_agents
-    assert cfg.statuses[0].dead
+    assert cfg.dead == {0}
     # agent 1's one-step wait still terminates the segment normally
-    assert seg.terminated_agents == {1}
-    assert cfg.alive() == [1]
+    assert set(seg.observations) == {1}
 
 
 def test_joint_walk_ends_when_a_member_dies(small_tma):
@@ -361,8 +347,8 @@ def test_joint_walk_ends_when_a_member_dies(small_tma):
     effects = []
 
     class OneLethalDomain(GraphToyDomain):
-        def begin_executions(self, assigned, config, rng):
-            [exe] = super().begin_executions(assigned, config, rng)
+        def begin_executions(self, starts, config):
+            [exe] = super().begin_executions(starts, config)
             exe.subs[1].model = lethal
             return [exe]
 
@@ -375,10 +361,9 @@ def test_joint_walk_ends_when_a_member_dies(small_tma):
     seg = step_joint(cfg, {0: "go", 1: "go"}, dom, rng)
     assert seg.tau_min == 1
     assert seg.dead_agents == {1}
-    assert seg.terminated_agents == {0}
     assert seg.observations == {0: 0}
     assert effects == []
-    assert cfg.alive() == [0]
+    assert cfg.dead == {1}
     assert cfg.executions == {}
 
 
@@ -416,8 +401,7 @@ def test_graph_entry_node_breaks_distance_ties_to_lower_id():
     spec = TmaSpec(tma=tma)
     belief = GaussianBelief([0.5, 0.5], p)
     config = JointConfig(
-        sims=[SimState(truth=belief.mean.copy(), belief=belief)],
-        statuses=[AgentStatus()], world=0)
+        sims=[SimState(truth=belief.mean.copy(), belief=belief)], world=0)
     d = tma.distances(belief)
     by_id = dict(zip(tma._ids.tolist(), d))
     assert by_id[2] == by_id[3] and by_id[4] < by_id[2]
@@ -475,7 +459,7 @@ def _segment_digest(monkeypatch, run) -> str:
         seg = inner(*args)
         h.update(repr((seg.tau_min, repr(seg.reward_Rtau),
                        [repr(r) for r in seg.primitive_rewards],
-                       sorted(seg.terminated_agents),
+                       sorted(seg.observations),
                        sorted(seg.observations.items()),
                        sorted(seg.dead_agents))).encode())
         return seg
@@ -520,7 +504,7 @@ def test_joint_and_lethal_graph_segments_are_bit_exact(small_tma, monkeypatch):
     def run():
         for sub in np.random.default_rng(9).spawn(6):
             final = run_rollout(_Policy([c0, c1]), dom, 8, sub).final
-            deaths.append(len(final.statuses) - len(final.alive()))
+            deaths.append(len(final.dead))
 
     assert _segment_digest(monkeypatch, run) == (
         "2d7191fc97773bc32474fca60a3c41d6667f90b92da30fcc426d2667a6b0fa8f")

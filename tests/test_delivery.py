@@ -54,11 +54,11 @@ def run_macro(domain, config, rng, assigned, max_segments=200):
         # joint macro-actions must begin together, so only assign the
         # scripted macros once every pending agent is simultaneously idle
         ready = not started and all(a not in config.executions
-                                    and not config.statuses[a].dead
+                                    and a not in config.dead
                                     for a in pending)
         now = dict(pending) if ready else {}
-        for i in config.alive():
-            if i not in config.executions and i not in now and (
+        for i in range(domain.n_agents):
+            if i not in config.dead and i not in config.executions and i not in now and (
                     started or i not in pending):
                 now[i] = domain.fallback_tma(i)
         last = step_joint(config, now, domain, rng)
@@ -324,7 +324,7 @@ def test_lone_joint_pickup_rejected(domain):
     set_base(domain, config, 0, PackageDescriptor(size=2, destination="d1"))
     run_macro(domain, config, rng, {1: "goto-base-1"})
     run_macro(domain, config, rng, {0: "wait"})  # sync: agent 0 idle
-    with pytest.raises(ConfigError):
+    with pytest.raises(InitiationViolated):
         step_joint(config, {0: "joint-pickup"}, domain, rng)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from macroplan.beliefs import GaussianBelief, SimState
 from macroplan.cli import _write_csv
-from macroplan.decposmdp import (AgentStatus, Domain, JointConfig, RewardSpec,
+from macroplan.decposmdp import (Domain, JointConfig, RewardSpec,
                                  TimedExecution, TmaSpec)
 from macroplan.delivery import build_domain, desk_config
 from macroplan.errors import NoValidSuccessor
@@ -44,15 +44,13 @@ class DingDomain(Domain):
         return self._roster
 
     def initial(self, rng):
-        return JointConfig(sims=[_dummy_sim()], statuses=[AgentStatus()],
-                           world="o")
+        return JointConfig(sims=[_dummy_sim()], world="o")
 
     def initiation_ok(self, agent, tma_id, config):
         return True
 
-    def begin_executions(self, assigned, config, rng):
-        return [TimedExecution(self._roster[tid], [a])
-                for a, tid in sorted(assigned.items())]
+    def begin_executions(self, starts, config):
+        return [TimedExecution(spec, agents) for spec, agents in starts]
 
     def observe(self, agent, config):
         return "o"
