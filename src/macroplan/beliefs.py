@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonConvergent, Unstabilizable, check_field_types
 
@@ -171,6 +170,8 @@ class LinearGaussianModel:
         self._sr = _psd_sqrt(self.R_obs)
         # posterior covariance bytes -> (Kalman gain, next posterior covariance)
         self._filter_path: Dict[bytes, Tuple[np.ndarray, np.ndarray]] = {}
+        # (state weight, control weight) -> LQR gain; see design_lma
+        self._lqr_gains: Dict[Tuple[float, float], np.ndarray] = {}
 
     @property
     def state_dim(self) -> int:
@@ -240,6 +241,10 @@ class GaussianBelief:
         if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.cov))):
             raise ValueError("belief entries must be finite")
         _check_symmetric(self.cov, "cov", tol=1e-8)
+        floor = -1e-12 * max(1.0, np.abs(self.cov).max())
+        if np.linalg.eigvalsh(self.cov)[0] < floor:
+            raise ValueError(f"cov must be positive semi-definite, not "
+                             f"{self.cov.tolist()}")
 
     @classmethod
     def _trusted(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianBelief":
@@ -293,6 +298,9 @@ class GainSpec:
             raise ValueError(f"unknown gain spec kind {self.kind!r}")
         if self.kind == "fixed" and self.fixed_gain is None:
             raise ValueError("fixed gain spec requires fixed_gain")
+        if self.kind == "lqr" and self.fixed_gain is not None:
+            raise ValueError("lqr gain spec takes no fixed_gain; set it to "
+                             "null")
         if self.state_weight < 0 or self.control_weight < 0:
             raise ValueError(
                 f"gain weights must be non-negative, not state_weight="
@@ -321,9 +329,64 @@ def stationary_covariance(model: LinearGaussianModel, tol: float = 1e-12,
         f"(last delta {np.max(np.abs(P_next - P)):.3e})")
 
 
+# Most value-iteration steps of the LQR design.  The error shrinks by about
+# the square of the closed loop's spectral radius per step, so a gain whose
+# closed loop is slower than a radius of about 0.98 is not reached; the cap
+# also bounds the time spent on a model no gain stabilizes.
+LQR_MAX_STEPS = 1000
+# The LQR iteration stops once a step moves the cost-to-go by at most this
+# many ulps of the largest magnitude its products round at.
+LQR_ULPS = 8
+
+
+def _lqr_cost_to_go(A: np.ndarray, G: np.ndarray, Qw: np.ndarray,
+                    Rw: np.ndarray) -> np.ndarray:
+    """Cost-to-go matrix X of the discrete LQR problem with non-negative
+    diagonal weights, by value iteration of the control Riccati recurrence
+    from ``X = Qw``: ``X <- Qw + A'XA - A'XG (Rw + G'XG)^-1 G'XA``,
+    symmetrized each step.
+
+    A step is computed as ``Qw + L'Rw L + F'XF`` with
+    ``L = (Rw + G'XG)^-1 G'XA`` and ``F = A - GL``, the same value as a sum
+    of PSD terms.  It stops once a step moves X by at most ``LQR_ULPS`` ulps
+    of the largest entry of ``Qw + |L|'Rw|L| + |F|'|X||F|``, the magnitudes
+    its products round at: where F is large they exceed X's own entries,
+    and a step keeps moving X's last bits.
+
+    Raises Unstabilizable when a solve is singular, X stops being finite, or
+    ``LQR_MAX_STEPS`` steps do not settle it."""
+    X = Qw
+    tol = LQR_ULPS * np.finfo(float).eps
+    # a diverging X overflows; that is caught below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(LQR_MAX_STEPS):
+            XG = X.dot(G)
+            try:
+                L = np.linalg.solve(Rw + G.T.dot(XG), XG.T.dot(A))
+            except np.linalg.LinAlgError as e:
+                raise Unstabilizable(f"LQR design failed: {e}") from e
+            F = A - G.dot(L)
+            nxt = Qw + L.T.dot(Rw).dot(L) + F.T.dot(X).dot(F)
+            nxt = 0.5 * (nxt + nxt.T)
+            absL, absF = np.abs(L), np.abs(F)
+            scale = (Qw + absL.T.dot(Rw).dot(absL)
+                     + absF.T.dot(np.abs(X)).dot(absF)).max()
+            if not math.isfinite(scale):
+                raise Unstabilizable("LQR design failed: the Riccati "
+                                     "iteration diverged")
+            if np.abs(nxt - X).max() <= tol * scale:
+                return nxt
+            X = nxt
+    raise Unstabilizable(f"LQR design failed: the Riccati iteration did not "
+                         f"settle in {LQR_MAX_STEPS} steps")
+
+
 def design_lma(model: LinearGaussianModel, target: np.ndarray,
                gain_spec: GainSpec = GainSpec()) -> Lma:
     """Design a funnel controller toward ``target``.
+
+    An LQR gain does not depend on the target, so it is designed once per
+    model and weights; the array is shared and read-only.
 
     Raises Unstabilizable if the resulting closed loop has spectral
     radius >= 1.
@@ -332,14 +395,16 @@ def design_lma(model: LinearGaussianModel, target: np.ndarray,
     if gain_spec.kind == "fixed":
         L = np.atleast_2d(np.asarray(gain_spec.fixed_gain, dtype=float))
     else:
-        n, m = model.state_dim, model.control_dim
-        Qw = gain_spec.state_weight * np.eye(n)
-        Rw = gain_spec.control_weight * np.eye(m)
-        try:
-            X = scipy.linalg.solve_discrete_are(model.A, model.G, Qw, Rw)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as e:
-            raise Unstabilizable(f"LQR design failed: {e}") from e
-        L = np.linalg.solve(Rw + model.G.T @ X @ model.G, model.G.T @ X @ model.A)
+        weights = (gain_spec.state_weight, gain_spec.control_weight)
+        L = model._lqr_gains.get(weights)
+        if L is None:
+            Qw = weights[0] * np.eye(model.state_dim)
+            Rw = weights[1] * np.eye(model.control_dim)
+            X = _lqr_cost_to_go(model.A, model.G, Qw, Rw)
+            L = np.linalg.solve(Rw + model.G.T @ X @ model.G,
+                                model.G.T @ X @ model.A)
+            L.setflags(write=False)
+            model._lqr_gains[weights] = L
 
     closed = model.A - model.G @ L
     rho = np.max(np.abs(np.linalg.eigvals(closed)))

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from . import chains
 from .beliefs import (BallIndex, GainSpec, GaussianBelief,
@@ -351,7 +350,11 @@ def _settle_projector(A: np.ndarray) -> Optional[np.ndarray]:
     eye = np.eye(A.shape[0])
     if np.array_equal(A, eye):
         return None
-    basis = scipy.linalg.null_space(A - eye)
+    # the right singular vectors past the numerical rank: the singular
+    # values above max(M, N) * eps * s_max
+    _, s, vh = np.linalg.svd(A - eye)
+    rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * s.max()))
+    basis = vh[rank:].T
     return basis @ basis.T
 
 

@@ -1,15 +1,27 @@
+import os
+import time
+
 import numpy as np
 import pytest
+# scipy is a test dependency only: the oracle for the LQR design and the
+# settle projector, which the package computes with numpy alone
+import scipy.linalg
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macroplan import delivery
 from macroplan.beliefs import (W_COV, W_MEAN, BallIndex, GainSpec,
-                               GaussianBelief, LinearGaussianModel, SimState,
-                               StepCost, TerminationRecord,
-                               PredicateConstraints, design_lma, lma_step,
-                               run_lma, stationary_covariance)
+                               GaussianBelief, LinearGaussianModel,
+                               NoConstraints, SimState, StepCost,
+                               TerminationRecord, PredicateConstraints,
+                               design_lma, lma_step, run_lma,
+                               stationary_covariance)
 from macroplan.errors import NonConvergent, Unstabilizable
-from macroplan.tma import Milestone
+from macroplan.tma import Milestone, _settle_projector
+
+TMA_EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "tma_single.yaml")
 
 
 def scalar_model(a=1.0, g=1.0, c=1.0, q=0.04, r=0.01, **kw):
@@ -100,6 +112,154 @@ class TestDesignLma:
         m = scalar_model(a=2.0, g=1.0)
         with pytest.raises(Unstabilizable):
             design_lma(m, [0.0], GainSpec(kind="fixed", fixed_gain=[[0.0]]))
+
+
+def scipy_gain(A, G, Qw, Rw):
+    """The LQR gain from scipy's Riccati solution, by the formula
+    ``design_lma`` applies to its own."""
+    X = scipy.linalg.solve_discrete_are(A, G, Qw, Rw)
+    return np.linalg.solve(Rw + G.T @ X @ G, G.T @ X @ A)
+
+
+def rel_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def lqr_gain(A, G, state_weight, control_weight):
+    """``design_lma``'s gain for the pair (A, G); the filter is a fixed
+    well-posed one, so only the control design can fail."""
+    n = A.shape[0]
+    model = LinearGaussianModel(A=A, G=G, C=np.eye(n), Q=1e-4 * np.eye(n),
+                                R_obs=1e-4 * np.eye(n))
+    spec = GainSpec(state_weight=state_weight, control_weight=control_weight)
+    return design_lma(model, np.zeros(n), spec).gain
+
+
+def shipped_models():
+    """(model, gain spec) of each model a config or preset builds, as
+    parameters named after it."""
+    with open(TMA_EXAMPLE) as f:
+        data = yaml.safe_load(f)
+    yield pytest.param(LinearGaussianModel.from_dict(data["model"]),
+                       GainSpec.from_dict(data["tma"]["gain_spec"]),
+                       id="tma_single")
+    for name, cfg in (("desk", delivery.desk_config()),
+                      ("default", delivery.DeliveryConfig())):
+        spec = GainSpec(control_weight=cfg.control_weight)
+        for robot, dynamics in (("air", cfg.air_dynamics),
+                                ("ground", "single")):
+            yield pytest.param(delivery._model(cfg, dynamics,
+                                               NoConstraints()),
+                               spec, id=f"{name}-{robot}")
+
+
+DOUBLE_A = np.block([[np.eye(2), np.eye(2)], [np.zeros((2, 2)), np.eye(2)]])
+DOUBLE_G = np.vstack([0.5 * np.eye(2), np.eye(2)])
+PAIRS = {"scalar": (np.eye(1), np.eye(1)),
+         "single": (np.eye(2), np.eye(2)),
+         "double": (DOUBLE_A, DOUBLE_G)}
+
+
+class TestLqrDesign:
+    """The numpy Riccati iteration against scipy's solver."""
+
+    @pytest.mark.parametrize("model, spec", list(shipped_models()))
+    def test_shipped_models_match_scipy(self, model, spec):
+        n, m = model.state_dim, model.control_dim
+        want = scipy_gain(model.A, model.G, spec.state_weight * np.eye(n),
+                          spec.control_weight * np.eye(m))
+        got = design_lma(model, np.zeros(n), spec).gain
+        assert rel_gap(got, want) <= 1e-13
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    @pytest.mark.parametrize("state_weight", [0.0, 1.0])
+    @pytest.mark.parametrize("control_weight", [0.0, 0.1, 1.0, 8.0])
+    def test_weight_grid_matches_scipy_outcome(self, pair, state_weight,
+                                               control_weight):
+        """The same gain where scipy's stabilizes, and Unstabilizable,
+        within 0.1 s, where scipy fails or its gain does not stabilize."""
+        A, G = PAIRS[pair]
+        try:
+            want = scipy_gain(A, G, state_weight * np.eye(A.shape[0]),
+                              control_weight * np.eye(G.shape[1]))
+            rho = np.max(np.abs(np.linalg.eigvals(A - G @ want)))
+        except (np.linalg.LinAlgError, ValueError):
+            want, rho = None, np.inf
+        if rho < 1.0:
+            got = lqr_gain(A, G, state_weight, control_weight)
+            assert rel_gap(got, want) <= 1e-13
+        else:
+            t0 = time.perf_counter()
+            with pytest.raises(Unstabilizable):
+                lqr_gain(A, G, state_weight, control_weight)
+            assert time.perf_counter() - t0 <= 0.1
+
+    def test_gain_is_designed_once_per_model_and_weights(self):
+        m = scalar_model()
+        a, b = design_lma(m, [0.0]), design_lma(m, [0.5])
+        assert a.gain is b.gain and not a.gain.flags.writeable
+        assert design_lma(m, [0.0], GainSpec(control_weight=2.0)).gain \
+            is not a.gain
+        assert design_lma(scalar_model(), [0.0]).gain is not a.gain
+
+    def test_random_stabilizable_systems_match_scipy(self):
+        """The first 50 systems of dimension 1-4 from a seeded stream that
+        scipy stabilizes, with unit weights."""
+        rng = np.random.default_rng(0)
+        checked = 0
+        while checked < 50:
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(1, n + 1))
+            A = rng.standard_normal((n, n))
+            G = rng.standard_normal((n, m))
+            try:
+                want = scipy_gain(A, G, np.eye(n), np.eye(m))
+            except (np.linalg.LinAlgError, ValueError):
+                continue
+            if np.max(np.abs(np.linalg.eigvals(A - G @ want))) >= 1.0:
+                continue
+            assert rel_gap(lqr_gain(A, G, 1.0, 1.0), want) <= 1e-10, checked
+            checked += 1
+
+    @pytest.mark.parametrize("A, G, state_weight, control_weight", [
+        (np.eye(2), np.zeros((2, 2)), 1.0, 1.0),
+        (2.0 * np.eye(2), np.zeros((2, 2)), 1.0, 1.0),
+        (DOUBLE_A, np.zeros((4, 2)), 1.0, 1.0),
+        (np.eye(2), np.eye(2), 0.0, 0.0),
+    ], ids=["uncontrolled-integrator", "uncontrolled-unstable",
+            "uncontrolled-double", "no-weights"])
+    def test_unstabilizable_pairs_fail_fast(self, A, G, state_weight,
+                                            control_weight):
+        t0 = time.perf_counter()
+        with pytest.raises(Unstabilizable, match="LQR design failed"):
+            lqr_gain(A, G, state_weight, control_weight)
+        assert time.perf_counter() - t0 <= 0.1
+
+    def test_closed_loop_slower_than_the_cap_is_unstabilizable(self):
+        # scipy's gain leaves the scalar integrator at radius 0.999, which
+        # value iteration would need about 18,000 steps to settle on
+        want = scipy_gain(np.eye(1), np.eye(1), np.eye(1), 1e6 * np.eye(1))
+        assert 0.998 < 1.0 - want[0, 0] < 1.0
+        with pytest.raises(Unstabilizable, match="did not settle in 1000"):
+            lqr_gain(np.eye(1), np.eye(1), 1.0, 1e6)
+
+    def test_settle_projector_matches_null_space(self):
+        basis = scipy.linalg.null_space(DOUBLE_A - np.eye(4))
+        want = basis @ basis.T
+        got = _settle_projector(DOUBLE_A)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestInputChecks:
+    def test_non_psd_covariance_is_refused(self):
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            GaussianBelief([0.0, 0.0], -np.eye(2))
+        GaussianBelief([0.0, 0.0], np.zeros((2, 2)))   # PSD, singular
+
+    def test_lqr_gain_spec_takes_no_fixed_gain(self):
+        with pytest.raises(ValueError, match="fixed_gain"):
+            GainSpec(kind="lqr", fixed_gain=np.eye(2))
+        assert GainSpec(kind="lqr", fixed_gain=None).fixed_gain is None
 
 
 class TestLmaStep:

@@ -1,16 +1,20 @@
 """End-to-end tests of the command-line interface."""
 
 import copy
+import dataclasses
 import json
 import math
 import os
 
+import numpy as np
 import pytest
 import yaml
 
 from macroplan import cli
 from macroplan.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from macroplan.delivery import DeliveryConfig
 from macroplan.errors import NonConvergent, SingularChain, Unstabilizable
+from macroplan.search import SearchConfig
 
 TMA_CONFIG = {
     "model": {
@@ -30,9 +34,11 @@ TMA_CONFIG = {
                           "control_weight": 8.0, "fixed_gain": None}},
 }
 
-# the example TMA config that the mutation test below edits one leaf at a time
+# the example configs that the mutation tests below edit one field at a time
 TMA_EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                            "tma_single.yaml")
+DESK_EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                            "delivery_desk.yaml")
 
 DELIVERY_CONFIG = {
     "preset": "desk",
@@ -169,7 +175,12 @@ def test_build_tma_bad_config_exits_2(tmp_path, capsys):
                                   "fixed_gain": [[1.0]]}, "fixed_gain"),
             ("tma", "gain_spec", {**gain, "kind": "fixed",
                                   "fixed_gain": [["x", 0.0], [0.0, 1.0]]},
-             "fixed_gain")]:
+             "fixed_gain"),
+            ("tma", "gain_spec", {**gain, "fixed_gain": [[1.0, 0.0],
+                                                         [0.0, 1.0]]},
+             "fixed_gain"),
+            ("start", "cov", [[-1.0, 0.0], [0.0, -1.0]],
+             "positive semi-definite")]:
         cfg = copy.deepcopy(TMA_CONFIG)
         cfg[section][key] = value
         path = write_yaml(tmp_path / f"{key}.yaml", cfg)
@@ -190,33 +201,107 @@ def _leaf_paths(tree, path=()):
             yield path + (key,)
 
 
+# the values every contract test below sets one field to
+MUTATION_POOL = [None, "x", math.nan, -1, [], [[1.0]], [1.0, 1.0, 1.0]]
+
+
+def _mutants(doc, paths):
+    """``(path, value, copy of doc)`` for each key path and each value of
+    ``MUTATION_POOL``, the copy holding that value at that path."""
+    for path in paths:
+        for value in MUTATION_POOL:
+            mutant = copy.deepcopy(doc)
+            node = mutant
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = copy.deepcopy(value)
+            yield path, value, mutant
+
+
+def _unclean_exit(argv, capsys):
+    """None if ``main(argv)`` exits 0, or exits 2 or 3 with one line on
+    stderr; otherwise what went wrong.  Any escape is a failure."""
+    capsys.readouterr()
+    try:
+        rc = main(argv)
+    except Exception as e:
+        return repr(e)
+    err = capsys.readouterr().err
+    if rc not in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE) or (
+            rc != EXIT_OK and len(err.splitlines()) != 1):
+        return rc, err
+    return None
+
+
 def test_build_tma_config_mutations_exit_cleanly(tmp_path, capsys):
     """Each leaf of the example TMA config set to each value of a fixed
     pool: ``build-tma`` exits 0, 2 or 3, and on 2 or 3 prints one line,
     never a traceback."""
     with open(TMA_EXAMPLE) as f:
         example = yaml.safe_load(f)
-    pool = [None, "x", math.nan, -1, [], [[1.0]], [1.0, 1.0, 1.0]]
     out = str(tmp_path / "x.json")
     failures = []
-    for path in _leaf_paths(example):
-        for value in pool:
-            cfg = copy.deepcopy(example)
-            node = cfg
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = copy.deepcopy(value)
-            cfg_path = write_yaml(tmp_path / "mutant.yaml", cfg)
-            capsys.readouterr()
-            try:
-                rc = main(["build-tma", "--config", cfg_path, "--out", out])
-            except Exception as e:  # any escape is a failure
-                failures.append((path, value, repr(e)))
-                continue
-            err = capsys.readouterr().err
-            if rc not in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE) or (
-                    rc != EXIT_OK and len(err.splitlines()) != 1):
-                failures.append((path, value, rc, err))
+    for path, value, cfg in _mutants(example, _leaf_paths(example)):
+        cfg_path = write_yaml(tmp_path / "mutant.yaml", cfg)
+        failure = _unclean_exit(["build-tma", "--config", cfg_path,
+                                 "--out", out], capsys)
+        if failure is not None:
+            failures.append((path, value, failure))
+    assert not failures, failures
+
+
+def test_delivery_config_mutations_exit_cleanly(tmp_path, capsys,
+                                                monkeypatch):
+    """Each ``DeliveryConfig`` field and each ``search`` field, set on the
+    desk example to each value of the pool: ``solve --budget 1`` exits 0,
+    2 or 3, and on 2 or 3 prints one line.  A config equal to the desk
+    preset reuses one domain built for it."""
+    with open(DESK_EXAMPLE) as f:
+        example = yaml.safe_load(f)
+    desk = cli._delivery_config(example)
+    desk_domain = cli.build_domain(desk, np.random.default_rng(0).spawn(1)[0])
+    real_build = cli.build_domain
+    monkeypatch.setattr(
+        cli, "build_domain",
+        lambda cfg, rng: desk_domain if cfg == desk else real_build(cfg, rng))
+    paths = [(f.name,) for f in dataclasses.fields(DeliveryConfig)] + [
+        ("search", f.name) for f in dataclasses.fields(SearchConfig)]
+    out = str(tmp_path / "out")
+    failures = []
+    for path, value, cfg in _mutants(example, paths):
+        cfg_path = write_yaml(tmp_path / "mutant.yaml", cfg)
+        failure = _unclean_exit(["solve", "--config", cfg_path,
+                                 "--budget", "1", "--out", out], capsys)
+        if failure is not None:
+            failures.append((path, value, failure))
+    assert not failures, failures
+
+
+def test_policy_file_mutations_exit_cleanly(delivery_cfg_path, solve_out,
+                                            tmp_path, capsys, monkeypatch):
+    """Each field of a saved desk policy (``format``, ``controllers``, and
+    each controller's ``nodes``, ``edges`` and ``initial_node``) set to each
+    value of the pool: ``validate-policy`` exits 0, 2 or 3, and on 2 or 3
+    prints one line.  The config never changes, so one domain serves."""
+    with open(os.path.join(solve_out, "mmcs_policy.json")) as f:
+        doc = json.load(f)
+    with open(delivery_cfg_path) as f:
+        cfg = cli._delivery_config(yaml.safe_load(f))
+    domain = cli.build_domain(cfg, np.random.default_rng(0).spawn(1)[0])
+    monkeypatch.setattr(cli, "build_domain", lambda cfg, rng: domain)
+    paths = [("format",), ("controllers",)] + [
+        ("controllers", agent, key) for agent in range(len(doc["controllers"]))
+        for key in ("nodes", "edges", "initial_node")]
+    policy = str(tmp_path / "mutant.json")
+    failures = []
+    for path, value, mutant in _mutants(doc, paths):
+        with open(policy, "w") as f:
+            json.dump(mutant, f)
+        failure = _unclean_exit(["validate-policy", "--config",
+                                 delivery_cfg_path, "--policy", policy],
+                                capsys)
+        if failure is not None:
+            failures.append((path, value, failure))
     assert not failures, failures
 
 

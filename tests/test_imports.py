@@ -10,6 +10,9 @@ are scanned for unused imports too, the benchmark is not.
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -150,3 +153,21 @@ def test_bench_tracer_bindings_exist():
                for _, targets, _ in tracer.bindings(macroplan)
                for owner, attr in targets if attr not in vars(owner)]
     assert not missing, f"traced names the package lacks: {missing}"
+
+
+def test_runtime_never_loads_scipy(tmp_path):
+    # scipy is a test dependency only; a fresh interpreter that runs one
+    # build-tma must not have loaded it, not even lazily inside a function
+    config = ROOT / "configs" / "tma_single.yaml"
+    script = (
+        "import sys\n"
+        "from macroplan import cli\n"
+        f"rc = cli.main(['build-tma', '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path / 'tma.json')!r}])\n"
+        "assert rc == 0, rc\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
