@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -118,6 +119,18 @@ def _tma_setup(data: dict):
     return model, start, goal, cfg
 
 
+def _package_key(key):
+    """A ``size,destination`` key as ``(size, destination)``; any other key
+    is kept as it is, for ``DeliveryConfig`` to refuse by name."""
+    if isinstance(key, str) and key.count(",") == 1:
+        size, dest = key.split(",")
+        try:
+            return int(size), dest.strip()
+        except ValueError:
+            pass
+    return key
+
+
 def _delivery_config(data: dict) -> DeliveryConfig:
     preset = data.get("preset", "desk")
     if preset == "desk":
@@ -128,43 +141,48 @@ def _delivery_config(data: dict) -> DeliveryConfig:
         raise ConfigError(f"unknown preset {preset!r}")
     overrides = {k: v for k, v in data.items()
                  if k not in ("preset", "search")}
+    names = {f.name for f in dataclasses.fields(base)}
+    for key, val in overrides.items():
+        if key not in names:
+            raise ConfigError(f"unknown delivery config key {key!r}")
+        current = getattr(base, key)
+        if isinstance(current, tuple) and isinstance(val, list):
+            overrides[key] = tuple(tuple(x) if isinstance(x, list) else x
+                                   for x in val)
+        elif isinstance(current, dict) and isinstance(val, dict):
+            overrides[key] = {_package_key(k): p for k, p in val.items()}
     try:
-        for key, val in overrides.items():
-            if not hasattr(base, key):
-                raise ConfigError(f"unknown delivery config key {key!r}")
-            current = getattr(base, key)
-            if isinstance(current, tuple):
-                val = tuple(tuple(x) if isinstance(x, list) else x for x in val)
-            if isinstance(current, dict) and isinstance(val, dict):
-                fixed = {}
-                for k, p in val.items():
-                    if isinstance(k, str) and "," in k:
-                        size, dest = k.split(",")
-                        fixed[(int(size), dest.strip())] = p
-                    else:
-                        fixed[k] = p
-                val = fixed
-            setattr(base, key, val)
-        base.__post_init__()
+        return dataclasses.replace(base, **overrides)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad delivery config: {e}") from e
-    return base
 
 
-def _search_config(data: dict, cfg: DeliveryConfig,
-                   budget: Optional[int]) -> SearchConfig:
+def _search_config(data: dict, budget: Optional[int]) -> SearchConfig:
     s = data.get("search", {})
     if not isinstance(s, dict):
         raise ConfigError(f"search must be a mapping, not {s!r}")
     s = dict(s)
-    s.setdefault("n_rollouts", cfg.n_rollouts)
-    s.setdefault("horizon_macro_steps", cfg.horizon_macro_steps)
     if budget is not None:
         s["budget"] = budget
     try:
         return SearchConfig(**s)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad search config: {e}") from e
+
+
+def _delivery_setup(args, budget: Optional[int] = None):
+    """A delivery command's config data, search settings, domain and, given
+    ``--policy``, its checked policy, read before the domain is built.  The
+    domain comes from the first child of ``default_rng(args.seed)``; each
+    search or curve runs on a fresh ``default_rng`` of its own seed."""
+    data = _load_yaml(args.config)
+    cfg = _delivery_config(data)
+    scfg = _search_config(data, budget)
+    policy = _load_policy(args.policy) if "policy" in args else None
+    domain = build_domain(cfg, np.random.default_rng(args.seed).spawn(1)[0])
+    if policy is not None:
+        _check_policy(policy, domain)
+    return data, scfg, domain, policy
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +206,9 @@ def cmd_build_tma(args) -> int:
 
 
 def _run_search(args, algorithm, name: str) -> int:
-    data = _load_yaml(args.config)
-    cfg = _delivery_config(data)
-    scfg = _search_config(data, cfg, args.budget)
-    rng = np.random.default_rng(args.seed)
-    domain = build_domain(cfg, rng.spawn(1)[0])
+    data, scfg, domain, _ = _delivery_setup(args, args.budget)
     t0 = time.time()
-    result = algorithm(domain, scfg, rng)
+    result = algorithm(domain, scfg, np.random.default_rng(args.seed))
     os.makedirs(args.out, exist_ok=True)
     save_policy(result.best_policy, os.path.join(args.out, f"{name}_policy.json"))
     _write_csv(os.path.join(args.out, f"{name}_trace.csv"),
@@ -220,11 +234,8 @@ def cmd_mc_baseline(args) -> int:
 
 
 def cmd_compare_search(args) -> int:
-    data = _load_yaml(args.config)
-    cfg = _delivery_config(data)
-    scfg = _search_config(data, cfg, args.budget)
+    data, scfg, domain, _ = _delivery_setup(args, args.budget)
     n_seeds = args.seeds
-    domain = build_domain(cfg, np.random.default_rng(args.seed).spawn(1)[0])
     os.makedirs(args.out, exist_ok=True)
     t0 = time.time()
     summary = []
@@ -253,14 +264,10 @@ def cmd_compare_search(args) -> int:
 
 
 def cmd_success_curve(args) -> int:
-    data = _load_yaml(args.config)
-    cfg = _delivery_config(data)
-    policy = _load_policy(args.policy)
-    domain = build_domain(cfg, np.random.default_rng(args.seed).spawn(1)[0])
-    _check_policy(policy, domain)
+    _, scfg, domain, policy = _delivery_setup(args)
     n_runs = args.budget if args.budget is not None else 250
-    rng = np.random.default_rng(args.seed)
-    curve = success_curve(policy, domain, n_runs, cfg.horizon_macro_steps, rng)
+    curve = success_curve(policy, domain, n_runs, scfg.horizon_macro_steps,
+                          np.random.default_rng(args.seed))
     _write_csv(args.out, ["k", "p_deliver_at_least_k"], curve)
     print(f"wrote {args.out} ({len(curve)} rows, n_runs={n_runs})")
     return EXIT_OK
@@ -268,12 +275,12 @@ def cmd_success_curve(args) -> int:
 
 def _check_policy(policy, domain) -> None:
     """Validate controller invariants against the domain; raises on failure."""
-    if len(policy.controllers) != domain.n_agents:
+    tables = domain.sampling_tables
+    if len(policy.controllers) != len(tables):
         raise ConfigError(f"policy has {len(policy.controllers)} controllers, "
-                          f"domain has {domain.n_agents} agents")
-    alphabet = domain.obs_alphabet()
-    for agent, c in enumerate(policy.controllers):
-        roster = domain.roster(agent)
+                          f"domain has {len(tables)} agents")
+    for agent, (c, (_, successors)) in enumerate(zip(policy.controllers,
+                                                     tables)):
         if not isinstance(c.nodes, list):
             raise ConfigError(f"agent {agent}: nodes {c.nodes!r} is not a "
                               f"list of macro-actions")
@@ -285,10 +292,11 @@ def _check_policy(policy, domain) -> None:
                 f"agent {agent}: initial node {start!r} is not a node index "
                 f"in [0, {n})")
         for i, label in enumerate(c.nodes):
-            if not isinstance(label, Hashable) or label not in roster:
+            if not isinstance(label, Hashable) or label not in successors:
                 raise ConfigError(
                     f"agent {agent} node {i}: unknown macro-action {label!r}")
-            for obs in alphabet:
+        for i, label in enumerate(c.nodes):
+            for obs, valid in successors[label]:
                 if (i, obs) not in c.edges:
                     raise ConfigError(
                         f"agent {agent} node {i}: missing edge for {obs!r}")
@@ -296,19 +304,14 @@ def _check_policy(policy, domain) -> None:
                 if not (0 <= t < n):
                     raise ConfigError(
                         f"agent {agent} node {i}: edge target {t} out of range")
-                succ = domain.valid_successors(agent, label, obs)
-                if c.nodes[t] not in succ:
+                if c.nodes[t] not in valid:
                     raise NoValidSuccessor(
                         f"agent {agent}: {label!r} --{obs!r}--> "
                         f"{c.nodes[t]!r} violates initiation compatibility")
 
 
 def cmd_validate_policy(args) -> int:
-    data = _load_yaml(args.config)
-    cfg = _delivery_config(data)
-    policy = _load_policy(args.policy)
-    domain = build_domain(cfg, np.random.default_rng(args.seed).spawn(1)[0])
-    _check_policy(policy, domain)
+    _delivery_setup(args)
     print(f"{args.policy}: valid for this domain")
     return EXIT_OK
 
@@ -334,25 +337,20 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=_at_least(0), default=0)
-        p.add_argument("--out", required=True)
         for flag, kw in extra.items():
             p.add_argument(flag, **kw)
         p.set_defaults(fn=fn)
-        return p
 
-    budget = {"--budget": dict(type=_at_least(1), default=None)}
-    add("build-tma", cmd_build_tma)
+    out = {"--out": dict(required=True)}
+    budget = {**out, "--budget": dict(type=_at_least(1), default=None)}
+    policy = {"--policy": dict(required=True)}
+    add("build-tma", cmd_build_tma, **out)
     add("solve", cmd_solve, **budget)
     add("mc-baseline", cmd_mc_baseline, **budget)
     add("compare-search", cmd_compare_search, **budget,
         **{"--seeds": dict(type=_at_least(1), default=20)})
-    add("success-curve", cmd_success_curve, **budget,
-        **{"--policy": dict(required=True)})
-    vp = sub.add_parser("validate-policy")
-    vp.add_argument("--config", required=True)
-    vp.add_argument("--seed", type=_at_least(0), default=0)
-    vp.add_argument("--policy", required=True)
-    vp.set_defaults(fn=cmd_validate_policy)
+    add("success-curve", cmd_success_curve, **budget, **policy)
+    add("validate-policy", cmd_validate_policy, **policy)
 
     args = parser.parse_args(argv)
     try:

@@ -125,8 +125,6 @@ class DeliveryConfig:
     control_weight: float = 8.0
 
     discount: float = 0.9995
-    horizon_macro_steps: int = 40
-    n_rollouts: int = 2
 
     def __post_init__(self):
         check_field_types(self, ConfigError)
@@ -155,7 +153,7 @@ class DeliveryConfig:
         if self.obs_noise <= 0 or self.process_noise < 0:
             raise ConfigError("obs_noise must be positive and process_noise "
                               "non-negative")
-        if len(self.bases) != 2 or any(len(xy) != 2 for xy in self.bases):
+        if not (isinstance(self.bases, (tuple, list)) and len(self.bases) == 2):
             raise ConfigError("bases must be two (x, y) points")
         if not (isinstance(self.dests, dict) and set(self.dests) == set(DESTS)):
             raise ConfigError(f"dests must map each of {', '.join(DESTS)} to "
@@ -179,6 +177,9 @@ class DeliveryConfig:
                 raise ConfigError(
                     f"package_probs key {key!r} is not (0, {NO_PACKAGE!r}) "
                     f"or a size 1 or 2 with a destination in {DESTS}")
+            if not is_finite_number(self.package_probs[key]):
+                raise ConfigError(f"package_probs[{key!r}] must be a finite "
+                                  f"number, not {self.package_probs[key]!r}")
         total = sum(self.package_probs.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"package probabilities sum to {total}, not 1")

@@ -63,11 +63,25 @@ def load_policy(path: str) -> JointPolicy:
         raise ValueError(f"a policy is a JSON object, not {type(d).__name__}")
     if d.get("format") != "macroplan-policy-v1":
         raise ValueError(f"unrecognized policy format {d.get('format')!r}")
+    saved = d.get("controllers")
+    if not isinstance(saved, list):
+        raise ValueError(f"controllers must be a list, not {saved!r}")
     controllers = []
-    for c in d["controllers"]:
+    for agent, c in enumerate(saved):
+        if not isinstance(c, dict):
+            raise ValueError(f"controllers[{agent}] must be an object, "
+                             f"not {c!r}")
+        if not isinstance(c["edges"], list):
+            raise ValueError(f"controllers[{agent}].edges must be a list, "
+                             f"not {c['edges']!r}")
         edges = {}
-        for n, o, t in c["edges"]:
-            edges[(int(n), o)] = int(t)
+        for e in c["edges"]:
+            if not (isinstance(e, list) and len(e) == 3
+                    and isinstance(e[1], str)
+                    and all(type(v) is int for v in (e[0], e[2]))):
+                raise ValueError(f"controllers[{agent}].edges entry {e!r} "
+                                 f"is not [node, observation, target]")
+            edges[(e[0], e[1])] = e[2]
         controllers.append(PolicyController(nodes=c["nodes"], edges=edges,
                                             initial_node=c["initial_node"]))
     return JointPolicy(controllers=controllers)
@@ -85,8 +99,8 @@ class SearchConfig:
     k_d: int = 5                     # elite set size
     mask_threshold: float = 0.6      # consensus frequency to freeze a pair
     explore_rate: float = 0.35       # chance to resample an unmasked decision
-    n_rollouts: int = 3
-    horizon_macro_steps: int = 14
+    n_rollouts: int = 2
+    horizon_macro_steps: int = 40
 
     def __post_init__(self):
         check_field_types(self, ValueError)

@@ -267,10 +267,9 @@ def desk_domain():
 
 
 def _desk_search_config():
-    cfg = desk_config()
     return SearchConfig(n_nodes=13, budget=200, iter_max_mc=50, k_d=3,
                         mask_threshold=0.99, explore_rate=0.35, n_rollouts=2,
-                        horizon_macro_steps=cfg.horizon_macro_steps)
+                        horizon_macro_steps=40)
 
 
 @pytest.fixture(scope="module")
@@ -292,12 +291,10 @@ def paired_searches(desk_domain):
 
 def test_semi_markov_identity(desk_domain):
     with criterion("semi-Markov macro/primitive value identity 1e-9"):
-        cfg = desk_config()
         rng = np.random.default_rng(8)
         for _ in range(30):
             pol = sample_joint_policy(desk_domain, 13, rng)
-            trace = run_rollout(pol, desk_domain, cfg.horizon_macro_steps,
-                                rng.spawn(1)[0])
+            trace = run_rollout(pol, desk_domain, 40, rng.spawn(1)[0])
             assert abs(trace.value - trace.primitive_value) <= 1e-9 * max(
                 1.0, abs(trace.value))
 

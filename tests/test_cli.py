@@ -250,12 +250,13 @@ def test_build_tma_config_mutations_exit_cleanly(tmp_path, capsys):
     assert not failures, failures
 
 
-def test_delivery_config_mutations_exit_cleanly(tmp_path, capsys,
+def test_delivery_config_mutations_exit_cleanly(solve_out, tmp_path, capsys,
                                                 monkeypatch):
     """Each ``DeliveryConfig`` field and each ``search`` field, set on the
-    desk example to each value of the pool: ``solve --budget 1`` exits 0,
-    2 or 3, and on 2 or 3 prints one line.  A config equal to the desk
-    preset reuses one domain built for it."""
+    desk example to each value of the pool: ``solve --budget 1`` and
+    ``success-curve --budget 1`` with a saved desk policy exit 0, 2 or 3,
+    and on 2 or 3 print one line.  A config equal to the desk preset reuses
+    one domain built for it."""
     with open(DESK_EXAMPLE) as f:
         example = yaml.safe_load(f)
     desk = cli._delivery_config(example)
@@ -267,13 +268,16 @@ def test_delivery_config_mutations_exit_cleanly(tmp_path, capsys,
     paths = [(f.name,) for f in dataclasses.fields(DeliveryConfig)] + [
         ("search", f.name) for f in dataclasses.fields(SearchConfig)]
     out = str(tmp_path / "out")
+    policy = os.path.join(solve_out, "mmcs_policy.json")
     failures = []
     for path, value, cfg in _mutants(example, paths):
         cfg_path = write_yaml(tmp_path / "mutant.yaml", cfg)
-        failure = _unclean_exit(["solve", "--config", cfg_path,
-                                 "--budget", "1", "--out", out], capsys)
-        if failure is not None:
-            failures.append((path, value, failure))
+        for argv in (["solve", "--budget", "1", "--out", out],
+                     ["success-curve", "--budget", "1", "--policy", policy,
+                      "--out", str(tmp_path / "curve.csv")]):
+            failure = _unclean_exit(argv + ["--config", cfg_path], capsys)
+            if failure is not None:
+                failures.append((argv[0], path, value, failure))
     assert not failures, failures
 
 
@@ -455,6 +459,18 @@ def test_solve_rejects_empty_search_sizes(key, tmp_path, capsys):
     ({"step_cost": 10 ** 400}, f"step_cost must be finite, not {10 ** 400}"),
     ({"rendezvous": [10 ** 400, 0.45]},
      f"rendezvous must be 2 finite numbers, not ({10 ** 400}, 0.45)"),
+    ({"bases": -1}, "bases must be two (x, y) points"),
+    ({"rendezvous": None}, "rendezvous must be 2 finite numbers, not None"),
+    ({"regulated": float("nan")},
+     "regulated must be 4 finite numbers, not nan"),
+    ({"package_probs": {"1,d1,x": 1.0}},
+     "package_probs key '1,d1,x' is not (0, '-') or a size 1 or 2 with a "
+     "destination in ('d1', 'd2', 'dr')"),
+    ({"package_probs": {"x,d1": 1.0}},
+     "package_probs key 'x,d1' is not (0, '-') or a size 1 or 2 with a "
+     "destination in ('d1', 'd2', 'dr')"),
+    ({"package_probs": {"1,d1": "x"}},
+     "package_probs[(1, 'd1')] must be a finite number, not 'x'"),
 ], ids=["discount", "max-steps", "epsilon", "one-base", "string-radius",
         "zero-dt", "negative-site-radius", "negative-colocate-radius",
         "negative-pickup-steps", "zero-putdown-steps", "zero-place-steps",
@@ -467,7 +483,10 @@ def test_solve_rejects_empty_search_sizes(key, tmp_path, capsys):
         "fractional-search-nodes", "bool-search-budget", "string-base",
         "string-dest", "nan-base", "infinite-rendezvous", "bool-regulated",
         "negative-control-weight", "one-tma-node", "zero-tma-neighbors",
-        "zero-tma-sims", "huge-int-step-cost", "huge-int-rendezvous"])
+        "zero-tma-sims", "huge-int-step-cost", "huge-int-rendezvous",
+        "int-bases", "null-rendezvous", "nan-regulated",
+        "three-part-package-key", "package-key-bad-size",
+        "string-package-prob"])
 def test_solve_rejects_bad_delivery_override(override, message, tmp_path,
                                              capsys):
     path = write_yaml(tmp_path / "bad.yaml", {**DELIVERY_CONFIG, **override})
@@ -563,6 +582,22 @@ def _set_nodes(doc, value):
     doc["controllers"][1]["nodes"] = value
 
 
+def _set_controllers(doc, value):
+    doc["controllers"] = value
+
+
+def _set_controller(doc, value):
+    doc["controllers"][1] = value
+
+
+def _set_edges(doc, value):
+    doc["controllers"][1]["edges"] = value
+
+
+def _set_edge(doc, value):
+    doc["controllers"][1]["edges"][0] = value
+
+
 @pytest.mark.parametrize("command", ["validate-policy", "success-curve"])
 @pytest.mark.parametrize("mutate, value, message", [
     (_set_initial_node, 13, "agent 1: initial node 13 is not a node index "
@@ -576,7 +611,21 @@ def _set_nodes(doc, value):
     (_set_list_label, ["wait"], "agent 1 node 4: unknown macro-action "
                                 "['wait']"),
     (_set_nodes, 5, "agent 1: nodes 5 is not a list of macro-actions"),
-], ids=["past-end", "negative", "string", "bool", "list-label", "int-nodes"])
+    (_set_controllers, None, "cannot read policy {path}: controllers must "
+                             "be a list, not None"),
+    (_set_controller, 5, "cannot read policy {path}: controllers[1] must "
+                         "be an object, not 5"),
+    (_set_edges, None, "cannot read policy {path}: controllers[1].edges "
+                       "must be a list, not None"),
+    (_set_edge, [0, "none"], "cannot read policy {path}: controllers[1]."
+                             "edges entry [0, 'none'] is not [node, "
+                             "observation, target]"),
+    (_set_edge, ["x", "none", 0], "cannot read policy {path}: "
+                                  "controllers[1].edges entry ['x', 'none', "
+                                  "0] is not [node, observation, target]"),
+], ids=["past-end", "negative", "string", "bool", "list-label", "int-nodes",
+        "null-controllers", "int-controller", "null-edges", "two-item-edge",
+        "string-edge-node"])
 def test_malformed_policy_exits_2(command, mutate, value, message,
                                   delivery_cfg_path, solve_out, tmp_path,
                                   capsys):
@@ -591,7 +640,8 @@ def test_malformed_policy_exits_2(command, mutate, value, message,
         argv += ["--budget", "2", "--out", str(tmp_path / "c.csv")]
     capsys.readouterr()
     assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert capsys.readouterr().err == \
+        f"config error: {message.format(path=path)}\n"
 
 
 def test_compare_search(delivery_cfg_path, tmp_path):
@@ -603,3 +653,38 @@ def test_compare_search(delivery_cfg_path, tmp_path):
     with open(os.path.join(out, "summary.csv")) as f:
         rows = f.read().strip().splitlines()
     assert len(rows) == 3  # header + 2 seeds
+
+
+@pytest.mark.parametrize("command, trace", [("solve", "mmcs"),
+                                            ("mc-baseline", "mc")])
+def test_search_matches_compare_search_row(command, trace, delivery_cfg_path,
+                                           tmp_path):
+    """One seed rule: a search on seed s writes the same trace as row 0 of
+    ``compare-search`` from seed s."""
+    flags = ["--config", delivery_cfg_path, "--seed", "1000", "--budget", "4"]
+    assert main([command, *flags, "--out", str(tmp_path / "one")]) == EXIT_OK
+    assert main(["compare-search", *flags, "--seeds", "1",
+                 "--out", str(tmp_path / "cmp")]) == EXIT_OK
+    with open(tmp_path / "one" / f"{trace}_trace.csv", "rb") as f:
+        single = f.read()
+    with open(tmp_path / "cmp" / f"{trace}_trace_0.csv", "rb") as f:
+        assert f.read() == single
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"search": {**DELIVERY_CONFIG["search"], "horizon_macro_steps": 0}},
+     "bad search config: n_nodes, n_rollouts and horizon_macro_steps must "
+     "be positive"),
+    ({"horizon_macro_steps": 40},
+     "unknown delivery config key 'horizon_macro_steps'"),
+    ({"n_rollouts": 2}, "unknown delivery config key 'n_rollouts'"),
+], ids=["zero-search-horizon", "top-level-horizon", "top-level-rollouts"])
+def test_success_curve_reads_search_settings(override, message, solve_out,
+                                             tmp_path, capsys):
+    path = write_yaml(tmp_path / "cfg.yaml", {**DELIVERY_CONFIG, **override})
+    rc = main(["success-curve", "--config", path, "--budget", "2",
+               "--policy", os.path.join(solve_out, "mmcs_policy.json"),
+               "--out", str(tmp_path / "c.csv")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not os.path.exists(tmp_path / "c.csv")
