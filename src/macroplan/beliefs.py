@@ -9,6 +9,7 @@ as a funnel in belief space.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
@@ -122,6 +123,33 @@ def _check_symmetric(m: np.ndarray, name: str, tol: float = 1e-9) -> None:
         raise ValueError(f"{name} must be symmetric")
 
 
+# x -> M x for one matrix M; see _product
+Product = Callable[[np.ndarray], np.ndarray]
+
+
+def _same(x: np.ndarray) -> np.ndarray:
+    return x
+
+
+def _product(M: np.ndarray) -> Product:
+    """The cheapest exact form of ``x -> M.dot(x)`` for a vector ``x`` of
+    finite floats: ``x`` itself for the identity, an elementwise scale by
+    the diagonal for any other diagonal matrix, ``M.dot`` otherwise.
+
+    A row of a diagonal matrix has one nonzero term, so ``M.dot(x)`` is
+    ``d_i * x_i`` rounded once, in whatever order BLAS sums its zeros; only
+    the sign of an exact zero can differ (``-0.0`` against ``+0.0``).  The
+    identity's product returns ``x`` itself, so callers never write into a
+    product's result."""
+    if (M.ndim == 2 and M.shape[0] == M.shape[1]
+            and np.count_nonzero(M) == np.count_nonzero(M.diagonal())):
+        d = M.diagonal().copy()
+        if (d == 1.0).all():
+            return _same
+        return functools.partial(np.multiply, d)
+    return M.dot
+
+
 @dataclass
 class LinearGaussianModel:
     """Discrete-time linear-Gaussian dynamics and observation model.
@@ -162,16 +190,25 @@ class LinearGaussianModel:
             raise ValueError("Q must be PSD")
         if np.min(np.linalg.eigvalsh(self.R_obs)) <= 0:
             raise ValueError("R_obs must be PD")
-        # state dimension, noise draw length and noise square roots,
-        # computed once per model
+        # state dimension, noise draw length, noise square roots and the
+        # products lma_step takes, computed once per model
         self._n = n
         self._n_noise = n + m
         self._sq = _psd_sqrt(self.Q)
         self._sr = _psd_sqrt(self.R_obs)
-        # posterior covariance bytes -> (Kalman gain, next posterior covariance)
-        self._filter_path: Dict[bytes, Tuple[np.ndarray, np.ndarray]] = {}
-        # (state weight, control weight) -> LQR gain; see design_lma
+        self._a_dot = _product(self.A)
+        self._g_dot = _product(self.G)
+        self._c_dot = _product(self.C)
+        self._sq_dot = _product(self._sq)
+        self._sr_dot = _product(self._sr)
+        # posterior covariance bytes -> (Kalman gain, next posterior
+        # covariance, the gain's product)
+        self._filter_path: Dict[bytes, Tuple[np.ndarray, np.ndarray,
+                                             Product]] = {}
+        # (state weight, control weight) -> LQR gain, and the filter's
+        # stationary covariance; see design_lma
         self._lqr_gains: Dict[Tuple[float, float], np.ndarray] = {}
+        self._stationary_cov: Optional[np.ndarray] = None
 
     @property
     def state_dim(self) -> int:
@@ -195,11 +232,12 @@ class LinearGaussianModel:
         ikc = np.eye(self._n) - K @ C
         return K, ikc @ Pm @ ikc.T + K @ self.R_obs @ K.T
 
-    def _filter_update(self, cov: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Kalman gain and posterior covariance one predict/update step after
-        posterior ``cov``.  Neither depends on the data, so each distinct
-        ``cov`` is solved once per model; the arrays returned are shared and
-        read-only."""
+    def _filter_update(self, cov: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray, Product]:
+        """Kalman gain, posterior covariance one predict/update step after
+        posterior ``cov``, and the gain's ``_product``.  None of them
+        depends on the data, so each distinct ``cov`` is solved once per
+        model; the arrays returned are shared and read-only."""
         key = cov.tobytes()
         hit = self._filter_path.get(key)
         if hit is None:
@@ -207,7 +245,7 @@ class LinearGaussianModel:
             nxt = 0.5 * (nxt + nxt.T)
             K.setflags(write=False)
             nxt.setflags(write=False)
-            hit = (K, nxt)
+            hit = (K, nxt, _product(K))
             if len(self._filter_path) < FILTER_PATH_MAX:
                 self._filter_path[key] = hit
         return hit
@@ -262,16 +300,16 @@ class GaussianBelief:
 class Lma:
     """Local macro-action, a funnel: a feedback gain and the attractor
     belief it contracts onto; its control at belief mean ``m`` is
-    ``-gain (m - attractor.mean)``."""
+    ``control(m - attractor.mean)``, that is ``-gain (m - attractor.mean)``."""
 
     gain: np.ndarray   # control x state feedback gain
     attractor: GaussianBelief
-    # -gain, negated once: ``-gain @ v`` is ``(-gain) @ v``
-    neg_gain: np.ndarray = field(init=False, repr=False, compare=False)
+    # the product of -gain, negated once: ``-gain @ v`` is ``(-gain) @ v``
+    control: Product = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gain", np.atleast_2d(np.asarray(self.gain, dtype=float)))
-        object.__setattr__(self, "neg_gain", -self.gain)
+        object.__setattr__(self, "control", _product(-self.gain))
 
 
 @dataclass
@@ -329,14 +367,20 @@ def stationary_covariance(model: LinearGaussianModel, tol: float = 1e-12,
         f"(last delta {np.max(np.abs(P_next - P)):.3e})")
 
 
-# Most value-iteration steps of the LQR design.  The error shrinks by about
-# the square of the closed loop's spectral radius per step, so a gain whose
-# closed loop is slower than a radius of about 0.98 is not reached; the cap
-# also bounds the time spent on a model no gain stabilizes.
-LQR_MAX_STEPS = 1000
 # The LQR iteration stops once a step moves the cost-to-go by at most this
 # many ulps of the largest magnitude its products round at.
 LQR_ULPS = 8
+# The LQR iteration fails once this many steps in a row have moved the
+# cost-to-go by no less than the smallest step before them.  Steps shrink by
+# about the square of the closed loop's spectral radius per step once a
+# design settles; they stay level or grow on a mode no gain stabilizes.
+# Every design that settles within this many steps settles, at the same
+# step, whatever the steps do on the way.
+LQR_PATIENCE = 1000
+# Most value-iteration steps of the LQR design, a bound on its time: a
+# scalar integrator whose closed loop has spectral radius 0.9999 settles in
+# about 130,000 steps, a few seconds.
+LQR_MAX_STEPS = 200_000
 
 
 def _lqr_cost_to_go(A: np.ndarray, G: np.ndarray, Qw: np.ndarray,
@@ -353,10 +397,13 @@ def _lqr_cost_to_go(A: np.ndarray, G: np.ndarray, Qw: np.ndarray,
     its products round at: where F is large they exceed X's own entries,
     and a step keeps moving X's last bits.
 
-    Raises Unstabilizable when a solve is singular, X stops being finite, or
+    Raises Unstabilizable when a solve is singular, X stops being finite,
+    ``LQR_PATIENCE`` steps in a row do not shrink the step, or
     ``LQR_MAX_STEPS`` steps do not settle it."""
     X = Qw
     tol = LQR_ULPS * np.finfo(float).eps
+    # the smallest step so far, and the steps taken since it
+    least, since = math.inf, 0
     # a diverging X overflows; that is caught below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(LQR_MAX_STEPS):
@@ -374,8 +421,18 @@ def _lqr_cost_to_go(A: np.ndarray, G: np.ndarray, Qw: np.ndarray,
             if not math.isfinite(scale):
                 raise Unstabilizable("LQR design failed: the Riccati "
                                      "iteration diverged")
-            if np.abs(nxt - X).max() <= tol * scale:
+            step = np.abs(nxt - X).max()
+            if step <= tol * scale:
                 return nxt
+            if step < least:
+                least, since = step, 0
+            else:
+                since += 1
+                if since == LQR_PATIENCE:
+                    raise Unstabilizable(
+                        f"LQR design failed: the Riccati iteration stopped "
+                        f"settling; {LQR_PATIENCE} steps in a row did not "
+                        f"shrink its step")
             X = nxt
     raise Unstabilizable(f"LQR design failed: the Riccati iteration did not "
                          f"settle in {LQR_MAX_STEPS} steps")
@@ -386,7 +443,9 @@ def design_lma(model: LinearGaussianModel, target: np.ndarray,
     """Design a funnel controller toward ``target``.
 
     An LQR gain does not depend on the target, so it is designed once per
-    model and weights; the array is shared and read-only.
+    model and weights, and the attractor covariance, the filter's
+    stationary covariance, once per model; both arrays are shared and
+    read-only.
 
     Raises Unstabilizable if the resulting closed loop has spectral
     radius >= 1.
@@ -410,7 +469,11 @@ def design_lma(model: LinearGaussianModel, target: np.ndarray,
     rho = np.max(np.abs(np.linalg.eigvals(closed)))
     if rho >= 1.0:
         raise Unstabilizable(f"closed-loop spectral radius {rho:.4f} >= 1")
-    p_post = stationary_covariance(model)
+    p_post = model._stationary_cov
+    if p_post is None:
+        p_post = stationary_covariance(model)
+        p_post.setflags(write=False)
+        model._stationary_cov = p_post
     return Lma(gain=L, attractor=GaussianBelief(mean=target, cov=p_post))
 
 
@@ -418,10 +481,13 @@ def lma_step(lma: Lma, sim: SimState, model: LinearGaussianModel,
              rng: np.random.Generator) -> SimState:
     """Advance truth and belief one step under the LMA; mutates ``sim``.
 
-    Every product is ``ndarray.dot``: the same bits as ``@`` at about half
-    the call cost on these small arrays."""
+    Every matrix-vector product is one kept by the model, the LMA or the
+    filter path (see ``_product``): ``x`` itself for an identity, an
+    elementwise scale for a diagonal matrix, ``ndarray.dot`` otherwise.
+    Each gives the value of ``@``; only the sign of an exact zero can
+    differ, and no reward, comparison or distance reads it."""
     belief = sim.belief
-    u = lma.neg_gain.dot(belief.mean - lma.attractor.mean)
+    u = lma.control(belief.mean - lma.attractor.mean)
     # the step cost; at u_weight == 0 its product adds +0.0 to base for
     # any finite u, so it is left out
     cost = model.step_cost
@@ -434,15 +500,15 @@ def lma_step(lma: Lma, sim: SimState, model: LinearGaussianModel,
     # same numbers, in the same order, as two separate draws
     n = model._n
     noise = rng.standard_normal(model._n_noise)
-    A, C = model.A, model.C
-    gu = model.G.dot(u)
-    truth = A.dot(sim.truth) + gu + model._sq.dot(noise[:n])
-    z = C.dot(truth) + model._sr.dot(noise[n:])
+    A, C = model._a_dot, model._c_dot
+    gu = model._g_dot(u)
+    truth = A(sim.truth) + gu + model._sq_dot(noise[:n])
+    z = C(truth) + model._sr_dot(noise[n:])
 
     # Kalman predict + update (time-varying exact filter)
-    K, cov = model._filter_update(belief.cov)
-    mp = A.dot(belief.mean) + gu
-    mean = mp + K.dot(z - C.dot(mp))
+    _, cov, K = model._filter_update(belief.cov)
+    mp = A(belief.mean) + gu
+    mean = mp + K(z - C(mp))
 
     sim.truth = truth
     sim.belief = GaussianBelief._trusted(mean, cov)

@@ -183,12 +183,16 @@ def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
     sigma = start_milestone.epsilon / 3.0
     order = [k for k, i in enumerate(balls.ids) if i != start_milestone.id]
     cov_sqrt = _psd_sqrt(center.cov)
+    n = len(center.mean)
     counts: Dict[int, int] = dict.fromkeys([FAILURE_ID, *balls.ids], 0)
     total_reward = 0.0
     total_time = 0.0
     for _ in range(m):
-        mean = center.mean + sigma * rng.standard_normal(center.mean.shape)
-        truth = mean + cov_sqrt @ rng.standard_normal(center.mean.shape)
+        # one draw holds the mean jitter, then the truth offset: the same
+        # numbers, in the same order, as two separate draws
+        draw = rng.standard_normal(2 * n)
+        mean = center.mean + sigma * draw[:n]
+        truth = mean + cov_sqrt @ draw[n:]
         sim = SimState(truth=truth,
                        belief=GaussianBelief._trusted(mean, center.cov))
         rec = run_lma(lma, sim, balls, model, max_steps, rng, order)
