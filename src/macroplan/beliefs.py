@@ -51,14 +51,16 @@ class Constraints:
     @staticmethod
     def from_dict(d: dict) -> "Constraints":
         kind = d["kind"]
+        reads = {"none": {"kind"}, "rects": {"kind", "rects"}}
+        if kind not in reads:
+            raise ValueError(f"unknown constraints kind {kind!r}")
+        extra = sorted(set(d) - reads[kind], key=str)
+        if extra:
+            raise ValueError(f"constraints of kind {kind!r} read no key "
+                             f"{extra[0]!r}")
         if kind == "none":
             return NoConstraints()
-        if kind == "rects":
-            return RectConstraints(
-                rects=[tuple(map(tuple, r)) for r in d["rects"]],
-                bounds=tuple(map(tuple, d["bounds"])) if d.get("bounds") else None,
-            )
-        raise ValueError(f"unknown constraint kind {kind!r}")
+        return RectConstraints(rects=d["rects"])
 
 
 class NoConstraints(Constraints):
@@ -67,23 +69,24 @@ class NoConstraints(Constraints):
 
 
 class RectConstraints(Constraints):
-    """Union of axis-aligned forbidden rectangles over the leading two state
-    dimensions, plus optional workspace bounds (outside = violation)."""
+    """Union of axis-aligned forbidden rectangles ``(lo, hi)`` over the
+    leading two state dimensions; each is finite with ``lo < hi``."""
 
-    def __init__(self, rects: Sequence[tuple] = (), bounds: Optional[tuple] = None):
-        self.rects = [((float(lo[0]), float(lo[1])), (float(hi[0]), float(hi[1])))
-                      for lo, hi in rects]
-        self.bounds = None
-        if bounds is not None:
-            (blo, bhi) = bounds
-            self.bounds = ((float(blo[0]), float(blo[1])), (float(bhi[0]), float(bhi[1])))
+    def __init__(self, rects: Sequence[tuple] = ()):
+        try:
+            self.rects = [((float(x0), float(y0)), (float(x1), float(y1)))
+                          for (x0, y0), (x1, y1) in rects]
+        except (TypeError, ValueError):
+            raise ValueError(f"constraints rects must be [[x0, y0], [x1, y1]] "
+                             f"corner pairs, not {rects!r}") from None
+        for (x0, y0), (x1, y1) in self.rects:
+            if not (-math.inf < x0 < x1 < math.inf
+                    and -math.inf < y0 < y1 < math.inf):
+                raise ValueError(f"constraints rectangle {[[x0, y0], [x1, y1]]}"
+                                 f" must be finite with lo < hi")
 
     def violates(self, x: np.ndarray) -> bool:
         px, py = float(x[0]), float(x[1])
-        if self.bounds is not None:
-            (blo, bhi) = self.bounds
-            if not (blo[0] <= px <= bhi[0] and blo[1] <= py <= bhi[1]):
-                return True
         for (lo, hi) in self.rects:
             if lo[0] <= px <= hi[0] and lo[1] <= py <= hi[1]:
                 return True
@@ -218,9 +221,6 @@ class LinearGaussianModel:
     def control_dim(self) -> int:
         return self.G.shape[1]
 
-    def constraint_set(self, x: np.ndarray) -> bool:
-        return self.constraints.violates(x)
-
     def _riccati_step(self, cov: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Kalman gain and posterior covariance one predict/update step after
         posterior ``cov``; the Joseph form keeps the covariance PSD, and it
@@ -352,14 +352,19 @@ class GainSpec:
                    fixed_gain=None if fg is None else np.array(fg))
 
 
-def stationary_covariance(model: LinearGaussianModel, tol: float = 1e-12,
+# The Riccati iteration of stationary_covariance stops once no entry of the
+# covariance moves by more than this.
+RICCATI_TOL = 1e-12
+
+
+def stationary_covariance(model: LinearGaussianModel,
                           max_iter: int = 100_000) -> np.ndarray:
     """Posterior covariance fixed point of the Kalman filter, by fixed-point
     iteration of the measurement-updated Riccati recurrence."""
     P = model.Q + np.eye(model.state_dim)
     for _ in range(max_iter):
         P_next = model._riccati_step(P)[1]
-        if np.max(np.abs(P_next - P)) <= tol:
+        if np.max(np.abs(P_next - P)) <= RICCATI_TOL:
             return 0.5 * (P_next + P_next.T)
         P = P_next
     raise NonConvergent(
@@ -625,7 +630,7 @@ def run_lma(lma: Lma, start: SimState, stops: BallIndex,
                 accrued_reward=sim.accrued_reward - start_reward)
         lma_step(lma, sim, model, rng)
         steps += 1
-        if model.constraint_set(sim.truth):
+        if model.constraints.violates(sim.truth):
             return TerminationRecord(
                 outcome=TerminationRecord.FAILED, region_id=0,
                 elapsed_steps=steps,

@@ -144,7 +144,7 @@ class GraphTmaExecution(Execution):
         lma_step(tma.funnels[tma.policy[self.node].to_id], sim, self.model,
                  rng)
         rewards[agent] += sim.accrued_reward - before
-        if self.model.constraint_set(sim.truth):
+        if self.model.constraints.violates(sim.truth):
             dead.append(agent)
             return False
         self.steps_on_edge += 1

@@ -301,56 +301,37 @@ def _roster(cfg: DeliveryConfig, tmas: Dict[str, Tma],
 
 _MOVE_AIR = ["goto-base-1", "goto-base-2", "wait"]
 
-
-def _air_successors(roster: Dict[str, TmaSpec]
-                    ) -> Dict[Tuple[str, str], List[str]]:
-    """Termination/initiation compatibility for air robots, keyed by
-    (terminating macro-action, observation class)."""
-    default = {
-        "none": _MOVE_AIR,
-        "empty": _MOVE_AIR,
-        "s-d1": ["pickup", "goto-dest-1", "wait"],
-        "s-d2": ["pickup", "goto-dest-2", "wait"],
-        "s-dr": ["pickup", "goto-rv", "wait"],
-        "L-a": ["joint-pickup", "wait"],
-        "L-m": ["wait", "goto-base-1", "goto-base-2"],
-        "rv-a": ["place-on-truck", "wait"],
-        "rv-m": ["wait", "goto-base-1", "goto-base-2"],
-    }
-    table = {(pi, obs): list(succ) for pi in roster
-             for obs, succ in default.items()}
-    table.update({
-        ("pickup", "s-d1"): ["goto-dest-1", "wait"],
-        ("pickup", "s-d2"): ["goto-dest-2", "wait"],
-        ("pickup", "s-dr"): ["goto-rv", "wait"],
-        ("joint-pickup", "s-d1"): ["joint-goto-dest-1", "wait"],
-        ("joint-pickup", "s-d2"): ["joint-goto-dest-2", "wait"],
-        ("goto-dest-1", "s-d1"): ["putdown", "wait"],
-        ("goto-dest-2", "s-d2"): ["putdown", "wait"],
-        ("joint-goto-dest-1", "s-d1"): ["joint-putdown", "wait"],
-        ("joint-goto-dest-2", "s-d2"): ["joint-putdown", "wait"],
-        ("goto-rv", "s-dr"): ["place-on-truck", "wait"],
-    })
-    return table
-
-
-def _ground_successors(roster: Dict[str, TmaSpec]
-                       ) -> Dict[Tuple[str, str], List[str]]:
-    default = {
-        "none": ["goto-rv", "wait"],
-        "rv-a": ["wait", "goto-rv"],
-        "rv-m": ["wait", "goto-rv"],
-        "s-dr": ["goto-dest-r", "wait"],
-    }
-    # base-only observations never reach the ground robot; keep the sets
-    # non-empty so controller sampling stays well-defined
-    for obs in OBS_ALPHABET:
-        default.setdefault(obs, ["wait"])
-    table = {(pi, obs): list(succ) for pi in roster
-             for obs, succ in default.items()}
-    table[("goto-dest-r", "s-dr")] = ["putdown", "wait"]
-    table[("putdown", "none")] = ["goto-rv", "wait"]
-    return table
+# Which macro-actions may follow one that terminates under an observation
+# class, per robot kind: the successors by observation class, then the
+# (macro-action, observation) pairs whose successors differ from those.
+# The ground robot never sees a base, and an observation a kind never makes
+# allows only "wait", so that controller sampling stays well-defined.
+_SUCCESSORS = {
+    AIR: ({"none": _MOVE_AIR,
+           "empty": _MOVE_AIR,
+           "s-d1": ["pickup", "goto-dest-1", "wait"],
+           "s-d2": ["pickup", "goto-dest-2", "wait"],
+           "s-dr": ["pickup", "goto-rv", "wait"],
+           "L-a": ["joint-pickup", "wait"],
+           "L-m": ["wait", "goto-base-1", "goto-base-2"],
+           "rv-a": ["place-on-truck", "wait"],
+           "rv-m": ["wait", "goto-base-1", "goto-base-2"]},
+          {("pickup", "s-d1"): ["goto-dest-1", "wait"],
+           ("pickup", "s-d2"): ["goto-dest-2", "wait"],
+           ("pickup", "s-dr"): ["goto-rv", "wait"],
+           ("joint-pickup", "s-d1"): ["joint-goto-dest-1", "wait"],
+           ("joint-pickup", "s-d2"): ["joint-goto-dest-2", "wait"],
+           ("goto-dest-1", "s-d1"): ["putdown", "wait"],
+           ("goto-dest-2", "s-d2"): ["putdown", "wait"],
+           ("joint-goto-dest-1", "s-d1"): ["joint-putdown", "wait"],
+           ("joint-goto-dest-2", "s-d2"): ["joint-putdown", "wait"],
+           ("goto-rv", "s-dr"): ["place-on-truck", "wait"]}),
+    GROUND: ({"none": ["goto-rv", "wait"],
+              "rv-a": ["wait", "goto-rv"],
+              "rv-m": ["wait", "goto-rv"],
+              "s-dr": ["goto-dest-r", "wait"]},
+             {("goto-dest-r", "s-dr"): ["putdown", "wait"]}),
+}
 
 
 class DeliveryDomain(Domain):
@@ -409,10 +390,8 @@ class DeliveryDomain(Domain):
                          moves={"goto-rv": "rv", "goto-dest-r": "dest-r"},
                          tasks={"putdown": cfg.putdown_steps,
                                 "wait": cfg.wait_steps})
-        # both air robots share one roster and one successor table
-        air_succ = _air_successors(air)
+        # both air robots share one roster
         self._rosters = [air, air, ground]
-        self._succ = [air_succ, air_succ, _ground_successors(ground)]
 
     # ----- Domain interface ----------------------------------------------
     def roster(self, agent: int) -> Dict[str, TmaSpec]:
@@ -425,7 +404,9 @@ class DeliveryDomain(Domain):
         return list(OBS_ALPHABET)
 
     def valid_successors(self, agent, tma_id, obs_label):
-        return list(self._succ[agent][(tma_id, obs_label)])
+        by_obs, by_pair = _SUCCESSORS[self.kinds[agent]]
+        succ = by_pair.get((tma_id, obs_label))
+        return list(succ or by_obs.get(obs_label, ["wait"]))
 
     def initial(self, rng: np.random.Generator) -> JointConfig:
         cfg = self.cfg
@@ -594,43 +575,29 @@ class DeliveryDomain(Domain):
             elif world.pending_refill[j] > 1:
                 world.pending_refill[j] -= 1
 
+        # an effect lands only while its task's precondition still holds;
+        # events apply in order, so an earlier one can void a later one
         for name, agents in events:
-            if name == "pickup":
-                a = agents[0]
+            a = agents[0]
+            if not self.initiation_ok(a, name, config):
+                continue
+            if name in ("pickup", "joint-pickup"):
                 j = self._base_at(self._xy_of(a, config))
-                if (j is not None and world.base_packages[j].size == 1
-                        and world.carrying[a] is None):
-                    world.carrying[a] = world.base_packages[j]
-                    world.base_packages[j] = EMPTY
-                    world.pending_refill[j] = 2
-            elif name == "joint-pickup":
-                a = agents[0]
-                j = self._base_at(self._xy_of(a, config))
-                if (j is not None and world.base_packages[j].size == 2
-                        and world.joint_carry is None):
-                    world.joint_carry = world.base_packages[j]
-                    world.base_packages[j] = EMPTY
-                    world.pending_refill[j] = 2
+                pkg, world.base_packages[j] = world.base_packages[j], EMPTY
+                world.pending_refill[j] = 2
+                if name == "pickup":
+                    world.carrying[a] = pkg
+                else:
+                    world.joint_carry = pkg
             elif name == "putdown":
-                a = agents[0]
-                pkg = world.carrying[a]
-                if pkg is not None:
-                    world.carrying[a] = None
-                    self._settle_drop(pkg, agents, config)
+                self._settle_drop(world.carrying[a], agents, config)
+                world.carrying[a] = None
             elif name == "joint-putdown":
-                pkg = world.joint_carry
-                if pkg is not None:
-                    world.joint_carry = None
-                    self._settle_drop(pkg, agents, config)
+                self._settle_drop(world.joint_carry, agents, config)
+                world.joint_carry = None
             elif name == "place-on-truck":
-                a = agents[0]
-                pkg = world.carrying[a]
-                if (pkg is not None and world.carrying[2] is None
-                        and self._at(self._xy_of(a, config),
-                                     self._rendezvous_xy)
-                        and self._colocated(a, 2, config)):
-                    world.carrying[a] = None
-                    world.carrying[2] = pkg
+                world.carrying[2] = world.carrying[a]
+                world.carrying[a] = None
         assert world.audit_ok(), "package conservation violated"
 
     def _settle_drop(self, pkg: PackageDescriptor, agents,

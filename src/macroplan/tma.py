@@ -406,7 +406,7 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
             where = "" if settle is None else " with A x = x"
             raise ConfigError(
                 f"could not sample constraint-free milestones{where}")
-        if task_model.constraint_set(mean):
+        if task_model.constraints.violates(mean):
             continue
         if any(np.linalg.norm(mean - ms.center.mean) < min_sep
                for i, ms in milestones.items() if i != FAILURE_ID):

@@ -180,7 +180,19 @@ def test_build_tma_bad_config_exits_2(tmp_path, capsys):
                                                          [0.0, 1.0]]},
              "fixed_gain"),
             ("start", "cov", [[-1.0, 0.0], [0.0, -1.0]],
-             "positive semi-definite")]:
+             "positive semi-definite"),
+            # an obstacle that could never block, a key no kind reads
+            ("model", "constraints",
+             {"kind": "rects", "rects": [[[math.nan, 0.4], [0.6, 0.6]]]},
+             "constraints"),
+            ("model", "constraints",
+             {"kind": "rects", "rects": [[[0.6, 0.6], [0.4, 0.4]]]},
+             "constraints"),
+            ("model", "constraints", {"kind": "none", "foo": 1},
+             "constraints"),
+            ("model", "constraints",
+             {"kind": "rects", "rects": [],
+              "bounds": [[0.0, 0.0], [1.0, 1.0]]}, "constraints")]:
         cfg = copy.deepcopy(TMA_CONFIG)
         cfg[section][key] = value
         path = write_yaml(tmp_path / f"{key}.yaml", cfg)

@@ -1,5 +1,8 @@
 """Tests for the package-delivery benchmark domain."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +143,17 @@ def test_rosters_pin_every_macro_action(domain):
     for j in (1, 2):
         r = domain.roster(0)
         assert r[f"goto-dest-{j}"].tma is r[f"joint-goto-dest-{j}"].tma
+
+
+def test_successor_tables_pinned(domain):
+    """What the controller sampler reads, hashed: each agent's roster in
+    sampling order and, per macro-action, every observation with its
+    successor set, in alphabet order."""
+    doc = [[roster, [[lb, [[obs, sorted(valid)] for obs, valid in succ[lb]]]
+                     for lb in roster]]
+           for roster, succ in domain.sampling_tables]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == \
+        "7a43bb868a880b86b2eccac345aa71eeb23bb34d0e2ca925cf498a22b92022d0"
 
 
 def test_generate_packages_matches_categorical():
@@ -296,6 +310,42 @@ def test_truck_handoff_delivers_to_regulated_destination(domain):
     run_macro(domain, config, rng, {2: "goto-dest-r"})
     run_macro(domain, config, rng, {2: "putdown"})
     assert w.delivered["dr"] == 1 and w.audit_ok()
+
+
+def test_second_pickup_of_one_package_finds_the_base_empty(domain):
+    """Both air robots pick up the one small package at a base in the same
+    step: the lower agent's effect applies first and takes it, and the
+    other's precondition has lapsed, so it gets nothing."""
+    config = fresh_config(domain)
+    rng = np.random.default_rng(37)
+    pkg = PackageDescriptor(size=1, destination="d1")
+    set_base(domain, config, 0, pkg)
+    place(config, 1, domain.cfg.bases[0])
+    seg = step_joint(config, {0: "pickup", 1: "pickup"}, domain, rng)
+    w = config.world
+    assert w.carrying[:2] == [pkg, None]
+    assert not w.base_packages[0].present and w.audit_ok()
+    assert seg.observations == {0: "s-d1", 1: "empty"}
+
+
+def test_place_on_truck_after_the_truck_left_keeps_the_package(domain):
+    """``place-on-truck`` ends after the truck has driven out of
+    colocation: the handoff's precondition has lapsed, so the package
+    stays with the air robot."""
+    config = fresh_config(domain)
+    rng = np.random.default_rng(41)
+    pkg = PackageDescriptor(size=1, destination="dr")
+    w = config.world
+    w.carrying[0] = pkg
+    w.created += 1
+    place(config, 0, domain.cfg.rendezvous)
+    assert domain.initiation_ok(0, "place-on-truck", config)
+    seg = step_joint(config, {0: "place-on-truck", 2: "goto-dest-r"},
+                     domain, rng)
+    assert 0 in seg.observations and 2 in config.executions
+    assert not domain._colocated(0, 2, config)
+    assert w.carrying[0] == pkg and w.carrying[2] is None
+    assert w.audit_ok()
 
 
 def test_joint_pickup_and_delivery(domain):

@@ -4,8 +4,8 @@ top-level name, method and property of the package is used somewhere.
 A deletion that leaves an import behind shows here, and so does a function,
 class, constant, method or property that only its own definition mentions.
 ``__init__.py`` only re-exports, so it is not scanned, and its re-exports do
-not count as uses.  The tests and the benchmark count as users; the tests
-are scanned for unused imports too, the benchmark is not.
+not count as uses.  The tests and the benchmark count as users, and are
+scanned for unused imports too.
 """
 
 import ast
@@ -24,8 +24,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "macroplan"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted((ROOT / "tests").rglob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 # where a use of a package name counts
-USERS = MODULES + TESTS + sorted((ROOT / "perfbench").rglob("*.py"))
+USERS = MODULES + TESTS + BENCH
 
 
 def imported_names(tree):
@@ -65,7 +66,8 @@ def test_scan_covers_the_package():
     assert {p.name for p in MODULES} >= {"decposmdp.py", "tma.py", "cli.py"}
 
 
-@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS + BENCH,
+                         ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = used_names(tree)
