@@ -3,16 +3,17 @@
 from .beliefs import (GainSpec, GaussianBelief, LinearGaussianModel, Lma,
                       SimState, StepCost, TerminationRecord, design_lma,
                       lma_step, run_lma, stationary_covariance)
-from .errors import (ConfigError, GoalUnreachable, InitiationViolated,
-                     MacroplanError, NonConvergent, NoOutgoingEdge,
-                     NoValidSuccessor, SingularChain, Unstabilizable)
+from .errors import (ConfigError, GoalUnreachable, MacroplanError,
+                     NonConvergent, NoOutgoingEdge, NoValidSuccessor,
+                     SingularChain, Unstabilizable)
 from .tma import (GraphEdge, Milestone, Tma, TmaConfig, TmaGraph, construct_tma,
                   estimate_edge, expected_times, save_tma, solve_graph_dp,
                   success_probabilities)
 from .decposmdp import (Domain, GraphTmaExecution, JointConfig,
                         JointGraphExecution, PolicyValue, RewardSpec,
                         RolloutTrace, SegmentResult, TimedExecution, TmaSpec,
-                        evaluate_joint_policy, run_rollout, step_joint)
+                        evaluate_joint_policy, run_rollout, segment_starts,
+                        step_joint)
 from .search import (JointPolicy, Mask, PolicyController, SearchConfig,
                      SearchResult, create_mask, load_policy, mmcs,
                      monte_carlo_search, sample_joint_policy,

@@ -17,7 +17,6 @@ from typing import (Any, Dict, FrozenSet, Hashable, List, Optional, Sequence,
 import numpy as np
 
 from .beliefs import SimState, lma_step
-from .errors import InitiationViolated
 from .tma import Tma
 
 # primitive steps a graph walk may spend on one edge before its agent dies
@@ -233,7 +232,8 @@ class Domain:
         pass
 
     def fallback_tma(self, agent: int) -> Optional[Hashable]:
-        """Macro-action substituted when an assignment cannot initiate."""
+        """Macro-action an idle agent starts when its choice cannot start:
+        a single-agent one that always initiates, so it is not checked."""
         return None
 
     def valid_successors(self, agent: int, tma_id: Hashable,
@@ -283,52 +283,52 @@ def _running_executions(config: JointConfig) -> List[Execution]:
     return execs
 
 
-def _starts(assigned: Dict[int, Hashable], domain: Domain
-            ) -> Tuple[List[Tuple[TmaSpec, Tuple[int, ...]]], List[int]]:
-    """The starts an assignment makes, and the agents it leaves over.
+def segment_starts(config: JointConfig, chosen: Dict[int, Hashable],
+                   domain: Domain) -> List[Tuple[TmaSpec, Tuple[int, ...]]]:
+    """The ``(spec, agents)`` starts a segment makes, where ``chosen`` maps
+    agents to the macro-actions their controllers picked.
 
-    A single-agent macro-action starts as ``(spec, (agent,))``.  A joint
-    one starts only as a whole group: its spec and its first
-    ``agents_required`` members in agent order.  Members of a short group,
-    and members beyond the group size, are left over."""
+    A busy or dead agent keeps what it has.  An idle agent's choice is
+    checked once against its initiation set; one that cannot initiate is
+    replaced by ``domain.fallback_tma``, or the agent stays idle when there
+    is none.  A single-agent macro-action starts for its agent; a joint one
+    only as a whole group, its first ``agents_required`` members in agent
+    order.  Members of a short group, and members beyond the group size,
+    fall back too."""
     starts = []
     groups: Dict[Hashable, Tuple[TmaSpec, List[int]]] = {}
-    for agent, tma_id in assigned.items():
+    left: List[int] = []
+    for agent, tma_id in sorted(chosen.items()):
+        if agent in config.dead or agent in config.executions:
+            continue
+        if not domain.initiation_ok(agent, tma_id, config):
+            left.append(agent)
+            continue
         spec = domain.roster(agent)[tma_id]
         if spec.agents_required > 1:
             groups.setdefault(tma_id, (spec, []))[1].append(agent)
         else:
             starts.append((spec, (agent,)))
-    left: List[int] = []
     for spec, members in groups.values():
-        members.sort()
         n = spec.agents_required
         if len(members) < n:
             left += members
         else:
             starts.append((spec, tuple(members[:n])))
             left += members[n:]
-    return starts, left
+    for agent in left:
+        fb = domain.fallback_tma(agent)
+        if fb is not None:
+            starts.append((domain.roster(agent)[fb], (agent,)))
+    return starts
 
 
-def step_joint(config: JointConfig, assigned: Dict[int, Hashable],
-               domain: Domain, rng: np.random.Generator) -> SegmentResult:
-    """Advance all agents in lockstep until the first macro-action terminates.
-
-    ``assigned`` maps idle agents to their next macro-action; initiation
-    violations, including a joint macro-action assigned to other than its
-    whole group, raise.  Rewards are discounted from the segment start.
-    """
-    for agent, tma_id in assigned.items():
-        if agent in config.dead or agent in config.executions:
-            raise InitiationViolated(f"agent {agent} cannot accept a macro-action")
-        if not domain.initiation_ok(agent, tma_id, config):
-            raise InitiationViolated(
-                f"macro-action {tma_id!r} cannot initiate for agent {agent}")
-    starts, left = _starts(assigned, domain)
-    if left:
-        raise InitiationViolated(
-            f"agents {left} hold a joint macro-action without its whole group")
+def step_joint(config: JointConfig,
+               starts: List[Tuple[TmaSpec, Tuple[int, ...]]], domain: Domain,
+               rng: np.random.Generator) -> SegmentResult:
+    """Begin ``starts``, as ``segment_starts`` returns them, and advance all
+    agents in lockstep until the first macro-action terminates.  Rewards
+    are discounted from the segment start."""
     for exe in domain.begin_executions(starts, config):
         for a in exe.agents:
             config.executions[a] = exe
@@ -395,28 +395,6 @@ class PolicyValue:
     stderr: float
 
 
-def _resolve_assignments(policy, domain: Domain, config: JointConfig,
-                         nodes: List[int]) -> Dict[int, Hashable]:
-    assigned = {}
-    for i in range(len(config.sims)):
-        if i in config.dead or i in config.executions:
-            continue
-        tma_id = policy.controllers[i].nodes[nodes[i]]
-        if not domain.initiation_ok(i, tma_id, config):
-            tma_id = domain.fallback_tma(i)
-            if tma_id is None:
-                continue
-        assigned[i] = tma_id
-    # agents left over from a joint macro-action's group fall back
-    for i in _starts(assigned, domain)[1]:
-        fb = domain.fallback_tma(i)
-        if fb is not None:
-            assigned[i] = fb
-        else:
-            del assigned[i]
-    return assigned
-
-
 def run_rollout(policy, domain: Domain, horizon_macro_steps: int,
                 rng: np.random.Generator) -> RolloutTrace:
     """One seeded rollout of a joint policy.  Asserts the semi-Markov
@@ -429,10 +407,12 @@ def run_rollout(policy, domain: Domain, horizon_macro_steps: int,
     macro_value = 0.0
     prim_ledger: List[float] = []
     for _ in range(horizon_macro_steps):
-        assigned = _resolve_assignments(policy, domain, config, nodes)
-        if not assigned and not config.executions:
+        starts = segment_starts(
+            config, {i: c.nodes[nodes[i]]
+                     for i, c in enumerate(policy.controllers)}, domain)
+        if not starts and not config.executions:
             break
-        seg = step_joint(config, assigned, domain, rng)
+        seg = step_joint(config, starts, domain, rng)
         macro_value += gamma ** (config.clock - seg.tau_min) * seg.reward_Rtau
         prim_ledger.extend(seg.primitive_rewards)
         for a, obs in seg.observations.items():

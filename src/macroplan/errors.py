@@ -37,10 +37,6 @@ class NoValidSuccessor(MacroplanError):
     """Some (macro-action, observation) pair has an empty successor set."""
 
 
-class InitiationViolated(MacroplanError):
-    """A macro-action was assigned while its initiation predicate is false."""
-
-
 class ConfigError(MacroplanError):
     """Scenario or command configuration is inconsistent."""
 

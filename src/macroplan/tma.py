@@ -395,7 +395,7 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
     n_sampled = cfg.n_nodes - 1  # goal is one of the n_nodes sampled milestones
     min_sep = 2.0 * cfg.epsilon  # overlapping balls would create free cycles
     settle = _settle_projector(task_model.A)
-    tries = 0
+    tries = blocked = crowded = 0
     next_id = 2
     while next_id < n_sampled + 1:
         mean = lo + (hi - lo) * rng.random(task_model.state_dim)
@@ -404,12 +404,19 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
         tries += 1
         if tries > 1000 * max(n_sampled, 1):
             where = "" if settle is None else " with A x = x"
+            cause = ("no more fit 2*epsilon apart" if crowded >= blocked
+                     else "the constraints cover most draws")
             raise ConfigError(
-                f"could not sample constraint-free milestones{where}")
+                f"could not sample milestones{where} for "
+                f"n_nodes={cfg.n_nodes}, epsilon={cfg.epsilon}: {cause} "
+                f"({crowded} draws too close to a milestone, {blocked} "
+                f"violating a constraint)")
         if task_model.constraints.violates(mean):
+            blocked += 1
             continue
         if any(np.linalg.norm(mean - ms.center.mean) < min_sep
                for i, ms in milestones.items() if i != FAILURE_ID):
+            crowded += 1
             continue
         milestones[next_id] = Milestone(
             id=next_id, center=GaussianBelief(mean=mean, cov=p_stat),

@@ -23,7 +23,7 @@ from macroplan.chains import (absorption_probabilities,
 from macroplan.cli import EXIT_OK, main as cli_main
 from macroplan.decposmdp import (Domain, JointConfig, RewardSpec,
                                  TimedExecution, TmaSpec, run_rollout,
-                                 step_joint)
+                                 segment_starts, step_joint)
 from macroplan.delivery import build_domain, desk_config, success_curve
 from macroplan.search import (JointPolicy, PolicyController, SearchConfig,
                               mmcs, monte_carlo_search, sample_joint_policy)
@@ -343,14 +343,18 @@ def test_asynchronous_termination():
         domain = _TwoTimerDomain()
         rng = np.random.default_rng(0)
         config = domain.initial(rng)
-        seg = step_joint(config, {0: "t3", 1: "t9"}, domain, rng)
+        seg = step_joint(
+            config, segment_starts(config, {0: "t3", 1: "t9"}, domain),
+            domain, rng)
         assert seg.tau_min == 3
         assert set(seg.observations) == {0}
         assert 1 in config.executions and 0 not in config.executions
         # the long macro-action keeps running through later segments
-        seg = step_joint(config, {0: "t3"}, domain, rng)
+        seg = step_joint(config, segment_starts(config, {0: "t3"}, domain),
+                         domain, rng)
         assert seg.tau_min == 3 and set(seg.observations) == {0}
-        seg = step_joint(config, {0: "t9"}, domain, rng)
+        seg = step_joint(config, segment_starts(config, {0: "t9"}, domain),
+                         domain, rng)
         assert seg.tau_min == 3 and set(seg.observations) == {1}
         assert config.clock == 9
 

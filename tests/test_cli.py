@@ -202,6 +202,17 @@ def test_build_tma_bad_config_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: bad TMA config: ")
         assert word in err and len(err.splitlines()) == 1
+    # six milestones cannot lie 2 * 0.4 apart in the unit square, and the
+    # message says so rather than blame the (absent) constraints
+    cfg = copy.deepcopy(TMA_CONFIG)
+    cfg["tma"].update(n_nodes=6, epsilon=0.4)
+    path = write_yaml(tmp_path / "crowded.yaml", cfg)
+    assert main(["build-tma", "--config", path,
+                 "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: could not sample milestones")
+    assert "n_nodes=6, epsilon=0.4: no more fit 2*epsilon apart" in err
+    assert " 0 violating a constraint" in err and len(err.splitlines()) == 1
 
 
 def _leaf_paths(tree, path=()):

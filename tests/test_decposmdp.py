@@ -14,9 +14,8 @@ from macroplan.decposmdp import (Domain, GraphTmaExecution, JointConfig,
                                  JointGraphExecution, RewardSpec,
                                  TimedExecution, TmaSpec,
                                  evaluate_joint_policy, run_rollout,
-                                 step_joint)
+                                 segment_starts, step_joint)
 from macroplan.delivery import build_domain, desk_config
-from macroplan.errors import InitiationViolated
 from macroplan.search import SearchConfig, mmcs, sample_joint_policy
 from macroplan.tma import (GraphEdge, Milestone, Tma, TmaConfig, TmaGraph,
                            construct_tma)
@@ -80,16 +79,17 @@ def test_asynchronous_termination_segments():
     dom = TimedToyDomain()
     rng = np.random.default_rng(0)
     cfg = dom.initial(rng)
-    seg = step_joint(cfg, {0: "t3", 1: "t9"}, dom, rng)
+    seg = step_joint(cfg, segment_starts(cfg, {0: "t3", 1: "t9"}, dom), dom,
+                     rng)
     assert seg.tau_min == 3
     assert set(seg.observations) == {0}
     assert 0 not in cfg.executions
     assert 1 in cfg.executions
     # agent 1 keeps running; agent 0 starts a fresh 3-step task
-    seg2 = step_joint(cfg, {0: "t3"}, dom, rng)
+    seg2 = step_joint(cfg, segment_starts(cfg, {0: "t3"}, dom), dom, rng)
     assert seg2.tau_min == 3
     assert set(seg2.observations) == {0}
-    seg3 = step_joint(cfg, {0: "t3"}, dom, rng)
+    seg3 = step_joint(cfg, segment_starts(cfg, {0: "t3"}, dom), dom, rng)
     assert seg3.tau_min == 3
     assert set(seg3.observations) == {0, 1}
     assert cfg.clock == 9
@@ -101,7 +101,8 @@ def test_segment_reward_discounted_by_hand():
     dom = TimedToyDomain(gamma=0.9)
     rng = np.random.default_rng(0)
     cfg = dom.initial(rng)
-    seg = step_joint(cfg, {0: "t3", 1: "t3"}, dom, rng)
+    seg = step_joint(cfg, segment_starts(cfg, {0: "t3", 1: "t3"}, dom), dom,
+                     rng)
     assert seg.reward_Rtau == pytest.approx(-2 * (1 + 0.9 + 0.81), abs=1e-12)
     assert seg.primitive_rewards == [-2.0, -2.0, -2.0]
 
@@ -110,28 +111,73 @@ def test_effect_event_pays_team_reward_and_moves_estate():
     dom = TimedToyDomain()
     rng = np.random.default_rng(0)
     cfg = dom.initial(rng)
-    seg = step_joint(cfg, {0: "ding"}, dom, rng)
+    seg = step_joint(cfg, segment_starts(cfg, {0: "ding"}, dom), dom, rng)
     assert seg.tau_min == 2
     assert seg.reward_Rtau == pytest.approx(10.0)
     assert cfg.world == "dinged"
     assert seg.observations == {0: "dinged"}
 
 
-def test_initiation_violation_raises():
+class GroupToyDomain(TimedToyDomain):
+    """Three agents; ``lift`` is a timed task for two of them."""
+
+    def __init__(self):
+        super().__init__()
+        self.n_agents = 3
+        self._roster = {**self._roster,
+                        "lift": TmaSpec(duration=2, agents_required=2)}
+
+
+class NoFallbackDomain(GroupToyDomain):
+    fallback_tma = Domain.fallback_tma
+
+
+def _started(dom, starts):
+    """Each start as (agents, label), in agent order."""
+    label = {id(spec): lb for lb, spec in dom.roster(0).items()}
+    return sorted((agents, label[id(spec)]) for spec, agents in starts)
+
+
+def test_initiation_violation_falls_back():
     dom = TimedToyDomain()
-    rng = np.random.default_rng(0)
-    cfg = dom.initial(rng)
-    with pytest.raises(InitiationViolated):
-        step_joint(cfg, {0: "never"}, dom, rng)
+    cfg = dom.initial(np.random.default_rng(0))
+    starts = segment_starts(cfg, {0: "never", 1: "t3"}, dom)
+    assert _started(dom, starts) == [((0,), "wait"), ((1,), "t3")]
 
 
 def test_busy_agent_cannot_be_reassigned():
     dom = TimedToyDomain()
     rng = np.random.default_rng(0)
     cfg = dom.initial(rng)
-    step_joint(cfg, {0: "t3", 1: "t9"}, dom, rng)  # agent 1 still busy
-    with pytest.raises(InitiationViolated):
-        step_joint(cfg, {1: "t3"}, dom, rng)
+    # agent 1 is still busy after this segment
+    step_joint(cfg, segment_starts(cfg, {0: "t3", 1: "t9"}, dom), dom, rng)
+    starts = segment_starts(cfg, {0: "t3", 1: "t3"}, dom)
+    assert _started(dom, starts) == [((0,), "t3")]
+    cfg.dead.add(0)
+    assert segment_starts(cfg, {0: "t3", 1: "t3"}, dom) == []
+
+
+def test_joint_group_starts_whole_and_the_rest_fall_back():
+    dom = GroupToyDomain()
+    rng = np.random.default_rng(0)
+    cfg = dom.initial(rng)
+    # a short group: its lone member falls back
+    starts = segment_starts(cfg, {0: "lift", 1: "t3", 2: "t3"}, dom)
+    assert _started(dom, starts) == [((0,), "wait"), ((1,), "t3"),
+                                     ((2,), "t3")]
+    # a surplus member beyond agents_required falls back
+    starts = segment_starts(cfg, {0: "lift", 1: "lift", 2: "lift"}, dom)
+    assert _started(dom, starts) == [((0, 1), "lift"), ((2,), "wait")]
+    seg = step_joint(cfg, starts, dom, rng)
+    assert seg.tau_min == 1 and set(seg.observations) == {2}
+    assert cfg.executions[0] is cfg.executions[1]
+
+
+def test_without_a_fallback_the_agent_stays_idle():
+    dom = NoFallbackDomain()
+    cfg = dom.initial(np.random.default_rng(0))
+    starts = segment_starts(cfg, {0: "never", 1: "lift", 2: "t3"}, dom)
+    assert _started(dom, starts) == [((2,), "t3")]
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +320,7 @@ def test_graph_execution_reaches_goal(small_tma):
     dom = GraphToyDomain(tma, model)
     rng = np.random.default_rng(3)
     cfg = dom.initial(rng)
-    seg = step_joint(cfg, {0: "go"}, dom, rng)
+    seg = step_joint(cfg, segment_starts(cfg, {0: "go"}, dom), dom, rng)
     assert seg.observations == {0: 0}  # the e-state class, here the e-state
     goal = tma.graph.milestones[tma.graph.goal_id].center.mean
     assert np.linalg.norm(cfg.sims[0].belief.mean - goal) < 0.1
@@ -287,8 +333,9 @@ def test_graph_execution_at_goal_holds_one_step(small_tma):
     dom = GraphToyDomain(tma, model)
     rng = np.random.default_rng(4)
     cfg = dom.initial(rng)
-    step_joint(cfg, {0: "go"}, dom, rng)
-    seg = step_joint(cfg, {0: "go"}, dom, rng)  # already at the goal
+    step_joint(cfg, segment_starts(cfg, {0: "go"}, dom), dom, rng)
+    # already at the goal
+    seg = step_joint(cfg, segment_starts(cfg, {0: "go"}, dom), dom, rng)
     assert seg.tau_min == 1
     assert set(seg.observations) == {0}
 
@@ -298,7 +345,8 @@ def test_joint_graph_execution_terminates_together(small_tma):
     dom = GraphToyDomain(tma, model, n_agents=2, joint=True)
     rng = np.random.default_rng(5)
     cfg = dom.initial(rng)
-    seg = step_joint(cfg, {0: "go", 1: "go"}, dom, rng)
+    seg = step_joint(cfg, segment_starts(cfg, {0: "go", 1: "go"}, dom), dom,
+                     rng)
     assert seg.observations == {0: 0, 1: 0}
 
 
@@ -319,7 +367,8 @@ def test_constraint_violation_kills_agent_not_mission(small_tma):
     dom = LethalDomain(tma, lethal, n_agents=2)
     rng = np.random.default_rng(6)
     cfg = dom.initial(rng)
-    seg = step_joint(cfg, {0: "go", 1: "wait"}, dom, rng)
+    seg = step_joint(cfg, segment_starts(cfg, {0: "go", 1: "wait"}, dom), dom,
+                     rng)
     assert 0 in seg.dead_agents
     assert cfg.dead == {0}
     # agent 1's one-step wait still terminates the segment normally
@@ -358,7 +407,8 @@ def test_joint_walk_ends_when_a_member_dies(small_tma):
     dom = OneLethalDomain(tma, model, n_agents=2, joint=True)
     rng = np.random.default_rng(5)
     cfg = dom.initial(rng)
-    seg = step_joint(cfg, {0: "go", 1: "go"}, dom, rng)
+    seg = step_joint(cfg, segment_starts(cfg, {0: "go", 1: "go"}, dom), dom,
+                     rng)
     assert seg.tau_min == 1
     assert seg.dead_agents == {1}
     assert seg.observations == {0: 0}
@@ -478,6 +528,40 @@ def test_desk_segments_are_bit_exact(desk_domain, monkeypatch):
 
     assert _segment_digest(monkeypatch, run) == (
         "8d2f15b67fcabdfb4a88e5d6a45d8ef4542b1a7f88f812c181fdcf34355daf4e")
+
+
+def test_each_idle_agent_is_checked_once_per_segment(desk_domain,
+                                                     monkeypatch):
+    """Over one desk evaluation, ``initiation_ok`` runs once for each agent
+    idle at a segment's start and once for each effect event
+    ``e_dynamics`` applies: no segment checks an agent twice."""
+    cls = type(desk_domain)
+    policy = sample_joint_policy(desk_domain, 13, np.random.default_rng(0))
+    calls = {"initiation_ok": 0, "idle": 0, "events": 0}
+    check, dynamics, step = (cls.initiation_ok, cls.e_dynamics,
+                             decposmdp.step_joint)
+
+    def counted_check(self, *args):
+        calls["initiation_ok"] += 1
+        return check(self, *args)
+
+    def counted_dynamics(self, events, *args):
+        calls["events"] += len(events)
+        return dynamics(self, events, *args)
+
+    def counted_step(config, *args):
+        calls["idle"] += sum(1 for a in range(len(config.sims))
+                             if a not in config.dead
+                             and a not in config.executions)
+        return step(config, *args)
+
+    monkeypatch.setattr(cls, "initiation_ok", counted_check)
+    monkeypatch.setattr(cls, "e_dynamics", counted_dynamics)
+    monkeypatch.setattr(decposmdp, "step_joint", counted_step)
+    evaluate_joint_policy(policy, desk_domain, 3, 40,
+                          np.random.default_rng(300))
+    assert calls["idle"] > 0 and calls["events"] > 0
+    assert calls["initiation_ok"] == calls["idle"] + calls["events"]
 
 
 def test_joint_and_lethal_graph_segments_are_bit_exact(small_tma, monkeypatch):

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macroplan.beliefs import GaussianBelief
-from macroplan.decposmdp import step_joint
+from macroplan.decposmdp import segment_starts, step_joint
 from macroplan.delivery import (EMPTY, OBS_ALPHABET, DeliveryConfig,
                                 PackageDescriptor, _PackageTable, _dist,
                                 build_domain, desk_config, success_curve,
                                 total_delivered)
-from macroplan.errors import ConfigError, InitiationViolated
+from macroplan.errors import ConfigError
 from macroplan.search import PolicyController, JointPolicy
 
 
@@ -47,6 +47,15 @@ def place(config, agent, xy):
     config.sims[agent].belief = GaussianBelief(mean=mean, cov=b.cov)
 
 
+def named_starts(domain, starts):
+    """Each start as (agents, label), in agent order; a spec is named by
+    its first agent's roster."""
+    return sorted((agents, next(lb for lb, spec in
+                                domain.roster(agents[0]).items()
+                                if spec is s))
+                  for s, agents in starts)
+
+
 def run_macro(domain, config, rng, assigned, max_segments=200):
     """Assign macro-actions to idle agents; keep stepping (other idle agents
     wait) until every assigned agent has completed its macro-action."""
@@ -64,7 +73,11 @@ def run_macro(domain, config, rng, assigned, max_segments=200):
             if i not in config.dead and i not in config.executions and i not in now and (
                     started or i not in pending):
                 now[i] = domain.fallback_tma(i)
-        last = step_joint(config, now, domain, rng)
+        starts = segment_starts(config, now, domain)
+        # every scripted macro-action starts as given, none falls back
+        assert {a: lb for agents, lb in named_starts(domain, starts)
+                for a in agents} == now
+        last = step_joint(config, starts, domain, rng)
         started |= set(now) & set(pending)
         if all(a in started and a not in config.executions
                for a in pending):
@@ -321,7 +334,9 @@ def test_second_pickup_of_one_package_finds_the_base_empty(domain):
     pkg = PackageDescriptor(size=1, destination="d1")
     set_base(domain, config, 0, pkg)
     place(config, 1, domain.cfg.bases[0])
-    seg = step_joint(config, {0: "pickup", 1: "pickup"}, domain, rng)
+    seg = step_joint(
+        config, segment_starts(config, {0: "pickup", 1: "pickup"}, domain),
+        domain, rng)
     w = config.world
     assert w.carrying[:2] == [pkg, None]
     assert not w.base_packages[0].present and w.audit_ok()
@@ -340,8 +355,8 @@ def test_place_on_truck_after_the_truck_left_keeps_the_package(domain):
     w.created += 1
     place(config, 0, domain.cfg.rendezvous)
     assert domain.initiation_ok(0, "place-on-truck", config)
-    seg = step_joint(config, {0: "place-on-truck", 2: "goto-dest-r"},
-                     domain, rng)
+    seg = step_joint(config, segment_starts(
+        config, {0: "place-on-truck", 2: "goto-dest-r"}, domain), domain, rng)
     assert 0 in seg.observations and 2 in config.executions
     assert not domain._colocated(0, 2, config)
     assert w.carrying[0] == pkg and w.carrying[2] is None
@@ -374,23 +389,24 @@ def test_lone_joint_pickup_rejected(domain):
     set_base(domain, config, 0, PackageDescriptor(size=2, destination="d1"))
     run_macro(domain, config, rng, {1: "goto-base-1"})
     run_macro(domain, config, rng, {0: "wait"})  # sync: agent 0 idle
-    with pytest.raises(InitiationViolated):
-        step_joint(config, {0: "joint-pickup"}, domain, rng)
+    # agent 0 may start joint-pickup, but its partner did not choose it
+    assert domain.initiation_ok(0, "joint-pickup", config)
+    starts = segment_starts(config, {0: "joint-pickup"}, domain)
+    assert named_starts(domain, starts) == [((0,), "wait")]
 
 
 def test_initiation_violations(domain):
     config = fresh_config(domain)
-    rng = np.random.default_rng(23)
     # pickup with no package at the base
     set_base(domain, config, 0, EMPTY)
-    with pytest.raises(InitiationViolated):
-        step_joint(config, {0: "pickup"}, domain, rng)
+    starts = segment_starts(config, {0: "pickup"}, domain)
+    assert named_starts(domain, starts) == [((0,), "wait")]
     # place-on-truck while empty-handed
-    with pytest.raises(InitiationViolated):
-        step_joint(config, {0: "place-on-truck"}, domain, rng)
+    starts = segment_starts(config, {0: "place-on-truck"}, domain)
+    assert named_starts(domain, starts) == [((0,), "wait")]
     # ground robot has no pickup macro-action at all
-    with pytest.raises(InitiationViolated):
-        step_joint(config, {2: "pickup"}, domain, rng)
+    starts = segment_starts(config, {2: "pickup"}, domain)
+    assert named_starts(domain, starts) == [((2,), "wait")]
 
 
 def test_solo_moves_blocked_while_joint_carrying(domain):

@@ -144,6 +144,29 @@ def test_every_method_and_property_is_used():
     assert not unused, f"methods and properties nothing uses: {unused}"
 
 
+def raised_names(tree):
+    """The name of each exception class a ``raise`` statement names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_error_is_raised():
+    # an error class the package never raises is one a caller catches for
+    # nothing
+    errors = {name for name, value in vars(macroplan.errors).items()
+              if isinstance(value, type)
+              and issubclass(value, macroplan.errors.MacroplanError)
+              and value is not macroplan.errors.MacroplanError}
+    raised = {name for path in MODULES
+              for name in raised_names(ast.parse(path.read_text()))}
+    assert errors, "no error classes found"
+    assert not errors - raised, (
+        f"error classes the package never raises: {sorted(errors - raised)}")
+
+
 def test_bench_tracer_bindings_exist():
     # the traced benchmark run replaces each bound attribute by name, so a
     # rename in the package would crash it with a KeyError
