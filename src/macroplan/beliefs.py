@@ -9,7 +9,6 @@ as a funnel in belief space.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
@@ -126,31 +125,14 @@ def _check_symmetric(m: np.ndarray, name: str, tol: float = 1e-9) -> None:
         raise ValueError(f"{name} must be symmetric")
 
 
-# x -> M x for one matrix M; see _product
-Product = Callable[[np.ndarray], np.ndarray]
-
-
-def _same(x: np.ndarray) -> np.ndarray:
-    return x
-
-
-def _product(M: np.ndarray) -> Product:
-    """The cheapest exact form of ``x -> M.dot(x)`` for a vector ``x`` of
-    finite floats: ``x`` itself for the identity, an elementwise scale by
-    the diagonal for any other diagonal matrix, ``M.dot`` otherwise.
-
-    A row of a diagonal matrix has one nonzero term, so ``M.dot(x)`` is
-    ``d_i * x_i`` rounded once, in whatever order BLAS sums its zeros; only
-    the sign of an exact zero can differ (``-0.0`` against ``+0.0``).  The
-    identity's product returns ``x`` itself, so callers never write into a
-    product's result."""
+def _diagonal(M: np.ndarray) -> Optional[Tuple[float, ...]]:
+    """The diagonal of ``M`` as floats when ``M`` is square and every entry
+    off it is zero, else None: the test that lets ``lma_step`` run each
+    axis on its own."""
     if (M.ndim == 2 and M.shape[0] == M.shape[1]
             and np.count_nonzero(M) == np.count_nonzero(M.diagonal())):
-        d = M.diagonal().copy()
-        if (d == 1.0).all():
-            return _same
-        return functools.partial(np.multiply, d)
-    return M.dot
+        return tuple(M.diagonal().tolist())
+    return None
 
 
 @dataclass
@@ -193,21 +175,22 @@ class LinearGaussianModel:
             raise ValueError("Q must be PSD")
         if np.min(np.linalg.eigvalsh(self.R_obs)) <= 0:
             raise ValueError("R_obs must be PD")
-        # state dimension, noise draw length, noise square roots and the
-        # products lma_step takes, computed once per model
+        # state dimension, noise draw length and noise square roots,
+        # computed once per model
         self._n = n
         self._n_noise = n + m
         self._sq = _psd_sqrt(self.Q)
         self._sr = _psd_sqrt(self.R_obs)
-        self._a_dot = _product(self.A)
-        self._g_dot = _product(self.G)
-        self._c_dot = _product(self.C)
-        self._sq_dot = _product(self._sq)
-        self._sr_dot = _product(self._sr)
+        # when A, G, C and both noise roots are square and diagonal, the
+        # (a, g, c, q, r) diagonal entries of each axis, else None
+        diagonals = [_diagonal(M) for M in (self.A, self.G, self.C, self._sq,
+                                            self._sr)]
+        self._axes: Optional[Tuple[Tuple[float, ...], ...]] = (
+            None if None in diagonals else tuple(zip(*diagonals)))
         # posterior covariance bytes -> (Kalman gain, next posterior
-        # covariance, the gain's product)
+        # covariance, the gain's _diagonal)
         self._filter_path: Dict[bytes, Tuple[np.ndarray, np.ndarray,
-                                             Product]] = {}
+                                             Optional[Tuple[float, ...]]]] = {}
         # (state weight, control weight) -> LQR gain, and the filter's
         # stationary covariance; see design_lma
         self._lqr_gains: Dict[Tuple[float, float], np.ndarray] = {}
@@ -233,9 +216,10 @@ class LinearGaussianModel:
         return K, ikc @ Pm @ ikc.T + K @ self.R_obs @ K.T
 
     def _filter_update(self, cov: np.ndarray
-                       ) -> Tuple[np.ndarray, np.ndarray, Product]:
+                       ) -> Tuple[np.ndarray, np.ndarray,
+                                  Optional[Tuple[float, ...]]]:
         """Kalman gain, posterior covariance one predict/update step after
-        posterior ``cov``, and the gain's ``_product``.  None of them
+        posterior ``cov``, and the gain's ``_diagonal``.  None of them
         depends on the data, so each distinct ``cov`` is solved once per
         model; the arrays returned are shared and read-only."""
         key = cov.tobytes()
@@ -245,7 +229,7 @@ class LinearGaussianModel:
             nxt = 0.5 * (nxt + nxt.T)
             K.setflags(write=False)
             nxt.setflags(write=False)
-            hit = (K, nxt, _product(K))
+            hit = (K, nxt, _diagonal(K))
             if len(self._filter_path) < FILTER_PATH_MAX:
                 self._filter_path[key] = hit
         return hit
@@ -300,16 +284,26 @@ class GaussianBelief:
 class Lma:
     """Local macro-action, a funnel: a feedback gain and the attractor
     belief it contracts onto; its control at belief mean ``m`` is
-    ``control(m - attractor.mean)``, that is ``-gain (m - attractor.mean)``."""
+    ``-gain (m - attractor.mean)``."""
 
     gain: np.ndarray   # control x state feedback gain
     attractor: GaussianBelief
-    # the product of -gain, negated once: ``-gain @ v`` is ``(-gain) @ v``
-    control: Product = field(init=False, repr=False, compare=False)
+    # -gain, negated once: ``-gain @ v`` is ``(-gain) @ v``
+    _neg_gain: np.ndarray = field(init=False, repr=False, compare=False)
+    # when the gain is square, diagonal and as long as the attractor mean,
+    # the (-gain, attractor mean) entries of each axis, else None
+    _axes: Optional[Tuple[Tuple[float, float], ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "gain", np.atleast_2d(np.asarray(self.gain, dtype=float)))
-        object.__setattr__(self, "control", _product(-self.gain))
+        gain = np.atleast_2d(np.asarray(self.gain, dtype=float))
+        object.__setattr__(self, "gain", gain)
+        object.__setattr__(self, "_neg_gain", -gain)
+        d = _diagonal(self._neg_gain)
+        target = self.attractor.mean.tolist()
+        axes = (tuple(zip(d, target))
+                if d is not None and len(d) == len(target) else None)
+        object.__setattr__(self, "_axes", axes)
 
 
 @dataclass
@@ -486,34 +480,57 @@ def lma_step(lma: Lma, sim: SimState, model: LinearGaussianModel,
              rng: np.random.Generator) -> SimState:
     """Advance truth and belief one step under the LMA; mutates ``sim``.
 
-    Every matrix-vector product is one kept by the model, the LMA or the
-    filter path (see ``_product``): ``x`` itself for an identity, an
-    elementwise scale for a diagonal matrix, ``ndarray.dot`` otherwise.
-    Each gives the value of ``@``; only the sign of an exact zero can
-    differ, and no reward, comparison or distance reads it."""
+    The step takes one of two forms.  When the model and the funnel keep
+    per-axis entries and the Kalman gain at the current covariance is
+    diagonal (see ``_diagonal``), each axis is a scalar recurrence in
+    Python floats, with the products in the order of the matrix form.
+    Every other step takes ``ndarray.dot`` for every product.  A row of a
+    diagonal matrix has one nonzero term, so both forms give the value of
+    ``@``; only the sign of an exact zero can differ, and no reward,
+    comparison or distance reads it."""
     belief = sim.belief
-    u = lma.control(belief.mean - lma.attractor.mean)
-    # the step cost; at u_weight == 0 its product adds +0.0 to base for
-    # any finite u, so it is left out
+    K, cov, k_diag = model._filter_update(belief.cov)
     cost = model.step_cost
-    if cost.u_weight:
-        sim.accrued_reward -= cost.base + cost.u_weight * float(u.dot(u))
-    else:
-        sim.accrued_reward -= cost.base
-
     # one draw holds the process noise, then the observation noise: the
     # same numbers, in the same order, as two separate draws
     n = model._n
     noise = rng.standard_normal(model._n_noise)
-    A, C = model._a_dot, model._c_dot
-    gu = model._g_dot(u)
-    truth = A(sim.truth) + gu + model._sq_dot(noise[:n])
-    z = C(truth) + model._sr_dot(noise[n:])
-
-    # Kalman predict + update (time-varying exact filter)
-    _, cov, K = model._filter_update(belief.cov)
-    mp = A(belief.mean) + gu
-    mean = mp + K(z - C(mp))
+    axes, funnel = model._axes, lma._axes
+    if axes is not None and funnel is not None and k_diag is not None:
+        noise = noise.tolist()
+        truth, mean, u = [], [], []
+        # zip stops after the n process-noise entries of ``noise``
+        for (a, g, c, q, r), (nl, t), k, x, m, w, v in zip(
+                axes, funnel, k_diag, sim.truth.tolist(),
+                belief.mean.tolist(), noise, noise[n:]):
+            ui = nl * (m - t)
+            gu = g * ui
+            x = (a * x + gu) + q * w
+            z = c * x + r * v
+            mp = a * m + gu
+            truth.append(x)
+            mean.append(mp + k * (z - c * mp))
+            u.append(ui)
+        truth, mean = np.array(truth), np.array(mean)
+        # BLAS may fuse the multiply-adds of u·u, so the step cost takes it
+        # by the same ndarray.dot as the matrix form
+        if cost.u_weight:
+            u = np.array(u)
+    else:
+        u = lma._neg_gain.dot(belief.mean - lma.attractor.mean)
+        A, C = model.A, model.C
+        gu = model.G.dot(u)
+        truth = A.dot(sim.truth) + gu + model._sq.dot(noise[:n])
+        z = C.dot(truth) + model._sr.dot(noise[n:])
+        # Kalman predict + update (time-varying exact filter)
+        mp = A.dot(belief.mean) + gu
+        mean = mp + K.dot(z - C.dot(mp))
+    # the step cost; at u_weight == 0 its product adds +0.0 to base for
+    # any finite u, so it is left out
+    if cost.u_weight:
+        sim.accrued_reward -= cost.base + cost.u_weight * float(u.dot(u))
+    else:
+        sim.accrued_reward -= cost.base
 
     sim.truth = truth
     sim.belief = GaussianBelief._trusted(mean, cov)

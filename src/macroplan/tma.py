@@ -114,11 +114,13 @@ class Tma:
         self._ids = np.array(ids, dtype=int)
         goal = self.graph.goal_id
         # positions in _ids of the goal, of the nodes a walk may enter
-        # (policy nodes), and of the nodes where it may stop (those and the
-        # goal), each in id order
+        # (policy nodes whose success is above 0: from any other the policy
+        # never reaches the goal), and of the nodes where it may stop (policy
+        # nodes and the goal), each in id order
         self._goal_order = (ids.index(goal),)
-        self._entry_idx = np.array([k for k, i in enumerate(ids)
-                                    if i in self.policy], dtype=int)
+        self._entry_idx = np.array(
+            [k for k, i in enumerate(ids)
+             if i in self.policy and self.success[i] > 0], dtype=int)
         self._stop_order = [k for k, i in enumerate(ids)
                             if i in self.policy or i == goal]
 
@@ -127,7 +129,8 @@ class Tma:
 
     def entry_node(self, b: GaussianBelief) -> Optional[int]:
         """Where a walk from ``b`` enters the graph: None when the goal ball
-        holds ``b``, else the nearest policy node, ties to the lower id."""
+        holds ``b``, else the nearest policy node whose success is above 0,
+        ties to the lower id."""
         if self._balls.first(b, self._goal_order) is not None:
             return None
         # ids are sorted and argmin takes the first of equal distances
@@ -472,7 +475,19 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
     success = success_probabilities(graph, policy)
     times = expected_times(graph, policy)
     if success[start_id] == 0.0:
-        raise GoalUnreachable("zero success probability from the start node")
+        # the nodes the policy walks through from the start, none of which
+        # reaches the goal
+        walked = [start_id]
+        for i in walked:   # grows while it is read
+            walked += [j for j, p in policy[i].landing_probs.items()
+                       if p > 0 and j not in (FAILURE_ID, 1, *walked)]
+        first = policy[start_id]
+        raise GoalUnreachable(
+            f"zero success probability from start node {start_id}: its policy "
+            f"edge to node {first.to_id} lands on the failure node with "
+            f"probability {first.landing_probs[FAILURE_ID]:.4g} (timeouts "
+            f"included), and the policy walks from there through nodes "
+            f"{sorted(walked[1:])}, none of which reaches the goal")
     return Tma(graph=graph, policy=policy, values=values, success=success,
                time_to_goal=times, funnels=funnels, start_id=start_id,
                model=task_model)

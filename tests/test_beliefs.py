@@ -1,7 +1,7 @@
-import functools
 import math
 import os
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,18 +12,18 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macroplan import delivery
+from macroplan import beliefs, cli, delivery
 from macroplan.beliefs import (W_COV, W_MEAN, BallIndex, GainSpec,
                                GaussianBelief, LinearGaussianModel,
                                NoConstraints, SimState, StepCost,
                                TerminationRecord, PredicateConstraints,
-                               _product, _same, design_lma, lma_step,
-                               run_lma, stationary_covariance)
-from macroplan.errors import NonConvergent, Unstabilizable
-from macroplan.tma import Milestone, _settle_projector
+                               Lma, design_lma, lma_step, run_lma,
+                               stationary_covariance)
+from macroplan.errors import MacroplanError, NonConvergent, Unstabilizable
+from macroplan.tma import Milestone, _settle_projector, construct_tma
 
-TMA_EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
-                           "tma_single.yaml")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+TMA_EXAMPLE = os.path.join(ROOT, "configs", "tma_single.yaml")
 
 
 def scalar_model(a=1.0, g=1.0, c=1.0, q=0.04, r=0.01, **kw):
@@ -429,9 +429,8 @@ class TestLmaStep:
                                 R_obs=R_obs * np.eye(len(C)),
                                 step_cost=StepCost(base=0.01, u_weight=0.3))
         lma = design_lma(m, target, GainSpec(kind="lqr", control_weight=8.0))
-        if dims == "anisotropic":
-            assert all(is_scale(p) for p in (m._g_dot, m._sq_dot, m._sr_dot,
-                                             lma.control))
+        # the double integrator takes the matrix form, the rest per axis
+        assert per_axis(m, lma, 1e-3 * np.eye(len(A))) == (dims != 4)
 
         def reference(truth, mean, cov, reward, rng):
             u = -lma.gain @ (mean - lma.attractor.mean)
@@ -461,96 +460,156 @@ class TestLmaStep:
             assert rng.random() == ref_rng.random()
 
 
-def is_scale(product):
-    """Whether ``product`` is ``_product``'s elementwise scale."""
-    return (isinstance(product, functools.partial)
-            and product.func is np.multiply)
+def per_axis(model, lma, cov):
+    """Whether ``lma_step`` takes its per-axis form for this model and
+    funnel at posterior covariance ``cov``."""
+    return (model._axes is not None and lma._axes is not None
+            and model._filter_update(cov)[2] is not None)
 
 
-def is_dot(product, M):
-    """Whether ``product`` is ``M.dot``."""
-    return getattr(product, "__self__", None) is M
+def count_step_forms(monkeypatch):
+    """Wrap ``beliefs.lma_step``, which ``run_lma`` calls, and return the
+    counter of the forms its calls take."""
+    forms = Counter()
+    real = beliefs.lma_step
+
+    def wrapped(lma, sim, model, rng):
+        forms["per-axis" if per_axis(model, lma, sim.belief.cov)
+              else "matrix"] += 1
+        return real(lma, sim, model, rng)
+
+    monkeypatch.setattr(beliefs, "lma_step", wrapped)
+    return forms
 
 
-# entries of a diagonal, and of a vector: signed zeros, the smallest
-# subnormals, units and any other finite float
-SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310,
-                           1.0, -1.0])
-ENTRIES = st.one_of(SPECIAL, st.floats(allow_nan=False, allow_infinity=False))
+def matmul_step(lma, model, truth, mean, cov, reward, rng):
+    """``lma_step`` written with ``@`` for every product and the gain
+    negated on every call; returns the next truth, mean, covariance and
+    accrued reward."""
+    u = -lma.gain @ (mean - lma.attractor.mean)
+    cost = model.step_cost
+    reward += -(cost.base + cost.u_weight * float(u @ u))
+    n = model.state_dim
+    noise = rng.standard_normal(n + model.R_obs.shape[0])
+    gu = model.G @ u
+    truth = model.A @ truth + gu + model._sq @ noise[:n]
+    z = model.C @ truth + model._sr @ noise[n:]
+    K, cov = model._filter_update(cov)[:2]
+    mp = model.A @ mean + gu
+    return truth, mp + K @ (z - model.C @ mp), cov, reward
 
 
 @st.composite
-def product_cases(draw):
-    """(kind, M, x): M is the identity, diagonal, square (or, with one
-    triangle zero, nearly diagonal) or not square."""
-    kind = draw(st.sampled_from(["identity", "diagonal", "square",
-                                 "upper", "lower", "non-square"]))
+def separable_cases(draw):
+    """(model, funnel, start belief, truth, fallback): a diagonal model of
+    dimension 1-4 at a time step other than 1, with some process-noise
+    entries 0, and a diagonal funnel gain with a random closed loop.
+    ``fallback`` names what sends the step to the matrix form: None, a
+    dense gain, or a start covariance that is not diagonal."""
     n = draw(st.integers(min_value=1, max_value=4))
-    cols = n
-    if kind == "identity":
-        M = np.eye(n)
-    elif kind == "diagonal":
-        M = np.diag(draw(st.lists(ENTRIES, min_size=n, max_size=n)))
-    else:
-        if kind == "non-square":
-            cols = draw(st.integers(min_value=1, max_value=4).filter(
-                lambda c: c != n))
-        M = np.array(draw(st.lists(st.lists(ENTRIES, min_size=cols,
-                                            max_size=cols),
-                                   min_size=n, max_size=n)))
-        if kind in ("upper", "lower"):
-            M = np.triu(M) if kind == "upper" else np.tril(M)
-    x = np.array(draw(st.lists(ENTRIES, min_size=cols, max_size=cols)))
-    return kind, M, x
+    fallback = draw(st.sampled_from(
+        [None, "dense-gain", "full-cov"] if n > 1 else [None]))
+    dt = draw(st.sampled_from([0.1, 0.25, 0.5, 2.0]))
+    axis = lambda values: draw(st.lists(st.sampled_from(values), min_size=n,
+                                        max_size=n))
+    a, c = axis([1.0, 0.9, 0.5]), axis([1.0, 0.5, 2.0])
+    q, r = axis([0.0, 1e-4, 3e-4]), axis([1e-4, 2e-4, 5e-4])
+    u_weight = draw(st.sampled_from([0.0, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0,
+                                                 max_value=2**32 - 1)))
+    model = LinearGaussianModel(A=np.diag(a), G=dt * np.eye(n),
+                                C=np.diag(c), Q=np.diag(q), R_obs=np.diag(r),
+                                step_cost=StepCost(base=0.01,
+                                                   u_weight=u_weight))
+    # u = -L (m - target) gives the closed loop a - dt l = rho per axis
+    rho = rng.uniform(-0.6, 0.8, n)
+    gain = np.diag((np.array(a) - rho) / dt)
+    if fallback == "dense-gain":
+        gain = gain + 0.01 * rng.standard_normal((n, n))
+    lma = Lma(gain=gain, attractor=GaussianBelief(rng.random(n), np.eye(n)))
+    cov = np.diag(1e-3 * (1.0 + rng.random(n)))
+    if fallback == "full-cov":
+        B = rng.standard_normal((n, n))
+        cov = 1e-4 * (B @ B.T + np.eye(n))
+    mean = rng.random(n)
+    truth = mean + 0.01 * rng.standard_normal(n)
+    return model, lma, GaussianBelief(mean, cov), truth, fallback
 
 
-class TestProduct:
-    @settings(max_examples=400, deadline=None)
-    @given(product_cases())
-    def test_matches_dot_value_for_value(self, case):
-        kind, M, x = case
-        product = _product(M)
-        with np.errstate(over="ignore", invalid="ignore"):
-            want, got = M.dot(x), product(x)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want, equal_nan=True), (got, want)
-        if kind == "identity":
-            assert product is _same
-        elif kind == "diagonal":
-            assert product is _same or is_scale(product)
-        elif kind == "non-square":
-            assert is_dot(product, M)
+class TestStepForms:
+    @settings(max_examples=200, deadline=None)
+    @given(separable_cases(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_both_forms_match_matmul_reference_to_the_bit(self, case, seed):
+        model, lma, start, truth, fallback = case
+        sim = SimState(truth=truth, belief=start)
+        ref = (truth, start.mean, start.cov, 0.0)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        forms = []
+        for _ in range(60):
+            forms.append(per_axis(model, lma, sim.belief.cov))
+            lma_step(lma, sim, model, rng)
+            ref = matmul_step(lma, model, *ref, ref_rng)
+            assert sim.truth.tobytes() == ref[0].tobytes()
+            assert sim.belief.mean.tobytes() == ref[1].tobytes()
+            assert sim.belief.cov.tobytes() == ref[2].tobytes()
+            assert sim.accrued_reward == ref[3]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if fallback is None:
+            assert all(forms)
+        else:
+            assert not forms[0]
 
-    def test_kinds(self):
-        assert _product(np.eye(3)) is _same
-        assert is_scale(_product(np.diag([1.0, 0.5])))
-        assert is_scale(_product(np.diag([0.0, -0.0])))
-        M = np.ones((2, 2))
-        assert is_dot(_product(M), M)
-
-    def test_desk_models_funnels_and_filter_gains_take_cheap_products(self):
+    def test_desk_models_funnels_and_filter_gains_take_the_per_axis_form(
+            self, monkeypatch):
         # every matrix of the desk preset is diagonal: its models' dynamics,
         # noise roots and observation matrices, every funnel's gain and
         # every Kalman gain its filter paths hold after the build
+        forms = count_step_forms(monkeypatch)
         domain = delivery.build_domain(delivery.desk_config(),
                                        np.random.default_rng(0))
+        assert forms["per-axis"] > 0 and forms["matrix"] == 0
         tmas = [*domain._air_tmas.values(), *domain._ground_tmas.values()]
         models = {id(t.model): t.model for t in tmas}
         assert len(models) == 2
-        products = [lma.control for t in tmas for lma in t.funnels.values()]
+        assert all(m._axes is not None for m in models.values())
+        assert all(lma._axes is not None
+                   for t in tmas for lma in t.funnels.values())
         for m in models.values():
-            products += [m._a_dot, m._g_dot, m._c_dot, m._sq_dot, m._sr_dot]
             assert m._filter_path
-            products += [step[2] for step in m._filter_path.values()]
-        assert all(p is _same or is_scale(p) for p in products)
-        assert any(is_scale(p) for p in products)
+            assert all(step[2] is not None for step in m._filter_path.values())
 
-    def test_double_integrator_keeps_dot(self):
+    @pytest.mark.parametrize("path, seeds", [
+        (TMA_EXAMPLE, [0]),
+        (os.path.join(ROOT, "perfbench", "tma_build.yaml"), [0, 1, 2, 3])],
+        ids=["tma_single", "perfbench-tma_build"])
+    def test_tma_configs_take_the_per_axis_form(self, path, seeds,
+                                                monkeypatch):
+        # every step of every edge simulation, from every start covariance
+        # the builds meet, including those of seeds that raise
+        with open(path) as f:
+            model, start, goal, cfg = cli._tma_setup(yaml.safe_load(f))
+        forms = count_step_forms(monkeypatch)
+        for seed in seeds:
+            try:
+                construct_tma(start, goal, model, cfg,
+                              np.random.default_rng(seed))
+            except MacroplanError:
+                pass
+        assert forms["per-axis"] > 0 and forms["matrix"] == 0
+
+    def test_double_integrator_takes_the_matrix_form(self, monkeypatch):
         cfg = delivery.DeliveryConfig()
         m = delivery._model(cfg, "double", NoConstraints())
-        assert is_dot(m._a_dot, m.A) and is_dot(m._g_dot, m.G)
-        assert is_dot(m._c_dot, m.C)
-        assert is_scale(m._sq_dot) and is_scale(m._sr_dot)
+        lma = design_lma(m, [0.8, 0.7, 0.0, 0.0],
+                         GainSpec(control_weight=cfg.control_weight))
+        assert m._axes is None and lma._axes is None
+        forms = count_step_forms(monkeypatch)
+        start = GaussianBelief([0.1, 0.2, 0.0, 0.0], 1e-4 * np.eye(4))
+        sim = SimState(truth=start.mean.copy(), belief=start)
+        run_lma(lma, sim, BallIndex([make_milestone(1, lma.attractor.mean,
+                                                    lma.attractor.cov, 0.05)]),
+                m, 20, np.random.default_rng(0))
+        assert forms["matrix"] > 0 and forms["per-axis"] == 0
 
 
 def make_milestone(mid, mean, cov, eps):

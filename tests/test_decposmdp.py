@@ -446,7 +446,8 @@ def test_graph_entry_node_breaks_distance_ties_to_lower_id():
     graph = TmaGraph(milestones=milestones,
                      edges={i: [e] for i, e in policy.items()},
                      goal_id=1, failure_value=-100.0)
-    tma = Tma(graph=graph, policy=policy, values={}, success={},
+    tma = Tma(graph=graph, policy=policy, values={},
+              success={0: 0.0, 1: 1.0, 2: 1.0, 3: 1.0},
               time_to_goal={}, funnels={1: lma}, model=model)
     spec = TmaSpec(tma=tma)
     belief = GaussianBelief([0.5, 0.5], p)

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macroplan import delivery
 from macroplan.beliefs import GaussianBelief
 from macroplan.decposmdp import segment_starts, step_joint
 from macroplan.delivery import (EMPTY, OBS_ALPHABET, DeliveryConfig,
                                 PackageDescriptor, _PackageTable, _dist,
                                 build_domain, desk_config, success_curve,
                                 total_delivered)
-from macroplan.errors import ConfigError
+from macroplan.errors import ConfigError, MacroplanError
 from macroplan.search import PolicyController, JointPolicy
 
 
@@ -98,6 +99,33 @@ def test_package_descriptor_validation():
         PackageDescriptor(size=3, destination="d1")
     with pytest.raises(ValueError):
         PackageDescriptor(size=1, destination="d9")
+
+
+@pytest.mark.parametrize("preset", ["desk", "default"])
+def test_walks_enter_only_nodes_that_reach_the_goal(preset, monkeypatch):
+    # domain seeds 0-19, fixed whether or not the whole domain builds: from
+    # every milestone center of every TMA that builds, a walk enters the
+    # graph at no node whose analytic success is 0
+    built = []
+    real = delivery.construct_tma
+
+    def record(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(delivery, "construct_tma", record)
+    cfg = desk_config() if preset == "desk" else DeliveryConfig()
+    for seed in range(20):
+        try:
+            build_domain(cfg, np.random.default_rng(seed))
+        except MacroplanError:
+            pass
+    assert built
+    for tma in built:
+        for ms in tma.graph.milestones.values():
+            if ms.center is not None:
+                entry = tma.entry_node(ms.center)
+                assert entry is None or tma.success[entry] > 0
 
 
 def test_config_validation():

@@ -12,7 +12,7 @@ from macroplan.beliefs import (W_COV, W_MEAN, GainSpec, GaussianBelief,
                                LinearGaussianModel, Lma,
                                PredicateConstraints, SimState, StepCost,
                                design_lma, run_lma, stationary_covariance)
-from macroplan.delivery import build_domain, desk_config
+from macroplan.delivery import DeliveryConfig, build_domain, desk_config
 from macroplan import tma as tma_module
 from macroplan.errors import (ConfigError, GoalUnreachable, MacroplanError,
                               NonConvergent, NoOutgoingEdge, SingularChain)
@@ -468,7 +468,8 @@ class TestCheapBallTests:
             graph = TmaGraph(milestones=milestones,
                              edges={i: [e] for i, e in policy.items()},
                              goal_id=1, failure_value=-100.0)
-            tma = Tma(graph=graph, policy=policy, values={}, success={},
+            tma = Tma(graph=graph, policy=policy, values={},
+                      success={0: 0.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0},
                       time_to_goal={}, funnels={1: lma})
             balls = ball_index(milestones)
             order = [k for k, i in enumerate(ids) if i != source]
@@ -665,3 +666,15 @@ class TestReachabilityFirst:
         assert len(built) == 6 and sorted(estimated) == sorted(built)
         assert estimated[0][0] == tma.start_id == built[-1][0]
         assert tma.success[tma.start_id] > 0
+
+    def test_zero_start_success_names_its_cause(self):
+        # default preset, domain seed 15: the start (node 6) lands on node
+        # 4, whose policy leads to node 2, whose edge to the goal lands on
+        # the failure node every time
+        with pytest.raises(GoalUnreachable) as err:
+            build_domain(DeliveryConfig(), np.random.default_rng(15))
+        assert str(err.value) == (
+            "zero success probability from start node 6: its policy edge to "
+            "node 4 lands on the failure node with probability 0 (timeouts "
+            "included), and the policy walks from there through nodes "
+            "[2, 4], none of which reaches the goal")
