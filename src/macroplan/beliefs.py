@@ -204,16 +204,19 @@ class LinearGaussianModel:
     def control_dim(self) -> int:
         return self.G.shape[1]
 
-    def _riccati_step(self, cov: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Kalman gain and posterior covariance one predict/update step after
-        posterior ``cov``; the Joseph form keeps the covariance PSD, and it
-        is returned unsymmetrized."""
-        A, C = self.A, self.C
-        Pm = A @ cov @ A.T + self.Q
-        S = C @ Pm @ C.T + self.R_obs
-        K = np.linalg.solve(S.T, (Pm @ C.T).T).T
+    def _predict(self, cov: np.ndarray) -> np.ndarray:
+        """Prior covariance one step after posterior ``cov``."""
+        return self.A @ cov @ self.A.T + self.Q
+
+    def _update(self, prior: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Kalman gain and posterior covariance after measuring at prior
+        covariance ``prior``; the Joseph form keeps the covariance PSD, and
+        it is returned unsymmetrized."""
+        C = self.C
+        S = C @ prior @ C.T + self.R_obs
+        K = np.linalg.solve(S.T, (prior @ C.T).T).T
         ikc = np.eye(self._n) - K @ C
-        return K, ikc @ Pm @ ikc.T + K @ self.R_obs @ K.T
+        return K, ikc @ prior @ ikc.T + K @ self.R_obs @ K.T
 
     def _filter_update(self, cov: np.ndarray
                        ) -> Tuple[np.ndarray, np.ndarray,
@@ -225,7 +228,7 @@ class LinearGaussianModel:
         key = cov.tobytes()
         hit = self._filter_path.get(key)
         if hit is None:
-            K, nxt = self._riccati_step(cov)
+            K, nxt = self._update(self._predict(cov))
             nxt = 0.5 * (nxt + nxt.T)
             K.setflags(write=False)
             nxt.setflags(write=False)
@@ -337,6 +340,9 @@ class GainSpec:
             raise ValueError(
                 f"gain weights must be non-negative, not state_weight="
                 f"{self.state_weight!r}, control_weight={self.control_weight!r}")
+        if self.kind == "lqr" and self.control_weight == 0:
+            raise ValueError("an lqr gain needs a positive control_weight, "
+                             "not 0")
 
     @classmethod
     def from_dict(cls, d: dict) -> "GainSpec":
@@ -346,108 +352,84 @@ class GainSpec:
                    fixed_gain=None if fg is None else np.array(fg))
 
 
-# The Riccati iteration of stationary_covariance stops once no entry of the
-# covariance moves by more than this.
-RICCATI_TOL = 1e-12
+# Most doublings of _dare.  Each doubling squares the decay of the closed
+# loop, so a loop of spectral radius 1 - 1e-6 settles in about 25; a mode no
+# gain stabilizes grows H (or A) without bound, which overflows or meets
+# this cap.
+DARE_MAX_DOUBLINGS = 64
 
 
-def stationary_covariance(model: LinearGaussianModel,
-                          max_iter: int = 100_000) -> np.ndarray:
-    """Posterior covariance fixed point of the Kalman filter, by fixed-point
-    iteration of the measurement-updated Riccati recurrence."""
-    P = model.Q + np.eye(model.state_dim)
-    for _ in range(max_iter):
-        P_next = model._riccati_step(P)[1]
-        if np.max(np.abs(P_next - P)) <= RICCATI_TOL:
-            return 0.5 * (P_next + P_next.T)
-        P = P_next
-    raise NonConvergent(
-        f"Riccati iteration did not converge in {max_iter} iterations "
-        f"(last delta {np.max(np.abs(P_next - P)):.3e})")
+def _dare(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
+          R: np.ndarray) -> np.ndarray:
+    """Stabilizing solution X of the discrete algebraic Riccati equation
+    ``X = Q + A'XA - A'XB (R + B'XB)^-1 B'XA`` for PSD ``Q`` and PD ``R``,
+    by the structure-preserving doubling algorithm: from ``G = B R^-1 B'``
+    and ``H = Q``, each doubling sets ``W = I + GH`` and
+    ``A <- A W^-1 A``, ``G <- G + A W^-1 G A'``, ``H <- H + A'H W^-1 A``,
+    and H converges quadratically to X.  Diagonal inputs keep every
+    iterate exactly diagonal.
 
-
-# The LQR iteration stops once a step moves the cost-to-go by at most this
-# many ulps of the largest magnitude its products round at.
-LQR_ULPS = 8
-# The LQR iteration fails once this many steps in a row have moved the
-# cost-to-go by no less than the smallest step before them.  Steps shrink by
-# about the square of the closed loop's spectral radius per step once a
-# design settles; they stay level or grow on a mode no gain stabilizes.
-# Every design that settles within this many steps settles, at the same
-# step, whatever the steps do on the way.
-LQR_PATIENCE = 1000
-# Most value-iteration steps of the LQR design, a bound on its time: a
-# scalar integrator whose closed loop has spectral radius 0.9999 settles in
-# about 130,000 steps, a few seconds.
-LQR_MAX_STEPS = 200_000
-
-
-def _lqr_cost_to_go(A: np.ndarray, G: np.ndarray, Qw: np.ndarray,
-                    Rw: np.ndarray) -> np.ndarray:
-    """Cost-to-go matrix X of the discrete LQR problem with non-negative
-    diagonal weights, by value iteration of the control Riccati recurrence
-    from ``X = Qw``: ``X <- Qw + A'XA - A'XG (Rw + G'XG)^-1 G'XA``,
-    symmetrized each step.
-
-    A step is computed as ``Qw + L'Rw L + F'XF`` with
-    ``L = (Rw + G'XG)^-1 G'XA`` and ``F = A - GL``, the same value as a sum
-    of PSD terms.  It stops once a step moves X by at most ``LQR_ULPS`` ulps
-    of the largest entry of ``Qw + |L|'Rw|L| + |F|'|X||F|``, the magnitudes
-    its products round at: where F is large they exceed X's own entries,
-    and a step keeps moving X's last bits.
-
-    Raises Unstabilizable when a solve is singular, X stops being finite,
-    ``LQR_PATIENCE`` steps in a row do not shrink the step, or
-    ``LQR_MAX_STEPS`` steps do not settle it."""
-    X = Qw
-    tol = LQR_ULPS * np.finfo(float).eps
-    # the smallest step so far, and the steps taken since it
-    least, since = math.inf, 0
-    # a diverging X overflows; that is caught below, not warned about
+    It stops once a doubling moves H by at most 4 ulps of max|H|.  Raises
+    NonConvergent when H stops being finite, W is singular, or
+    ``DARE_MAX_DOUBLINGS`` doublings do not settle H; callers name the
+    equation."""
+    n = A.shape[0]
+    G = B @ np.linalg.solve(R, B.T)
+    H = Q
+    tol = 4 * np.finfo(float).eps
+    # a diverging H overflows; that is caught below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(LQR_MAX_STEPS):
-            XG = X.dot(G)
+        for _ in range(DARE_MAX_DOUBLINGS):
             try:
-                L = np.linalg.solve(Rw + G.T.dot(XG), XG.T.dot(A))
+                V = np.linalg.solve(np.eye(n) + G @ H, np.hstack([A, G]))
             except np.linalg.LinAlgError as e:
-                raise Unstabilizable(f"LQR design failed: {e}") from e
-            F = A - G.dot(L)
-            nxt = Qw + L.T.dot(Rw).dot(L) + F.T.dot(X).dot(F)
-            nxt = 0.5 * (nxt + nxt.T)
-            absL, absF = np.abs(L), np.abs(F)
-            scale = (Qw + absL.T.dot(Rw).dot(absL)
-                     + absF.T.dot(np.abs(X)).dot(absF)).max()
+                raise NonConvergent(f"a doubling was singular: {e}") from e
+            WA, WG = V[:, :n], V[:, n:]
+            G_next = G + A @ WG @ A.T
+            H_next = H + A.T @ H @ WA
+            A = A @ WA
+            G = 0.5 * (G_next + G_next.T)
+            H_next = 0.5 * (H_next + H_next.T)
+            scale = np.abs(H_next).max()
             if not math.isfinite(scale):
-                raise Unstabilizable("LQR design failed: the Riccati "
-                                     "iteration diverged")
-            step = np.abs(nxt - X).max()
+                raise NonConvergent("the doubling diverged")
+            step = np.abs(H_next - H).max()
+            H = H_next
             if step <= tol * scale:
-                return nxt
-            if step < least:
-                least, since = step, 0
-            else:
-                since += 1
-                if since == LQR_PATIENCE:
-                    raise Unstabilizable(
-                        f"LQR design failed: the Riccati iteration stopped "
-                        f"settling; {LQR_PATIENCE} steps in a row did not "
-                        f"shrink its step")
-            X = nxt
-    raise Unstabilizable(f"LQR design failed: the Riccati iteration did not "
-                         f"settle in {LQR_MAX_STEPS} steps")
+                return H
+    raise NonConvergent(f"the doubling did not settle in "
+                        f"{DARE_MAX_DOUBLINGS} doublings")
+
+
+def stationary_covariance(model: LinearGaussianModel) -> np.ndarray:
+    """Posterior covariance fixed point of the Kalman filter: the measurement
+    update of the prior covariance that solves the filter Riccati equation,
+    the control one for (A', C', Q, R_obs) (Kalman duality), by ``_dare``.
+
+    Raises NonConvergent when ``_dare`` fails, as it does on a mode that is
+    neither observed nor stable."""
+    try:
+        prior = _dare(model.A.T, model.C.T, model.Q, model.R_obs)
+    except NonConvergent as e:
+        raise NonConvergent(f"the filter Riccati equation has no stationary "
+                            f"solution: {e}") from None
+    P = model._update(prior)[1]
+    return 0.5 * (P + P.T)
 
 
 def design_lma(model: LinearGaussianModel, target: np.ndarray,
                gain_spec: GainSpec = GainSpec()) -> Lma:
     """Design a funnel controller toward ``target``.
 
-    An LQR gain does not depend on the target, so it is designed once per
-    model and weights, and the attractor covariance, the filter's
-    stationary covariance, once per model; both arrays are shared and
-    read-only.
+    An LQR gain ``(R + G'XG)^-1 G'XA`` comes from the solution X of the
+    control Riccati equation for the weights, by ``_dare``.  It does not
+    depend on the target, so it is designed once per model and weights,
+    and the attractor covariance, the filter's stationary covariance, once
+    per model; both arrays are shared and read-only.
 
-    Raises Unstabilizable if the resulting closed loop has spectral
-    radius >= 1.
+    Raises Unstabilizable ("LQR design failed: ...") when ``_dare`` fails,
+    or if the closed loop has spectral radius >= 1, and NonConvergent when
+    the filter has no stationary covariance.
     """
     target = np.asarray(target, dtype=float).ravel()
     if gain_spec.kind == "fixed":
@@ -458,7 +440,10 @@ def design_lma(model: LinearGaussianModel, target: np.ndarray,
         if L is None:
             Qw = weights[0] * np.eye(model.state_dim)
             Rw = weights[1] * np.eye(model.control_dim)
-            X = _lqr_cost_to_go(model.A, model.G, Qw, Rw)
+            try:
+                X = _dare(model.A, model.G, Qw, Rw)
+            except NonConvergent as e:
+                raise Unstabilizable(f"LQR design failed: {e}") from None
             L = np.linalg.solve(Rw + model.G.T @ X @ model.G,
                                 model.G.T @ X @ model.A)
             L.setflags(write=False)

@@ -138,6 +138,8 @@ class DeliveryConfig:
         for name in ("step_cost", "control_cost", "control_weight"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
+        if self.control_weight == 0:
+            raise ConfigError("control_weight must be positive")
         if self.failure_value > 0:
             raise ConfigError("failure_value must be non-positive")
         if self.colocate_radius < 0:

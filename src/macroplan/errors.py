@@ -11,7 +11,9 @@ class MacroplanError(Exception):
 
 
 class NonConvergent(MacroplanError):
-    """Riccati iteration failed to reach its fixed point (unobservable model)."""
+    """An iteration did not reach its fixed point: the doubling solver of
+    the filter Riccati equation, on a mode that is neither observed nor
+    stable, or the graph DP."""
 
 
 class Unstabilizable(MacroplanError):

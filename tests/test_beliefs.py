@@ -73,7 +73,7 @@ class TestStationaryCovariance:
         m = LinearGaussianModel(A=[[2.0]], G=[[1.0]], C=[[0.0]],
                                 Q=[[1.0]], R_obs=[[1.0]])
         with pytest.raises(NonConvergent):
-            stationary_covariance(m, max_iter=500)
+            stationary_covariance(m)
 
 
 class TestDesignLma:
@@ -155,6 +155,19 @@ def shipped_models():
                                spec, id=f"{name}-{robot}")
 
 
+@pytest.mark.parametrize("model, spec", list(shipped_models()))
+def test_shipped_attractor_is_a_filter_fixed_point(model, spec):
+    """One filter step leaves the stationary covariance unchanged to the
+    bit, and a model that runs per axis keeps it, and its gain, exactly
+    diagonal."""
+    p = stationary_covariance(model)
+    assert model._filter_update(p)[1].tobytes() == p.tobytes()
+    if model._axes is not None:
+        gain = design_lma(model, np.zeros(model.state_dim), spec).gain
+        assert beliefs._diagonal(p) is not None
+        assert beliefs._diagonal(gain) is not None
+
+
 DOUBLE_A = np.block([[np.eye(2), np.eye(2)], [np.zeros((2, 2)), np.eye(2)]])
 DOUBLE_G = np.vstack([0.5 * np.eye(2), np.eye(2)])
 PAIRS = {"scalar": (np.eye(1), np.eye(1)),
@@ -179,8 +192,13 @@ class TestLqrDesign:
     def test_weight_grid_matches_scipy_outcome(self, pair, state_weight,
                                                control_weight):
         """The same gain where scipy's stabilizes, and Unstabilizable,
-        within 0.1 s, where scipy fails or its gain does not stabilize."""
+        within 0.1 s, where scipy fails or its gain does not stabilize; a
+        zero control weight is refused, since the design needs R > 0."""
         A, G = PAIRS[pair]
+        if control_weight == 0.0:
+            with pytest.raises(ValueError, match="control_weight"):
+                lqr_gain(A, G, state_weight, control_weight)
+            return
         try:
             want = scipy_gain(A, G, state_weight * np.eye(A.shape[0]),
                               control_weight * np.eye(G.shape[1]))
@@ -221,6 +239,12 @@ class TestLqrDesign:
             if np.max(np.abs(np.linalg.eigvals(A - G @ want))) >= 1.0:
                 continue
             assert rel_gap(lqr_gain(A, G, 1.0, 1.0), want) <= 1e-10, checked
+            # the relative Riccati residual of the solution itself
+            X = beliefs._dare(A, G, np.eye(n), np.eye(m))
+            XG = X @ G
+            ric = (np.eye(n) + A.T @ X @ A - A.T @ XG
+                   @ np.linalg.solve(np.eye(m) + G.T @ XG, XG.T @ A))
+            assert rel_gap(ric, X) <= 1e-13, checked
             checked += 1
 
     @pytest.mark.parametrize("A, G, state_weight, control_weight", [
@@ -233,16 +257,19 @@ class TestLqrDesign:
     def test_unstabilizable_pairs_fail_fast(self, A, G, state_weight,
                                             control_weight):
         t0 = time.perf_counter()
-        with pytest.raises(Unstabilizable, match="LQR design failed"):
-            lqr_gain(A, G, state_weight, control_weight)
+        if control_weight == 0.0:
+            # the design needs R > 0, so zero weights are refused up front
+            with pytest.raises(ValueError, match="control_weight"):
+                lqr_gain(A, G, state_weight, control_weight)
+        else:
+            with pytest.raises(Unstabilizable, match="LQR design failed"):
+                lqr_gain(A, G, state_weight, control_weight)
         assert time.perf_counter() - t0 <= 0.1
 
     def test_closed_loop_slower_than_the_old_cap_settles(self):
-        # the gain leaves the scalar integrator at radius 0.999, which value
-        # iteration settles on in about 14,000 steps, past the 1,000 a fixed
-        # cap once allowed.  The oracle is the closed form of the scalar
-        # Riccati equation x^2 - x - r = 0: scipy's own gain is 1.5e-10 off
-        # it at this weight, and the iteration's 9e-13
+        # the gain leaves the scalar integrator at radius 0.999.  The oracle
+        # is the closed form of the scalar Riccati equation x^2 - x - r = 0:
+        # scipy's own gain is 1.5e-10 off it at this weight
         r = 1e6
         x = (1.0 + math.sqrt(1.0 + 4.0 * r)) / 2.0
         want = x / (r + x)
@@ -251,6 +278,19 @@ class TestLqrDesign:
         assert abs(got - want) <= 1e-11 * want
         assert rel_gap(got, scipy_gain(np.eye(1), np.eye(1), np.eye(1),
                                        r * np.eye(1))) <= 1e-9
+
+    @pytest.mark.parametrize("r", [1e4, 1e6, 1e8, 1e9])
+    def test_slow_closed_loops_match_the_closed_form(self, r):
+        """The scalar integrator at control weight r against the closed
+        form x/(r + x) of its gain, x the positive root of x^2 - x - r = 0;
+        at r = 1e9 the closed loop's spectral radius is 1 - 3e-5.  scipy is
+        not the oracle here: it is 3.0e-9 off at r = 1e8."""
+        x = (1.0 + math.sqrt(1.0 + 4.0 * r)) / 2.0
+        want = x / (r + x)
+        t0 = time.perf_counter()
+        got = lqr_gain(np.eye(1), np.eye(1), 1.0, r)[0, 0]
+        assert time.perf_counter() - t0 <= 0.1
+        assert abs(got - want) <= 1e-11 * want
 
     def test_settle_projector_matches_null_space(self):
         basis = scipy.linalg.null_space(DOUBLE_A - np.eye(4))

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -170,6 +171,8 @@ def test_build_tma_bad_config_exits_2(tmp_path, capsys):
              "state_weight=-1"),
             ("tma", "gain_spec", {**gain, "control_weight": -1},
              "control_weight=-1"),
+            ("tma", "gain_spec", {**gain, "control_weight": 0},
+             "control_weight"),
             ("tma", "gain_spec", {**gain, "kind": "fixed"}, "fixed_gain"),
             ("tma", "gain_spec", {**gain, "kind": "fixed",
                                   "fixed_gain": [[1.0]]}, "fixed_gain"),
@@ -358,6 +361,20 @@ def test_build_tma_unstabilizable_gain_exits_3(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_build_tma_unobservable_filter_exits_3_fast(tmp_path, capsys):
+    cfg = copy.deepcopy(TMA_CONFIG)
+    # nothing observed: the integrator's filter covariance grows for ever
+    cfg["model"]["C"] = [[0.0, 0.0], [0.0, 0.0]]
+    path = write_yaml(tmp_path / "blind.yaml", cfg)
+    t0 = time.perf_counter()
+    rc = main(["build-tma", "--config", path, "--out", str(tmp_path / "x.json")])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: ") and "filter Riccati equation" in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("error", [NonConvergent, Unstabilizable,
                                    SingularChain])
 def test_build_tma_infeasible_errors_exit_3(error, tma_cfg_path, tmp_path,
@@ -476,6 +493,7 @@ def test_solve_rejects_empty_search_sizes(key, tmp_path, capsys):
     ({"regulated": [0.32, 0.0, 0.68, True]},
      "regulated must be 4 finite numbers, not (0.32, 0.0, 0.68, True)"),
     ({"control_weight": -1}, "control_weight must be non-negative"),
+    ({"control_weight": 0}, "control_weight must be positive"),
     ({"tma_nodes": 1}, "tma_nodes must be at least 2"),
     ({"tma_neighbors": 0}, "tma_neighbors must be at least 1"),
     ({"tma_sims": 0}, "tma_sims must be at least 1"),
@@ -505,9 +523,9 @@ def test_solve_rejects_empty_search_sizes(key, tmp_path, capsys):
         "negative-control-cost", "int-search", "list-search",
         "fractional-search-nodes", "bool-search-budget", "string-base",
         "string-dest", "nan-base", "infinite-rendezvous", "bool-regulated",
-        "negative-control-weight", "one-tma-node", "zero-tma-neighbors",
-        "zero-tma-sims", "huge-int-step-cost", "huge-int-rendezvous",
-        "int-bases", "null-rendezvous", "nan-regulated",
+        "negative-control-weight", "zero-control-weight", "one-tma-node",
+        "zero-tma-neighbors", "zero-tma-sims", "huge-int-step-cost",
+        "huge-int-rendezvous", "int-bases", "null-rendezvous", "nan-regulated",
         "three-part-package-key", "package-key-bad-size",
         "string-package-prob"])
 def test_solve_rejects_bad_delivery_override(override, message, tmp_path,
