@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -42,9 +43,10 @@ class StepCost:
 
 
 class Constraints:
-    """State-constraint predicate; ``violates(x) == True`` means failure."""
+    """State-constraint predicate; ``violates(x) == True`` means failure.
+    ``x`` is a state as an ndarray or, in ``run_lma``, a list of floats."""
 
-    def violates(self, x: np.ndarray) -> bool:  # pragma: no cover - interface
+    def violates(self, x: Sequence[float]) -> bool:  # pragma: no cover
         raise NotImplementedError
 
     @staticmethod
@@ -63,7 +65,7 @@ class Constraints:
 
 
 class NoConstraints(Constraints):
-    def violates(self, x: np.ndarray) -> bool:
+    def violates(self, x: Sequence[float]) -> bool:
         return False
 
 
@@ -84,8 +86,8 @@ class RectConstraints(Constraints):
                 raise ValueError(f"constraints rectangle {[[x0, y0], [x1, y1]]}"
                                  f" must be finite with lo < hi")
 
-    def violates(self, x: np.ndarray) -> bool:
-        px, py = float(x[0]), float(x[1])
+    def violates(self, x: Sequence[float]) -> bool:
+        px, py = x[0], x[1]
         for (lo, hi) in self.rects:
             if lo[0] <= px <= hi[0] and lo[1] <= py <= hi[1]:
                 return True
@@ -93,13 +95,14 @@ class RectConstraints(Constraints):
 
 
 class PredicateConstraints(Constraints):
-    """Arbitrary predicate, for in-process use; no config names it."""
+    """Arbitrary predicate of a state ndarray, for in-process use; no config
+    names it."""
 
     def __init__(self, fn: Callable[[np.ndarray], bool]):
         self.fn = fn
 
-    def violates(self, x: np.ndarray) -> bool:
-        return bool(self.fn(x))
+    def violates(self, x: Sequence[float]) -> bool:
+        return bool(self.fn(np.asarray(x, dtype=float)))
 
 
 # Most covariances one model's filter path stores.  A stable filter reaches
@@ -175,6 +178,10 @@ class LinearGaussianModel:
             raise ValueError("Q must be PSD")
         if np.min(np.linalg.eigvalsh(self.R_obs)) <= 0:
             raise ValueError("R_obs must be PD")
+        if (isinstance(self.constraints, RectConstraints)
+                and self.constraints.rects and n < 2):
+            raise ValueError(f"constraints rects span the first 2 state "
+                             f"dimensions; this state has {n}")
         # state dimension, noise draw length and noise square roots,
         # computed once per model
         self._n = n
@@ -461,65 +468,136 @@ def design_lma(model: LinearGaussianModel, target: np.ndarray,
     return Lma(gain=L, attractor=GaussianBelief(mean=target, cov=p_post))
 
 
+def _axis_step(axes: Tuple[Tuple[float, ...], ...],
+               funnel: Tuple[Tuple[float, float], ...],
+               k_diag: Tuple[float, ...], truth: Sequence[float],
+               mean: Sequence[float], noise: Sequence[float]
+               ) -> Tuple[List[float], List[float], List[float]]:
+    """One step of the per-axis form: the model's per-axis entries
+    ``axes``, the funnel's ``funnel`` and the Kalman gain's diagonal
+    ``k_diag``; ``noise`` holds the process noise, then the observation
+    noise.  Returns the next truth, the next mean and the control, as float
+    lists.  Each axis is a scalar recurrence, with the products in the
+    order of the matrix form."""
+    n = len(axes)
+    next_truth, next_mean, u = [], [], []
+    # zip stops after the n process-noise entries of ``noise``
+    for (a, g, c, q, r), (nl, t), k, x, m, w, v in zip(
+            axes, funnel, k_diag, truth, mean, noise, noise[n:]):
+        ui = nl * (m - t)
+        gu = g * ui
+        x = (a * x + gu) + q * w
+        z = c * x + r * v
+        mp = a * m + gu
+        next_truth.append(x)
+        next_mean.append(mp + k * (z - c * mp))
+        u.append(ui)
+    return next_truth, next_mean, u
+
+
+def _matrix_step(lma: Lma, model: LinearGaussianModel, K: np.ndarray,
+                 truth: np.ndarray, mean: np.ndarray, noise: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One step of the matrix form, with Kalman gain ``K``: ``ndarray.dot``
+    for every product.  Returns the next truth, the next mean and the
+    control."""
+    n = model._n
+    u = lma._neg_gain.dot(mean - lma.attractor.mean)
+    A, C = model.A, model.C
+    gu = model.G.dot(u)
+    truth = A.dot(truth) + gu + model._sq.dot(noise[:n])
+    z = C.dot(truth) + model._sr.dot(noise[n:])
+    # Kalman predict + update (time-varying exact filter)
+    mp = A.dot(mean) + gu
+    return truth, mp + K.dot(z - C.dot(mp)), u
+
+
+def _step_cost(cost: StepCost, u: Sequence[float]) -> float:
+    """What one step with control ``u`` pays.  At u_weight == 0 the
+    product would add +0.0 to base for any finite u, so it is left out;
+    BLAS may fuse the multiply-adds of u·u, so both step forms take it by
+    one ``ndarray.dot``."""
+    if cost.u_weight:
+        u = np.asarray(u)
+        return cost.base + cost.u_weight * float(u.dot(u))
+    return cost.base
+
+
 def lma_step(lma: Lma, sim: SimState, model: LinearGaussianModel,
              rng: np.random.Generator) -> SimState:
     """Advance truth and belief one step under the LMA; mutates ``sim``.
 
     The step takes one of two forms.  When the model and the funnel keep
     per-axis entries and the Kalman gain at the current covariance is
-    diagonal (see ``_diagonal``), each axis is a scalar recurrence in
-    Python floats, with the products in the order of the matrix form.
-    Every other step takes ``ndarray.dot`` for every product.  A row of a
-    diagonal matrix has one nonzero term, so both forms give the value of
-    ``@``; only the sign of an exact zero can differ, and no reward,
-    comparison or distance reads it."""
+    diagonal (see ``_diagonal``), ``_axis_step`` runs each axis as a scalar
+    recurrence in Python floats.  Every other step is ``_matrix_step``.  A
+    row of a diagonal matrix has one nonzero term, so both forms give the
+    value of ``@``; only the sign of an exact zero can differ, and no
+    reward, comparison or distance reads it.  One draw holds the process
+    noise, then the observation noise: the same numbers, in the same order,
+    as two separate draws."""
     belief = sim.belief
     K, cov, k_diag = model._filter_update(belief.cov)
-    cost = model.step_cost
-    # one draw holds the process noise, then the observation noise: the
-    # same numbers, in the same order, as two separate draws
-    n = model._n
     noise = rng.standard_normal(model._n_noise)
-    axes, funnel = model._axes, lma._axes
-    if axes is not None and funnel is not None and k_diag is not None:
-        noise = noise.tolist()
-        truth, mean, u = [], [], []
-        # zip stops after the n process-noise entries of ``noise``
-        for (a, g, c, q, r), (nl, t), k, x, m, w, v in zip(
-                axes, funnel, k_diag, sim.truth.tolist(),
-                belief.mean.tolist(), noise, noise[n:]):
-            ui = nl * (m - t)
-            gu = g * ui
-            x = (a * x + gu) + q * w
-            z = c * x + r * v
-            mp = a * m + gu
-            truth.append(x)
-            mean.append(mp + k * (z - c * mp))
-            u.append(ui)
+    if k_diag is not None and model._axes is not None \
+            and lma._axes is not None:
+        truth, mean, u = _axis_step(model._axes, lma._axes, k_diag,
+                                    sim.truth.tolist(), belief.mean.tolist(),
+                                    noise.tolist())
         truth, mean = np.array(truth), np.array(mean)
-        # BLAS may fuse the multiply-adds of u·u, so the step cost takes it
-        # by the same ndarray.dot as the matrix form
-        if cost.u_weight:
-            u = np.array(u)
     else:
-        u = lma._neg_gain.dot(belief.mean - lma.attractor.mean)
-        A, C = model.A, model.C
-        gu = model.G.dot(u)
-        truth = A.dot(sim.truth) + gu + model._sq.dot(noise[:n])
-        z = C.dot(truth) + model._sr.dot(noise[n:])
-        # Kalman predict + update (time-varying exact filter)
-        mp = A.dot(belief.mean) + gu
-        mean = mp + K.dot(z - C.dot(mp))
-    # the step cost; at u_weight == 0 its product adds +0.0 to base for
-    # any finite u, so it is left out
-    if cost.u_weight:
-        sim.accrued_reward -= cost.base + cost.u_weight * float(u.dot(u))
-    else:
-        sim.accrued_reward -= cost.base
-
+        truth, mean, u = _matrix_step(lma, model, K, sim.truth, belief.mean,
+                                      noise)
+    sim.accrued_reward -= _step_cost(model.step_cost, u)
     sim.truth = truth
     sim.belief = GaussianBelief._trusted(mean, cov)
     return sim
+
+
+# Standard normals ``NormalBlocks`` draws from its generator at a time
+NORMAL_BLOCK = 1024
+
+
+class NormalBlocks:
+    """The standard normals of one generator, drawn ``NORMAL_BLOCK`` at a
+    time and handed out in order, as floats or as an array.
+
+    ``Generator.standard_normal`` concatenates exactly: one draw of j + k
+    values gives the values, and leaves the generator in the state, of a
+    draw of j and then one of k.  So ``take(k)`` and ``take_array(k)``
+    return what ``rng.standard_normal(k)`` would return at this point of
+    the stream; only the generator's own end state differs, since it runs
+    up to a block ahead of the values taken."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        # the block as an array and as floats, and the next value's place
+        self._block = np.empty(0)
+        self._floats: List[float] = []
+        self._pos = 0
+
+    def take(self, k: int) -> List[float]:
+        pos = self._pos
+        if pos + k > len(self._floats):
+            pos = self._draw(k)
+        self._pos = pos + k
+        return self._floats[pos:pos + k]
+
+    def take_array(self, k: int) -> np.ndarray:
+        pos = self._pos
+        if pos + k > len(self._floats):
+            pos = self._draw(k)
+        self._pos = pos + k
+        return self._block[pos:pos + k]
+
+    def _draw(self, k: int) -> int:
+        """Follow the values not yet taken with a new draw of at least k;
+        returns the place of the first, 0."""
+        self._block = np.concatenate([
+            self._block[self._pos:],
+            self._rng.standard_normal(max(k, NORMAL_BLOCK))])
+        self._floats = self._block.tolist()
+        return 0
 
 
 @dataclass(frozen=True)
@@ -578,62 +656,108 @@ class BallIndex:
 
     def distances(self, b: GaussianBelief) -> np.ndarray:
         """The belief metric from ``b`` to every ball's center."""
+        return self._distances(b.mean, b.cov)
+
+    def _distances(self, mean: Sequence[float],
+                   cov: np.ndarray) -> np.ndarray:
         # np.linalg.norm(diff, axis=1) without its argument handling: the
         # same products and reduction, so the same bits
-        diff = self._means - b.mean
+        diff = self._means - mean
         dm = np.sqrt(np.add.reduce(diff * diff, axis=1))
-        return W_MEAN * dm + self._cov_terms(b.cov)[0]
+        return W_MEAN * dm + self._cov_terms(cov)[0]
 
     def first(self, b: GaussianBelief, order: Iterable[int]) -> Optional[int]:
+        """``first_at`` for belief ``b``."""
+        return self.first_at(b.mean.tolist(), b.cov, order)
+
+    def first_at(self, mean: Sequence[float], cov: np.ndarray,
+                 order: Iterable[int]) -> Optional[int]:
         """The position of the first ball, taken in ``order``, whose
-        ``distances`` entry is at most its epsilon; None if there is none.
+        ``distances`` entry for the belief with float mean ``mean`` and
+        covariance ``cov`` is at most its epsilon; None if there is none.
         A float mean distance decides outside the band between a ball's
         inner and outer radius; only within it do ``distances`` run."""
-        _, inner, outer = self._cov_terms(b.cov)
-        m = b.mean.tolist()
+        _, inner, outer = self._cov_terms(cov)
         rows = self._rows
         for k in order:
-            d = math.dist(m, rows[k])
+            d = math.dist(mean, rows[k])
             if d <= outer[k] and (d <= inner[k]
-                                  or self.distances(b)[k] <= self._eps[k]):
+                                  or self._distances(mean, cov)[k]
+                                  <= self._eps[k]):
                 return k
         return None
 
 
 def run_lma(lma: Lma, start: SimState, stops: BallIndex,
             model: LinearGaussianModel, max_steps: int,
-            rng: np.random.Generator,
+            rng: Union[np.random.Generator, NormalBlocks],
             order: Optional[Sequence[int]] = None) -> TerminationRecord:
     """Run the funnel until the belief enters a stop ball, the truth
-    violates the constraint set (failure node, region id 0), or max_steps.
+    violates the constraint set (failure node, region id 0), or max_steps;
+    leaves ``start`` at the final state.
 
     The belief lands in the first ball of ``stops``, taken in ``order``
     (every ball, in index order, by default), that holds it; the failure
-    check comes from the model.
+    check comes from the model.  Each step is ``lma_step``'s, with the same
+    values: the truth and mean stay float lists from the first step to the
+    last (a matrix step also keeps the arrays it reads and returns), and
+    the final state's arrays are set once, on return.  A
+    ``Generator`` gives each step exactly the normals it uses, as
+    ``lma_step`` draws them; ``NormalBlocks`` hands out the same values
+    from draws of a block at a time, as floats to the per-axis form and as
+    an array to the matrix form.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     if order is None:
         order = range(len(stops.ids))
-    sim = start
+    if isinstance(rng, NormalBlocks):
+        take, take_array = rng.take, rng.take_array
+    else:
+        take_array = rng.standard_normal
+
+        def take(k: int) -> List[float]:
+            return rng.standard_normal(k).tolist()
+    axes = model._axes if lma._axes is not None else None
+    violates, cost, n_noise = (model.constraints.violates, model.step_cost,
+                               model._n_noise)
+    truth, mean = start.truth.tolist(), start.belief.mean.tolist()
+    # the same state as arrays, while they are current: at the start and
+    # after a matrix step, which reads and returns arrays
+    truth_a, mean_a = start.truth, start.belief.mean
+    cov = start.belief.cov
+    start_reward = reward = start.accrued_reward
     steps = 0
-    start_reward = sim.accrued_reward
     while True:
-        k = stops.first(sim.belief, order)
+        k = stops.first_at(mean, cov, order)
         if k is not None:
-            return TerminationRecord(
-                outcome=TerminationRecord.LANDED, region_id=stops.ids[k],
-                elapsed_steps=steps,
-                accrued_reward=sim.accrued_reward - start_reward)
+            outcome, region = TerminationRecord.LANDED, stops.ids[k]
+            break
         if steps >= max_steps:
-            return TerminationRecord(
-                outcome=TerminationRecord.TIMEOUT, region_id=None,
-                elapsed_steps=steps,
-                accrued_reward=sim.accrued_reward - start_reward)
-        lma_step(lma, sim, model, rng)
+            outcome, region = TerminationRecord.TIMEOUT, None
+            break
+        K, cov, k_diag = model._filter_update(cov)
+        if axes is not None and k_diag is not None:
+            truth, mean, u = _axis_step(axes, lma._axes, k_diag, truth, mean,
+                                        take(n_noise))
+            truth_a = mean_a = None
+        else:
+            if truth_a is None:
+                truth_a, mean_a = np.array(truth), np.array(mean)
+            truth_a, mean_a, u = _matrix_step(lma, model, K, truth_a, mean_a,
+                                              take_array(n_noise))
+            truth, mean = truth_a.tolist(), mean_a.tolist()
+        reward -= _step_cost(cost, u)
         steps += 1
-        if model.constraints.violates(sim.truth):
-            return TerminationRecord(
-                outcome=TerminationRecord.FAILED, region_id=0,
-                elapsed_steps=steps,
-                accrued_reward=sim.accrued_reward - start_reward)
+        if violates(truth):
+            outcome, region = TerminationRecord.FAILED, 0
+            break
+    if steps:
+        if truth_a is None:
+            truth_a, mean_a = np.array(truth), np.array(mean)
+        start.truth = truth_a
+        start.belief = GaussianBelief._trusted(mean_a, cov)
+        start.accrued_reward = reward
+    return TerminationRecord(outcome=outcome, region_id=region,
+                             elapsed_steps=steps,
+                             accrued_reward=reward - start_reward)

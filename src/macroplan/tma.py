@@ -18,8 +18,8 @@ import numpy as np
 
 from . import chains
 from .beliefs import (BallIndex, GainSpec, GaussianBelief,
-                      LinearGaussianModel, Lma, SimState, TerminationRecord,
-                      _psd_sqrt, design_lma, run_lma)
+                      LinearGaussianModel, Lma, NormalBlocks, SimState,
+                      TerminationRecord, _psd_sqrt, design_lma, run_lma)
 from .errors import (ConfigError, GoalUnreachable, NonConvergent, NoOutgoingEdge,
                      check_field_types)
 
@@ -179,7 +179,13 @@ def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
     duration under ``lma``, milestone ``to_id``'s funnel.  Starts are the
     milestone center plus Gaussian mean jitter (sigma = epsilon/3); a run
     lands in the first ball of ``balls``, in index order, other than the
-    start milestone's.  Timeouts fold into the failure node's mass."""
+    start milestone's.  Timeouts fold into the failure node's mass.
+
+    The edge owns ``rng``: its standard normals (each run's start jitter,
+    then every step's noise) come from it in blocks, through
+    ``NormalBlocks``.  Each value keeps its place in the stream, so the
+    edge is the one that drawing them a start and a step at a time gives;
+    only the end state of ``rng`` differs."""
     if m < 1:
         raise ValueError("m must be >= 1")
     center = start_milestone.center
@@ -190,15 +196,15 @@ def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
     counts: Dict[int, int] = dict.fromkeys([FAILURE_ID, *balls.ids], 0)
     total_reward = 0.0
     total_time = 0.0
+    normals = NormalBlocks(rng)
     for _ in range(m):
-        # one draw holds the mean jitter, then the truth offset: the same
-        # numbers, in the same order, as two separate draws
-        draw = rng.standard_normal(2 * n)
+        # the mean jitter, then the truth offset
+        draw = np.array(normals.take(2 * n))
         mean = center.mean + sigma * draw[:n]
         truth = mean + cov_sqrt @ draw[n:]
         sim = SimState(truth=truth,
                        belief=GaussianBelief._trusted(mean, center.cov))
-        rec = run_lma(lma, sim, balls, model, max_steps, rng, order)
+        rec = run_lma(lma, sim, balls, model, max_steps, normals, order)
         if rec.outcome == TerminationRecord.LANDED:
             counts[rec.region_id] += 1
         else:

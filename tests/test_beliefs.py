@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macroplan import beliefs, cli, delivery
+from macroplan import tma as tma_module
 from macroplan.beliefs import (W_COV, W_MEAN, BallIndex, GainSpec,
                                GaussianBelief, LinearGaussianModel,
                                NoConstraints, SimState, StepCost,
@@ -20,7 +21,8 @@ from macroplan.beliefs import (W_COV, W_MEAN, BallIndex, GainSpec,
                                Lma, design_lma, lma_step, run_lma,
                                stationary_covariance)
 from macroplan.errors import MacroplanError, NonConvergent, Unstabilizable
-from macroplan.tma import Milestone, _settle_projector, construct_tma
+from macroplan.tma import (GraphEdge, Milestone, _settle_projector,
+                           construct_tma, estimate_edge)
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 TMA_EXAMPLE = os.path.join(ROOT, "configs", "tma_single.yaml")
@@ -508,17 +510,15 @@ def per_axis(model, lma, cov):
 
 
 def count_step_forms(monkeypatch):
-    """Wrap ``beliefs.lma_step``, which ``run_lma`` calls, and return the
-    counter of the forms its calls take."""
+    """Wrap the two step forms, which ``lma_step`` and ``run_lma`` call, and
+    return the counter of the steps each takes."""
     forms = Counter()
-    real = beliefs.lma_step
+    for name, form in (("_axis_step", "per-axis"), ("_matrix_step", "matrix")):
+        def wrapped(*args, real=getattr(beliefs, name), form=form):
+            forms[form] += 1
+            return real(*args)
 
-    def wrapped(lma, sim, model, rng):
-        forms["per-axis" if per_axis(model, lma, sim.belief.cov)
-              else "matrix"] += 1
-        return real(lma, sim, model, rng)
-
-    monkeypatch.setattr(beliefs, "lma_step", wrapped)
+        monkeypatch.setattr(beliefs, name, wrapped)
     return forms
 
 
@@ -829,3 +829,172 @@ class TestRunLma:
             recs.append(run_lma(self.lma, sim, self.stops, self.m, 10_000,
                                 np.random.default_rng(42)))
         assert recs[0] == recs[1]
+
+
+def reference_run_lma(lma, sim, stops, model, max_steps, rng, order=None):
+    """``run_lma`` as one ``lma_step``, then ``BallIndex.first``, then
+    ``violates`` per step, each on the arrays of ``sim``; mutates ``sim``."""
+    if order is None:
+        order = range(len(stops.ids))
+    steps = 0
+    start_reward = sim.accrued_reward
+    while True:
+        k = stops.first(sim.belief, order)
+        if k is not None:
+            return TerminationRecord(
+                TerminationRecord.LANDED, stops.ids[k], steps,
+                sim.accrued_reward - start_reward)
+        if steps >= max_steps:
+            return TerminationRecord(
+                TerminationRecord.TIMEOUT, None, steps,
+                sim.accrued_reward - start_reward)
+        lma_step(lma, sim, model, rng)
+        steps += 1
+        if model.constraints.violates(sim.truth):
+            return TerminationRecord(
+                TerminationRecord.FAILED, 0, steps,
+                sim.accrued_reward - start_reward)
+
+
+def reference_estimate_edge(start_milestone, lma, to_id, balls, model, m,
+                            max_steps, rng):
+    """``estimate_edge`` with every start and every step drawn from ``rng``
+    on its own, and each run by ``reference_run_lma``."""
+    center = start_milestone.center
+    sigma = start_milestone.epsilon / 3.0
+    order = [k for k, i in enumerate(balls.ids) if i != start_milestone.id]
+    cov_sqrt = tma_module._psd_sqrt(center.cov)
+    n = len(center.mean)
+    counts = dict.fromkeys([0, *balls.ids], 0)
+    total_reward = total_time = 0.0
+    for _ in range(m):
+        draw = rng.standard_normal(2 * n)
+        mean = center.mean + sigma * draw[:n]
+        truth = mean + cov_sqrt @ draw[n:]
+        sim = SimState(truth=truth, belief=GaussianBelief(mean, center.cov))
+        rec = reference_run_lma(lma, sim, balls, model, max_steps, rng, order)
+        counts[rec.region_id if rec.outcome == TerminationRecord.LANDED
+               else 0] += 1
+        total_reward += rec.accrued_reward
+        total_time += rec.elapsed_steps
+    return GraphEdge(from_id=start_milestone.id, to_id=to_id,
+                     landing_probs={i: c / m for i, c in counts.items()},
+                     reward=total_reward / m,
+                     time=max(total_time / m, 1e-9), sample_count=m)
+
+
+def ndarray_predicate(bound):
+    """Constraints whose predicate fails unless it is handed an ndarray."""
+    def hits(x):
+        assert isinstance(x, np.ndarray)
+        return float(x.sum()) > bound
+    return PredicateConstraints(hits)
+
+
+@st.composite
+def run_cases(draw):
+    """(model, funnel, start belief, truth, stop balls, order): a
+    ``separable_cases`` model and funnel, so per-axis, matrix (dense gain)
+    and mixed (non-diagonal start covariance) steps; no constraints, a
+    rectangle or a predicate; one to three balls at the model's stationary
+    covariance, one of them at the funnel's target and one, at times, at
+    the start."""
+    model, lma, start, truth, _ = draw(separable_cases())
+    n = model.state_dim
+    kind = draw(st.sampled_from(["none", "rects", "predicate"] if n > 1
+                                else ["none", "predicate"]))
+    if kind == "rects":
+        x0, y0 = draw(st.floats(0.0, 0.8)), draw(st.floats(0.0, 0.8))
+        model.constraints = beliefs.RectConstraints(
+            [((x0, y0), (x0 + 0.2, y0 + 0.2))])
+    elif kind == "predicate":
+        model.constraints = ndarray_predicate(draw(st.floats(0.3, 2.0)))
+    p = stationary_covariance(model)
+    centers = [lma.attractor.mean, draw(st.sampled_from(
+        [np.full(n, 0.5), np.full(n, 0.9), np.full(n, 0.1), start.mean]))]
+    epsilon = st.floats(0.01, 0.12)
+    regions = [make_milestone(mid, c, p, draw(epsilon))
+               for mid, c in enumerate(centers, start=2)]
+    if draw(st.booleans()):
+        regions.append(make_milestone(4, np.zeros(n), p, draw(epsilon)))
+    order = draw(st.one_of(st.none(), st.permutations(range(len(regions)))))
+    return model, lma, start, truth, BallIndex(regions), order
+
+
+def assert_same_state(sim, ref):
+    assert sim.truth.tobytes() == ref.truth.tobytes()
+    assert sim.belief.mean.tobytes() == ref.belief.mean.tobytes()
+    assert sim.belief.cov.tobytes() == ref.belief.cov.tobytes()
+    assert sim.accrued_reward == ref.accrued_reward
+
+
+class TestRunLmaMatchesStepLoop:
+    """``run_lma`` and ``estimate_edge`` against a loop of ``lma_step``,
+    ``BallIndex.first`` and ``violates``, to the bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(run_cases(), st.integers(min_value=1, max_value=300),
+           st.floats(-1.5, 0.0), st.integers(min_value=0,
+                                             max_value=2**32 - 1))
+    def test_run_lma_matches_the_step_loop(self, case, max_steps, reward,
+                                           seed):
+        model, lma, start, truth, balls, order = case
+        sim, ref = (SimState(truth=truth.copy(), belief=start,
+                             accrued_reward=reward) for _ in range(2))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rec = run_lma(lma, sim, balls, model, max_steps, rng, order)
+        assert rec == reference_run_lma(lma, ref, balls, model, max_steps,
+                                        ref_rng, order)
+        assert_same_state(sim, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_a_run_that_changes_form_matches_the_step_loop(self):
+        # a diagonal model from a non-diagonal covariance: the Kalman gain
+        # turns diagonal after 184 steps, so the run takes the matrix form
+        # and then the per-axis form
+        model = LinearGaussianModel(
+            A=np.diag([0.5, 0.9]), G=0.5 * np.eye(2), C=np.diag([2.0, 1.0]),
+            Q=np.diag([3e-4, 1e-4]), R_obs=np.diag([1e-4, 2e-4]),
+            step_cost=StepCost(base=0.01, u_weight=0.3))
+        lma = Lma(gain=np.diag([0.6, 1.0]),
+                  attractor=GaussianBelief([0.4, 0.6], np.eye(2)))
+        start = GaussianBelief([0.1, 0.2], [[1e-3, 4e-4], [4e-4, 1e-3]])
+        far = BallIndex([make_milestone(2, [5.0, 5.0], np.eye(2), 0.1)])
+        forms = []
+        cov = start.cov
+        for _ in range(250):
+            forms.append(per_axis(model, lma, cov))
+            cov = model._filter_update(cov)[1]
+        assert not forms[0] and forms[-1]
+        for seed in range(3):
+            # a Generator, then blocks of the same stream, which hand the
+            # matrix form arrays and the per-axis form floats
+            for blocks in (False, True):
+                sim, ref = (SimState(truth=start.mean + 0.01, belief=start)
+                            for _ in range(2))
+                rng = np.random.default_rng(seed)
+                ref_rng = np.random.default_rng(seed)
+                rec = run_lma(lma, sim, far, model, 250,
+                              beliefs.NormalBlocks(rng) if blocks else rng)
+                assert rec.outcome == TerminationRecord.TIMEOUT
+                assert rec == reference_run_lma(lma, ref, far, model, 250,
+                                                ref_rng)
+                assert_same_state(sim, ref)
+                if not blocks:
+                    assert rng.bit_generator.state \
+                        == ref_rng.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(run_cases(), st.integers(min_value=1, max_value=20),
+           st.integers(min_value=1, max_value=120),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_estimate_edge_matches_per_step_draws(self, case, m, max_steps,
+                                                  seed):
+        model, lma, start, _, balls, _ = case
+        # the edge starts at the first ball's milestone (its start jitter
+        # uses the center's covariance) and is named after it
+        src = Milestone(id=balls.ids[0], center=GaussianBelief(
+            start.mean, stationary_covariance(model)), epsilon=0.05)
+        args = (src, lma, 9, balls, model, m, max_steps)
+        assert estimate_edge(*args, np.random.default_rng(seed)) \
+            == reference_estimate_edge(*args, np.random.default_rng(seed))

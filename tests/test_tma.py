@@ -643,6 +643,61 @@ def test_construct_tma_outputs_are_bit_exact():
     assert {k: tma_digest(t) for k, t in tmas.items()} == DESK_TMA_DIGESTS
 
 
+# tma_digest per seed of tma_build_problem() over the benchmark's
+# tma-build blocks (seed bases 0 and 48), or the class and message of the
+# error the seed raises; recorded with each edge's normals drawn one start
+# and one step at a time
+CUT_OFF = ("start node 8 never reaches the goal or failure node: the edges "
+           "of nodes {} land only among themselves")
+STUCK = ("graph DP cannot converge: nodes {} never reach the goal or failure "
+         "node and every edge out of them has negative reward")
+BENCH_BLOCK_DIGESTS = {
+    0: ("GoalUnreachable", CUT_OFF.format([2, 3, 6, 7, 8])),
+    1: "2bc0d8ef0fc0466756bb9e4fbec739c97e1f0b9e92d781121ab968140a038222",
+    2: ("GoalUnreachable", CUT_OFF.format([2, 3, 5, 7, 8])),
+    3: "bb8f1b9627003c9276499aafb0db1dae9fc275fb3b073906935cb98eefbae417",
+    4: "bdd05b3ce1417f0e16302e16e049386edae7f40de881ddd364c1d30ed3ea1b9d",
+    5: ("GoalUnreachable", CUT_OFF.format([2, 3, 4, 6, 8])),
+    6: ("GoalUnreachable", CUT_OFF.format([2, 3, 5, 6, 8])),
+    7: "a3435b664d6992e42dc4a6a1dd4e7b3db9cbe7ec67b907159f9cae11b2fd7a12",
+    8: ("GoalUnreachable", CUT_OFF.format([5, 6, 7, 8])),
+    9: "cf05a7b9cdf194c7abc40e0c6157fc00e67f5a439667f8fea2fbc71299d5171d",
+    10: ("GoalUnreachable", CUT_OFF.format([2, 3, 4, 6, 8])),
+    11: ("GoalUnreachable", CUT_OFF.format([2, 4, 5, 7, 8])),
+    12: ("GoalUnreachable", CUT_OFF.format([3, 4, 7, 8])),
+    13: ("NonConvergent", STUCK.format([3, 6, 7])),
+    14: "3ed9c38bc2d8702cfc4d74703d6d1382b041b62c7dee1f38818ab9a106f3ac86",
+    15: ("GoalUnreachable", CUT_OFF.format([2, 3, 4, 7, 8])),
+    48: ("GoalUnreachable", CUT_OFF.format([2, 3, 5, 7, 8])),
+    49: "2c857a7a26b648ba95d22da53626b51c8d5a304bb1f247b0c19f097818675e64",
+    50: ("GoalUnreachable", CUT_OFF.format([3, 4, 5, 7, 8])),
+    51: "e4bc1144395b54c12bc9f1eec6ae69524b59ef98422ee69a03ac8dcc1e4194dd",
+    52: "424e42cbaa4c3cc882641657a0adf6f520252ac727d93e77a8d802635b72c9e9",
+    53: ("NonConvergent", STUCK.format([2, 3, 7])),
+    54: ("GoalUnreachable", CUT_OFF.format([2, 3, 4, 8])),
+    55: "19c92b228a1388a4210b744ffec41bbf526fc376f2bd42142fd2c8e4800ce869",
+    56: ("GoalUnreachable", CUT_OFF.format([2, 4, 5, 6, 7, 8])),
+    57: "69684150f86cc6aa942f1bfdbb09c28882c7266b46fb9044f877515d561523e3",
+    58: "496b150374adb2fc9780fb0855bfc63358eaf83627228b2aa699bf4bdb62876d",
+    59: ("GoalUnreachable", CUT_OFF.format([3, 4, 7, 8])),
+    60: ("GoalUnreachable", CUT_OFF.format([2, 6, 7, 8])),
+    61: "ed667ea38a5f3abda6d6a2b81fbed66c2b104dabdcfae41b1ed7d8934f3e53a1",
+    62: "3bbf2b90101b2a12d0674906e870e30c20b8353230dc295a81b7d605367c8bf1",
+    63: ("GoalUnreachable", CUT_OFF.format([3, 4, 5, 7, 8])),
+}
+
+
+def test_bench_blocks_are_bit_exact():
+    model, start, goal, cfg = tma_build_problem()
+    for seed, want in BENCH_BLOCK_DIGESTS.items():
+        try:
+            got = tma_digest(construct_tma(start, goal, model, cfg,
+                                           np.random.default_rng(seed)))
+        except MacroplanError as e:
+            got = (type(e).__name__, str(e))
+        assert got == want, seed
+
+
 def test_every_funnel_shares_the_one_gain_the_file_reports():
     model, start, goal, cfg = tma_build_problem()
     built = construct_tma(start, goal, model, cfg, np.random.default_rng(1))
