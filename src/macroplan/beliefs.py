@@ -44,7 +44,8 @@ class StepCost:
 
 class Constraints:
     """State-constraint predicate; ``violates(x) == True`` means failure.
-    ``x`` is a state as an ndarray or, in ``run_lma``, a list of floats."""
+    ``x`` is a state as an ndarray or, in ``run_lma`` and graph walks, a
+    list of floats."""
 
     def violates(self, x: Sequence[float]) -> bool:  # pragma: no cover
         raise NotImplementedError
@@ -195,9 +196,9 @@ class LinearGaussianModel:
         self._axes: Optional[Tuple[Tuple[float, ...], ...]] = (
             None if None in diagonals else tuple(zip(*diagonals)))
         # posterior covariance bytes -> (Kalman gain, next posterior
-        # covariance, the gain's _diagonal)
-        self._filter_path: Dict[bytes, Tuple[np.ndarray, np.ndarray,
-                                             Optional[Tuple[float, ...]]]] = {}
+        # covariance, the gain's _diagonal, the next covariance's bytes)
+        self._filter_path: Dict[bytes, Tuple[
+            np.ndarray, np.ndarray, Optional[Tuple[float, ...]], bytes]] = {}
         # (state weight, control weight) -> LQR gain, and the filter's
         # stationary covariance; see design_lma
         self._lqr_gains: Dict[Tuple[float, float], np.ndarray] = {}
@@ -225,21 +226,25 @@ class LinearGaussianModel:
         ikc = np.eye(self._n) - K @ C
         return K, ikc @ prior @ ikc.T + K @ self.R_obs @ K.T
 
-    def _filter_update(self, cov: np.ndarray
+    def _filter_update(self, cov: np.ndarray, key: Optional[bytes] = None
                        ) -> Tuple[np.ndarray, np.ndarray,
-                                  Optional[Tuple[float, ...]]]:
+                                  Optional[Tuple[float, ...]], bytes]:
         """Kalman gain, posterior covariance one predict/update step after
-        posterior ``cov``, and the gain's ``_diagonal``.  None of them
-        depends on the data, so each distinct ``cov`` is solved once per
-        model; the arrays returned are shared and read-only."""
-        key = cov.tobytes()
+        posterior ``cov``, the gain's ``_diagonal``, and the bytes of that
+        next covariance.  ``key`` is ``cov.tobytes()``, taken here when the
+        caller passes None; a walk passes the bytes the step before
+        returned, so no step hashes a covariance.  None of the four depends
+        on the data, so each distinct ``cov`` is solved once per model; the
+        arrays returned are shared and read-only."""
+        if key is None:
+            key = cov.tobytes()
         hit = self._filter_path.get(key)
         if hit is None:
             K, nxt = self._update(self._predict(cov))
             nxt = 0.5 * (nxt + nxt.T)
             K.setflags(write=False)
             nxt.setflags(write=False)
-            hit = (K, nxt, _diagonal(K))
+            hit = (K, nxt, _diagonal(K), nxt.tobytes())
             if len(self._filter_path) < FILTER_PATH_MAX:
                 self._filter_path[key] = hit
         return hit
@@ -316,13 +321,49 @@ class Lma:
         object.__setattr__(self, "_axes", axes)
 
 
-@dataclass
-class SimState:
-    """Single-owner rollout state: ground truth plus the filtered belief."""
+def _state_array(values: List[float]) -> np.ndarray:
+    """A read-only array of a ``SimState``'s floats: what a read of its
+    ``truth`` or ``belief`` builds."""
+    a = np.array(values)
+    a.setflags(write=False)
+    return a
 
-    truth: np.ndarray
-    belief: GaussianBelief
-    accrued_reward: float = 0.0
+
+class SimState:
+    """Single-owner rollout state: ground truth plus the filtered belief.
+
+    The state is the truth ``x`` and the belief mean ``mean``, each a list
+    of floats, the belief covariance ``cov``, and ``cov_key``, the bytes of
+    ``cov``, which key the filter path and the ball caches.  ``lma_step``
+    and graph walks read and write these.  Reading ``truth`` or ``belief``
+    builds read-only arrays of the floats; writing either replaces the
+    floats, so the floats are the one copy of the state."""
+
+    __slots__ = ("x", "mean", "cov", "cov_key", "accrued_reward")
+
+    def __init__(self, truth: np.ndarray, belief: GaussianBelief,
+                 accrued_reward: float = 0.0):
+        self.truth = truth
+        self.belief = belief
+        self.accrued_reward = accrued_reward
+
+    @property
+    def truth(self) -> np.ndarray:
+        return _state_array(self.x)
+
+    @truth.setter
+    def truth(self, truth: np.ndarray) -> None:
+        self.x = np.asarray(truth, dtype=float).ravel().tolist()
+
+    @property
+    def belief(self) -> GaussianBelief:
+        return GaussianBelief._trusted(_state_array(self.mean), self.cov)
+
+    @belief.setter
+    def belief(self, belief: GaussianBelief) -> None:
+        self.mean = belief.mean.tolist()
+        self.cov = belief.cov
+        self.cov_key = belief.cov.tobytes()
 
 
 @dataclass(frozen=True)
@@ -530,27 +571,25 @@ def lma_step(lma: Lma, sim: SimState, model: LinearGaussianModel,
     The step takes one of two forms.  When the model and the funnel keep
     per-axis entries and the Kalman gain at the current covariance is
     diagonal (see ``_diagonal``), ``_axis_step`` runs each axis as a scalar
-    recurrence in Python floats.  Every other step is ``_matrix_step``.  A
-    row of a diagonal matrix has one nonzero term, so both forms give the
-    value of ``@``; only the sign of an exact zero can differ, and no
-    reward, comparison or distance reads it.  One draw holds the process
-    noise, then the observation noise: the same numbers, in the same order,
-    as two separate draws."""
-    belief = sim.belief
-    K, cov, k_diag = model._filter_update(belief.cov)
+    recurrence on the state's floats.  Every other step is ``_matrix_step``,
+    on arrays of them.  A row of a diagonal
+    matrix has one nonzero term, so both forms give the value of ``@``;
+    only the sign of an exact zero can differ, and no reward, comparison or
+    distance reads it.  One draw holds the process noise, then the
+    observation noise: the same numbers, in the same order, as two separate
+    draws."""
+    K, cov, k_diag, key = model._filter_update(sim.cov, sim.cov_key)
     noise = rng.standard_normal(model._n_noise)
     if k_diag is not None and model._axes is not None \
             and lma._axes is not None:
-        truth, mean, u = _axis_step(model._axes, lma._axes, k_diag,
-                                    sim.truth.tolist(), belief.mean.tolist(),
-                                    noise.tolist())
-        truth, mean = np.array(truth), np.array(mean)
+        sim.x, sim.mean, u = _axis_step(model._axes, lma._axes, k_diag,
+                                        sim.x, sim.mean, noise.tolist())
     else:
-        truth, mean, u = _matrix_step(lma, model, K, sim.truth, belief.mean,
-                                      noise)
+        truth, mean, u = _matrix_step(lma, model, K, np.array(sim.x),
+                                      np.array(sim.mean), noise)
+        sim.x, sim.mean = truth.tolist(), mean.tolist()
+    sim.cov, sim.cov_key = cov, key
     sim.accrued_reward -= _step_cost(model.step_cost, u)
-    sim.truth = truth
-    sim.belief = GaussianBelief._trusted(mean, cov)
     return sim
 
 
@@ -632,9 +671,11 @@ class BallIndex:
         # follow their models' bounded filter paths, so few covariances occur
         self._cov_cache: Dict[bytes, tuple] = {}
 
-    def _cov_terms(self, cov: np.ndarray) -> tuple:
+    def _cov_terms(self, cov: np.ndarray, key: Optional[bytes] = None
+                   ) -> tuple:
         """The weighted covariance term of every ball's distance at ``cov``,
-        and each ball's inner and outer radius in the mean.
+        and each ball's inner and outer radius in the mean; ``key`` is
+        ``cov.tobytes()``, taken here when the caller passes None.
 
         A ball holds a belief when ``W_MEAN*dm + dc <= eps``, so its mean
         distance ``dm`` is at most ``(eps - dc)/W_MEAN``.  The inner and
@@ -642,7 +683,8 @@ class BallIndex:
         a mean within the inner radius is surely inside, and one beyond the
         outer radius surely outside, whatever the rounding of either
         distance.  The terms are shared, and their array is read-only."""
-        key = cov.tobytes()
+        if key is None:
+            key = cov.tobytes()
         terms = self._cov_cache.get(key)
         if terms is None:
             dc = W_COV * np.linalg.norm(self._covs - cov.ravel(), axis=1)
@@ -656,33 +698,37 @@ class BallIndex:
 
     def distances(self, b: GaussianBelief) -> np.ndarray:
         """The belief metric from ``b`` to every ball's center."""
-        return self._distances(b.mean, b.cov)
+        return self.distances_at(b.mean, b.cov)
 
-    def _distances(self, mean: Sequence[float],
-                   cov: np.ndarray) -> np.ndarray:
+    def distances_at(self, mean: Sequence[float], cov: np.ndarray,
+                     key: Optional[bytes] = None) -> np.ndarray:
+        """``distances`` for the belief with mean ``mean`` (floats or an
+        array) and covariance ``cov``, whose bytes ``key`` is if known."""
         # np.linalg.norm(diff, axis=1) without its argument handling: the
         # same products and reduction, so the same bits
         diff = self._means - mean
         dm = np.sqrt(np.add.reduce(diff * diff, axis=1))
-        return W_MEAN * dm + self._cov_terms(cov)[0]
+        return W_MEAN * dm + self._cov_terms(cov, key)[0]
 
     def first(self, b: GaussianBelief, order: Iterable[int]) -> Optional[int]:
         """``first_at`` for belief ``b``."""
         return self.first_at(b.mean.tolist(), b.cov, order)
 
     def first_at(self, mean: Sequence[float], cov: np.ndarray,
-                 order: Iterable[int]) -> Optional[int]:
+                 order: Iterable[int],
+                 key: Optional[bytes] = None) -> Optional[int]:
         """The position of the first ball, taken in ``order``, whose
         ``distances`` entry for the belief with float mean ``mean`` and
-        covariance ``cov`` is at most its epsilon; None if there is none.
-        A float mean distance decides outside the band between a ball's
-        inner and outer radius; only within it do ``distances`` run."""
-        _, inner, outer = self._cov_terms(cov)
+        covariance ``cov`` (whose bytes ``key`` is if known) is at most its
+        epsilon; None if there is none.  A float mean distance decides
+        outside the band between a ball's inner and outer radius; only
+        within it do ``distances`` run."""
+        _, inner, outer = self._cov_terms(cov, key)
         rows = self._rows
         for k in order:
             d = math.dist(mean, rows[k])
             if d <= outer[k] and (d <= inner[k]
-                                  or self._distances(mean, cov)[k]
+                                  or self.distances_at(mean, cov, key)[k]
                                   <= self._eps[k]):
                 return k
         return None
@@ -701,7 +747,7 @@ def run_lma(lma: Lma, start: SimState, stops: BallIndex,
     check comes from the model.  Each step is ``lma_step``'s, with the same
     values: the truth and mean stay float lists from the first step to the
     last (a matrix step also keeps the arrays it reads and returns), and
-    the final state's arrays are set once, on return.  A
+    ``start`` is left at the final floats, with no array built.  A
     ``Generator`` gives each step exactly the normals it uses, as
     ``lma_step`` draws them; ``NormalBlocks`` hands out the same values
     from draws of a block at a time, as floats to the per-axis form and as
@@ -721,31 +767,31 @@ def run_lma(lma: Lma, start: SimState, stops: BallIndex,
     axes = model._axes if lma._axes is not None else None
     violates, cost, n_noise = (model.constraints.violates, model.step_cost,
                                model._n_noise)
-    truth, mean = start.truth.tolist(), start.belief.mean.tolist()
-    # the same state as arrays, while they are current: at the start and
-    # after a matrix step, which reads and returns arrays
-    truth_a, mean_a = start.truth, start.belief.mean
-    cov = start.belief.cov
+    truth, mean, cov, key = start.x, start.mean, start.cov, start.cov_key
+    # the same truth and mean as arrays, after a matrix step, which reads
+    # and returns arrays; None after a per-axis step
+    arrays = None
     start_reward = reward = start.accrued_reward
     steps = 0
     while True:
-        k = stops.first_at(mean, cov, order)
+        k = stops.first_at(mean, cov, order, key)
         if k is not None:
             outcome, region = TerminationRecord.LANDED, stops.ids[k]
             break
         if steps >= max_steps:
             outcome, region = TerminationRecord.TIMEOUT, None
             break
-        K, cov, k_diag = model._filter_update(cov)
+        K, cov, k_diag, key = model._filter_update(cov, key)
         if axes is not None and k_diag is not None:
             truth, mean, u = _axis_step(axes, lma._axes, k_diag, truth, mean,
                                         take(n_noise))
-            truth_a = mean_a = None
+            arrays = None
         else:
-            if truth_a is None:
-                truth_a, mean_a = np.array(truth), np.array(mean)
-            truth_a, mean_a, u = _matrix_step(lma, model, K, truth_a, mean_a,
+            if arrays is None:
+                arrays = np.array(truth), np.array(mean)
+            truth_a, mean_a, u = _matrix_step(lma, model, K, *arrays,
                                               take_array(n_noise))
+            arrays = truth_a, mean_a
             truth, mean = truth_a.tolist(), mean_a.tolist()
         reward -= _step_cost(cost, u)
         steps += 1
@@ -753,10 +799,7 @@ def run_lma(lma: Lma, start: SimState, stops: BallIndex,
             outcome, region = TerminationRecord.FAILED, 0
             break
     if steps:
-        if truth_a is None:
-            truth_a, mean_a = np.array(truth), np.array(mean)
-        start.truth = truth_a
-        start.belief = GaussianBelief._trusted(mean_a, cov)
+        start.x, start.mean, start.cov, start.cov_key = truth, mean, cov, key
         start.accrued_reward = reward
     return TerminationRecord(outcome=outcome, region_id=region,
                              elapsed_steps=steps,

@@ -109,7 +109,9 @@ class TimedExecution(Execution):
 
 class GraphTmaExecution(Execution):
     """Primitive-level walk of a solved TMA graph: at each milestone the
-    policy's funnel runs until the belief lands in the next ball."""
+    policy's funnel runs until the belief lands in the next ball.  Its
+    entry, constraint and landing tests read the walk state's floats, so a
+    walk builds no state array."""
 
     def __init__(self, spec: TmaSpec, agent: int, config: JointConfig):
         assert spec.tma is not None
@@ -117,7 +119,8 @@ class GraphTmaExecution(Execution):
         self.agents = (agent,)
         self.tma = tma = spec.tma
         self.model = tma.model
-        entry = tma.entry_node(config.sims[agent].belief)
+        sim = config.sims[agent]
+        entry = tma.entry_node_at(sim.mean, sim.cov, sim.cov_key)
         # assigned while already inside the goal ball: hold one step, done
         self.hold_done = entry is None
         self.node = tma.graph.goal_id if entry is None else entry
@@ -143,11 +146,11 @@ class GraphTmaExecution(Execution):
         lma_step(tma.funnels[tma.policy[self.node].to_id], sim, self.model,
                  rng)
         rewards[agent] += sim.accrued_reward - before
-        if self.model.constraints.violates(sim.truth):
+        if self.model.constraints.violates(sim.x):
             dead.append(agent)
             return False
         self.steps_on_edge += 1
-        nid = tma.stop_node(sim.belief)
+        nid = tma.stop_node_at(sim.mean, sim.cov, sim.cov_key)
         if nid is not None:
             if nid != self.node:
                 self.node = nid

@@ -412,7 +412,7 @@ class DeliveryDomain(Domain):
 
     def initial(self, rng: np.random.Generator) -> JointConfig:
         cfg = self.cfg
-        sims = [SimState(truth=b.mean.copy(), belief=b)
+        sims = [SimState(truth=b.mean, belief=b)
                 for b in self._start_beliefs]
         world = WorldState(
             base_packages=[self._packages.draw(rng) for _ in cfg.bases],
@@ -422,13 +422,10 @@ class DeliveryDomain(Domain):
         return JointConfig(sims=sims, world=world)
 
     # ----- geometry helpers -----------------------------------------------
-    def _pos(self, agent: int, config: JointConfig) -> np.ndarray:
-        return config.sims[agent].belief.mean[:2]
-
     def _xy_of(self, agent: int, config: JointConfig) -> List[float]:
         """The robot's belief mean in the plane, as the floats ``_at``
         tests; read once per decision, then tested against every site."""
-        return config.sims[agent].belief.mean.tolist()[:2]
+        return config.sims[agent].mean[:2]
 
     def _at(self, pos: List[float], xy: Tuple[float, float]) -> bool:
         """Whether the site disk at ``xy`` holds the plane position ``pos``
@@ -450,7 +447,8 @@ class DeliveryDomain(Domain):
         return None
 
     def _colocated(self, a: int, b: int, config: JointConfig) -> bool:
-        return (_dist(self._pos(a, config), self._pos(b, config))
+        pa, pb = self._xy_of(a, config), self._xy_of(b, config)
+        return (_dist(np.array(pa), pb)
                 <= self.cfg.colocate_radius + self.cfg.site_radius)
 
     def _at_destination(self, pkg: PackageDescriptor, agents,

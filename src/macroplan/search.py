@@ -123,6 +123,36 @@ def _pick(rng: np.random.Generator, items: Sequence):
     return items[0] if len(items) == 1 else items[rng.integers(len(items))]
 
 
+def _edge_targets(labels: List[Hashable], successors, mask: Optional[Mask]
+                  ) -> Tuple[Dict[Tuple[int, Hashable], int],
+                             List[Tuple[Tuple[int, Hashable], List[int]]],
+                             bool]:
+    """One pass over a labeling's edges, in node and observation order.
+    Returns the masked edges whose successor some node carries, each set to
+    the lowest such node; every other edge with the nodes it may point at,
+    up to the first edge that has none; and whether no edge has none."""
+    carrier: Dict[Hashable, int] = {}
+    for i, lb in enumerate(labels):
+        carrier.setdefault(lb, i)
+    fixed: Dict[Tuple[int, Hashable], int] = {}
+    free = []
+    # successor set -> nodes whose label is in it, for this labeling
+    node_targets: Dict[FrozenSet[Hashable], List[int]] = {}
+    for i, lb in enumerate(labels):
+        for obs, valid in successors[lb]:
+            if mask and (lb, obs) in mask and mask[(lb, obs)] in carrier:
+                fixed[(i, obs)] = carrier[mask[(lb, obs)]]
+                continue
+            targets = node_targets.get(valid)
+            if targets is None:
+                targets = node_targets[valid] = [
+                    k for k, other in enumerate(labels) if other in valid]
+            if not targets:
+                return fixed, free, False
+            free.append(((i, obs), targets))
+    return fixed, free, True
+
+
 def sample_valid_controller(domain: Domain, agent: int, n_nodes: int,
                             rng: np.random.Generator,
                             mask: Optional[Mask] = None,
@@ -152,32 +182,21 @@ def sample_valid_controller(domain: Domain, agent: int, n_nodes: int,
         else:
             labels = [roster[k] for k in rng.integers(len(roster),
                                                       size=n_nodes)]
-        carrier: Dict[Hashable, int] = {}
-        for i, lb in enumerate(labels):
-            carrier.setdefault(lb, i)
-        ok = True
-        edges: Dict[Tuple[int, Hashable], int] = {}
-        # successor set -> nodes whose label is in it, for this labeling
-        node_targets: Dict[FrozenSet[Hashable], List[int]] = {}
-        for i, lb in enumerate(labels):
-            for obs, valid in successors[lb]:
-                if mask and (lb, obs) in mask and mask[(lb, obs)] in carrier:
-                    edges[(i, obs)] = carrier[mask[(lb, obs)]]
-                    continue
-                targets = node_targets.get(valid)
-                if targets is None:
-                    targets = node_targets[valid] = [
-                        k for k, other in enumerate(labels) if other in valid]
-                if not targets:
-                    ok = False
-                    break
-                if (perturb and rng.random() >= explore_rate
-                        and base.edges.get((i, obs)) in targets):
-                    edges[(i, obs)] = base.edges[(i, obs)]
+        edges, free, ok = _edge_targets(labels, successors, mask)
+        if perturb:
+            for key, targets in free:
+                if (rng.random() >= explore_rate
+                        and base.edges.get(key) in targets):
+                    edges[key] = base.edges[key]
                 else:
-                    edges[(i, obs)] = _pick(rng, targets)
-            if not ok:
-                break
+                    edges[key] = _pick(rng, targets)
+        elif free:
+            # one draw for every free edge: the values, and the generator
+            # state, of one ``_pick`` per edge, since integers(1) returns 0
+            # and draws nothing
+            picks = rng.integers([len(targets) for _, targets in free])
+            for (key, targets), k in zip(free, picks.tolist()):
+                edges[key] = targets[k]
         if ok:
             return PolicyController(nodes=labels, edges=edges)
     raise NoValidSuccessor(

@@ -128,19 +128,33 @@ class Tma:
         return self._balls.distances(b)
 
     def entry_node(self, b: GaussianBelief) -> Optional[int]:
-        """Where a walk from ``b`` enters the graph: None when the goal ball
-        holds ``b``, else the nearest policy node whose success is above 0,
-        ties to the lower id."""
-        if self._balls.first(b, self._goal_order) is not None:
+        """``entry_node_at`` for belief ``b``."""
+        return self.entry_node_at(b.mean.tolist(), b.cov)
+
+    def entry_node_at(self, mean: List[float], cov: np.ndarray,
+                      key: Optional[bytes] = None) -> Optional[int]:
+        """Where a walk from the belief with float mean ``mean`` and
+        covariance ``cov`` (whose bytes ``key`` is if known) enters the
+        graph: None when the goal ball holds it, else the nearest policy
+        node whose success is above 0, ties to the lower id."""
+        balls = self._balls
+        if balls.first_at(mean, cov, self._goal_order, key) is not None:
             return None
         # ids are sorted and argmin takes the first of equal distances
         entry = self._entry_idx
-        return int(self._ids[entry[np.argmin(self.distances(b)[entry])]])
+        return int(self._ids[entry[np.argmin(
+            balls.distances_at(mean, cov, key)[entry])]])
 
     def stop_node(self, b: GaussianBelief) -> Optional[int]:
+        """``stop_node_at`` for belief ``b``."""
+        return self.stop_node_at(b.mean.tolist(), b.cov)
+
+    def stop_node_at(self, mean: List[float], cov: np.ndarray,
+                     key: Optional[bytes] = None) -> Optional[int]:
         """The first stop node (the goal or a policy node), in id order,
-        whose ball holds ``b``; None if none does."""
-        k = self._balls.first(b, self._stop_order)
+        whose ball holds the belief with float mean ``mean`` and covariance
+        ``cov`` (whose bytes ``key`` is if known); None if none does."""
+        k = self._balls.first_at(mean, cov, self._stop_order, key)
         return None if k is None else self._balls.ids[k]
 
 

@@ -2,14 +2,19 @@
 reward identity, and graph and joint executions."""
 
 import hashlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from macroplan import decposmdp
+from macroplan import beliefs, decposmdp
 from macroplan.beliefs import (GainSpec, GaussianBelief, LinearGaussianModel,
-                               NoConstraints, PredicateConstraints, SimState,
-                               StepCost, design_lma)
+                               Lma, NoConstraints, PredicateConstraints,
+                               RectConstraints, SimState, StepCost,
+                               _axis_step, _matrix_step, _step_cost,
+                               design_lma, stationary_covariance)
 from macroplan.decposmdp import (Domain, GraphTmaExecution, JointConfig,
                                  JointGraphExecution, RewardSpec,
                                  TimedExecution, TmaSpec,
@@ -465,6 +470,192 @@ def test_graph_entry_node_breaks_distance_ties_to_lower_id():
 
 
 # ---------------------------------------------------------------------------
+# graph walks on the float walk state against the array step loop
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ArrayState:
+    """A walk state held as arrays: the reference for the float
+    ``SimState``."""
+
+    truth: np.ndarray
+    belief: GaussianBelief
+    accrued_reward: float = 0.0
+
+
+def array_lma_step(lma, sim, model, rng):
+    """``lma_step`` on an ``ArrayState``: the per-axis form reads the
+    arrays as floats and builds arrays of its result; the matrix form
+    reads and returns arrays."""
+    belief = sim.belief
+    K, cov, k_diag = model._filter_update(belief.cov)[:3]
+    noise = rng.standard_normal(model._n_noise)
+    if k_diag is not None and model._axes is not None \
+            and lma._axes is not None:
+        truth, mean, u = _axis_step(model._axes, lma._axes, k_diag,
+                                    sim.truth.tolist(), belief.mean.tolist(),
+                                    noise.tolist())
+        truth, mean = np.array(truth), np.array(mean)
+    else:
+        truth, mean, u = _matrix_step(lma, model, K, sim.truth, belief.mean,
+                                      noise)
+    sim.accrued_reward -= _step_cost(model.step_cost, u)
+    sim.truth = truth
+    sim.belief = GaussianBelief._trusted(mean, cov)
+
+
+class ArrayWalk:
+    """``GraphTmaExecution`` on an ``ArrayState``: the entry by
+    ``Tma.distances``, then per step ``array_lma_step``, ``violates`` on
+    the truth array and ``Tma.stop_node`` on the belief."""
+
+    def __init__(self, tma, sim):
+        self.tma, self.sim = tma, sim
+        balls, b = tma._balls, sim.belief
+        if balls.first(b, tma._goal_order) is not None:
+            entry = None
+        else:
+            idx = tma._entry_idx
+            entry = int(tma._ids[idx[np.argmin(tma.distances(b)[idx])]])
+        self.hold_done = entry is None
+        self.node = tma.graph.goal_id if entry is None else entry
+        self.steps_on_edge = 0
+
+    def step(self, rng):
+        """This step's reward, whether the walk ended and whether it died."""
+        tma, sim = self.tma, self.sim
+        before = sim.accrued_reward
+        if self.hold_done:
+            array_lma_step(tma.funnels[tma.graph.goal_id], sim, tma.model,
+                           rng)
+            return sim.accrued_reward - before, True, False
+        array_lma_step(tma.funnels[tma.policy[self.node].to_id], sim,
+                       tma.model, rng)
+        reward = sim.accrued_reward - before
+        if tma.model.constraints.violates(sim.truth):
+            return reward, False, True
+        self.steps_on_edge += 1
+        nid = tma.stop_node(sim.belief)
+        if nid is not None:
+            if nid != self.node:
+                self.node = nid
+                self.steps_on_edge = 0
+            if nid == tma.graph.goal_id:
+                return reward, True, False
+        return reward, False, self.steps_on_edge >= decposmdp.MAX_EDGE_STEPS
+
+
+@st.composite
+def walk_cases(draw):
+    """(tma, start belief, start truth, nudge seed): a hand-built graph of
+    two to four nodes and the goal over a diagonal model of dimension 1-3.
+    Its steps take the per-axis form, or the matrix form through a dense
+    funnel gain or a start covariance that is not diagonal; the model may
+    forbid a rectangle.  At times the start is inside the goal ball."""
+    n = draw(st.integers(1, 3))
+    form = draw(st.sampled_from(["per-axis", "dense-gain", "full-cov"]
+                                if n > 1 else ["per-axis"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dt = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    axis = lambda values: draw(st.lists(st.sampled_from(values), min_size=n,
+                                        max_size=n))
+    a, c = axis([1.0, 1.0, 0.9]), axis([1.0, 0.5, 2.0])
+    q, r = axis([0.0, 1e-4, 3e-4]), axis([1e-4, 5e-4])
+    constraints = NoConstraints()
+    if n > 1 and draw(st.booleans()):
+        x0, y0 = draw(st.floats(0.0, 0.8)), draw(st.floats(0.0, 0.8))
+        constraints = RectConstraints([((x0, y0), (x0 + 0.2, y0 + 0.2))])
+    model = LinearGaussianModel(
+        A=np.diag(a), G=dt * np.eye(n), C=np.diag(c), Q=np.diag(q),
+        R_obs=np.diag(r), constraints=constraints,
+        step_cost=StepCost(base=0.01,
+                           u_weight=draw(st.sampled_from([0.0, 0.3]))))
+    gain = np.diag((np.array(a) - rng.uniform(-0.5, 0.7, n)) / dt)
+    if form == "dense-gain":
+        gain = gain + 0.01 * rng.standard_normal((n, n))
+    p = stationary_covariance(model)
+    k = draw(st.integers(2, 4))
+    centers = {i: rng.random(n) for i in range(1, k + 2)}
+    eps = draw(st.floats(0.03, 0.15))
+    milestones = {0: Milestone(id=0, center=None, epsilon=1.0)}
+    milestones.update({i: Milestone(id=i, center=GaussianBelief(m, p),
+                                    epsilon=eps)
+                       for i, m in centers.items()})
+    policy = {}
+    for i in range(2, k + 2):
+        to = draw(st.sampled_from([1] + [j for j in centers
+                                         if j not in (1, i)]))
+        policy[i] = GraphEdge(from_id=i, to_id=to,
+                              landing_probs={0: 0.0, to: 1.0}, reward=-1.0,
+                              time=1.0, sample_count=1)
+    success = {0: 0.0, 1: 1.0, 2: 1.0}
+    success.update({i: draw(st.sampled_from([0.0, 1.0]))
+                    for i in range(3, k + 2)})
+    funnels = {e.to_id: Lma(gain=gain,
+                            attractor=milestones[e.to_id].center)
+               for e in policy.values()}
+    funnels[1] = Lma(gain=gain, attractor=milestones[1].center)
+    graph = TmaGraph(milestones=milestones,
+                     edges={i: [e] for i, e in policy.items()}, goal_id=1,
+                     failure_value=-100.0)
+    tma = Tma(graph=graph, policy=policy, values={}, success=success,
+              time_to_goal={}, funnels=funnels, model=model)
+    mean = centers[1].copy() if draw(st.booleans()) else rng.random(n)
+    cov = np.diag(1e-3 * (1.0 + rng.random(n)))
+    if form == "full-cov":
+        B = rng.standard_normal((n, n))
+        cov = 1e-4 * (B @ B.T + np.eye(n))
+    truth = mean + 0.01 * rng.standard_normal(n)
+    return tma, GaussianBelief(mean, cov), truth, rng.integers(2**32)
+
+
+def assert_same_walk_state(sim, ref):
+    assert np.array(sim.x).tobytes() == ref.truth.tobytes()
+    assert np.array(sim.mean).tobytes() == ref.belief.mean.tobytes()
+    assert sim.cov.tobytes() == ref.belief.cov.tobytes()
+    assert sim.accrued_reward == ref.accrued_reward
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_cases(), st.integers(0, 2**32 - 1), st.integers(1, 80),
+       st.integers(0, 80), st.sampled_from([1, 2, 3]))
+def test_graph_walk_on_floats_matches_the_array_loop(case, seed, steps,
+                                                     nudge_at, read_every):
+    """A walk on the float ``SimState`` against the same walk on arrays:
+    entry node, each step's reward, death, landing node, state bytes and
+    generator end state.  The test reads ``truth`` and ``belief`` between
+    some steps, and moves the belief mean by hand once, as a domain test
+    places a robot, so the arrays built on read are exercised."""
+    tma, start, truth, nudge_seed = case
+    sim = SimState(truth=truth, belief=start)
+    ref = ArrayState(truth=truth.copy(), belief=start)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    config = JointConfig(sims=[sim], world=0)
+    exe = GraphTmaExecution(TmaSpec(tma=tma), 0, config)
+    walk = ArrayWalk(tma, ref)
+    assert (exe.hold_done, exe.node) == (walk.hold_done, walk.node)
+    for t in range(steps):
+        if t == nudge_at:
+            b = ref.belief
+            nudge = 0.05 * np.random.default_rng(nudge_seed).standard_normal(
+                len(b.mean))
+            ref.belief = sim.belief = GaussianBelief(b.mean + nudge, b.cov)
+        rewards, dead = [0.0], []
+        done = exe.step(config, rng, rewards, [], dead)
+        reward, ref_done, ref_dead = walk.step(ref_rng)
+        assert (rewards[0], done, bool(dead), exe.node) == (
+            reward, ref_done, ref_dead, walk.node)
+        assert_same_walk_state(sim, ref)
+        if t % read_every == 0:
+            assert sim.truth.tobytes() == ref.truth.tobytes()
+            assert sim.belief.mean.tobytes() == ref.belief.mean.tobytes()
+            assert sim.belief.cov.tobytes() == ref.belief.cov.tobytes()
+        if done or dead:
+            break
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
 # bit-exact rollout values on the desk delivery domain; the values were
 # recorded before the rollout path was optimised, so any change to a
 # rollout's arithmetic or to its use of the random stream shows here
@@ -529,6 +720,32 @@ def test_desk_segments_are_bit_exact(desk_domain, monkeypatch):
 
     assert _segment_digest(monkeypatch, run) == (
         "8d2f15b67fcabdfb4a88e5d6a45d8ef4542b1a7f88f812c181fdcf34355daf4e")
+
+
+def test_desk_evaluation_builds_no_state_array(desk_domain, monkeypatch):
+    """Desk rollouts run on the walk state's floats: one evaluation with the
+    tier-1 search settings reads no ``SimState`` as arrays, so it builds
+    none, while a single read builds the truth and mean arrays."""
+    built, steps = [], []
+
+    def counted(values, real=beliefs._state_array):
+        built.append(len(values))
+        return real(values)
+
+    def step(*args, real=decposmdp.lma_step):
+        steps.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(beliefs, "_state_array", counted)
+    monkeypatch.setattr(decposmdp, "lma_step", step)
+    policy = sample_joint_policy(desk_domain, 13, np.random.default_rng(0))
+    evaluate_joint_policy(policy, desk_domain, 2, 40,
+                          np.random.default_rng(0))
+    assert steps and built == []
+    config = desk_domain.initial(np.random.default_rng(0))
+    config.sims[0].truth
+    config.sims[0].belief
+    assert built == [2, 2]
 
 
 def test_each_idle_agent_is_checked_once_per_segment(desk_domain,

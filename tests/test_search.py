@@ -7,6 +7,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macroplan.beliefs import GaussianBelief, SimState
 from macroplan.cli import _write_csv
@@ -171,6 +173,123 @@ def test_desk_sampled_controllers_are_bit_exact():
                 h.update(repr((c.nodes, sorted(c.edges.items()))).encode())
     assert h.hexdigest() == (
         "f3a9df04792aa53b7c4f72eb0258492ad2a7fbb3dacb2d73e23be30dd16cda46")
+
+
+class TableDomain(Domain):
+    """One agent whose domain is only its sampling tables: a roster, an
+    observation alphabet and a successor list per (label, observation)."""
+
+    def __init__(self, labels, alphabet, successors):
+        self.n_agents = 1
+        self._roster = dict.fromkeys(labels)
+        self._alphabet = alphabet
+        self._succ = successors
+
+    def roster(self, agent):
+        return self._roster
+
+    def obs_alphabet(self):
+        return list(self._alphabet)
+
+    def valid_successors(self, agent, tma_id, obs_label):
+        return list(self._succ[(tma_id, obs_label)])
+
+
+def reference_sample(domain, agent, n_nodes, rng, mask=None, base=None,
+                     explore_rate=0.35, max_attempts=1000):
+    """``sample_valid_controller`` as one ``_pick`` per edge decision,
+    interleaved with the explore draws, in node and observation order."""
+    def pick(items):
+        return items[0] if len(items) == 1 else items[rng.integers(len(items))]
+
+    roster, successors = domain.sampling_tables[agent]
+    perturb = bool(mask) and base is not None
+    if mask:
+        pinned = {lb for lb, _ in mask} | set(mask.values())
+    for _ in range(max_attempts):
+        if perturb:
+            labels = [lb if (lb in pinned or rng.random() >= explore_rate)
+                      else pick(roster) for lb in base.nodes]
+        else:
+            labels = [roster[k] for k in rng.integers(len(roster),
+                                                      size=n_nodes)]
+        carrier = {}
+        for i, lb in enumerate(labels):
+            carrier.setdefault(lb, i)
+        ok = True
+        edges = {}
+        for i, lb in enumerate(labels):
+            for obs, valid in successors[lb]:
+                if mask and (lb, obs) in mask and mask[(lb, obs)] in carrier:
+                    edges[(i, obs)] = carrier[mask[(lb, obs)]]
+                    continue
+                targets = [k for k, other in enumerate(labels)
+                           if other in valid]
+                if not targets:
+                    ok = False
+                    break
+                if (perturb and rng.random() >= explore_rate
+                        and base.edges.get((i, obs)) in targets):
+                    edges[(i, obs)] = base.edges[(i, obs)]
+                else:
+                    edges[(i, obs)] = pick(targets)
+            if not ok:
+                break
+        if ok:
+            return PolicyController(nodes=labels, edges=edges)
+    raise NoValidSuccessor("no valid controller")
+
+
+@st.composite
+def sampler_cases(draw):
+    """(domain, n_nodes, max_attempts, mask, base): one to four labels, one
+    to three observations, and successor lists that may be empty or hold
+    one label; a mask over some (label, observation) pairs, at times, and
+    a base to perturb when the reference sampler finds one."""
+    labels = [f"m{k}" for k in range(draw(st.integers(1, 4)))]
+    alphabet = [f"o{k}" for k in range(draw(st.integers(1, 3)))]
+    successors = {(lb, obs): draw(st.lists(st.sampled_from(labels),
+                                           max_size=len(labels), unique=True))
+                  for lb in labels for obs in alphabet}
+    domain = TableDomain(labels, alphabet, successors)
+    n_nodes = draw(st.integers(1, 6))
+    max_attempts = draw(st.integers(1, 6))
+    mask = base = None
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.sampled_from(sorted(successors)),
+                              unique=True))
+        mask = {pair: draw(st.sampled_from(labels)) for pair in pairs}
+        if draw(st.booleans()):
+            try:
+                base = reference_sample(
+                    domain, 0, n_nodes,
+                    np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+            except NoValidSuccessor:
+                pass
+    return domain, n_nodes, max_attempts, mask, base
+
+
+@settings(max_examples=400, deadline=None)
+@given(sampler_cases(), st.integers(0, 2**32 - 1))
+def test_sampler_matches_one_pick_per_edge(case, seed):
+    """The sampler draws every free edge of an unmasked labeling at once;
+    it gives the controller, or the failure, and the generator state of
+    one draw per edge, on labelings that fail, edges with one target and
+    exhausted attempts alike."""
+    domain, n_nodes, max_attempts, mask, base = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    args = dict(mask=mask, base=base, explore_rate=0.35,
+                max_attempts=max_attempts)
+    try:
+        want = reference_sample(domain, 0, n_nodes, ref_rng, **args)
+    except NoValidSuccessor:
+        with pytest.raises(NoValidSuccessor):
+            sample_valid_controller(domain, 0, n_nodes, rng, **args)
+    else:
+        got = sample_valid_controller(domain, 0, n_nodes, rng, **args)
+        assert got.nodes == want.nodes
+        assert sorted(got.edges.items()) == sorted(want.edges.items())
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
