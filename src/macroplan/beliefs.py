@@ -179,8 +179,9 @@ class LinearGaussianModel:
             raise ValueError("Q must be PSD")
         if np.min(np.linalg.eigvalsh(self.R_obs)) <= 0:
             raise ValueError("R_obs must be PD")
-        if (isinstance(self.constraints, RectConstraints)
-                and self.constraints.rects and n < 2):
+        # refused even with no rectangle listed: violates reads x[0] and
+        # x[1] of every state
+        if isinstance(self.constraints, RectConstraints) and n < 2:
             raise ValueError(f"constraints rects span the first 2 state "
                              f"dimensions; this state has {n}")
         # state dimension, noise draw length and noise square roots,
@@ -346,6 +347,17 @@ class SimState:
         self.truth = truth
         self.belief = belief
         self.accrued_reward = accrued_reward
+
+    @classmethod
+    def of_floats(cls, x: List[float], mean: List[float], cov: np.ndarray,
+                  cov_key: bytes) -> "SimState":
+        """The state with truth ``x`` and mean ``mean``, taken as they are,
+        covariance ``cov`` of bytes ``cov_key``, and no reward accrued: no
+        array is built and no covariance hashed."""
+        sim = object.__new__(cls)
+        sim.x, sim.mean, sim.cov, sim.cov_key = x, mean, cov, cov_key
+        sim.accrued_reward = 0.0
+        return sim
 
     @property
     def truth(self) -> np.ndarray:
@@ -665,7 +677,7 @@ class BallIndex:
         self._means = np.stack([ball.center.mean for ball in balls])
         self._covs = np.stack([ball.center.cov.ravel() for ball in balls])
         self._eps = np.array([ball.epsilon for ball in balls], dtype=float)
-        # the means as float tuples, for the cheap test in ``first``
+        # the means as float tuples, for the cheap test in ``scan_at``
         self._rows = [tuple(m) for m in self._means.tolist()]
         # covariance bytes -> _cov_terms() at that covariance; beliefs
         # follow their models' bounded filter paths, so few covariances occur
@@ -674,8 +686,9 @@ class BallIndex:
     def _cov_terms(self, cov: np.ndarray, key: Optional[bytes] = None
                    ) -> tuple:
         """The weighted covariance term of every ball's distance at ``cov``,
-        and each ball's inner and outer radius in the mean; ``key`` is
-        ``cov.tobytes()``, taken here when the caller passes None.
+        each ball's inner and outer radius in the mean, and the largest
+        outer radius in magnitude; ``key`` is ``cov.tobytes()``, taken here
+        when the caller passes None.
 
         A ball holds a belief when ``W_MEAN*dm + dc <= eps``, so its mean
         distance ``dm`` is at most ``(eps - dc)/W_MEAN``.  The inner and
@@ -691,7 +704,7 @@ class BallIndex:
             dc.setflags(write=False)
             inner = (((1 - BALL_SLACK) * self._eps - dc) / W_MEAN).tolist()
             outer = (((1 + BALL_SLACK) * self._eps - dc) / W_MEAN).tolist()
-            terms = (dc, inner, outer)
+            terms = (dc, inner, outer, max(map(abs, outer)))
             if len(self._cov_cache) < FILTER_PATH_MAX:
                 self._cov_cache[key] = terms
         return terms
@@ -722,8 +735,9 @@ class BallIndex:
         covariance ``cov`` (whose bytes ``key`` is if known) is at most its
         epsilon; None if there is none.  A float mean distance decides
         outside the band between a ball's inner and outer radius; only
-        within it do ``distances`` run."""
-        _, inner, outer = self._cov_terms(cov, key)
+        within it do ``distances`` run.  Graph walks scan this way; edge
+        runs, which can skip scans, take ``scan_at``."""
+        _, inner, outer, _ = self._cov_terms(cov, key)
         rows = self._rows
         for k in order:
             d = math.dist(mean, rows[k])
@@ -732,6 +746,40 @@ class BallIndex:
                                   <= self._eps[k]):
                 return k
         return None
+
+    def scan_at(self, mean: Sequence[float], cov: np.ndarray,
+                order: Iterable[int], key: Optional[bytes] = None
+                ) -> Tuple[Optional[int], float]:
+        """``first_at``'s position, by the same tests, and the room the scan
+        leaves: 0 when it finds a ball, else the smallest ``d - outer`` over
+        ``order``, with ``d`` a ball's float mean distance, less a rounding
+        margin.  The room costs graph walks, which never skip a scan, a
+        subtraction and a comparison per ball, so they keep ``first_at``.
+
+        Any mean ``m`` with ``math.dist(mean, m)`` below the room finds no
+        ball at the same covariance: by the triangle inequality its distance
+        to every ball exceeds ``d - dist(mean, m) > outer``.  The margin
+        covers the rounding of the three float distances and of the
+        differences: a few ulps of ``d + |outer|`` for each ball, less what
+        its ``d - outer`` exceeds the smallest, ``g``.  As ``d`` is at most
+        ``d - outer`` plus ``|outer|``, that stays below a few ulps of
+        ``g + max|outer|``, and ``BALL_SLACK`` times that sum is millions
+        of ulps of it."""
+        _, inner, outer, outer_max = self._cov_terms(cov, key)
+        rows = self._rows
+        room = math.inf
+        for k in order:
+            d = math.dist(mean, rows[k])
+            gap = d - outer[k]
+            # gap <= 0 exactly when d <= outer[k]: a float difference is 0
+            # only between equal floats
+            if gap <= 0.0 and (d <= inner[k]
+                               or self.distances_at(mean, cov, key)[k]
+                               <= self._eps[k]):
+                return k, 0.0
+            if gap < room:
+                room = gap
+        return None, (1 - BALL_SLACK) * room - BALL_SLACK * outer_max
 
 
 def run_lma(lma: Lma, start: SimState, stops: BallIndex,
@@ -744,7 +792,11 @@ def run_lma(lma: Lma, start: SimState, stops: BallIndex,
 
     The belief lands in the first ball of ``stops``, taken in ``order``
     (every ball, in index order, by default), that holds it; the failure
-    check comes from the model.  Each step is ``lma_step``'s, with the same
+    check comes from the model.  The balls are scanned only when the mean
+    could have reached one: a scan that finds none leaves a room
+    (``BallIndex.scan_at``), and the steps after it skip theirs while the
+    covariance holds and the mean stays within that room of where the
+    scan was made.  Each step is ``lma_step``'s, with the same
     values: the truth and mean stay float lists from the first step to the
     last (a matrix step also keeps the arrays it reads and returns), and
     ``start`` is left at the final floats, with no array built.  A
@@ -767,21 +819,31 @@ def run_lma(lma: Lma, start: SimState, stops: BallIndex,
     axes = model._axes if lma._axes is not None else None
     violates, cost, n_noise = (model.constraints.violates, model.step_cost,
                                model._n_noise)
+    base, u_weight, path = cost.base, cost.u_weight, model._filter_path
     truth, mean, cov, key = start.x, start.mean, start.cov, start.cov_key
     # the same truth and mean as arrays, after a matrix step, which reads
     # and returns arrays; None after a per-axis step
     arrays = None
+    # the mean at the last landing scan, the bytes of its covariance, and
+    # the room the scan left (BallIndex.scan_at): while the covariance
+    # holds and the mean stays within the room of the anchor, a scan would
+    # find no ball, so none is made
+    anchor, scan_key, room = mean, None, 0.0
     start_reward = reward = start.accrued_reward
     steps = 0
     while True:
-        k = stops.first_at(mean, cov, order, key)
-        if k is not None:
-            outcome, region = TerminationRecord.LANDED, stops.ids[k]
-            break
+        if key != scan_key or not math.dist(anchor, mean) < room:
+            k, room = stops.scan_at(mean, cov, order, key)
+            if k is not None:
+                outcome, region = TerminationRecord.LANDED, stops.ids[k]
+                break
+            anchor, scan_key = mean, key
         if steps >= max_steps:
             outcome, region = TerminationRecord.TIMEOUT, None
             break
-        K, cov, k_diag, key = model._filter_update(cov, key)
+        hit = path.get(key)
+        K, cov, k_diag, key = (hit if hit is not None
+                               else model._filter_update(cov, key))
         if axes is not None and k_diag is not None:
             truth, mean, u = _axis_step(axes, lma._axes, k_diag, truth, mean,
                                         take(n_noise))
@@ -793,7 +855,7 @@ def run_lma(lma: Lma, start: SimState, stops: BallIndex,
                                               take_array(n_noise))
             arrays = truth_a, mean_a
             truth, mean = truth_a.tolist(), mean_a.tolist()
-        reward -= _step_cost(cost, u)
+        reward -= _step_cost(cost, u) if u_weight else base
         steps += 1
         if violates(truth):
             outcome, region = TerminationRecord.FAILED, 0

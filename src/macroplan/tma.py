@@ -19,7 +19,8 @@ import numpy as np
 from . import chains
 from .beliefs import (BallIndex, GainSpec, GaussianBelief,
                       LinearGaussianModel, Lma, NormalBlocks, SimState,
-                      TerminationRecord, _psd_sqrt, design_lma, run_lma)
+                      TerminationRecord, _diagonal, _psd_sqrt, design_lma,
+                      run_lma)
 from .errors import (ConfigError, GoalUnreachable, NonConvergent, NoOutgoingEdge,
                      check_field_types)
 
@@ -199,25 +200,39 @@ def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
     then every step's noise) come from it in blocks, through
     ``NormalBlocks``.  Each value keeps its place in the stream, so the
     edge is the one that drawing them a start and a step at a time gives;
-    only the end state of ``rng`` differs."""
+    only the end state of ``rng`` differs.
+
+    When the square root of the center's covariance is diagonal, each run's
+    start is formed in floats, ``c + sigma*d`` and ``mean + s*d`` per axis:
+    a row of a diagonal matrix has one nonzero term, so these are the values
+    of the array products, which any other root takes."""
     if m < 1:
         raise ValueError("m must be >= 1")
     center = start_milestone.center
     sigma = start_milestone.epsilon / 3.0
     order = [k for k, i in enumerate(balls.ids) if i != start_milestone.id]
-    cov_sqrt = _psd_sqrt(center.cov)
-    n = len(center.mean)
+    cov, cov_key = center.cov, center.cov.tobytes()
+    cov_sqrt = _psd_sqrt(cov)
+    roots = _diagonal(cov_sqrt)
+    c = center.mean.tolist()
+    n = len(c)
     counts: Dict[int, int] = dict.fromkeys([FAILURE_ID, *balls.ids], 0)
     total_reward = 0.0
     total_time = 0.0
     normals = NormalBlocks(rng)
     for _ in range(m):
         # the mean jitter, then the truth offset
-        draw = np.array(normals.take(2 * n))
-        mean = center.mean + sigma * draw[:n]
-        truth = mean + cov_sqrt @ draw[n:]
-        sim = SimState(truth=truth,
-                       belief=GaussianBelief._trusted(mean, center.cov))
+        draw = normals.take(2 * n)
+        if roots is not None:
+            # zip stops after the n jitter entries of ``draw``
+            mean = [ci + sigma * d for ci, d in zip(c, draw)]
+            truth = [mi + s * d for mi, s, d in zip(mean, roots, draw[n:])]
+        else:
+            draw_a = np.array(draw)
+            mean_a = center.mean + sigma * draw_a[:n]
+            mean = mean_a.tolist()
+            truth = (mean_a + cov_sqrt @ draw_a[n:]).tolist()
+        sim = SimState.of_floats(truth, mean, cov, cov_key)
         rec = run_lma(lma, sim, balls, model, max_steps, normals, order)
         if rec.outcome == TerminationRecord.LANDED:
             counts[rec.region_id] += 1

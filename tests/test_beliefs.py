@@ -9,7 +9,7 @@ import pytest
 # settle projector, which the package computes with numpy alone
 import scipy.linalg
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from macroplan import beliefs, cli, delivery
@@ -998,3 +998,178 @@ class TestRunLmaMatchesStepLoop:
         args = (src, lma, 9, balls, model, m, max_steps)
         assert estimate_edge(*args, np.random.default_rng(seed)) \
             == reference_estimate_edge(*args, np.random.default_rng(seed))
+
+
+def scan_every_step(lma, start, stops, model, max_steps, normals, order=None,
+                    trail=None):
+    """``run_lma`` with a landing scan (``BallIndex.first_at``) before every
+    step, each step's filter entry through ``_filter_update`` and its cost
+    through ``_step_cost``; appends the mean, covariance and bytes of every
+    scan to ``trail``, when given.  Mutates ``start`` as ``run_lma``
+    does."""
+    if order is None:
+        order = range(len(stops.ids))
+    axes = model._axes if lma._axes is not None else None
+    truth, mean, cov, key = start.x, start.mean, start.cov, start.cov_key
+    arrays = None
+    start_reward = reward = start.accrued_reward
+    steps = 0
+    while True:
+        if trail is not None:
+            trail.append((mean, cov, key))
+        k = stops.first_at(mean, cov, order, key)
+        if k is not None:
+            outcome, region = TerminationRecord.LANDED, stops.ids[k]
+            break
+        if steps >= max_steps:
+            outcome, region = TerminationRecord.TIMEOUT, None
+            break
+        K, cov, k_diag, key = model._filter_update(cov, key)
+        if axes is not None and k_diag is not None:
+            truth, mean, u = beliefs._axis_step(axes, lma._axes, k_diag, truth,
+                                                mean,
+                                                normals.take(model._n_noise))
+            arrays = None
+        else:
+            if arrays is None:
+                arrays = np.array(truth), np.array(mean)
+            truth_a, mean_a, u = beliefs._matrix_step(
+                lma, model, K, *arrays, normals.take_array(model._n_noise))
+            arrays = truth_a, mean_a
+            truth, mean = truth_a.tolist(), mean_a.tolist()
+        reward -= beliefs._step_cost(model.step_cost, u)
+        steps += 1
+        if model.constraints.violates(truth):
+            outcome, region = TerminationRecord.FAILED, 0
+            break
+    if steps:
+        start.x, start.mean, start.cov, start.cov_key = truth, mean, cov, key
+        start.accrued_reward = reward
+    return TerminationRecord(outcome=outcome, region_id=region,
+                             elapsed_steps=steps,
+                             accrued_reward=reward - start_reward)
+
+
+def array_start_estimate_edge(start_milestone, lma, to_id, balls, model, m,
+                              max_steps, rng):
+    """``estimate_edge`` with each run's start formed by array products into
+    a ``SimState`` of a ``GaussianBelief``, and each run by
+    ``scan_every_step``."""
+    center = start_milestone.center
+    sigma = start_milestone.epsilon / 3.0
+    order = [k for k, i in enumerate(balls.ids) if i != start_milestone.id]
+    cov_sqrt = tma_module._psd_sqrt(center.cov)
+    n = len(center.mean)
+    counts = dict.fromkeys([0, *balls.ids], 0)
+    total_reward = total_time = 0.0
+    normals = beliefs.NormalBlocks(rng)
+    for _ in range(m):
+        draw = np.array(normals.take(2 * n))
+        mean = center.mean + sigma * draw[:n]
+        truth = mean + cov_sqrt @ draw[n:]
+        sim = SimState(truth=truth,
+                       belief=GaussianBelief._trusted(mean, center.cov))
+        rec = scan_every_step(lma, sim, balls, model, max_steps, normals,
+                              order)
+        counts[rec.region_id if rec.outcome == TerminationRecord.LANDED
+               else 0] += 1
+        total_reward += rec.accrued_reward
+        total_time += rec.elapsed_steps
+    return GraphEdge(from_id=start_milestone.id, to_id=to_id,
+                     landing_probs={i: c / m for i, c in counts.items()},
+                     reward=total_reward / m,
+                     time=max(total_time / m, 1e-9), sample_count=m)
+
+
+def milestones_of(balls, n):
+    """The milestones a ``BallIndex`` of ``n``-dimensional beliefs stacks."""
+    return [make_milestone(i, balls._means[k], balls._covs[k].reshape(n, n),
+                           float(balls._eps[k]))
+            for k, i in enumerate(balls.ids)]
+
+
+class TestSkippedScans:
+    """``run_lma`` scans the balls only when the mean could have reached
+    one; against a run that scans before every step, to the bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(run_cases(), st.sampled_from(["drawn", "stationary", "wide"]),
+           st.integers(min_value=1, max_value=300),
+           st.integers(min_value=0, max_value=2**32 - 1), st.data())
+    def test_run_lma_matches_a_scan_every_step(self, case, start_cov,
+                                               max_steps, seed, data):
+        model, lma, start, truth, balls, order = case
+        n = model.state_dim
+        p = stationary_covariance(model)
+        if start_cov == "stationary":
+            # the covariance, and so the room, then holds from step to step
+            start = GaussianBelief(start.mean, p)
+        elif start_cov == "wide":
+            # the covariance terms of the distances shrink fast over the
+            # first steps, so a room kept across them would be wrong
+            start = GaussianBelief(start.mean, start.cov + 0.02 * np.eye(n))
+        ulps = data.draw(st.sampled_from([None, -1, 0, 1]))
+        if ulps is not None:
+            # one more ball, whose radius is the exact distance of the
+            # belief at one scan of the run (often the second, after the
+            # covariance shrank most), or an ulp more or less.  Its center
+            # lies ahead of that scan's mean on the line of the step into
+            # it, where the triangle inequality that bounds the room is
+            # tight; at the first scan, it is the funnel's target
+            trail = []
+            scan_every_step(lma, SimState(truth=truth.copy(), belief=start),
+                            balls, model, max_steps,
+                            beliefs.NormalBlocks(np.random.default_rng(seed)),
+                            order, trail)
+            last = len(trail) - 1
+            j = data.draw(st.one_of(st.just(min(1, last)),
+                                    st.integers(min_value=0, max_value=last)))
+            mean, cov, key = trail[j]
+            center = (np.array(mean) + 0.5 * (np.array(mean)
+                                              - np.array(trail[j - 1][0]))
+                      if j else lma.attractor.mean)
+            probe = BallIndex([make_milestone(9, center, p, 1.0)])
+            eps = float(probe.distances_at(mean, cov, key)[0])
+            for _ in range(abs(ulps)):
+                eps = float(np.nextafter(eps, np.inf if ulps > 0 else 0.0))
+            assume(eps > 0)   # a mean that has stopped moving is its center
+            regions = [*milestones_of(balls, n),
+                       make_milestone(9, center, p, eps)]
+            balls = BallIndex(regions)
+            order = data.draw(st.one_of(
+                st.none(), st.permutations(range(len(regions)))))
+        sim, ref = (SimState(truth=truth.copy(), belief=start)
+                    for _ in range(2))
+        blocks, ref_blocks = (beliefs.NormalBlocks(np.random.default_rng(seed))
+                              for _ in range(2))
+        rec = run_lma(lma, sim, balls, model, max_steps, blocks, order)
+        assert rec == scan_every_step(lma, ref, balls, model, max_steps,
+                                      ref_blocks, order)
+        assert_same_state(sim, ref)
+        assert sim.cov_key == ref.cov_key
+        assert blocks._pos == ref_blocks._pos
+        assert blocks._rng.bit_generator.state \
+            == ref_blocks._rng.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(run_cases(), st.booleans(), st.integers(min_value=1, max_value=20),
+           st.integers(min_value=1, max_value=120),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_estimate_edge_matches_array_starts(self, case, full, m,
+                                                max_steps, seed):
+        model, lma, start, _, balls, _ = case
+        n = model.state_dim
+        cov = stationary_covariance(model)
+        if full and n > 1:
+            # terms off the diagonal: the root is not diagonal, and the
+            # runs start through the array products
+            cov = cov + 2e-5 * np.ones((n, n))
+        roots = beliefs._diagonal(tma_module._psd_sqrt(cov))
+        assert (roots is None) == (full and n > 1)
+        src = Milestone(id=balls.ids[0], center=GaussianBelief(start.mean, cov),
+                        epsilon=0.05)
+        args = (src, lma, 9, balls, model, m, max_steps)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert estimate_edge(*args, rng) \
+            == array_start_estimate_edge(*args, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

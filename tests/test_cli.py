@@ -217,19 +217,21 @@ def test_build_tma_bad_config_exits_2(tmp_path, capsys):
     assert "n_nodes=6, epsilon=0.4: no more fit 2*epsilon apart" in err
     assert " 0 violating a constraint" in err and len(err.splitlines()) == 1
     # a rectangle spans the first two state dimensions, so a scalar model
-    # refuses one when it is built, before any milestone is drawn
-    scalar = {"A": [[1.0]], "G": [[1.0]], "C": [[1.0]], "Q": [[1e-4]],
-              "R_obs": [[1e-4]], "step_cost": {"base": 0.01, "u_weight": 0.0},
-              "constraints": {"kind": "rects",
-                              "rects": [[[0.3, 0.3], [0.5, 0.5]]]}}
-    cfg = {"model": scalar, "start": {"mean": [0.1], "cov": [[1e-4]]},
-           "goal_mean": [0.8], "tma": copy.deepcopy(TMA_CONFIG["tma"])}
-    path = write_yaml(tmp_path / "scalar_rects.yaml", cfg)
-    assert main(["build-tma", "--config", path,
-                 "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error: bad TMA config: ")
-    assert "2 state dimensions" in err and len(err.splitlines()) == 1
+    # refuses rectangle constraints when it is built, before any milestone
+    # is drawn, even with no rectangle listed
+    for rects in ([[[0.3, 0.3], [0.5, 0.5]]], []):
+        scalar = {"A": [[1.0]], "G": [[1.0]], "C": [[1.0]], "Q": [[1e-4]],
+                  "R_obs": [[1e-4]],
+                  "step_cost": {"base": 0.01, "u_weight": 0.0},
+                  "constraints": {"kind": "rects", "rects": rects}}
+        cfg = {"model": scalar, "start": {"mean": [0.1], "cov": [[1e-4]]},
+               "goal_mean": [0.8], "tma": copy.deepcopy(TMA_CONFIG["tma"])}
+        path = write_yaml(tmp_path / "scalar_rects.yaml", cfg)
+        assert main(["build-tma", "--config", path,
+                     "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad TMA config: ")
+        assert "2 state dimensions" in err and len(err.splitlines()) == 1
 
 
 def _leaf_paths(tree, path=()):

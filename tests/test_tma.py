@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macroplan.beliefs import (W_COV, W_MEAN, GainSpec, GaussianBelief,
-                               LinearGaussianModel, Lma,
+from macroplan.beliefs import (W_COV, W_MEAN, BallIndex, GainSpec,
+                               GaussianBelief, LinearGaussianModel, Lma,
                                PredicateConstraints, SimState, StepCost,
                                design_lma, run_lma, stationary_covariance)
 from macroplan.delivery import DeliveryConfig, build_domain, desk_config
@@ -723,6 +723,37 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(tma_module, name, wrapped)
     return calls
+
+
+def test_edge_runs_scan_only_when_the_mean_could_land(monkeypatch):
+    """On a tma-build edge between two sampled milestones, whose balls share
+    the stationary covariance, the runs scan the balls fewer times than
+    they step and start: a scan that finds no ball leaves a room, and the
+    steps whose mean stays within it make none."""
+    model, start, goal, cfg = tma_build_problem()
+    built = construct_tma(start, goal, model, cfg, np.random.default_rng(1))
+    e = built.policy[2]
+    scans, steps = [], []
+    real_scan, real_run = BallIndex.scan_at, tma_module.run_lma
+
+    def scan(self, *args):
+        scans.append(1)
+        return real_scan(self, *args)
+
+    def run(*args):
+        rec = real_run(*args)
+        steps.append(rec.elapsed_steps)
+        return rec
+
+    monkeypatch.setattr(BallIndex, "scan_at", scan)
+    monkeypatch.setattr(tma_module, "run_lma", run)
+    again = estimate_edge(built.graph.milestones[2], built.funnels[e.to_id],
+                          e.to_id, ball_index(built.graph.milestones), model,
+                          cfg.m_sims, cfg.max_steps,
+                          np.random.default_rng(0))
+    assert len(steps) == cfg.m_sims and again.landing_probs[e.to_id] == 1.0
+    # 127 scans for 327 steps and 60 starts: one a step and start is 387
+    assert len(scans) < sum(steps) + len(steps)
 
 
 class TestReachabilityFirst:
