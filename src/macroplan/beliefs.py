@@ -590,7 +590,9 @@ def lma_step(lma: Lma, sim: SimState, model: LinearGaussianModel,
     distance reads it.  One draw holds the process noise, then the
     observation noise: the same numbers, in the same order, as two separate
     draws."""
-    K, cov, k_diag, key = model._filter_update(sim.cov, sim.cov_key)
+    # a filter-path hit is a 4-tuple, never false
+    K, cov, k_diag, key = (model._filter_path.get(sim.cov_key)
+                           or model._filter_update(sim.cov, sim.cov_key))
     noise = rng.standard_normal(model._n_noise)
     if k_diag is not None and model._axes is not None \
             and lma._axes is not None:
@@ -601,7 +603,8 @@ def lma_step(lma: Lma, sim: SimState, model: LinearGaussianModel,
                                       np.array(sim.mean), noise)
         sim.x, sim.mean = truth.tolist(), mean.tolist()
     sim.cov, sim.cov_key = cov, key
-    sim.accrued_reward -= _step_cost(model.step_cost, u)
+    cost = model.step_cost
+    sim.accrued_reward -= _step_cost(cost, u) if cost.u_weight else cost.base
     return sim
 
 
@@ -666,7 +669,7 @@ class TerminationRecord:
 
 
 class BallIndex:
-    """Milestone balls under the belief metric, stacked once; ``first``
+    """Milestone balls under the belief metric, stacked once; ``first_at``
     finds the first of them, in a given order, that holds a belief.
 
     ``balls`` are items with ``id``, ``center`` (GaussianBelief) and
@@ -722,10 +725,6 @@ class BallIndex:
         diff = self._means - mean
         dm = np.sqrt(np.add.reduce(diff * diff, axis=1))
         return W_MEAN * dm + self._cov_terms(cov, key)[0]
-
-    def first(self, b: GaussianBelief, order: Iterable[int]) -> Optional[int]:
-        """``first_at`` for belief ``b``."""
-        return self.first_at(b.mean.tolist(), b.cov, order)
 
     def first_at(self, mean: Sequence[float], cov: np.ndarray,
                  order: Iterable[int],

@@ -59,6 +59,17 @@ def _config_hash(data: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _check_out(path: str, folder: bool) -> None:
+    """Refuse an ``--out`` that is a folder, or in none, when a file is
+    written, and one that is, or lies below, a file when a folder is."""
+    probe = path if folder else os.path.dirname(path)
+    while folder and probe and not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe or ".") or (not folder and os.path.isdir(path)):
+        kind = "a folder" if folder else "a file in an existing folder"
+        raise ConfigError(f"--out {path} is not usable as {kind}")
+
+
 def _write_report(path: str, **fields) -> None:
     with open(path, "w") as f:
         json.dump(fields, f, indent=2, sort_keys=True)
@@ -316,6 +327,10 @@ def cmd_validate_policy(args) -> int:
     return EXIT_OK
 
 
+# the subcommands whose --out is a folder; every other one writes a file
+FOLDER_OUTS = (cmd_solve, cmd_mc_baseline, cmd_compare_search)
+
+
 def _at_least(low: int):
     """An argparse type: an integer no less than ``low``, so a bad count
     exits 2 with a message that names its flag."""
@@ -354,6 +369,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if "out" in args:   # checked before any work
+            _check_out(args.out, args.fn in FOLDER_OUTS)
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

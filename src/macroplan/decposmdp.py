@@ -114,35 +114,27 @@ class GraphTmaExecution(Execution):
     walk builds no state array."""
 
     def __init__(self, spec: TmaSpec, agent: int, config: JointConfig):
-        assert spec.tma is not None
         self.spec = spec
         self.agents = (agent,)
         self.tma = tma = spec.tma
         self.model = tma.model
         sim = config.sims[agent]
         entry = tma.entry_node_at(sim.mean, sim.cov, sim.cov_key)
-        # assigned while already inside the goal ball: hold one step, done
+        # already in the goal ball, or arrived in a joint walk: hold, done
         self.hold_done = entry is None
         self.node = tma.graph.goal_id if entry is None else entry
         self.steps_on_edge = 0
-
-    def station_keep(self, sim: SimState, rng: np.random.Generator) -> float:
-        """One step holding the belief on the goal; returns its reward."""
-        before = sim.accrued_reward
-        tma = self.tma
-        lma_step(tma.funnels[tma.graph.goal_id], sim, self.model, rng)
-        return sim.accrued_reward - before
 
     def step(self, config: JointConfig, rng: np.random.Generator,
              rewards: List[float], events: List, dead: List[int]) -> bool:
         agent = self.agents[0]
         sim = config.sims[agent]
-        if self.hold_done:
-            # station-keep on the goal for a single step
-            rewards[agent] += self.station_keep(sim, rng)
-            return True
         tma = self.tma
         before = sim.accrued_reward
+        if self.hold_done:
+            lma_step(tma.funnels[tma.graph.goal_id], sim, self.model, rng)
+            rewards[agent] += sim.accrued_reward - before
+            return True
         lma_step(tma.funnels[tma.policy[self.node].to_id], sim, self.model,
                  rng)
         rewards[agent] += sim.accrued_reward - before
@@ -171,20 +163,17 @@ class JointGraphExecution(Execution):
         self.spec = spec
         self.agents = tuple(agents)
         self.subs = {a: GraphTmaExecution(spec, a, config) for a in self.agents}
-        self.finished: Set[int] = set()
 
     def step(self, config: JointConfig, rng: np.random.Generator,
              rewards: List[float], events: List, dead: List[int]) -> bool:
         n_dead = len(dead)
         for a in sorted(self.agents):
             sub = self.subs[a]
-            if a in self.finished:
-                rewards[a] += sub.station_keep(config.sims[a], rng)
-            elif sub.step(config, rng, rewards, events, dead):
-                self.finished.add(a)
+            if sub.step(config, rng, rewards, events, dead):
+                sub.hold_done = True   # arrived: it station-keeps from now on
         if len(dead) > n_dead:
             return True
-        if len(self.finished) < len(self.agents):
+        if not all(sub.hold_done for sub in self.subs.values()):
             return False
         if self.spec.effect is not None:
             events.append((self.spec.effect, self.agents))
@@ -332,57 +321,54 @@ def step_joint(config: JointConfig,
     """Begin ``starts``, as ``segment_starts`` returns them, and advance all
     agents in lockstep until the first macro-action terminates.  Rewards
     are discounted from the segment start."""
-    for exe in domain.begin_executions(starts, config):
-        for a in exe.agents:
-            config.executions[a] = exe
+    executions = config.executions
+    if starts:
+        for exe in domain.begin_executions(starts, config):
+            for a in exe.agents:
+                executions[a] = exe
 
     gamma = domain.rewards.discount
     n_agents = len(config.sims)
     reward_rtau = 0.0
-    prim = []
+    disc = 1.0
+    prim: List[float] = []   # joint reward per step; len(prim) steps
     observations: Dict[int, Hashable] = {}
     dead: Set[int] = set()
-    t = 0
-    disc = 1.0
+    # the executions that terminate, all on the segment's last step
+    done: List[Execution] = []
     # the running executions change within a segment only when an agent dies
     execs = _running_executions(config)
     while execs:
         rewards = [0.0] * n_agents
         events: List = []
         died: List[int] = []
-        done_execs = []
         for exe in execs:
             if exe.step(config, rng, rewards, events, died):
-                done_execs.append(exe)
-        for a in died:
-            config.dead.add(a)
-            dead.add(a)
-            config.executions.pop(a, None)
+                done.append(exe)
+        if died:
+            for a in died:
+                config.dead.add(a)
+                dead.add(a)
+                executions.pop(a, None)
+            execs = _running_executions(config)
         # agent rewards, then the team reward, summed in that order; a
         # step that fired no event pays no team reward
         rewards.append(domain.team_reward(events, config) if events else 0.0)
         rbar = sum(rewards)
         reward_rtau += disc * rbar
         prim.append(rbar)
-        t += 1
         disc *= gamma
-
-        if done_execs:
+        if done:
             domain.e_dynamics(events, config, rng)
-            for exe in done_execs:
+            for exe in done:
                 for a in exe.agents:
                     if a in config.dead:
                         continue   # the dead neither terminate nor observe
-                    config.executions.pop(a, None)
+                    executions.pop(a, None)
                     observations[a] = domain.observe(a, config)
             break
-        if died:
-            execs = _running_executions(config)
-
-    config.clock += t
-    return SegmentResult(reward_Rtau=reward_rtau, tau_min=t,
-                         observations=observations,
-                         dead_agents=dead, primitive_rewards=prim)
+    config.clock += len(prim)
+    return SegmentResult(reward_rtau, len(prim), observations, dead, prim)
 
 
 @dataclass
@@ -405,21 +391,25 @@ def run_rollout(policy, domain: Domain, horizon_macro_steps: int,
     primitive-level one."""
     gamma = domain.rewards.discount
     config = domain.initial(rng)
-    nodes = [policy.controllers[i].initial_node
-             for i in range(domain.n_agents)]
+    controllers = policy.controllers
+    agents = range(domain.n_agents)
+    nodes = [controllers[i].initial_node for i in agents]
+    executions, dead = config.executions, config.dead
     macro_value = 0.0
     prim_ledger: List[float] = []
     for _ in range(horizon_macro_steps):
-        starts = segment_starts(
-            config, {i: c.nodes[nodes[i]]
-                     for i, c in enumerate(policy.controllers)}, domain)
-        if not starts and not config.executions:
+        chosen = {}   # only idle agents that are alive choose
+        for a in agents:
+            if a not in executions and a not in dead:
+                chosen[a] = controllers[a].nodes[nodes[a]]
+        starts = segment_starts(config, chosen, domain) if chosen else []
+        if not starts and not executions:
             break
         seg = step_joint(config, starts, domain, rng)
         macro_value += gamma ** (config.clock - seg.tau_min) * seg.reward_Rtau
         prim_ledger.extend(seg.primitive_rewards)
         for a, obs in seg.observations.items():
-            nodes[a] = policy.controllers[a].edge(nodes[a], obs)
+            nodes[a] = controllers[a].edge(nodes[a], obs)
     primitive_value = float(sum(r * gamma ** t
                                 for t, r in enumerate(prim_ledger)))
     if abs(primitive_value - macro_value) > IDENTITY_TOL * max(

@@ -32,6 +32,8 @@ NO_PACKAGE = "-"
 # observation classes (controller edge alphabet)
 OBS_ALPHABET = ["none", "empty", "s-d1", "s-d2", "s-dr",
                 "L-a", "L-m", "rv-a", "rv-m"]
+# the class of a package carried, or of a small one seen at a base
+_SMALL_OBS = {d: "s-" + d for d in DESTS}
 
 
 @dataclass(frozen=True)
@@ -70,19 +72,17 @@ class WorldState:
     created: int = 0
     dropped_lost: int = 0
 
-    def in_flight(self) -> int:
-        n = 0 if self.joint_carry is None else 1
+    def audit_ok(self) -> bool:
+        """Whether every package created is delivered, lost or in flight."""
+        n = sum(self.delivered.values()) + self.dropped_lost
+        n += 0 if self.joint_carry is None else 1
         for p in self.base_packages:
-            if p.present:
+            if p.size:
                 n += 1
         for p in self.carrying:
             if p is not None:
                 n += 1
-        return n
-
-    def audit_ok(self) -> bool:
-        return self.created == (sum(self.delivered.values())
-                                + self.dropped_lost + self.in_flight())
+        return self.created == n
 
 
 @dataclass
@@ -356,14 +356,22 @@ class DeliveryDomain(Domain):
         self._site_inner = (1 - BALL_SLACK) * cfg.site_radius
         self._site_outer = (1 + BALL_SLACK) * cfg.site_radius
         self._packages = _PackageTable(cfg.package_probs)
-        # start beliefs, validated once: beliefs are replaced on every step,
-        # never written in place, so all rollouts can start from them
-        self._start_beliefs = [
+        # start means, covariances and their bytes, validated once; a
+        # rollout's states copy the means and share the covariances, which
+        # no step writes in place
+        self._starts = [(b.mean.tolist(), b.cov, b.cov.tobytes()) for b in (
             GaussianBelief(mean=_goal_mean(model, xy),
                            cov=1e-4 * np.eye(model.state_dim))
             for xy, model in ((cfg.bases[0], self.air_model),
                               (cfg.bases[1], self.air_model),
-                              (cfg.rendezvous, self.ground_model))]
+                              (cfg.rendezvous, self.ground_model)))]
+        # per robot, the other air robots, which a large package needs, and
+        # the robots of the other kind, which it meets at the rendezvous
+        kinds = self.kinds
+        self._pair_partners = [[i for i, k in enumerate(kinds)
+                                if i != a and k == AIR] for a in range(3)]
+        self._rv_partners = [[i for i, k in enumerate(kinds) if k != kind]
+                             for kind in kinds]
 
         sites_air = {"base-1": cfg.bases[0], "base-2": cfg.bases[1],
                      "dest-1": cfg.dests["d1"], "dest-2": cfg.dests["d2"],
@@ -412,33 +420,27 @@ class DeliveryDomain(Domain):
 
     def initial(self, rng: np.random.Generator) -> JointConfig:
         cfg = self.cfg
-        sims = [SimState(truth=b.mean, belief=b)
-                for b in self._start_beliefs]
+        sims = [SimState.of_floats(mean[:], mean[:], cov, key)
+                for mean, cov, key in self._starts]
         world = WorldState(
             base_packages=[self._packages.draw(rng) for _ in cfg.bases],
             carrying=[None] * 3,
             pending_refill=[0] * len(cfg.bases))
-        world.created = sum(1 for p in world.base_packages if p.present)
+        world.created = sum(1 for p in world.base_packages if p.size)
         return JointConfig(sims=sims, world=world)
 
     # ----- geometry helpers -----------------------------------------------
-    def _xy_of(self, agent: int, config: JointConfig) -> List[float]:
-        """The robot's belief mean in the plane, as the floats ``_at``
-        tests; read once per decision, then tested against every site."""
-        return config.sims[agent].mean[:2]
-
     def _at(self, pos: List[float], xy: Tuple[float, float]) -> bool:
-        """Whether the site disk at ``xy`` holds the plane position ``pos``
-        of a belief mean: ``_dist(mean[:2], xy) <= site_radius``.  A float
-        distance decides unless it lies within ``BALL_SLACK`` of the
-        radius, where the exact test runs."""
-        x, y = pos
-        d = math.hypot(x - xy[0], y - xy[1])
+        """Whether the site disk at ``xy`` holds the plane position
+        ``pos[:2]`` of a belief mean: ``_dist(mean[:2], xy) <=
+        site_radius``.  A float distance decides unless it lies within
+        ``BALL_SLACK`` of the radius, where the exact test runs."""
+        d = math.hypot(pos[0] - xy[0], pos[1] - xy[1])
         if d > self._site_outer:
             return False
         if d <= self._site_inner:
             return True
-        return _dist(np.array(pos), xy) <= self.cfg.site_radius
+        return _dist(np.array(pos[:2]), xy) <= self.cfg.site_radius
 
     def _base_at(self, pos: List[float]) -> Optional[int]:
         for j, xy in enumerate(self._bases_xy):
@@ -447,14 +449,14 @@ class DeliveryDomain(Domain):
         return None
 
     def _colocated(self, a: int, b: int, config: JointConfig) -> bool:
-        pa, pb = self._xy_of(a, config), self._xy_of(b, config)
+        pa, pb = config.sims[a].mean[:2], config.sims[b].mean[:2]
         return (_dist(np.array(pa), pb)
                 <= self.cfg.colocate_radius + self.cfg.site_radius)
 
     def _at_destination(self, pkg: PackageDescriptor, agents,
                         config: JointConfig) -> bool:
         dest_xy = self._dests_xy[pkg.destination]
-        return all(self._at(self._xy_of(a, config), dest_xy) for a in agents)
+        return all(self._at(config.sims[a].mean, dest_xy) for a in agents)
 
     # ----- observations -----------------------------------------------------
     def observe(self, agent: int, config: JointConfig) -> str:
@@ -465,26 +467,27 @@ class DeliveryDomain(Domain):
         if carried is None and self.kinds[agent] == AIR:
             carried = world.joint_carry
         if carried is not None:
-            return f"s-{carried.destination}"
-        pos = self._xy_of(agent, config)
+            return _SMALL_OBS[carried.destination]
+        sims = config.sims
+        pos = sims[agent].mean
         j = self._base_at(pos)
         if j is not None:
             pkg = world.base_packages[j]
-            if not pkg.present:
+            if not pkg.size:
                 return "empty"
             if pkg.size == 1:
-                return f"s-{pkg.destination}"
+                return _SMALL_OBS[pkg.destination]
             xy = self._bases_xy[j]
-            nearby = any(i != agent and self.kinds[i] == AIR
-                         and self._at(self._xy_of(i, config), xy)
-                         for i in range(self.n_agents))
-            return "L-a" if nearby else "L-m"
+            for i in self._pair_partners[agent]:
+                if self._at(sims[i].mean, xy):
+                    return "L-a"
+            return "L-m"
         rv = self._rendezvous_xy
         if self._at(pos, rv):
-            near = any(self.kinds[i] != self.kinds[agent]
-                       and self._at(self._xy_of(i, config), rv)
-                       for i in range(self.n_agents))
-            return "rv-a" if near else "rv-m"
+            for i in self._rv_partners[agent]:
+                if self._at(sims[i].mean, rv):
+                    return "rv-a"
+            return "rv-m"
         return "none"
 
     # ----- initiation predicates -------------------------------------------
@@ -505,14 +508,14 @@ class DeliveryDomain(Domain):
             return (world.joint_carry is not None
                     and world.joint_carry.destination == dest)
         if tma_id == "pickup":
-            j = self._base_at(self._xy_of(agent, config))
+            j = self._base_at(config.sims[agent].mean)
             return (j is not None and world.carrying[agent] is None
                     and not carrying_joint
                     and world.base_packages[j].size == 1)
         # joint macro-actions and place-on-truck are in the air roster only:
         # the agent is air robot 0 or 1, and 1 - agent is its partner
         if tma_id == "joint-pickup":
-            j = self._base_at(self._xy_of(agent, config))
+            j = self._base_at(config.sims[agent].mean)
             if j is None or world.base_packages[j].size != 2:
                 return False
             if world.carrying[agent] is not None or carrying_joint:
@@ -526,8 +529,7 @@ class DeliveryDomain(Domain):
         if tma_id == "place-on-truck":
             pkg = world.carrying[agent]
             return (pkg is not None and pkg.destination == "dr"
-                    and self._at(self._xy_of(agent, config),
-                                 self._rendezvous_xy)
+                    and self._at(config.sims[agent].mean, self._rendezvous_xy)
                     and self._colocated(agent, 2, config)
                     and world.carrying[2] is None)
         return True
@@ -564,16 +566,16 @@ class DeliveryDomain(Domain):
     def e_dynamics(self, events: List, config: JointConfig,
                    rng: np.random.Generator) -> None:
         world: WorldState = config.world
-        cfg = self.cfg
+        pending, bases = world.pending_refill, world.base_packages
         # refills drawn one macro decision epoch after the pickup
-        for j in range(len(cfg.bases)):
-            if world.pending_refill[j] == 1 and not world.base_packages[j].present:
-                world.base_packages[j] = self._packages.draw(rng)
-                if world.base_packages[j].present:
+        for j, wait in enumerate(pending):
+            if wait == 1 and not bases[j].size:
+                bases[j] = pkg = self._packages.draw(rng)
+                if pkg.size:
                     world.created += 1
-                world.pending_refill[j] = 0
-            elif world.pending_refill[j] > 1:
-                world.pending_refill[j] -= 1
+                pending[j] = 0
+            elif wait > 1:
+                pending[j] = wait - 1
 
         # an effect lands only while its task's precondition still holds;
         # events apply in order, so an earlier one can void a later one
@@ -582,7 +584,7 @@ class DeliveryDomain(Domain):
             if not self.initiation_ok(a, name, config):
                 continue
             if name in ("pickup", "joint-pickup"):
-                j = self._base_at(self._xy_of(a, config))
+                j = self._base_at(config.sims[a].mean)
                 pkg, world.base_packages[j] = world.base_packages[j], EMPTY
                 world.pending_refill[j] = 2
                 if name == "pickup":

@@ -128,10 +128,6 @@ class Tma:
     def distances(self, b: GaussianBelief) -> np.ndarray:
         return self._balls.distances(b)
 
-    def entry_node(self, b: GaussianBelief) -> Optional[int]:
-        """``entry_node_at`` for belief ``b``."""
-        return self.entry_node_at(b.mean.tolist(), b.cov)
-
     def entry_node_at(self, mean: List[float], cov: np.ndarray,
                       key: Optional[bytes] = None) -> Optional[int]:
         """Where a walk from the belief with float mean ``mean`` and
@@ -145,10 +141,6 @@ class Tma:
         entry = self._entry_idx
         return int(self._ids[entry[np.argmin(
             balls.distances_at(mean, cov, key)[entry])]])
-
-    def stop_node(self, b: GaussianBelief) -> Optional[int]:
-        """``stop_node_at`` for belief ``b``."""
-        return self.stop_node_at(b.mean.tolist(), b.cov)
 
     def stop_node_at(self, mean: List[float], cov: np.ndarray,
                      key: Optional[bytes] = None) -> Optional[int]:

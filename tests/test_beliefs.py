@@ -768,7 +768,8 @@ class TestRunLma:
                                     (range(6, -1, -1), inside[-1:])):
                     for _ in range(2):
                         assert balls.distances(b).tobytes() == d.tobytes()
-                        assert balls.first(b, order) == (want[0] if want
+                        assert balls.first_at(b.mean.tolist(), b.cov,
+                                              order) == (want[0] if want
                                                          else None)
                 seen += 1 < len(inside) < len(regions)
         assert seen > 10   # beliefs in several balls, but not in all
@@ -806,9 +807,10 @@ class TestRunLma:
         assert (j in holds) == (ulps >= 0)
         for _ in range(2):   # a cache miss, then a hit
             assert balls.distances(b).tobytes() == d.tobytes()
+            at = b.mean.tolist(), b.cov
             assert [k for k in range(len(regions))
-                    if balls.first(b, [k]) is not None] == holds
-            assert balls.first(b, range(len(regions))) == (
+                    if balls.first_at(*at, [k]) is not None] == holds
+            assert balls.first_at(*at, range(len(regions))) == (
                 holds[0] if holds else None)
         m = LinearGaussianModel(A=np.eye(dims), G=np.eye(dims), C=np.eye(dims),
                                 Q=1e-4 * np.eye(dims), R_obs=1e-4 * np.eye(dims))
@@ -832,14 +834,15 @@ class TestRunLma:
 
 
 def reference_run_lma(lma, sim, stops, model, max_steps, rng, order=None):
-    """``run_lma`` as one ``lma_step``, then ``BallIndex.first``, then
+    """``run_lma`` as one ``lma_step``, then ``BallIndex.first_at``, then
     ``violates`` per step, each on the arrays of ``sim``; mutates ``sim``."""
     if order is None:
         order = range(len(stops.ids))
     steps = 0
     start_reward = sim.accrued_reward
     while True:
-        k = stops.first(sim.belief, order)
+        b = sim.belief
+        k = stops.first_at(b.mean.tolist(), b.cov, order)
         if k is not None:
             return TerminationRecord(
                 TerminationRecord.LANDED, stops.ids[k], steps,
@@ -930,7 +933,7 @@ def assert_same_state(sim, ref):
 
 class TestRunLmaMatchesStepLoop:
     """``run_lma`` and ``estimate_edge`` against a loop of ``lma_step``,
-    ``BallIndex.first`` and ``violates``, to the bit."""
+    ``BallIndex.first_at`` and ``violates``, to the bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(run_cases(), st.integers(min_value=1, max_value=300),

@@ -405,6 +405,37 @@ def test_build_tma_infeasible_errors_exit_3(error, tma_cfg_path, tmp_path,
     assert capsys.readouterr().err == "infeasible: no stationary solution\n"
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work began before --out was checked")
+
+
+@pytest.mark.parametrize("command, out, kind", [
+    ("build-tma", "missing/t.json", "a file in an existing folder"),
+    ("build-tma", "", "a file in an existing folder"),
+    ("success-curve", "missing/c.csv", "a file in an existing folder"),
+    ("solve", "a_file", "a folder"),
+    ("solve", "a_file/sub", "a folder"),
+    ("mc-baseline", "a_file", "a folder"),
+    ("compare-search", "a_file", "a folder")])
+def test_unusable_out_exits_2_before_any_work(command, out, kind,
+                                              tma_cfg_path, delivery_cfg_path,
+                                              tmp_path, monkeypatch, capsys):
+    """An ``--out`` whose folder is missing, a file output that is a
+    folder, and a folder output that is a file, or lies below one, each
+    exit 2 with one line before a TMA or a domain is built."""
+    (tmp_path / "a_file").write_text("")
+    monkeypatch.setattr(cli, "construct_tma", _no_work)
+    monkeypatch.setattr(cli, "build_domain", _no_work)
+    out = str(tmp_path / out) if out else str(tmp_path)
+    config = tma_cfg_path if command == "build-tma" else delivery_cfg_path
+    extra = ["--policy", "p.json"] if command == "success-curve" else []
+    rc = main([command, "--config", config, "--out", out] + extra)
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: --out {out} is not usable as {kind}\n")
+    assert (tmp_path / "a_file").is_file()
+
+
 def test_missing_policy_file_exits_2(delivery_cfg_path, tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     rc = main(["validate-policy", "--config", delivery_cfg_path,

@@ -507,12 +507,13 @@ def array_lma_step(lma, sim, model, rng):
 class ArrayWalk:
     """``GraphTmaExecution`` on an ``ArrayState``: the entry by
     ``Tma.distances``, then per step ``array_lma_step``, ``violates`` on
-    the truth array and ``Tma.stop_node`` on the belief."""
+    the truth array and ``Tma.stop_node_at`` on the belief."""
 
     def __init__(self, tma, sim):
         self.tma, self.sim = tma, sim
         balls, b = tma._balls, sim.belief
-        if balls.first(b, tma._goal_order) is not None:
+        if balls.first_at(b.mean.tolist(), b.cov,
+                          tma._goal_order) is not None:
             entry = None
         else:
             idx = tma._entry_idx
@@ -535,7 +536,8 @@ class ArrayWalk:
         if tma.model.constraints.violates(sim.truth):
             return reward, False, True
         self.steps_on_edge += 1
-        nid = tma.stop_node(sim.belief)
+        b = sim.belief
+        nid = tma.stop_node_at(b.mean.tolist(), b.cov)
         if nid is not None:
             if nid != self.node:
                 self.node = nid

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,14 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macroplan import delivery
-from macroplan.beliefs import GaussianBelief
-from macroplan.decposmdp import segment_starts, step_joint
-from macroplan.delivery import (EMPTY, OBS_ALPHABET, DeliveryConfig,
+from macroplan.beliefs import GaussianBelief, SimState
+from macroplan.decposmdp import (evaluate_joint_policy, segment_starts,
+                                 step_joint)
+from macroplan.delivery import (AIR, EMPTY, OBS_ALPHABET, DeliveryConfig,
                                 PackageDescriptor, _PackageTable, _dist,
-                                build_domain, desk_config, success_curve,
-                                total_delivered)
+                                _goal_mean, build_domain, desk_config,
+                                success_curve, total_delivered)
 from macroplan.errors import ConfigError, MacroplanError
-from macroplan.search import PolicyController, JointPolicy
+from macroplan.search import (PolicyController, JointPolicy,
+                              sample_joint_policy)
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +127,8 @@ def test_walks_enter_only_nodes_that_reach_the_goal(preset, monkeypatch):
     for tma in built:
         for ms in tma.graph.milestones.values():
             if ms.center is not None:
-                entry = tma.entry_node(ms.center)
+                entry = tma.entry_node_at(ms.center.mean.tolist(),
+                                          ms.center.cov)
                 assert entry is None or tma.success[entry] > 0
 
 
@@ -284,6 +288,120 @@ def test_observe_estate_cases(domain):
         assert label in OBS_ALPHABET
 
 
+def reference_at(domain, pos, xy):
+    """``DeliveryDomain._at`` on a plane position ``pos`` of two floats, as
+    ``reference_observe`` calls it."""
+    x, y = pos
+    d = math.hypot(x - xy[0], y - xy[1])
+    if d > domain._site_outer:
+        return False
+    if d <= domain._site_inner:
+        return True
+    return _dist(np.array(pos), xy) <= domain.cfg.site_radius
+
+
+def reference_observe(domain, agent, config):
+    """``DeliveryDomain.observe`` built from the world state and the site
+    tests on every call: an f-string per label and an ``any`` scan over
+    every agent for a partner."""
+    world = config.world
+    xy_of = lambda i: config.sims[i].mean[:2]
+    carried = world.carrying[agent]
+    if carried is None and domain.kinds[agent] == AIR:
+        carried = world.joint_carry
+    if carried is not None:
+        return f"s-{carried.destination}"
+    pos = xy_of(agent)
+    j = next((j for j, xy in enumerate(domain._bases_xy)
+              if reference_at(domain, pos, xy)), None)
+    if j is not None:
+        pkg = world.base_packages[j]
+        if not pkg.present:
+            return "empty"
+        if pkg.size == 1:
+            return f"s-{pkg.destination}"
+        xy = domain._bases_xy[j]
+        nearby = any(i != agent and domain.kinds[i] == AIR
+                     and reference_at(domain, xy_of(i), xy)
+                     for i in range(domain.n_agents))
+        return "L-a" if nearby else "L-m"
+    rv = domain._rendezvous_xy
+    if reference_at(domain, pos, rv):
+        near = any(domain.kinds[i] != domain.kinds[agent]
+                   and reference_at(domain, xy_of(i), rv)
+                   for i in range(domain.n_agents))
+        return "rv-a" if near else "rv-m"
+    return "none"
+
+
+def test_observe_matches_the_reference_over_desk_rollouts(domain,
+                                                          monkeypatch):
+    """Every observation of a terminated agent over desk rollouts of
+    sampled policies equals ``reference_observe`` on the same state; so
+    does every agent's on worlds drawn with the robots near the sites."""
+    cfg = domain.cfg
+    sites = [*cfg.bases, cfg.rendezvous, *cfg.dests.values()]
+    packages = [EMPTY, *domain._packages.packages]
+    loads = [p for p in packages if p.size]   # what a robot can carry
+    rng = np.random.default_rng(5)
+    config = fresh_config(domain)
+    w = config.world
+    for _ in range(400):
+        for agent in range(3):
+            xy = np.array(sites[rng.integers(len(sites))])
+            place(config, agent, xy + rng.uniform(-0.1, 0.1, 2))
+        w.base_packages = [packages[k]
+                           for k in rng.integers(len(packages), size=2)]
+        w.carrying = [loads[k] if rng.random() < 0.3 else None
+                      for k in rng.integers(len(loads), size=3)]
+        w.joint_carry = (loads[rng.integers(len(loads))]
+                         if rng.random() < 0.2 else None)
+        for agent in range(3):
+            assert domain.observe(agent, config) == reference_observe(
+                domain, agent, config)
+
+    seen = []
+    real = type(domain).observe
+
+    def checked(self, agent, config):
+        label = real(self, agent, config)
+        assert label == reference_observe(self, agent, config)
+        seen.append(label)
+        return label
+
+    monkeypatch.setattr(type(domain), "observe", checked)
+    for s in range(8):
+        policy = sample_joint_policy(domain, 13, np.random.default_rng(s))
+        evaluate_joint_policy(policy, domain, 3, 40,
+                              np.random.default_rng(600 + s))
+    assert len(seen) > 1000
+    assert {"none", "empty", "s-d1", "s-d2", "s-dr", "L-m", "rv-m",
+            "rv-a"} <= set(seen)
+
+
+def test_initial_states_match_array_built_ones(domain):
+    """``initial`` builds its states from floats computed once; they equal,
+    to the bit, states built from each start belief's arrays, and no two
+    states share a list."""
+    cfg = domain.cfg
+    models = (domain.air_model, domain.air_model, domain.ground_model)
+    sites = (cfg.bases[0], cfg.bases[1], cfg.rendezvous)
+    configs = [fresh_config(domain, seed) for seed in range(3)]
+    lists = []
+    for config in configs:
+        for sim, model, xy in zip(config.sims, models, sites):
+            b = GaussianBelief(mean=_goal_mean(model, xy),
+                               cov=1e-4 * np.eye(model.state_dim))
+            ref = SimState(truth=b.mean, belief=b)
+            assert np.array(sim.x).tobytes() == np.array(ref.x).tobytes()
+            assert np.array(sim.mean).tobytes() == np.array(
+                ref.mean).tobytes()
+            assert sim.cov.tobytes() == ref.cov.tobytes() == sim.cov_key
+            assert sim.accrued_reward == ref.accrued_reward == 0.0
+            lists += [sim.x, sim.mean]
+    assert len({id(values) for values in lists}) == len(lists)
+
+
 # ---------------------------------------------------------------------------
 # scripted scenarios
 # ---------------------------------------------------------------------------
@@ -389,6 +507,18 @@ def test_place_on_truck_after_the_truck_left_keeps_the_package(domain):
     assert not domain._colocated(0, 2, config)
     assert w.carrying[0] == pkg and w.carrying[2] is None
     assert w.audit_ok()
+
+
+def test_conservation_audit_fires_on_a_segment_with_no_effect(domain):
+    """The package audit runs on every segment, also on one that applies
+    no effect event: a ledger corrupted before a segment whose only
+    termination is a ``wait`` stops ``step_joint``."""
+    config = fresh_config(domain)
+    starts = segment_starts(config, {0: "wait"}, domain)
+    assert named_starts(domain, starts) == [((0,), "wait")]
+    config.world.created += 1
+    with pytest.raises(AssertionError, match="package conservation"):
+        step_joint(config, starts, domain, np.random.default_rng(43))
 
 
 def test_joint_pickup_and_delivery(domain):
@@ -519,4 +649,4 @@ def test_site_disk_test_agrees_with_the_exact_distance(domain, site, across,
             x = np.nextafter(x, outside if ulps > 0 else sx)
         place(config, 0, (x, y))
         assert exact(x) == (ulps <= 0)
-        assert domain._at(domain._xy_of(0, config), (sx, sy)) == exact(x)
+        assert domain._at(config.sims[0].mean, (sx, sy)) == exact(x)

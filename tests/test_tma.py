@@ -357,7 +357,7 @@ class TestConstructTma:
         tma = construct_tma(start, [0.5], model, cfg, np.random.default_rng(0))
         # start lies inside the goal ball: a walk from it never enters
         # the graph
-        assert tma.entry_node(start) is None
+        assert tma.entry_node_at(start.mean.tolist(), start.cov) is None
 
     def test_blocked_workspace_unreachable(self):
         # wall across the only route: every edge simulation absorbs in B0
@@ -481,7 +481,8 @@ class TestCheapBallTests:
                               np.random.default_rng(0), order)
                 landed = rec.region_id if rec.elapsed_steps == 0 else None
                 assert landed == land
-                assert (tma.entry_node(belief), tma.stop_node(belief)) == (
+                at = belief.mean.tolist(), belief.cov
+                assert (tma.entry_node_at(*at), tma.stop_node_at(*at)) == (
                     entry, stop)
 
 
