@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -197,9 +197,11 @@ class LinearGaussianModel:
         self._axes: Optional[Tuple[Tuple[float, ...], ...]] = (
             None if None in diagonals else tuple(zip(*diagonals)))
         # posterior covariance bytes -> (Kalman gain, next posterior
-        # covariance, the gain's _diagonal, the next covariance's bytes)
+        # covariance, the gain's _diagonal, the next covariance's bytes, how
+        # far the step moves a ball's radius in the mean); see _filter_update
         self._filter_path: Dict[bytes, Tuple[
-            np.ndarray, np.ndarray, Optional[Tuple[float, ...]], bytes]] = {}
+            np.ndarray, np.ndarray, Optional[Tuple[float, ...]], bytes,
+            float]] = {}
         # (state weight, control weight) -> LQR gain, and the filter's
         # stationary covariance; see design_lma
         self._lqr_gains: Dict[Tuple[float, float], np.ndarray] = {}
@@ -229,12 +231,18 @@ class LinearGaussianModel:
 
     def _filter_update(self, cov: np.ndarray, key: Optional[bytes] = None
                        ) -> Tuple[np.ndarray, np.ndarray,
-                                  Optional[Tuple[float, ...]], bytes]:
+                                  Optional[Tuple[float, ...]], bytes, float]:
         """Kalman gain, posterior covariance one predict/update step after
-        posterior ``cov``, the gain's ``_diagonal``, and the bytes of that
-        next covariance.  ``key`` is ``cov.tobytes()``, taken here when the
+        posterior ``cov``, the gain's ``_diagonal``, the bytes of that next
+        covariance, and the step's drift: the covariance change under the
+        belief metric, ``W_COV * ||next - cov||_F / W_MEAN``, raised by
+        ``BALL_SLACK`` of itself.  By the triangle inequality no ball's
+        covariance term, and so no radius of ``BallIndex._cov_terms``, moves
+        by more than the drift; the raise covers the rounding of the norm
+        and of summing drifts over steps.  At the filter's fixed point the
+        drift is 0.  ``key`` is ``cov.tobytes()``, taken here when the
         caller passes None; a walk passes the bytes the step before
-        returned, so no step hashes a covariance.  None of the four depends
+        returned, so no step hashes a covariance.  None of the five depends
         on the data, so each distinct ``cov`` is solved once per model; the
         arrays returned are shared and read-only."""
         if key is None:
@@ -245,7 +253,9 @@ class LinearGaussianModel:
             nxt = 0.5 * (nxt + nxt.T)
             K.setflags(write=False)
             nxt.setflags(write=False)
-            hit = (K, nxt, _diagonal(K), nxt.tobytes())
+            drift = (1 + BALL_SLACK) * W_COV * float(
+                np.linalg.norm(nxt - cov)) / W_MEAN
+            hit = (K, nxt, _diagonal(K), nxt.tobytes(), drift)
             if len(self._filter_path) < FILTER_PATH_MAX:
                 self._filter_path[key] = hit
         return hit
@@ -434,11 +444,12 @@ def _dare(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
     ``DARE_MAX_DOUBLINGS`` doublings do not settle H; callers name the
     equation."""
     n = A.shape[0]
-    G = B @ np.linalg.solve(R, B.T)
     H = Q
     tol = 4 * np.finfo(float).eps
-    # a diverging H overflows; that is caught below, not warned about
+    # a diverging H overflows, and so may G on a huge B; that is caught
+    # below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
+        G = B @ np.linalg.solve(R, B.T)
         for _ in range(DARE_MAX_DOUBLINGS):
             try:
                 V = np.linalg.solve(np.eye(n) + G @ H, np.hstack([A, G]))
@@ -590,9 +601,9 @@ def lma_step(lma: Lma, sim: SimState, model: LinearGaussianModel,
     distance reads it.  One draw holds the process noise, then the
     observation noise: the same numbers, in the same order, as two separate
     draws."""
-    # a filter-path hit is a 4-tuple, never false
-    K, cov, k_diag, key = (model._filter_path.get(sim.cov_key)
-                           or model._filter_update(sim.cov, sim.cov_key))
+    # a filter-path hit is a 5-tuple, never false
+    K, cov, k_diag, key, _ = (model._filter_path.get(sim.cov_key)
+                              or model._filter_update(sim.cov, sim.cov_key))
     noise = rng.standard_normal(model._n_noise)
     if k_diag is not None and model._axes is not None \
             and lma._axes is not None:
@@ -654,8 +665,7 @@ class NormalBlocks:
         return 0
 
 
-@dataclass(frozen=True)
-class TerminationRecord:
+class TerminationRecord(NamedTuple):
     """Result of running an LMA to completion."""
 
     outcome: str          # "landed" | "failed" | "timeout"
@@ -689,9 +699,10 @@ class BallIndex:
     def _cov_terms(self, cov: np.ndarray, key: Optional[bytes] = None
                    ) -> tuple:
         """The weighted covariance term of every ball's distance at ``cov``,
-        each ball's inner and outer radius in the mean, and the largest
-        outer radius in magnitude; ``key`` is ``cov.tobytes()``, taken here
-        when the caller passes None.
+        each ball's inner and outer radius in the mean, the largest outer
+        radius in magnitude, and the covariance terms again as floats;
+        ``key`` is ``cov.tobytes()``, taken here when the caller passes
+        None.
 
         A ball holds a belief when ``W_MEAN*dm + dc <= eps``, so its mean
         distance ``dm`` is at most ``(eps - dc)/W_MEAN``.  The inner and
@@ -707,7 +718,7 @@ class BallIndex:
             dc.setflags(write=False)
             inner = (((1 - BALL_SLACK) * self._eps - dc) / W_MEAN).tolist()
             outer = (((1 + BALL_SLACK) * self._eps - dc) / W_MEAN).tolist()
-            terms = (dc, inner, outer, max(map(abs, outer)))
+            terms = (dc, inner, outer, max(map(abs, outer)), dc.tolist())
             if len(self._cov_cache) < FILTER_PATH_MAX:
                 self._cov_cache[key] = terms
         return terms
@@ -736,7 +747,7 @@ class BallIndex:
         outside the band between a ball's inner and outer radius; only
         within it do ``distances`` run.  Graph walks scan this way; edge
         runs, which can skip scans, take ``scan_at``."""
-        _, inner, outer, _ = self._cov_terms(cov, key)
+        _, inner, outer, _, _ = self._cov_terms(cov, key)
         rows = self._rows
         for k in order:
             d = math.dist(mean, rows[k])
@@ -755,16 +766,21 @@ class BallIndex:
         margin.  The room costs graph walks, which never skip a scan, a
         subtraction and a comparison per ball, so they keep ``first_at``.
 
-        Any mean ``m`` with ``math.dist(mean, m)`` below the room finds no
-        ball at the same covariance: by the triangle inequality its distance
-        to every ball exceeds ``d - dist(mean, m) > outer``.  The margin
+        Any mean ``m`` and covariance ``P`` with ``math.dist(mean, m)``
+        plus the drift from ``cov`` to ``P`` below the room find no ball,
+        the drift being the sum of the steps' drifts (``_filter_update``),
+        0 when ``P`` is ``cov``.  By the triangle inequality ``m``'s mean
+        distance to every ball is at least ``d - dist(mean, m)``, and the
+        drift bounds how far each outer radius can have grown, so that
+        distance still exceeds the ball's outer radius at ``P``.  The margin
         covers the rounding of the three float distances and of the
         differences: a few ulps of ``d + |outer|`` for each ball, less what
         its ``d - outer`` exceeds the smallest, ``g``.  As ``d`` is at most
-        ``d - outer`` plus ``|outer|``, that stays below a few ulps of
-        ``g + max|outer|``, and ``BALL_SLACK`` times that sum is millions
-        of ulps of it."""
-        _, inner, outer, outer_max = self._cov_terms(cov, key)
+        ``d - outer`` plus ``|outer|``, and a move and drift below the room
+        change ``d`` and ``|outer|`` by less than ``g`` each, that stays
+        below a few ulps of ``3g + 2max|outer|``, and ``BALL_SLACK`` times
+        ``g + max|outer|`` is millions of ulps of it."""
+        _, inner, outer, outer_max, _ = self._cov_terms(cov, key)
         rows = self._rows
         room = math.inf
         for k in order:
@@ -780,11 +796,39 @@ class BallIndex:
                 room = gap
         return None, (1 - BALL_SLACK) * room - BALL_SLACK * outer_max
 
+    def nearest_at(self, mean: Sequence[float], cov: np.ndarray,
+                   order: List[int], key: Optional[bytes] = None) -> int:
+        """The position, among ``order``, of the ball whose ``distances``
+        entry for the belief with float mean ``mean`` and covariance
+        ``cov`` (whose bytes ``key`` is if known) is least, the first in
+        ``order`` of equal ones: ``order[argmin]`` of those entries.
+
+        A float distance per ball decides when the nearest is nearer than
+        every other by more than ``BALL_SLACK`` of the second's distance:
+        far above the few ulps by which the float and the stacked distances
+        differ, so the stacked ones have the same single least.  Otherwise,
+        and when no float distance is finite, ``distances`` decide."""
+        dc = self._cov_terms(cov, key)[4]
+        rows = self._rows
+        best = second = math.inf
+        best_k = -1
+        for k in order:
+            d = W_MEAN * math.dist(mean, rows[k]) + dc[k]
+            if d < best:
+                best, second, best_k = d, best, k
+            elif d < second:
+                second = d
+        if best < (1 - BALL_SLACK) * second:
+            return best_k
+        return order[int(np.argmin(self.distances_at(mean, cov, key)[order]))]
+
 
 def run_lma(lma: Lma, start: SimState, stops: BallIndex,
             model: LinearGaussianModel, max_steps: int,
             rng: Union[np.random.Generator, NormalBlocks],
-            order: Optional[Sequence[int]] = None) -> TerminationRecord:
+            order: Optional[Sequence[int]] = None,
+            scanned: Optional[Tuple[Sequence[float], bytes, float]] = None
+            ) -> TerminationRecord:
     """Run the funnel until the belief enters a stop ball, the truth
     violates the constraint set (failure node, region id 0), or max_steps;
     leaves ``start`` at the final state.
@@ -794,15 +838,19 @@ def run_lma(lma: Lma, start: SimState, stops: BallIndex,
     check comes from the model.  The balls are scanned only when the mean
     could have reached one: a scan that finds none leaves a room
     (``BallIndex.scan_at``), and the steps after it skip theirs while the
-    covariance holds and the mean stays within that room of where the
-    scan was made.  Each step is ``lma_step``'s, with the same
-    values: the truth and mean stay float lists from the first step to the
-    last (a matrix step also keeps the arrays it reads and returns), and
-    ``start`` is left at the final floats, with no array built.  A
-    ``Generator`` gives each step exactly the normals it uses, as
-    ``lma_step`` draws them; ``NormalBlocks`` hands out the same values
-    from draws of a block at a time, as floats to the per-axis form and as
-    an array to the matrix form.
+    distance of the mean from where the scan was made, plus the drift of
+    the covariance since (``_filter_update``), stays below that room.
+    ``scanned`` is a scan the caller already made of the same balls in the
+    same order: its mean, the bytes of its covariance and its room.  When
+    that covariance is the start's, the run takes it as its last scan, so
+    a start within the room makes no scan of its own.  Each step is
+    ``lma_step``'s, with the same values: the truth and mean stay float
+    lists from the first step to the last (a matrix step also keeps the
+    arrays it reads and returns), and ``start`` is left at the final
+    floats, with no array built.  A ``Generator`` gives each step exactly
+    the normals it uses, as ``lma_step`` draws them; ``NormalBlocks`` hands
+    out the same values from draws of a block at a time, as floats to the
+    per-axis form and as an array to the matrix form.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
@@ -823,26 +871,29 @@ def run_lma(lma: Lma, start: SimState, stops: BallIndex,
     # the same truth and mean as arrays, after a matrix step, which reads
     # and returns arrays; None after a per-axis step
     arrays = None
-    # the mean at the last landing scan, the bytes of its covariance, and
-    # the room the scan left (BallIndex.scan_at): while the covariance
-    # holds and the mean stays within the room of the anchor, a scan would
-    # find no ball, so none is made
-    anchor, scan_key, room = mean, None, 0.0
+    # the mean at the last landing scan, the room the scan left
+    # (BallIndex.scan_at), and the covariance's drift since: while the
+    # mean's distance from the anchor plus the drift stays below the room,
+    # a scan would find no ball, so none is made
+    anchor, room, drift = mean, 0.0, 0.0
+    if scanned is not None and scanned[1] == key:
+        anchor, _, room = scanned
     start_reward = reward = start.accrued_reward
     steps = 0
     while True:
-        if key != scan_key or not math.dist(anchor, mean) < room:
+        if not math.dist(anchor, mean) + drift < room:
             k, room = stops.scan_at(mean, cov, order, key)
             if k is not None:
                 outcome, region = TerminationRecord.LANDED, stops.ids[k]
                 break
-            anchor, scan_key = mean, key
+            anchor, drift = mean, 0.0
         if steps >= max_steps:
             outcome, region = TerminationRecord.TIMEOUT, None
             break
         hit = path.get(key)
-        K, cov, k_diag, key = (hit if hit is not None
-                               else model._filter_update(cov, key))
+        K, cov, k_diag, key, moved = (hit if hit is not None
+                                      else model._filter_update(cov, key))
+        drift += moved
         if axes is not None and k_diag is not None:
             truth, mean, u = _axis_step(axes, lma._axes, k_diag, truth, mean,
                                         take(n_noise))
@@ -862,6 +913,4 @@ def run_lma(lma: Lma, start: SimState, stops: BallIndex,
     if steps:
         start.x, start.mean, start.cov, start.cov_key = truth, mean, cov, key
         start.accrued_reward = reward
-    return TerminationRecord(outcome=outcome, region_id=region,
-                             elapsed_steps=steps,
-                             accrued_reward=reward - start_reward)
+    return TerminationRecord(outcome, region, steps, reward - start_reward)

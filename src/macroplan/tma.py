@@ -112,16 +112,14 @@ class Tma:
     def __post_init__(self):
         self._balls = ball_index(self.graph.milestones)
         ids = self._balls.ids
-        self._ids = np.array(ids, dtype=int)
         goal = self.graph.goal_id
-        # positions in _ids of the goal, of the nodes a walk may enter
-        # (policy nodes whose success is above 0: from any other the policy
-        # never reaches the goal), and of the nodes where it may stop (policy
-        # nodes and the goal), each in id order
+        # positions in the ball index of the goal, of the nodes a walk may
+        # enter (policy nodes whose success is above 0: from any other the
+        # policy never reaches the goal), and of the nodes where it may stop
+        # (policy nodes and the goal), each in id order
         self._goal_order = (ids.index(goal),)
-        self._entry_idx = np.array(
-            [k for k, i in enumerate(ids)
-             if i in self.policy and self.success[i] > 0], dtype=int)
+        self._entry_idx = [k for k, i in enumerate(ids)
+                           if i in self.policy and self.success[i] > 0]
         self._stop_order = [k for k, i in enumerate(ids)
                             if i in self.policy or i == goal]
 
@@ -137,10 +135,8 @@ class Tma:
         balls = self._balls
         if balls.first_at(mean, cov, self._goal_order, key) is not None:
             return None
-        # ids are sorted and argmin takes the first of equal distances
-        entry = self._entry_idx
-        return int(self._ids[entry[np.argmin(
-            balls.distances_at(mean, cov, key)[entry])]])
+        # ids are sorted and nearest_at takes the first of equal distances
+        return balls.ids[balls.nearest_at(mean, cov, self._entry_idx, key)]
 
     def stop_node_at(self, mean: List[float], cov: np.ndarray,
                      key: Optional[bytes] = None) -> Optional[int]:
@@ -181,18 +177,25 @@ class TmaConfig:
 
 def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
                   balls: BallIndex, model: LinearGaussianModel, m: int,
-                  max_steps: int, rng: np.random.Generator) -> GraphEdge:
+                  max_steps: int, rng: np.random.Generator,
+                  cov_sqrt: Optional[np.ndarray] = None) -> GraphEdge:
     """Monte Carlo estimate of one edge's landing distribution, reward and
     duration under ``lma``, milestone ``to_id``'s funnel.  Starts are the
     milestone center plus Gaussian mean jitter (sigma = epsilon/3); a run
     lands in the first ball of ``balls``, in index order, other than the
     start milestone's.  Timeouts fold into the failure node's mass.
+    ``cov_sqrt`` is the square root of the center's covariance
+    (``_psd_sqrt``), taken here when the caller passes None.
 
     The edge owns ``rng``: its standard normals (each run's start jitter,
     then every step's noise) come from it in blocks, through
     ``NormalBlocks``.  Each value keeps its place in the stream, so the
     edge is the one that drawing them a start and a step at a time gives;
     only the end state of ``rng`` differs.
+
+    The balls are scanned once at the center, and every run takes that
+    scan as its last (``run_lma``'s ``scanned``): a run whose start lies
+    within its room makes no scan before its first step.
 
     When the square root of the center's covariance is diagonal, each run's
     start is formed in floats, ``c + sigma*d`` and ``mean + s*d`` per axis:
@@ -204,10 +207,14 @@ def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
     sigma = start_milestone.epsilon / 3.0
     order = [k for k, i in enumerate(balls.ids) if i != start_milestone.id]
     cov, cov_key = center.cov, center.cov.tobytes()
-    cov_sqrt = _psd_sqrt(cov)
+    if cov_sqrt is None:
+        cov_sqrt = _psd_sqrt(cov)
     roots = _diagonal(cov_sqrt)
     c = center.mean.tolist()
     n = len(c)
+    scanned = (c, cov_key, balls.scan_at(c, cov, order, cov_key)[1])
+    # each axis's center and root, for the float starts
+    axes = None if roots is None else list(zip(c, roots))
     counts: Dict[int, int] = dict.fromkeys([FAILURE_ID, *balls.ids], 0)
     total_reward = 0.0
     total_time = 0.0
@@ -215,17 +222,20 @@ def estimate_edge(start_milestone: Milestone, lma: Lma, to_id: int,
     for _ in range(m):
         # the mean jitter, then the truth offset
         draw = normals.take(2 * n)
-        if roots is not None:
-            # zip stops after the n jitter entries of ``draw``
-            mean = [ci + sigma * d for ci, d in zip(c, draw)]
-            truth = [mi + s * d for mi, s, d in zip(mean, roots, draw[n:])]
+        if axes is not None:
+            mean, truth = [], []
+            for (ci, s), d, e in zip(axes, draw, draw[n:]):
+                mi = ci + sigma * d
+                mean.append(mi)
+                truth.append(mi + s * e)
         else:
             draw_a = np.array(draw)
             mean_a = center.mean + sigma * draw_a[:n]
             mean = mean_a.tolist()
             truth = (mean_a + cov_sqrt @ draw_a[n:]).tolist()
         sim = SimState.of_floats(truth, mean, cov, cov_key)
-        rec = run_lma(lma, sim, balls, model, max_steps, normals, order)
+        rec = run_lma(lma, sim, balls, model, max_steps, normals, order,
+                      scanned)
         if rec.outcome == TerminationRecord.LANDED:
             counts[rec.region_id] += 1
         else:
@@ -479,11 +489,19 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
     balls = ball_index(milestones)
     results: List[Optional[GraphEdge]] = [None] * len(jobs)
 
+    # covariance bytes -> its square root: every sampled milestone and the
+    # goal share p_stat
+    roots: Dict[bytes, np.ndarray] = {}
+
     def estimate(k: int) -> GraphEdge:
         i, j = jobs[k]
+        cov = milestones[i].center.cov
+        key = cov.tobytes()
+        if key not in roots:
+            roots[key] = _psd_sqrt(cov)
         results[k] = estimate_edge(milestones[i], funnels[j], j, balls,
                                    task_model, cfg.m_sims, cfg.max_steps,
-                                   subs[k])
+                                   subs[k], roots[key])
         return results[k]
 
     cut_off = _closed_start_set(start_id, jobs, estimate)

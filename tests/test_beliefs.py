@@ -1027,7 +1027,7 @@ def scan_every_step(lma, start, stops, model, max_steps, normals, order=None,
         if steps >= max_steps:
             outcome, region = TerminationRecord.TIMEOUT, None
             break
-        K, cov, k_diag, key = model._filter_update(cov, key)
+        K, cov, k_diag, key = model._filter_update(cov, key)[:4]
         if axes is not None and k_diag is not None:
             truth, mean, u = beliefs._axis_step(axes, lma._axes, k_diag, truth,
                                                 mean,
@@ -1095,7 +1095,7 @@ class TestSkippedScans:
     """``run_lma`` scans the balls only when the mean could have reached
     one; against a run that scans before every step, to the bit."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(run_cases(), st.sampled_from(["drawn", "stationary", "wide"]),
            st.integers(min_value=1, max_value=300),
            st.integers(min_value=0, max_value=2**32 - 1), st.data())
@@ -1109,43 +1109,75 @@ class TestSkippedScans:
             start = GaussianBelief(start.mean, p)
         elif start_cov == "wide":
             # the covariance terms of the distances shrink fast over the
-            # first steps, so a room kept across them would be wrong
+            # first steps, so a room kept across them without the drift
+            # would be wrong
             start = GaussianBelief(start.mean, start.cov + 0.02 * np.eye(n))
         ulps = data.draw(st.sampled_from([None, -1, 0, 1]))
         if ulps is not None:
             # one more ball, whose radius is the exact distance of the
-            # belief at one scan of the run (often the second, after the
-            # covariance shrank most), or an ulp more or less.  Its center
-            # lies ahead of that scan's mean on the line of the step into
-            # it, where the triangle inequality that bounds the room is
-            # tight; at the first scan, it is the funnel's target
+            # belief at one scan of the run (often the first, or the
+            # second, after the covariance shrank most), or an ulp more or
+            # less.  Its center lies ahead of that scan's mean on the line
+            # of the step into it, where the triangle inequality that
+            # bounds the room is tight; at the first scan, it is the
+            # funnel's target.  Its covariance is the stationary one or,
+            # off the fixed point, ahead of the scan's on the line of the
+            # step into it, where the drift bounds the change of the
+            # ball's covariance term tightly
             trail = []
             scan_every_step(lma, SimState(truth=truth.copy(), belief=start),
                             balls, model, max_steps,
                             beliefs.NormalBlocks(np.random.default_rng(seed)),
                             order, trail)
             last = len(trail) - 1
-            j = data.draw(st.one_of(st.just(min(1, last)),
+            j = data.draw(st.one_of(st.sampled_from([0, min(1, last)]),
                                     st.integers(min_value=0, max_value=last)))
             mean, cov, key = trail[j]
             center = (np.array(mean) + 0.5 * (np.array(mean)
                                               - np.array(trail[j - 1][0]))
                       if j else lma.attractor.mean)
-            probe = BallIndex([make_milestone(9, center, p, 1.0)])
+            ball_cov = p
+            if j and data.draw(st.booleans()):
+                ahead = cov + 0.5 * (cov - trail[j - 1][1])
+                ahead = 0.5 * (ahead + ahead.T)
+                if np.linalg.eigvalsh(ahead)[0] >= 0.0:
+                    ball_cov = ahead
+            probe = BallIndex([make_milestone(9, center, ball_cov, 1.0)])
             eps = float(probe.distances_at(mean, cov, key)[0])
             for _ in range(abs(ulps)):
                 eps = float(np.nextafter(eps, np.inf if ulps > 0 else 0.0))
             assume(eps > 0)   # a mean that has stopped moving is its center
             regions = [*milestones_of(balls, n),
-                       make_milestone(9, center, p, eps)]
+                       make_milestone(9, center, ball_cov, eps)]
             balls = BallIndex(regions)
             order = data.draw(st.one_of(
                 st.none(), st.permutations(range(len(regions)))))
+        # a scan the caller already made of the same balls: at the start
+        # mean; behind it on the line from the funnel's target, where the
+        # room's triangle inequality is tight for a ball at that target;
+        # near it; or at another covariance, whose room the run must not
+        # take
+        where = data.draw(st.sampled_from(
+            [None, "start", "behind", "near", "other covariance"]))
+        scanned = None
+        if where is not None:
+            anchor, scan_cov = start.mean, start.cov
+            if where == "behind":
+                anchor = start.mean + 0.1 * (start.mean - lma.attractor.mean)
+            elif where == "near":
+                anchor = start.mean + np.array(data.draw(st.lists(
+                    st.floats(-0.05, 0.05), min_size=n, max_size=n)))
+            elif where == "other covariance":
+                scan_cov = start.cov + 0.05 * np.eye(n)
+            at = order if order is not None else range(len(balls.ids))
+            scanned = (anchor.tolist(), scan_cov.tobytes(),
+                       balls.scan_at(anchor.tolist(), scan_cov, at)[1])
         sim, ref = (SimState(truth=truth.copy(), belief=start)
                     for _ in range(2))
         blocks, ref_blocks = (beliefs.NormalBlocks(np.random.default_rng(seed))
                               for _ in range(2))
-        rec = run_lma(lma, sim, balls, model, max_steps, blocks, order)
+        rec = run_lma(lma, sim, balls, model, max_steps, blocks, order,
+                      scanned)
         assert rec == scan_every_step(lma, ref, balls, model, max_steps,
                                       ref_blocks, order)
         assert_same_state(sim, ref)

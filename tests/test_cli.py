@@ -5,6 +5,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -389,6 +391,23 @@ def test_build_tma_unobservable_filter_exits_3_fast(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("infeasible: ") and "filter Riccati equation" in err
     assert len(err.splitlines()) == 1
+
+
+def test_solve_huge_dt_exits_3_with_one_line(tmp_path):
+    # the LQR design overflows and fails; numpy's warning about the
+    # overflow would add lines to stderr, so a fresh interpreter runs the
+    # command, with warnings shown as they are outside pytest
+    path = write_yaml(tmp_path / "huge_dt.yaml",
+                      {**DELIVERY_CONFIG, "dt": 1.0e200})
+    run = subprocess.run(
+        [sys.executable, "-m", "macroplan.cli", "solve", "--config", path,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(
+            os.path.dirname(cli.__file__))})
+    assert run.returncode == EXIT_INFEASIBLE
+    assert run.stderr == ("infeasible: LQR design failed: the doubling "
+                          "diverged\n")
 
 
 @pytest.mark.parametrize("error", [NonConvergent, Unstabilizable,

@@ -459,11 +459,11 @@ def test_graph_entry_node_breaks_distance_ties_to_lower_id():
     config = JointConfig(
         sims=[SimState(truth=belief.mean.copy(), belief=belief)], world=0)
     d = tma.distances(belief)
-    by_id = dict(zip(tma._ids.tolist(), d))
+    by_id = dict(zip(tma._balls.ids, d))
     assert by_id[2] == by_id[3] and by_id[4] < by_id[2]
     # the rule: the least (distance, id) pair among policy nodes
-    nearest_then_lowest = min((d[k], int(i)) for k, i in enumerate(tma._ids)
-                              if int(i) in tma.policy)[1]
+    nearest_then_lowest = min((d[k], i) for k, i in enumerate(tma._balls.ids)
+                              if i in tma.policy)[1]
     exe = GraphTmaExecution(spec, 0, config)
     assert not exe.hold_done
     assert exe.node == nearest_then_lowest == 2
@@ -517,7 +517,7 @@ class ArrayWalk:
             entry = None
         else:
             idx = tma._entry_idx
-            entry = int(tma._ids[idx[np.argmin(tma.distances(b)[idx])]])
+            entry = tma._balls.ids[idx[np.argmin(tma.distances(b)[idx])]]
         self.hold_done = entry is None
         self.node = tma.graph.goal_id if entry is None else entry
         self.steps_on_edge = 0

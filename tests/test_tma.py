@@ -486,6 +486,52 @@ class TestCheapBallTests:
                     entry, stop)
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           dims=st.sampled_from([1, 2, 4]),
+           n_balls=st.integers(min_value=1, max_value=6))
+    def test_nearest_matches_the_stacked_argmin(self, seed, dims, n_balls):
+        # BallIndex.nearest_at, which Tma.entry_node_at takes, against the
+        # argmin of the stacked distances: on drawn beliefs, then on
+        # beliefs swept ulp by ulp across the bisector of two balls, where
+        # the two distances tie or differ by an ulp or a few
+        rng = np.random.default_rng(seed)
+
+        def psd(scale):
+            a = rng.standard_normal((dims, dims))
+            return scale * (a @ a.T)
+
+        centers = [GaussianBelief(rng.random(dims), psd(1e-2))
+                   for _ in range(n_balls)]
+        # an exact twin of a ball: equal distances, the first in order wins
+        if rng.random() < 0.3:
+            centers.append(centers[int(rng.integers(n_balls))])
+        balls = BallIndex([Milestone(id=i, center=c, epsilon=0.1)
+                           for i, c in enumerate(centers, start=1)])
+        order = sorted(rng.choice(len(centers), int(rng.integers(
+            1, len(centers) + 1)), replace=False).tolist())
+
+        def stacked(mean, cov):
+            return order[int(np.argmin(balls.distances_at(mean, cov)[order]))]
+
+        for _ in range(20):
+            cov = psd(1e-2)
+            mean = (rng.random(dims) * 1.4 - 0.2).tolist()
+            assert balls.nearest_at(mean, cov, order) == stacked(mean, cov)
+        if len(order) < 2:
+            return
+        a, b = (balls._means[k] for k in order[:2])
+        # a covariance equally far from both balls' centers, and the mean
+        # on their bisector, then moved along the first axis by -20..20 ulps
+        cov = 0.5 * (centers[order[0]].cov + centers[order[1]].cov)
+        mid = 0.5 * (a + b)
+        for ulps in range(-20, 21):
+            mean = mid.copy()
+            for _ in range(abs(ulps)):
+                mean[0] = np.nextafter(mean[0], np.inf if ulps > 0 else -np.inf)
+            at = mean.tolist()
+            assert balls.nearest_at(at, cov, order) == stacked(at, cov)
+
     def test_distances_match_reference_on_cache_miss_and_hit(self):
         # the covariance term is cached per covariance; a cache miss, a hit
         # (same covariance, other mean, other array object) and the plain
@@ -755,6 +801,46 @@ def test_edge_runs_scan_only_when_the_mean_could_land(monkeypatch):
     assert len(steps) == cfg.m_sims and again.landing_probs[e.to_id] == 1.0
     # 127 scans for 327 steps and 60 starts: one a step and start is 387
     assert len(scans) < sum(steps) + len(steps)
+
+
+def test_start_node_runs_keep_their_room_while_the_covariance_settles(
+        monkeypatch):
+    """On the tma-build TMA of seed 1, the runs of the start node's edges
+    scan the balls fewer times than they step.  The start covariance is
+    not the filter's fixed point, so it changes on every step of a run; a
+    room kept across those changes, less the covariance's drift, still
+    skips most scans, and the scan each edge makes at its start center
+    spares every run whose start lies within its room a scan of its own."""
+    model, start, goal, cfg = tma_build_problem()
+    edge, scans, steps = [None], {}, {}
+    real_scan, real_run = BallIndex.scan_at, tma_module.run_lma
+    real_edge = tma_module.estimate_edge
+
+    def scan(self, *args):
+        scans[edge[0]] = scans.get(edge[0], 0) + 1
+        return real_scan(self, *args)
+
+    def run(*args):
+        rec = real_run(*args)
+        steps[edge[0]] = steps.get(edge[0], 0) + rec.elapsed_steps
+        return rec
+
+    def estimate(start_milestone, lma, to_id, *args):
+        edge[0] = (start_milestone.id, to_id)
+        return real_edge(start_milestone, lma, to_id, *args)
+
+    monkeypatch.setattr(BallIndex, "scan_at", scan)
+    monkeypatch.setattr(tma_module, "run_lma", run)
+    monkeypatch.setattr(tma_module, "estimate_edge", estimate)
+    built = construct_tma(start, goal, model, cfg, np.random.default_rng(1))
+    from_start = sorted(k for k in steps if k[0] == built.start_id)
+    assert [j for _, j in from_start] == [4, 6]
+    # 353 and 385 steps over 60 runs each: a scan at every start and
+    # before every step would be 413 and 445 (66 and 128 are made, one of
+    # them at each edge's start center)
+    assert [steps[k] for k in from_start] == [353, 385]
+    for k in from_start:
+        assert scans[k] < steps[k]
 
 
 class TestReachabilityFirst:
