@@ -9,6 +9,7 @@ as a funnel in belief space.
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
@@ -196,6 +197,9 @@ class LinearGaussianModel:
                                             self._sr)]
         self._axes: Optional[Tuple[Tuple[float, ...], ...]] = (
             None if None in diagonals else tuple(zip(*diagonals)))
+        # the per-axis step for this many axes (_axis_kernel), or None
+        self._axis_step: Optional[Callable] = (
+            None if self._axes is None else _axis_kernel(n))
         # posterior covariance bytes -> (Kalman gain, next posterior
         # covariance, the gain's _diagonal, the next covariance's bytes, how
         # far the step moves a ball's radius in the mean); see _filter_update
@@ -532,31 +536,59 @@ def design_lma(model: LinearGaussianModel, target: np.ndarray,
     return Lma(gain=L, attractor=GaussianBelief(mean=target, cov=p_post))
 
 
-def _axis_step(axes: Tuple[Tuple[float, ...], ...],
-               funnel: Tuple[Tuple[float, float], ...],
-               k_diag: Tuple[float, ...], truth: Sequence[float],
-               mean: Sequence[float], noise: Sequence[float]
-               ) -> Tuple[List[float], List[float], List[float]]:
-    """One step of the per-axis form: the model's per-axis entries
-    ``axes``, the funnel's ``funnel`` and the Kalman gain's diagonal
-    ``k_diag``; ``noise`` holds the process noise, then the observation
-    noise.  Returns the next truth, the next mean and the control, as float
-    lists.  Each axis is a scalar recurrence, with the products in the
-    order of the matrix form."""
-    n = len(axes)
-    next_truth, next_mean, u = [], [], []
-    # zip stops after the n process-noise entries of ``noise``
-    for (a, g, c, q, r), (nl, t), k, x, m, w, v in zip(
-            axes, funnel, k_diag, truth, mean, noise, noise[n:]):
-        ui = nl * (m - t)
-        gu = g * ui
-        x = (a * x + gu) + q * w
-        z = c * x + r * v
-        mp = a * m + gu
-        next_truth.append(x)
-        next_mean.append(mp + k * (z - c * mp))
-        u.append(ui)
-    return next_truth, next_mean, u
+# One step of axis {i} in the per-axis form: the matrix form's products, in
+# its order.  ``_axis_kernel`` repeats these lines once per axis; they are
+# the only place the recurrence is written.
+_AXIS_STEP = """\
+    u{i} = nl{i} * (m{i} - t{i})
+    gu{i} = g{i} * u{i}
+    x{i} = (a{i} * x{i} + gu{i}) + q{i} * w{i}
+    z{i} = c{i} * x{i} + r{i} * v{i}
+    mp{i} = a{i} * m{i} + gu{i}
+    m{i} = mp{i} + k{i} * (z{i} - c{i} * mp{i})
+"""
+
+# axis count -> its compiled per-axis step; see _axis_kernel
+_AXIS_KERNELS: Dict[int, Callable] = {}
+
+
+def _axis_kernel(n: int) -> Callable:
+    """The per-axis step for ``n`` axes, compiled once per process:
+    ``step(axes, funnel, k_diag, truth, mean, noise)`` takes the model's
+    per-axis entries ``axes``, the funnel's ``funnel`` and the Kalman
+    gain's diagonal ``k_diag``; ``noise`` holds the process noise, then the
+    observation noise.  It returns the next truth, the next mean and the
+    control, as float lists.  Each axis is a scalar recurrence
+    (``_AXIS_STEP``), written out straight, with no loop.  The source is
+    registered with ``linecache``, so tracebacks, profiles and
+    ``inspect.getsource`` show its lines."""
+    kernel = _AXIS_KERNELS.get(n)
+    if kernel is None:
+        def names(prefix: str) -> str:
+            return ", ".join(f"{prefix}{i}" for i in range(n))
+
+        def unpack(*fields: str) -> str:
+            # the trailing comma keeps a single axis a one-item unpack
+            return ", ".join(f"({', '.join(f + str(i) for f in fields)})"
+                             for i in range(n)) + ","
+
+        source = "".join([
+            "def _axis_step(axes, funnel, k_diag, truth, mean, noise):\n",
+            f"    {unpack('a', 'g', 'c', 'q', 'r')} = axes\n",
+            f"    {unpack('nl', 't')} = funnel\n",
+            f"    {names('k')}, = k_diag\n",
+            f"    {names('x')}, = truth\n",
+            f"    {names('m')}, = mean\n",
+            f"    {names('w')}, {names('v')}, = noise\n",
+            *(_AXIS_STEP.format(i=i) for i in range(n)),
+            f"    return [{names('x')}], [{names('m')}], [{names('u')}]\n"])
+        filename = f"<macroplan per-axis step, {n} axes>"
+        linecache.cache[filename] = (len(source), None,
+                                     source.splitlines(True), filename)
+        scope = {"__name__": __name__}
+        exec(compile(source, filename, "exec"), scope)
+        kernel = _AXIS_KERNELS[n] = scope["_axis_step"]
+    return kernel
 
 
 def _matrix_step(lma: Lma, model: LinearGaussianModel, K: np.ndarray,
@@ -593,22 +625,23 @@ def lma_step(lma: Lma, sim: SimState, model: LinearGaussianModel,
 
     The step takes one of two forms.  When the model and the funnel keep
     per-axis entries and the Kalman gain at the current covariance is
-    diagonal (see ``_diagonal``), ``_axis_step`` runs each axis as a scalar
-    recurrence on the state's floats.  Every other step is ``_matrix_step``,
-    on arrays of them.  A row of a diagonal
-    matrix has one nonzero term, so both forms give the value of ``@``;
-    only the sign of an exact zero can differ, and no reward, comparison or
-    distance reads it.  One draw holds the process noise, then the
-    observation noise: the same numbers, in the same order, as two separate
-    draws."""
+    diagonal (see ``_diagonal``), the model's compiled per-axis step
+    (``_axis_kernel``) runs each axis as a scalar recurrence on the state's
+    floats.  Every other step is ``_matrix_step``, on arrays of them.  A
+    row of a diagonal matrix has one nonzero term, so both forms give the
+    value of ``@``; only the sign of an exact zero can differ, and no
+    reward, comparison or distance reads it.  One draw holds the process
+    noise, then the observation noise: the same numbers, in the same order,
+    as two separate draws."""
     # a filter-path hit is a 5-tuple, never false
     K, cov, k_diag, key, _ = (model._filter_path.get(sim.cov_key)
                               or model._filter_update(sim.cov, sim.cov_key))
     noise = rng.standard_normal(model._n_noise)
     if k_diag is not None and model._axes is not None \
             and lma._axes is not None:
-        sim.x, sim.mean, u = _axis_step(model._axes, lma._axes, k_diag,
-                                        sim.x, sim.mean, noise.tolist())
+        sim.x, sim.mean, u = model._axis_step(model._axes, lma._axes,
+                                              k_diag, sim.x, sim.mean,
+                                              noise.tolist())
     else:
         truth, mean, u = _matrix_step(lma, model, K, np.array(sim.x),
                                       np.array(sim.mean), noise)
@@ -864,6 +897,7 @@ def run_lma(lma: Lma, start: SimState, stops: BallIndex,
         def take(k: int) -> List[float]:
             return rng.standard_normal(k).tolist()
     axes = model._axes if lma._axes is not None else None
+    axis_step = model._axis_step
     violates, cost, n_noise = (model.constraints.violates, model.step_cost,
                                model._n_noise)
     base, u_weight, path = cost.base, cost.u_weight, model._filter_path
@@ -895,8 +929,8 @@ def run_lma(lma: Lma, start: SimState, stops: BallIndex,
                                       else model._filter_update(cov, key))
         drift += moved
         if axes is not None and k_diag is not None:
-            truth, mean, u = _axis_step(axes, lma._axes, k_diag, truth, mean,
-                                        take(n_noise))
+            truth, mean, u = axis_step(axes, lma._axes, k_diag, truth, mean,
+                                       take(n_noise))
             arrays = None
         else:
             if arrays is None:

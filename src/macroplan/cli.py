@@ -104,19 +104,34 @@ def _finite_array(value, shape: tuple, name: str) -> np.ndarray:
     return a
 
 
+def _mapping(data: dict, key: str, where: str = "") -> dict:
+    """``data[key]``, which must be a mapping; ``where`` is the path of
+    ``data`` in the config, dotted, for the message."""
+    if key not in data:
+        raise ConfigError(f"missing key {where + key!r}")
+    value = data[key]
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where + key} must be a mapping, not {value!r}")
+    return value
+
+
 def _tma_setup(data: dict):
     """The model, start belief, goal and settings of a TMA config; start,
     goal, bounds and a fixed gain must fit the model's dimensions."""
     try:
-        model = LinearGaussianModel.from_dict(data["model"])
+        m = _mapping(data, "model")
+        for key in ("step_cost", "constraints"):
+            _mapping(m, key, "model.")
+        model = LinearGaussianModel.from_dict(m)
         n = model.state_dim
+        s = _mapping(data, "start")
         start = GaussianBelief(
-            mean=_finite_array(data["start"]["mean"], (n,), "start.mean"),
-            cov=_finite_array(data["start"]["cov"], (n, n), "start.cov"))
+            mean=_finite_array(s["mean"], (n,), "start.mean"),
+            cov=_finite_array(s["cov"], (n, n), "start.cov"))
         goal = _finite_array(data["goal_mean"], (n,), "goal_mean")
-        t = dict(data.get("tma", {}))
+        t = dict(_mapping(data, "tma")) if "tma" in data else {}
         if "gain_spec" in t:
-            g = dict(t["gain_spec"])
+            g = dict(_mapping(t, "gain_spec", "tma."))
             if g.get("kind") == "fixed" and g.get("fixed_gain") is not None:
                 g["fixed_gain"] = _finite_array(
                     g["fixed_gain"], (model.control_dim, n), "fixed_gain")
@@ -125,7 +140,9 @@ def _tma_setup(data: dict):
             if key in t:
                 t[key] = _finite_array(t[key], (n,), key)
         cfg = TmaConfig(**t)
-    except (KeyError, TypeError, ValueError, ConfigError) as e:
+    except KeyError as e:
+        raise ConfigError(f"bad TMA config: missing key {e.args[0]!r}") from e
+    except (TypeError, ValueError, ConfigError) as e:
         raise ConfigError(f"bad TMA config: {e}") from e
     return model, start, goal, cfg
 

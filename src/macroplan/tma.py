@@ -416,9 +416,22 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
     is 0 under every policy: GoalUnreachable is raised, naming the start and
     that closed set, before the other edges are estimated and before the
     graph DP.  Otherwise every edge is estimated, with the same result as in
-    job order.
+    job order.  A sampling box with ``bounds_lo`` above ``bounds_hi`` on any
+    axis, the unit box's bounds filling in those not given, is a
+    ConfigError, raised before any work.
     """
     goal_mean = np.asarray(goal_mean, dtype=float).ravel()
+    # the sampling box, the unit box by default; equal bounds pin an axis
+    dim = task_model.state_dim
+    lo = np.asarray(cfg.bounds_lo if cfg.bounds_lo is not None
+                    else np.zeros(dim), dtype=float)
+    hi = np.asarray(cfg.bounds_hi if cfg.bounds_hi is not None
+                    else np.ones(dim), dtype=float)
+    if np.any(lo > hi):
+        axis = int(np.argmax(lo > hi))
+        raise ConfigError(
+            f"sampling box is inverted: bounds_lo {lo.tolist()} exceeds "
+            f"bounds_hi {hi.tolist()} on axis {axis}")
 
     # one gain/filter design serves every funnel (stationary model)
     base_lma = design_lma(task_model, goal_mean, cfg.gain_spec)
@@ -428,10 +441,6 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
         FAILURE_ID: Milestone(id=FAILURE_ID, center=None, epsilon=1.0),
         1: Milestone(id=1, center=base_lma.attractor, epsilon=cfg.epsilon),
     }
-    lo = cfg.bounds_lo if cfg.bounds_lo is not None else np.zeros(task_model.state_dim)
-    hi = cfg.bounds_hi if cfg.bounds_hi is not None else np.ones(task_model.state_dim)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
     n_sampled = cfg.n_nodes - 1  # goal is one of the n_nodes sampled milestones
     min_sep = 2.0 * cfg.epsilon  # overlapping balls would create free cycles
     settle = _settle_projector(task_model.A)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import time
@@ -511,14 +512,22 @@ def per_axis(model, lma, cov):
 
 def count_step_forms(monkeypatch):
     """Wrap the two step forms, which ``lma_step`` and ``run_lma`` call, and
-    return the counter of the steps each takes."""
+    return the counter of the steps each takes.  A model holds its per-axis
+    step from when it is built, so only models built after this call count
+    theirs."""
     forms = Counter()
-    for name, form in (("_axis_step", "per-axis"), ("_matrix_step", "matrix")):
-        def wrapped(*args, real=getattr(beliefs, name), form=form):
+
+    def counted(real, form):
+        def wrapped(*args):
             forms[form] += 1
             return real(*args)
+        return wrapped
 
-        monkeypatch.setattr(beliefs, name, wrapped)
+    real_kernel = beliefs._axis_kernel
+    monkeypatch.setattr(beliefs, "_axis_kernel",
+                        lambda n: counted(real_kernel(n), "per-axis"))
+    monkeypatch.setattr(beliefs, "_matrix_step",
+                        counted(beliefs._matrix_step, "matrix"))
     return forms
 
 
@@ -626,9 +635,9 @@ class TestStepForms:
                                                 monkeypatch):
         # every step of every edge simulation, from every start covariance
         # the builds meet, including those of seeds that raise
+        forms = count_step_forms(monkeypatch)
         with open(path) as f:
             model, start, goal, cfg = cli._tma_setup(yaml.safe_load(f))
-        forms = count_step_forms(monkeypatch)
         for seed in seeds:
             try:
                 construct_tma(start, goal, model, cfg,
@@ -638,18 +647,131 @@ class TestStepForms:
         assert forms["per-axis"] > 0 and forms["matrix"] == 0
 
     def test_double_integrator_takes_the_matrix_form(self, monkeypatch):
+        forms = count_step_forms(monkeypatch)
         cfg = delivery.DeliveryConfig()
         m = delivery._model(cfg, "double", NoConstraints())
         lma = design_lma(m, [0.8, 0.7, 0.0, 0.0],
                          GainSpec(control_weight=cfg.control_weight))
         assert m._axes is None and lma._axes is None
-        forms = count_step_forms(monkeypatch)
         start = GaussianBelief([0.1, 0.2, 0.0, 0.0], 1e-4 * np.eye(4))
         sim = SimState(truth=start.mean.copy(), belief=start)
         run_lma(lma, sim, BallIndex([make_milestone(1, lma.attractor.mean,
                                                     lma.attractor.cov, 0.05)]),
                 m, 20, np.random.default_rng(0))
         assert forms["matrix"] > 0 and forms["per-axis"] == 0
+
+
+def reference_axis_step(axes, funnel, k_diag, truth, mean, noise):
+    """The per-axis step as a loop over the axes: the reference for the
+    compiled kernels of ``beliefs._axis_kernel``."""
+    n = len(axes)
+    next_truth, next_mean, u = [], [], []
+    # zip stops after the n process-noise entries of ``noise``
+    for (a, g, c, q, r), (nl, t), k, x, m, w, v in zip(
+            axes, funnel, k_diag, truth, mean, noise, noise[n:]):
+        ui = nl * (m - t)
+        gu = g * ui
+        x = (a * x + gu) + q * w
+        z = c * x + r * v
+        mp = a * m + gu
+        next_truth.append(x)
+        next_mean.append(mp + k * (z - c * mp))
+        u.append(ui)
+    return next_truth, next_mean, u
+
+
+# the values a drawn entry of a per-axis step may take instead of a random
+# float: both zeros, the smallest subnormals and units
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]
+
+
+@st.composite
+def axis_step_args(draw):
+    """The arguments of a per-axis step on 1-6 axes.  Entries are random
+    floats of either sign with a full mantissa and a magnitude of 2**-40 to
+    2**40, so that products or sums taken in another order round
+    differently; hypothesis sets some of them to ``SPECIAL_FLOATS`` and
+    some process-noise roots to 0."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0,
+                                                 max_value=2**32 - 1)))
+
+    def values(k):
+        out = (rng.choice([-1.0, 1.0], k) * rng.uniform(0.5, 1.0, k)
+               * np.exp2(rng.integers(-40, 41, k))).tolist()
+        for i in draw(st.lists(st.integers(min_value=0, max_value=k - 1),
+                               max_size=k)):
+            out[i] = draw(st.sampled_from(SPECIAL_FLOATS))
+        return out
+
+    axes = []
+    for _ in range(n):
+        a, g, c, q, r = values(5)
+        axes.append((a, g, c, 0.0 if draw(st.booleans()) else q, r))
+    funnel = tuple(tuple(values(2)) for _ in range(n))
+    return (tuple(axes), funnel, tuple(values(n)), values(n), values(n),
+            values(2 * n))
+
+
+def float_bits(lists):
+    return [[float.hex(v) for v in values] for values in lists]
+
+
+class TestAxisKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(axis_step_args())
+    def test_kernel_matches_the_loop_to_the_bit(self, args):
+        # float.hex tells -0.0 from 0.0, where == does not
+        kernel = beliefs._axis_kernel(len(args[0]))
+        assert float_bits(kernel(*args)) \
+            == float_bits(reference_axis_step(*args))
+
+    def test_models_with_the_same_axis_count_share_one_kernel(self):
+        one, other = scalar_model(), scalar_model(a=0.5, q=0.0)
+        assert one._axis_step is other._axis_step is beliefs._axis_kernel(1)
+        two = LinearGaussianModel(A=np.eye(2), G=np.eye(2), C=np.eye(2),
+                                  Q=1e-4 * np.eye(2), R_obs=1e-4 * np.eye(2))
+        assert two._axis_step is beliefs._axis_kernel(2)
+        assert two._axis_step is not one._axis_step
+        dense = LinearGaussianModel(A=[[1.0, 0.1], [0.0, 1.0]], G=np.eye(2),
+                                    C=np.eye(2), Q=1e-4 * np.eye(2),
+                                    R_obs=1e-4 * np.eye(2))
+        assert dense._axes is None and dense._axis_step is None
+
+    def test_each_axis_count_compiles_once(self, monkeypatch):
+        compiled = Counter()
+
+        def counted_compile(source, filename, mode):
+            compiled[filename] += 1
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(beliefs, "_AXIS_KERNELS", {})
+        monkeypatch.setattr(beliefs, "compile", counted_compile,
+                            raising=False)
+        models = [scalar_model(), scalar_model(a=0.5),
+                  LinearGaussianModel(A=np.eye(3), G=np.eye(3), C=np.eye(3),
+                                      Q=np.eye(3), R_obs=np.eye(3))]
+        for n in (1, 3, 1, 3):
+            beliefs._axis_kernel(n)
+        assert models[0]._axis_step is models[1]._axis_step
+        assert compiled == {"<macroplan per-axis step, 1 axes>": 1,
+                            "<macroplan per-axis step, 3 axes>": 1}
+
+    def test_kernel_source_is_readable(self):
+        kernel = beliefs._axis_kernel(2)
+        assert kernel.__code__.co_filename \
+            == "<macroplan per-axis step, 2 axes>"
+        source = inspect.getsource(kernel)
+        assert source.startswith(
+            "def _axis_step(axes, funnel, k_diag, truth, mean, noise):\n")
+        for i in range(2):
+            assert beliefs._AXIS_STEP.format(i=i) in source
+        # a traceback through a kernel shows the line that raised
+        axes, funnel = ((1.0, 0.1, 1.0, 0.01, 0.01),) * 2, ((-1.0, 0.5),) * 2
+        with pytest.raises(ValueError) as info:
+            kernel(axes, funnel, (0.5, 0.5), [0.0, 0.0], [0.0, 0.0], [0.0])
+        assert info.traceback[-1].statement.lines[0].strip() \
+            == "w0, w1, v0, v1, = noise"
 
 
 def make_milestone(mid, mean, cov, eps):
@@ -1029,9 +1151,9 @@ def scan_every_step(lma, start, stops, model, max_steps, normals, order=None,
             break
         K, cov, k_diag, key = model._filter_update(cov, key)[:4]
         if axes is not None and k_diag is not None:
-            truth, mean, u = beliefs._axis_step(axes, lma._axes, k_diag, truth,
-                                                mean,
-                                                normals.take(model._n_noise))
+            truth, mean, u = model._axis_step(axes, lma._axes, k_diag, truth,
+                                              mean,
+                                              normals.take(model._n_noise))
             arrays = None
         else:
             if arrays is None:

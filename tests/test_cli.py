@@ -236,6 +236,52 @@ def test_build_tma_bad_config_exits_2(tmp_path, capsys):
         assert "2 state dimensions" in err and len(err.splitlines()) == 1
 
 
+def test_build_tma_inverted_sampling_box_exits_2(tmp_path, capsys):
+    # equal bounds on an axis are a box too; lo above hi on any axis is not
+    for lo, hi, rc in [([2.0, 2.0], [1.0, 1.0], EXIT_CONFIG),
+                       ([0.0, 0.6], [1.0, 0.4], EXIT_CONFIG),
+                       ([0.0, 0.5], [1.0, 0.5], EXIT_OK)]:
+        cfg = copy.deepcopy(TMA_CONFIG)
+        cfg["tma"].update(bounds_lo=lo, bounds_hi=hi)
+        path = write_yaml(tmp_path / "box.yaml", cfg)
+        capsys.readouterr()
+        assert main(["build-tma", "--config", path,
+                     "--out", str(tmp_path / "x.json")]) == rc
+        err = capsys.readouterr().err
+        if rc == EXIT_CONFIG:
+            assert err == (f"config error: sampling box is inverted: "
+                           f"bounds_lo {lo} exceeds bounds_hi {hi} on axis "
+                           f"{[a > b for a, b in zip(lo, hi)].index(True)}"
+                           f"\n")
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda cfg: cfg.pop("start"), "missing key 'start'"),
+    (lambda cfg: cfg.pop("goal_mean"), "missing key 'goal_mean'"),
+    (lambda cfg: cfg["model"].pop("step_cost"),
+     "missing key 'model.step_cost'"),
+    (lambda cfg: cfg.update(model=[1, 2]), "model must be a mapping, not "
+                                           "[1, 2]"),
+    (lambda cfg: cfg.update(start="here"), "start must be a mapping, not "
+                                           "'here'"),
+    (lambda cfg: cfg.update(tma=None), "tma must be a mapping, not None"),
+    (lambda cfg: cfg["model"].update(constraints=["none"]),
+     "model.constraints must be a mapping, not ['none']"),
+    (lambda cfg: cfg["tma"].update(gain_spec=[1.0]),
+     "tma.gain_spec must be a mapping, not [1.0]")],
+    ids=["no-start", "no-goal", "no-step-cost", "model-list", "start-str",
+         "tma-null", "constraints-list", "gain-spec-list"])
+def test_build_tma_config_messages_name_the_key(mutate, message, tmp_path,
+                                                capsys):
+    cfg = copy.deepcopy(TMA_CONFIG)
+    mutate(cfg)
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert main(["build-tma", "--config", path,
+                 "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
+    assert capsys.readouterr().err \
+        == f"config error: bad TMA config: {message}\n"
+
+
 def _leaf_paths(tree, path=()):
     """Key path of every value in nested mappings that is not a mapping."""
     for key, value in tree.items():

@@ -13,7 +13,7 @@ from macroplan import beliefs, decposmdp
 from macroplan.beliefs import (GainSpec, GaussianBelief, LinearGaussianModel,
                                Lma, NoConstraints, PredicateConstraints,
                                RectConstraints, SimState, StepCost,
-                               _axis_step, _matrix_step, _step_cost,
+                               _matrix_step, _step_cost,
                                design_lma, stationary_covariance)
 from macroplan.decposmdp import (Domain, GraphTmaExecution, JointConfig,
                                  JointGraphExecution, RewardSpec,
@@ -492,9 +492,10 @@ def array_lma_step(lma, sim, model, rng):
     noise = rng.standard_normal(model._n_noise)
     if k_diag is not None and model._axes is not None \
             and lma._axes is not None:
-        truth, mean, u = _axis_step(model._axes, lma._axes, k_diag,
-                                    sim.truth.tolist(), belief.mean.tolist(),
-                                    noise.tolist())
+        truth, mean, u = model._axis_step(model._axes, lma._axes, k_diag,
+                                          sim.truth.tolist(),
+                                          belief.mean.tolist(),
+                                          noise.tolist())
         truth, mean = np.array(truth), np.array(mean)
     else:
         truth, mean, u = _matrix_step(lma, model, K, sim.truth, belief.mean,

@@ -402,6 +402,41 @@ class TestConstructTma:
             construct_tma(start, [0.8, 0.8], model, cfg,
                           np.random.default_rng(0))
 
+    @pytest.mark.parametrize("lo, hi, axis", [
+        ([2.0, 2.0], [1.0, 1.0], 0),
+        ([0.0, 0.5], [1.0, 0.5 - 1e-12], 1),
+        # the defaults are the unit box: a lone upper bound below 0 inverts
+        (None, [1.0, -0.1], 1)])
+    def test_inverted_sampling_box_is_a_config_error(self, lo, hi, axis):
+        model = LinearGaussianModel(A=np.eye(2), G=np.eye(2), C=np.eye(2),
+                                    Q=1e-4 * np.eye(2), R_obs=1e-4 * np.eye(2))
+        cfg = TmaConfig(n_nodes=3, k_neighbors=2, m_sims=5, epsilon=0.06,
+                        max_steps=200,
+                        bounds_lo=None if lo is None else np.array(lo),
+                        bounds_hi=np.array(hi))
+        start = GaussianBelief([0.1, 0.1], 1e-4 * np.eye(2))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigError,
+                           match=f"sampling box is inverted: .* axis {axis}"):
+            construct_tma(start, [0.8, 0.8], model, cfg, rng)
+        # refused before any draw
+        assert rng.bit_generator.state \
+            == np.random.default_rng(0).bit_generator.state
+
+    def test_equal_bounds_pin_an_axis(self):
+        model = LinearGaussianModel(A=np.eye(2), G=np.eye(2), C=np.eye(2),
+                                    Q=1e-4 * np.eye(2), R_obs=1e-4 * np.eye(2))
+        cfg = TmaConfig(n_nodes=3, k_neighbors=2, m_sims=5, epsilon=0.06,
+                        max_steps=200, bounds_lo=np.array([0.0, 0.5]),
+                        bounds_hi=np.array([1.0, 0.5]),
+                        gain_spec=GainSpec(kind="lqr", control_weight=8.0))
+        start = GaussianBelief([0.1, 0.5], 1e-4 * np.eye(2))
+        tma = construct_tma(start, [0.8, 0.5], model, cfg,
+                            np.random.default_rng(0))
+        sampled = [ms.center.mean for i, ms in tma.graph.milestones.items()
+                   if i not in (0, 1, tma.start_id)]
+        assert sampled and all(mean[1] == 0.5 for mean in sampled)
+
 
 class TestCheapBallTests:
     """The ball index decides most beliefs with a float mean distance
