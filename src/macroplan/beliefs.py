@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import linecache
 import math
+import textwrap
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
 import numpy as np
 
-from .errors import NonConvergent, Unstabilizable, check_field_types
+from .errors import (NonConvergent, Unstabilizable, check_field_types,
+                     config_key)
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,11 @@ class StepCost:
                              f"base={self.base!r}, u_weight={self.u_weight!r}")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "StepCost":
-        return cls(base=d["base"], u_weight=d["u_weight"])
+    def from_dict(cls, d: dict, where: str = "") -> "StepCost":
+        """The step cost a config section ``d`` holds; ``where`` is its
+        dotted path, which a missing key's KeyError names."""
+        return cls(base=config_key(d, "base", where),
+                   u_weight=config_key(d, "u_weight", where))
 
 
 class Constraints:
@@ -52,8 +57,10 @@ class Constraints:
         raise NotImplementedError
 
     @staticmethod
-    def from_dict(d: dict) -> "Constraints":
-        kind = d["kind"]
+    def from_dict(d: dict, where: str = "") -> "Constraints":
+        """The constraints a config section ``d`` holds; ``where`` is its
+        dotted path, which a missing key's KeyError names."""
+        kind = config_key(d, "kind", where)
         reads = {"none": {"kind"}, "rects": {"kind", "rects"}}
         if kind not in reads:
             raise ValueError(f"unknown constraints kind {kind!r}")
@@ -63,7 +70,7 @@ class Constraints:
                              f"{extra[0]!r}")
         if kind == "none":
             return NoConstraints()
-        return RectConstraints(rects=d["rects"])
+        return RectConstraints(rects=config_key(d, "rects", where))
 
 
 class NoConstraints(Constraints):
@@ -157,11 +164,12 @@ class LinearGaussianModel:
     constraints: Constraints = field(default_factory=NoConstraints)
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.G = np.atleast_2d(np.asarray(self.G, dtype=float))
-        self.C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        self.R_obs = np.atleast_2d(np.asarray(self.R_obs, dtype=float))
+        for name in ("A", "G", "C", "Q", "R_obs"):
+            M = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            if not np.all(np.isfinite(M)):
+                raise ValueError(f"{name} must have finite entries, not "
+                                 f"{M.tolist()}")
+            setattr(self, name, M)
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError("A must be square")
@@ -265,12 +273,29 @@ class LinearGaussianModel:
         return hit
 
     @classmethod
-    def from_dict(cls, d: dict) -> "LinearGaussianModel":
+    def from_dict(cls, d: dict, where: str = "") -> "LinearGaussianModel":
+        """The model a config section ``d`` holds; ``where`` is its dotted
+        path, which a missing key's KeyError and a matrix that is not
+        numbers name."""
+        def matrix(key: str) -> np.ndarray:
+            value = config_key(d, key, where)
+            try:
+                a = np.array(value)
+            except ValueError:  # ragged rows
+                a = None
+            # a null would turn into NaN, and a string or true into a float
+            if a is None or a.dtype.kind not in "iuf":
+                raise ValueError(f"{where}{key} must be a matrix of numbers, "
+                                 f"not {value!r}")
+            return a.astype(float)
+
         return cls(
-            A=np.array(d["A"]), G=np.array(d["G"]), C=np.array(d["C"]),
-            Q=np.array(d["Q"]), R_obs=np.array(d["R_obs"]),
-            step_cost=StepCost.from_dict(d["step_cost"]),
-            constraints=Constraints.from_dict(d["constraints"]),
+            A=matrix("A"), G=matrix("G"), C=matrix("C"), Q=matrix("Q"),
+            R_obs=matrix("R_obs"),
+            step_cost=StepCost.from_dict(config_key(d, "step_cost", where),
+                                         where + "step_cost."),
+            constraints=Constraints.from_dict(
+                config_key(d, "constraints", where), where + "constraints."),
         )
 
 
@@ -419,10 +444,13 @@ class GainSpec:
                              "not 0")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "GainSpec":
+    def from_dict(cls, d: dict, where: str = "") -> "GainSpec":
+        """The gain spec a config section ``d`` holds; ``where`` is its
+        dotted path, which a missing key's KeyError names."""
         fg = d.get("fixed_gain")
-        return cls(kind=d["kind"], state_weight=d["state_weight"],
-                   control_weight=d["control_weight"],
+        return cls(kind=config_key(d, "kind", where),
+                   state_weight=config_key(d, "state_weight", where),
+                   control_weight=config_key(d, "control_weight", where),
                    fixed_gain=None if fg is None else np.array(fg))
 
 
@@ -537,8 +565,8 @@ def design_lma(model: LinearGaussianModel, target: np.ndarray,
 
 
 # One step of axis {i} in the per-axis form: the matrix form's products, in
-# its order.  ``_axis_kernel`` repeats these lines once per axis; they are
-# the only place the recurrence is written.
+# its order.  ``_axis_kernel`` and ``_run_kernel`` repeat these lines once per
+# axis; they are the only place the recurrence is written.
 _AXIS_STEP = """\
     u{i} = nl{i} * (m{i} - t{i})
     gu{i} = g{i} * u{i}
@@ -552,6 +580,30 @@ _AXIS_STEP = """\
 _AXIS_KERNELS: Dict[int, Callable] = {}
 
 
+def _names(n: int, prefix: str) -> str:
+    """``prefix0, ..., prefix{n-1}``: one name per axis in kernel source."""
+    return ", ".join(f"{prefix}{i}" for i in range(n))
+
+
+def _unpack(n: int, *fields: str) -> str:
+    """The target that unpacks ``n`` per-axis tuples of ``fields``; the
+    trailing comma keeps a single axis a one-item unpack."""
+    return ", ".join(f"({', '.join(f + str(i) for f in fields)})"
+                     for i in range(n)) + ","
+
+
+def _compile_kernel(source: str, filename: str, name: str) -> Callable:
+    """The function ``name`` that ``source`` defines, compiled under
+    ``filename``, which is registered with ``linecache`` so tracebacks,
+    profiles and ``inspect.getsource`` show its lines."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True),
+                                 filename)
+    scope = {"__name__": __name__, "math": math, "_step_cost": _step_cost,
+             "TerminationRecord": TerminationRecord}
+    exec(compile(source, filename, "exec"), scope)
+    return scope[name]
+
+
 def _axis_kernel(n: int) -> Callable:
     """The per-axis step for ``n`` axes, compiled once per process:
     ``step(axes, funnel, k_diag, truth, mean, noise)`` takes the model's
@@ -559,35 +611,22 @@ def _axis_kernel(n: int) -> Callable:
     gain's diagonal ``k_diag``; ``noise`` holds the process noise, then the
     observation noise.  It returns the next truth, the next mean and the
     control, as float lists.  Each axis is a scalar recurrence
-    (``_AXIS_STEP``), written out straight, with no loop.  The source is
-    registered with ``linecache``, so tracebacks, profiles and
-    ``inspect.getsource`` show its lines."""
+    (``_AXIS_STEP``), written out straight, with no loop."""
     kernel = _AXIS_KERNELS.get(n)
     if kernel is None:
-        def names(prefix: str) -> str:
-            return ", ".join(f"{prefix}{i}" for i in range(n))
-
-        def unpack(*fields: str) -> str:
-            # the trailing comma keeps a single axis a one-item unpack
-            return ", ".join(f"({', '.join(f + str(i) for f in fields)})"
-                             for i in range(n)) + ","
-
         source = "".join([
             "def _axis_step(axes, funnel, k_diag, truth, mean, noise):\n",
-            f"    {unpack('a', 'g', 'c', 'q', 'r')} = axes\n",
-            f"    {unpack('nl', 't')} = funnel\n",
-            f"    {names('k')}, = k_diag\n",
-            f"    {names('x')}, = truth\n",
-            f"    {names('m')}, = mean\n",
-            f"    {names('w')}, {names('v')}, = noise\n",
+            f"    {_unpack(n, 'a', 'g', 'c', 'q', 'r')} = axes\n",
+            f"    {_unpack(n, 'nl', 't')} = funnel\n",
+            f"    {_names(n, 'k')}, = k_diag\n",
+            f"    {_names(n, 'x')}, = truth\n",
+            f"    {_names(n, 'm')}, = mean\n",
+            f"    {_names(n, 'w')}, {_names(n, 'v')}, = noise\n",
             *(_AXIS_STEP.format(i=i) for i in range(n)),
-            f"    return [{names('x')}], [{names('m')}], [{names('u')}]\n"])
-        filename = f"<macroplan per-axis step, {n} axes>"
-        linecache.cache[filename] = (len(source), None,
-                                     source.splitlines(True), filename)
-        scope = {"__name__": __name__}
-        exec(compile(source, filename, "exec"), scope)
-        kernel = _AXIS_KERNELS[n] = scope["_axis_step"]
+            f"    return [{_names(n, 'x')}], [{_names(n, 'm')}], "
+            f"[{_names(n, 'u')}]\n"])
+        kernel = _AXIS_KERNELS[n] = _compile_kernel(
+            source, f"<macroplan per-axis step, {n} axes>", "_axis_step")
     return kernel
 
 
@@ -657,18 +696,20 @@ NORMAL_BLOCK = 1024
 
 
 class NormalBlocks:
-    """The standard normals of one generator, drawn ``NORMAL_BLOCK`` at a
-    time and handed out in order, as floats or as an array.
+    """The standard normals of one generator, drawn ``size`` at a time and
+    handed out in order, as floats or as an array.
 
     ``Generator.standard_normal`` concatenates exactly: one draw of j + k
     values gives the values, and leaves the generator in the state, of a
     draw of j and then one of k.  So ``take(k)`` and ``take_array(k)``
     return what ``rng.standard_normal(k)`` would return at this point of
     the stream; only the generator's own end state differs, since it runs
-    up to a block ahead of the values taken."""
+    up to a block ahead of the values taken.  Blocks of ``size`` k, taken
+    k at a time, leave it where draws of k would."""
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator, size: int = NORMAL_BLOCK):
         self._rng = rng
+        self._size = size
         # the block as an array and as floats, and the next value's place
         self._block = np.empty(0)
         self._floats: List[float] = []
@@ -693,7 +734,7 @@ class NormalBlocks:
         returns the place of the first, 0."""
         self._block = np.concatenate([
             self._block[self._pos:],
-            self._rng.standard_normal(max(k, NORMAL_BLOCK))])
+            self._rng.standard_normal(max(k, self._size))])
         self._floats = self._block.tolist()
         return 0
 
@@ -856,6 +897,97 @@ class BallIndex:
         return order[int(np.argmin(self.distances_at(mean, cov, key)[order]))]
 
 
+# run_lma's loop in the per-axis form, for ``_run_kernel`` to fill in with
+# the names of n axes; {noise} reads a step's normals and {step} is
+# ``_AXIS_STEP`` once per axis
+_AXIS_RUN = """\
+def _axis_run(model, lma, stops, order, max_steps, normals, truth, mean,
+              cov, key, anchor, room, drift, reward, steps):
+    {model_axes} = model._axes
+    {funnel_axes} = lma._axes
+    {x}, = truth
+    {m}, = mean
+    {an}, = anchor
+    cost = model.step_cost
+    base, u_weight = cost.base, cost.u_weight
+    violates = model.constraints.violates
+    path, update = model._filter_path.get, model._filter_update
+    scan_at, hypot = stops.scan_at, math.hypot
+    floats, pos = normals._floats, normals._pos
+    # the last place a step's normals can start in the block
+    end = len(floats) - {n_noise}
+    outcome = region = hit = None
+    while True:
+        if not hypot({moves}) + drift < room:
+            k, room = scan_at([{m}], cov, order, key)
+            if k is not None:
+                outcome = TerminationRecord.LANDED
+                region = stops.ids[k]
+                break
+            {an}, drift = {m}, 0.0
+        if steps >= max_steps:
+            outcome = TerminationRecord.TIMEOUT
+            break
+        # a filter-path hit is a 5-tuple, never false
+        hit = path(key) or update(cov, key)
+        if hit[2] is None:
+            break
+        _, cov, ({k},), key, moved = hit
+        drift += moved
+        if pos > end:
+            normals._pos = pos
+            pos = normals._draw({n_noise})
+            floats = normals._floats
+            end = len(floats) - {n_noise}
+{noise}        pos += {n_noise}
+{step}        reward -= (_step_cost(cost, [{u}]) if u_weight else base)
+        steps += 1
+        if violates([{x}]):
+            outcome, region = TerminationRecord.FAILED, 0
+            break
+    normals._pos = pos
+    return (outcome, region, [{x}], [{m}], cov, key,
+            [{an}], room, drift, reward, steps, hit)
+"""
+
+# axis count -> its compiled per-axis run; see _run_kernel
+_RUN_KERNELS: Dict[int, Callable] = {}
+
+
+def _run_kernel(n: int) -> Callable:
+    """``run_lma``'s loop for ``n`` axes in the per-axis form
+    (``_AXIS_RUN``), compiled once per process: ``run(model, lma, stops,
+    order, max_steps, normals, truth, mean, cov, key, anchor, room, drift,
+    reward, steps)`` takes the run's state at the top of its loop.  From
+    there it makes ``run_lma``'s tests and steps: the landing scan unless
+    the room rules it out (``math.hypot`` of the mean's moves per axis is
+    ``math.dist``'s value), the timeout test, the filter-path entry, the
+    step (``_AXIS_STEP``, written out straight per axis, with the noise
+    read from the float block of ``normals``), its cost and the constraint
+    test.  It returns on landing, failure or timeout, or before a step
+    whose Kalman gain is not diagonal, with the outcome (None in that last
+    case), the region, the truth and mean as float lists, the covariance
+    and its bytes, the anchor, room, drift, reward and step count, and the
+    filter-path entry of the step it hands back."""
+    kernel = _RUN_KERNELS.get(n)
+    if kernel is None:
+        normals = [f"w{i}" for i in range(n)] + [f"v{i}" for i in range(n)]
+        source = _AXIS_RUN.format(
+            model_axes=_unpack(n, "a", "g", "c", "q", "r"),
+            funnel_axes=_unpack(n, "nl", "t"), x=_names(n, "x"),
+            m=_names(n, "m"), an=_names(n, "an"), k=_names(n, "k"),
+            u=_names(n, "u"), n_noise=2 * n,
+            moves=", ".join(f"m{i} - an{i}" for i in range(n)),
+            noise="".join(f"        {w} = floats[pos + {j}]\n" if j else
+                          f"        {w} = floats[pos]\n"
+                          for j, w in enumerate(normals)),
+            step="".join(textwrap.indent(_AXIS_STEP.format(i=i), "    ")
+                         for i in range(n)))
+        kernel = _RUN_KERNELS[n] = _compile_kernel(
+            source, f"<macroplan per-axis run, {n} axes>", "_axis_run")
+    return kernel
+
+
 def run_lma(lma: Lma, start: SimState, stops: BallIndex,
             model: LinearGaussianModel, max_steps: int,
             rng: Union[np.random.Generator, NormalBlocks],
@@ -878,32 +1010,32 @@ def run_lma(lma: Lma, start: SimState, stops: BallIndex,
     that covariance is the start's, the run takes it as its last scan, so
     a start within the room makes no scan of its own.  Each step is
     ``lma_step``'s, with the same values: the truth and mean stay float
-    lists from the first step to the last (a matrix step also keeps the
-    arrays it reads and returns), and ``start`` is left at the final
-    floats, with no array built.  A ``Generator`` gives each step exactly
-    the normals it uses, as ``lma_step`` draws them; ``NormalBlocks`` hands
-    out the same values from draws of a block at a time, as floats to the
-    per-axis form and as an array to the matrix form.
+    lists from the first step to the last, and ``start`` is left at the
+    final floats, with no array built.  When the model and the funnel keep
+    per-axis entries, the compiled per-axis run (``_run_kernel``) makes
+    the loop's tests and steps, and hands each step whose Kalman gain is
+    not diagonal to ``_matrix_step``; otherwise every step is
+    ``_matrix_step``'s, which keeps the arrays it reads and returns from
+    one step to the next.  The normals come from ``NormalBlocks``, as
+    floats to the per-axis run and as arrays to the matrix step; a plain
+    ``Generator`` is read through blocks of one step's normals, so it
+    gives each step exactly the normals it uses, as ``lma_step`` draws
+    them.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     if order is None:
         order = range(len(stops.ids))
-    if isinstance(rng, NormalBlocks):
-        take, take_array = rng.take, rng.take_array
-    else:
-        take_array = rng.standard_normal
-
-        def take(k: int) -> List[float]:
-            return rng.standard_normal(k).tolist()
-    axes = model._axes if lma._axes is not None else None
-    axis_step = model._axis_step
-    violates, cost, n_noise = (model.constraints.violates, model.step_cost,
-                               model._n_noise)
+    n_noise = model._n_noise
+    normals = rng if isinstance(rng, NormalBlocks) else NormalBlocks(
+        rng, n_noise)
+    kernel = (_run_kernel(model._n) if model._axes is not None
+              and lma._axes is not None else None)
+    violates, cost = model.constraints.violates, model.step_cost
     base, u_weight, path = cost.base, cost.u_weight, model._filter_path
     truth, mean, cov, key = start.x, start.mean, start.cov, start.cov_key
     # the same truth and mean as arrays, after a matrix step, which reads
-    # and returns arrays; None after a per-axis step
+    # and returns arrays; a run with a per-axis form builds them anew
     arrays = None
     # the mean at the last landing scan, the room the scan left
     # (BallIndex.scan_at), and the covariance's drift since: while the
@@ -915,30 +1047,32 @@ def run_lma(lma: Lma, start: SimState, stops: BallIndex,
     start_reward = reward = start.accrued_reward
     steps = 0
     while True:
-        if not math.dist(anchor, mean) + drift < room:
-            k, room = stops.scan_at(mean, cov, order, key)
-            if k is not None:
-                outcome, region = TerminationRecord.LANDED, stops.ids[k]
+        if kernel is not None:
+            (outcome, region, truth, mean, cov, key, anchor, room, drift,
+             reward, steps, hit) = kernel(
+                model, lma, stops, order, max_steps, normals, truth, mean,
+                cov, key, anchor, room, drift, reward, steps)
+            if outcome is not None:
                 break
-            anchor, drift = mean, 0.0
-        if steps >= max_steps:
-            outcome, region = TerminationRecord.TIMEOUT, None
-            break
-        hit = path.get(key)
-        K, cov, k_diag, key, moved = (hit if hit is not None
-                                      else model._filter_update(cov, key))
-        drift += moved
-        if axes is not None and k_diag is not None:
-            truth, mean, u = axis_step(axes, lma._axes, k_diag, truth, mean,
-                                       take(n_noise))
-            arrays = None
         else:
-            if arrays is None:
-                arrays = np.array(truth), np.array(mean)
-            truth_a, mean_a, u = _matrix_step(lma, model, K, *arrays,
-                                              take_array(n_noise))
-            arrays = truth_a, mean_a
-            truth, mean = truth_a.tolist(), mean_a.tolist()
+            if not math.dist(anchor, mean) + drift < room:
+                k, room = stops.scan_at(mean, cov, order, key)
+                if k is not None:
+                    outcome, region = TerminationRecord.LANDED, stops.ids[k]
+                    break
+                anchor, drift = mean, 0.0
+            if steps >= max_steps:
+                outcome, region = TerminationRecord.TIMEOUT, None
+                break
+            hit = path.get(key) or model._filter_update(cov, key)
+        K, cov, _, key, moved = hit
+        drift += moved
+        if arrays is None or kernel is not None:
+            arrays = np.array(truth), np.array(mean)
+        truth_a, mean_a, u = _matrix_step(lma, model, K, *arrays,
+                                          normals.take_array(n_noise))
+        arrays = truth_a, mean_a
+        truth, mean = truth_a.tolist(), mean_a.tolist()
         reward -= _step_cost(cost, u) if u_weight else base
         steps += 1
         if violates(truth):

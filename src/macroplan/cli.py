@@ -26,7 +26,8 @@ from .beliefs import GaussianBelief, GainSpec, LinearGaussianModel
 from .delivery import (DeliveryConfig, build_domain, desk_config,
                        success_curve)
 from .errors import (ConfigError, GoalUnreachable, NonConvergent,
-                     NoValidSuccessor, SingularChain, Unstabilizable)
+                     NoValidSuccessor, SingularChain, Unstabilizable,
+                     config_key)
 from .search import (SearchConfig, load_policy, mmcs, monte_carlo_search,
                      save_policy)
 from .tma import TmaConfig, construct_tma, save_tma
@@ -117,17 +118,20 @@ def _mapping(data: dict, key: str, where: str = "") -> dict:
 
 def _tma_setup(data: dict):
     """The model, start belief, goal and settings of a TMA config; start,
-    goal, bounds and a fixed gain must fit the model's dimensions."""
+    goal, bounds and a fixed gain must fit the model's dimensions.  A
+    missing key is named by its dotted path in the config."""
     try:
         m = _mapping(data, "model")
         for key in ("step_cost", "constraints"):
             _mapping(m, key, "model.")
-        model = LinearGaussianModel.from_dict(m)
+        model = LinearGaussianModel.from_dict(m, "model.")
         n = model.state_dim
         s = _mapping(data, "start")
         start = GaussianBelief(
-            mean=_finite_array(s["mean"], (n,), "start.mean"),
-            cov=_finite_array(s["cov"], (n, n), "start.cov"))
+            mean=_finite_array(config_key(s, "mean", "start."), (n,),
+                               "start.mean"),
+            cov=_finite_array(config_key(s, "cov", "start."), (n, n),
+                              "start.cov"))
         goal = _finite_array(data["goal_mean"], (n,), "goal_mean")
         t = dict(_mapping(data, "tma")) if "tma" in data else {}
         if "gain_spec" in t:
@@ -135,7 +139,7 @@ def _tma_setup(data: dict):
             if g.get("kind") == "fixed" and g.get("fixed_gain") is not None:
                 g["fixed_gain"] = _finite_array(
                     g["fixed_gain"], (model.control_dim, n), "fixed_gain")
-            t["gain_spec"] = GainSpec.from_dict(g)
+            t["gain_spec"] = GainSpec.from_dict(g, "tma.gain_spec.")
         for key in ("bounds_lo", "bounds_hi"):
             if key in t:
                 t[key] = _finite_array(t[key], (n,), key)

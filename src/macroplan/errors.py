@@ -1,9 +1,9 @@
-"""Exception types shared across the toolkit, and the field check every
-config dataclass runs."""
+"""Exception types shared across the toolkit, the field check every
+config dataclass runs, and the key read of config sections."""
 
 import sys
 from dataclasses import fields
-from typing import Type
+from typing import Any, Type
 
 
 class MacroplanError(Exception):
@@ -64,3 +64,13 @@ def check_field_types(config, error: Type[Exception]) -> None:
                 raise error(f"{f.name} must be a number, not {value!r}")
             if not is_finite_number(value):
                 raise error(f"{f.name} must be finite, not {value!r}")
+
+
+def config_key(section: dict, key: str, where: str = "") -> Any:
+    """``section[key]``; a missing key raises a KeyError that names its
+    dotted path in the config, ``where + key``, with ``where`` the path of
+    ``section`` (``"model."`` for the model section)."""
+    try:
+        return section[key]
+    except KeyError:
+        raise KeyError(where + key) from None

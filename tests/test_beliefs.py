@@ -1,6 +1,7 @@
 import inspect
 import math
 import os
+import textwrap
 import time
 from collections import Counter
 
@@ -511,10 +512,11 @@ def per_axis(model, lma, cov):
 
 
 def count_step_forms(monkeypatch):
-    """Wrap the two step forms, which ``lma_step`` and ``run_lma`` call, and
-    return the counter of the steps each takes.  A model holds its per-axis
-    step from when it is built, so only models built after this call count
-    theirs."""
+    """Wrap the two step forms and return the counter of their calls: each
+    per-axis step ``lma_step`` takes and each per-axis stretch ``run_lma``
+    runs count as "per-axis", each matrix step as "matrix".  A model holds
+    its per-axis step from when it is built, so only models built after
+    this call count the steps ``lma_step`` takes with it."""
     forms = Counter()
 
     def counted(real, form):
@@ -526,6 +528,9 @@ def count_step_forms(monkeypatch):
     real_kernel = beliefs._axis_kernel
     monkeypatch.setattr(beliefs, "_axis_kernel",
                         lambda n: counted(real_kernel(n), "per-axis"))
+    real_run = beliefs._run_kernel
+    monkeypatch.setattr(beliefs, "_run_kernel",
+                        lambda n: counted(real_run(n), "per-axis"))
     monkeypatch.setattr(beliefs, "_matrix_step",
                         counted(beliefs._matrix_step, "matrix"))
     return forms
@@ -772,6 +777,61 @@ class TestAxisKernels:
             kernel(axes, funnel, (0.5, 0.5), [0.0, 0.0], [0.0, 0.0], [0.0])
         assert info.traceback[-1].statement.lines[0].strip() \
             == "w0, w1, v0, v1, = noise"
+
+
+class TestRunKernels:
+    def test_each_axis_count_compiles_once(self, monkeypatch):
+        compiled = Counter()
+
+        def counted_compile(source, filename, mode):
+            compiled[filename] += 1
+            return compile(source, filename, mode)
+
+        models = [scalar_model(), scalar_model(a=0.5),
+                  LinearGaussianModel(A=np.eye(3), G=np.eye(3), C=np.eye(3),
+                                      Q=1e-4 * np.eye(3),
+                                      R_obs=1e-4 * np.eye(3))]
+        monkeypatch.setattr(beliefs, "_RUN_KERNELS", {})
+        monkeypatch.setattr(beliefs, "compile", counted_compile,
+                            raising=False)
+        for model in models * 2:
+            n = model.state_dim
+            lma = Lma(gain=0.5 * np.eye(n),
+                      attractor=GaussianBelief(np.zeros(n), np.eye(n)))
+            sim = SimState(truth=np.ones(n),
+                           belief=GaussianBelief(np.ones(n),
+                                                 1e-3 * np.eye(n)))
+            far = BallIndex([make_milestone(2, np.full(n, 9.0), np.eye(n),
+                                            0.1)])
+            rec = run_lma(lma, sim, far, model, 3, np.random.default_rng(0))
+            assert rec.outcome == TerminationRecord.TIMEOUT
+        for n in (1, 3, 1, 3):
+            assert beliefs._run_kernel(n) is beliefs._RUN_KERNELS[n]
+        assert compiled == {"<macroplan per-axis run, 1 axes>": 1,
+                            "<macroplan per-axis run, 3 axes>": 1}
+
+    def test_kernel_source_is_readable(self):
+        kernel = beliefs._run_kernel(2)
+        assert kernel.__code__.co_filename \
+            == "<macroplan per-axis run, 2 axes>"
+        source = inspect.getsource(kernel)
+        assert source.startswith(
+            "def _axis_run(model, lma, stops, order, max_steps, normals, "
+            "truth, mean,\n")
+        for i in range(2):
+            assert textwrap.indent(beliefs._AXIS_STEP.format(i=i), "    ") \
+                in source
+        # a traceback through a kernel shows the line that raised
+        model = LinearGaussianModel(A=np.eye(2), G=np.eye(2), C=np.eye(2),
+                                    Q=1e-4 * np.eye(2),
+                                    R_obs=1e-4 * np.eye(2))
+        lma = Lma(gain=0.5 * np.eye(2),
+                  attractor=GaussianBelief(np.zeros(2), np.eye(2)))
+        with pytest.raises(ValueError) as info:
+            kernel(model, lma, None, [0], 5, None, [0.0], [0.0, 0.0],
+                   model.Q, model.Q.tobytes(), [0.0, 0.0], 0.0, 0.0, 0.0, 0)
+        assert info.traceback[-1].statement.lines[0].strip() \
+            == "x0, x1, = truth"
 
 
 def make_milestone(mid, mean, cov, eps):

@@ -268,9 +268,25 @@ def test_build_tma_inverted_sampling_box_exits_2(tmp_path, capsys):
     (lambda cfg: cfg["model"].update(constraints=["none"]),
      "model.constraints must be a mapping, not ['none']"),
     (lambda cfg: cfg["tma"].update(gain_spec=[1.0]),
-     "tma.gain_spec must be a mapping, not [1.0]")],
+     "tma.gain_spec must be a mapping, not [1.0]"),
+    (lambda cfg: cfg["model"].pop("A"), "missing key 'model.A'"),
+    (lambda cfg: cfg["start"].pop("mean"), "missing key 'start.mean'"),
+    (lambda cfg: cfg["model"]["step_cost"].pop("u_weight"),
+     "missing key 'model.step_cost.u_weight'"),
+    (lambda cfg: cfg["model"]["constraints"].pop("kind"),
+     "missing key 'model.constraints.kind'"),
+    (lambda cfg: cfg["tma"]["gain_spec"].pop("state_weight"),
+     "missing key 'tma.gain_spec.state_weight'"),
+    (lambda cfg: cfg["model"].update(A=[[1.0, "x"], [0.0, 1.0]]),
+     "model.A must be a matrix of numbers, not [[1.0, 'x'], [0.0, 1.0]]"),
+    (lambda cfg: cfg["model"].update(Q=None),
+     "model.Q must be a matrix of numbers, not None"),
+    (lambda cfg: cfg["model"].update(C=[[1.0, 0.0], [0.0]]),
+     "model.C must be a matrix of numbers, not [[1.0, 0.0], [0.0]]")],
     ids=["no-start", "no-goal", "no-step-cost", "model-list", "start-str",
-         "tma-null", "constraints-list", "gain-spec-list"])
+         "tma-null", "constraints-list", "gain-spec-list", "no-A", "no-mean",
+         "no-u-weight", "no-constraints-kind", "no-state-weight",
+         "A-string", "Q-null", "C-ragged"])
 def test_build_tma_config_messages_name_the_key(mutate, message, tmp_path,
                                                 capsys):
     cfg = copy.deepcopy(TMA_CONFIG)
@@ -280,6 +296,25 @@ def test_build_tma_config_messages_name_the_key(mutate, message, tmp_path,
                  "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
     assert capsys.readouterr().err \
         == f"config error: bad TMA config: {message}\n"
+
+
+@pytest.mark.parametrize("key", ["A", "G", "C", "Q", "R_obs"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_build_tma_non_finite_model_matrix_exits_2(key, bad, tmp_path,
+                                                   capsys):
+    # refused by name before any check that a non-finite entry would fail
+    # for another reason (symmetry), or that would not catch it (the LQR
+    # and filter designs, which then report an infeasible problem)
+    cfg = copy.deepcopy(TMA_CONFIG)
+    matrix = copy.deepcopy(cfg["model"][key])
+    matrix[1][1] = bad
+    cfg["model"][key] = matrix
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert main(["build-tma", "--config", path,
+                 "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG
+    assert capsys.readouterr().err \
+        == (f"config error: bad TMA config: {key} must have finite entries, "
+            f"not {matrix}\n")
 
 
 def _leaf_paths(tree, path=()):

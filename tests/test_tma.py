@@ -13,6 +13,7 @@ from macroplan.beliefs import (W_COV, W_MEAN, BallIndex, GainSpec,
                                PredicateConstraints, SimState, StepCost,
                                design_lma, run_lma, stationary_covariance)
 from macroplan.delivery import DeliveryConfig, build_domain, desk_config
+from macroplan import beliefs as beliefs_module
 from macroplan import tma as tma_module
 from macroplan.errors import (ConfigError, GoalUnreachable, MacroplanError,
                               NonConvergent, NoOutgoingEdge, SingularChain)
@@ -805,6 +806,40 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(tma_module, name, wrapped)
     return calls
+
+
+def test_every_edge_run_goes_through_the_run_kernel(monkeypatch):
+    """Every edge run of the tma-build problem runs in one call of the
+    compiled per-axis run: a step by the model's per-axis step or by the
+    matrix step raises, and the builds keep their digests."""
+    def refuse(*args):
+        raise AssertionError("a step outside the compiled per-axis run")
+
+    monkeypatch.setattr(beliefs_module, "_matrix_step", refuse)
+    monkeypatch.setattr(beliefs_module, "_axis_kernel", lambda n: refuse)
+    kernel_calls = []
+    real_kernel = beliefs_module._run_kernel
+
+    def run_kernel(n):
+        kernel = real_kernel(n)
+
+        def counted(*args):
+            kernel_calls.append(n)
+            return kernel(*args)
+        return counted
+
+    monkeypatch.setattr(beliefs_module, "_run_kernel", run_kernel)
+    runs = count_calls(monkeypatch, "run_lma")
+    model, start, goal, cfg = tma_build_problem()
+    assert model._axis_step is refuse
+    for seed, want in TMA_BUILD_DIGESTS.items():
+        try:
+            got = tma_digest(construct_tma(start, goal, model, cfg,
+                                           np.random.default_rng(seed)))
+        except MacroplanError:
+            got = None
+        assert got == want, seed
+    assert runs and kernel_calls == [2] * len(runs)
 
 
 def test_edge_runs_scan_only_when_the_mean_could_land(monkeypatch):
