@@ -51,7 +51,10 @@ def _load_yaml(path: str) -> dict:
 def _load_policy(path: str):
     try:
         return load_policy(path)
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except KeyError as e:
+        raise ConfigError(f"cannot read policy {path}: missing key "
+                          f"{e.args[0]!r}") from e
+    except (OSError, ValueError, TypeError) as e:
         raise ConfigError(f"cannot read policy {path}: {e}") from e
 
 
@@ -308,6 +311,7 @@ def cmd_success_curve(args) -> int:
 def _check_policy(policy, domain) -> None:
     """Validate controller invariants against the domain; raises on failure."""
     tables = domain.sampling_tables
+    alphabet = set(domain.obs_alphabet())
     if len(policy.controllers) != len(tables):
         raise ConfigError(f"policy has {len(policy.controllers)} controllers, "
                           f"domain has {len(tables)} agents")
@@ -327,6 +331,15 @@ def _check_policy(policy, domain) -> None:
             if not isinstance(label, Hashable) or label not in successors:
                 raise ConfigError(
                     f"agent {agent} node {i}: unknown macro-action {label!r}")
+        for (i, obs), t in c.edges.items():
+            if not 0 <= i < n:
+                raise ConfigError(
+                    f"agent {agent}: edge {[i, obs, t]!r} leaves node {i}, "
+                    f"not a node index in [0, {n})")
+            if obs not in alphabet:
+                raise ConfigError(
+                    f"agent {agent}: edge {[i, obs, t]!r} is taken on "
+                    f"{obs!r}, not an observation of the domain")
         for i, label in enumerate(c.nodes):
             for obs, valid in successors[label]:
                 if (i, obs) not in c.edges:

@@ -111,7 +111,9 @@ class GraphTmaExecution(Execution):
     """Primitive-level walk of a solved TMA graph: at each milestone the
     policy's funnel runs until the belief lands in the next ball.  Its
     entry, constraint and landing tests read the walk state's floats, so a
-    walk builds no state array."""
+    walk builds no state array.  The walk resolves the funnel it steps when
+    it enters a node: the policy edge's funnel, or at the goal, where it
+    holds, the goal's."""
 
     def __init__(self, spec: TmaSpec, agent: int, config: JointConfig):
         self.spec = spec
@@ -122,31 +124,35 @@ class GraphTmaExecution(Execution):
         entry = tma.entry_node_at(sim.mean, sim.cov, sim.cov_key)
         # already in the goal ball, or arrived in a joint walk: hold, done
         self.hold_done = entry is None
-        self.node = tma.graph.goal_id if entry is None else entry
+        self._enter(tma.graph.goal_id if entry is None else entry)
+
+    def _enter(self, node: int) -> None:
+        tma = self.tma
+        self.node = node
         self.steps_on_edge = 0
+        self.funnel = tma.funnels[node if node == tma.graph.goal_id
+                                  else tma.policy[node].to_id]
 
     def step(self, config: JointConfig, rng: np.random.Generator,
              rewards: List[float], events: List, dead: List[int]) -> bool:
         agent = self.agents[0]
         sim = config.sims[agent]
-        tma = self.tma
         before = sim.accrued_reward
-        if self.hold_done:
-            lma_step(tma.funnels[tma.graph.goal_id], sim, self.model, rng)
-            rewards[agent] += sim.accrued_reward - before
-            return True
-        lma_step(tma.funnels[tma.policy[self.node].to_id], sim, self.model,
-                 rng)
+        lma_step(self.funnel, sim, self.model, rng)
         rewards[agent] += sim.accrued_reward - before
+        if self.hold_done:
+            return True
         if self.model.constraints.violates(sim.x):
             dead.append(agent)
             return False
         self.steps_on_edge += 1
-        nid = tma.stop_node_at(sim.mean, sim.cov, sim.cov_key)
-        if nid is not None:
+        tma = self.tma
+        balls = tma.balls
+        k = balls.first_at(sim.mean, sim.cov, tma.stop_order, sim.cov_key)
+        if k is not None:
+            nid = balls.ids[k]
             if nid != self.node:
-                self.node = nid
-                self.steps_on_edge = 0
+                self._enter(nid)
             if nid == tma.graph.goal_id:
                 return True
         if self.steps_on_edge >= MAX_EDGE_STEPS:
@@ -170,7 +176,8 @@ class JointGraphExecution(Execution):
         for a in sorted(self.agents):
             sub = self.subs[a]
             if sub.step(config, rng, rewards, events, dead):
-                sub.hold_done = True   # arrived: it station-keeps from now on
+                # arrived: it station-keeps on the goal's funnel from now on
+                sub.hold_done = True
         if len(dead) > n_dead:
             return True
         if not all(sub.hold_done for sub in self.subs.values()):

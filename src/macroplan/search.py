@@ -18,7 +18,7 @@ from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .decposmdp import Domain, evaluate_joint_policy
-from .errors import NoValidSuccessor, check_field_types
+from .errors import NoValidSuccessor, check_field_types, config_key
 
 
 @dataclass
@@ -68,22 +68,28 @@ def load_policy(path: str) -> JointPolicy:
         raise ValueError(f"controllers must be a list, not {saved!r}")
     controllers = []
     for agent, c in enumerate(saved):
+        where = f"controllers[{agent}]."
         if not isinstance(c, dict):
             raise ValueError(f"controllers[{agent}] must be an object, "
                              f"not {c!r}")
-        if not isinstance(c["edges"], list):
-            raise ValueError(f"controllers[{agent}].edges must be a list, "
-                             f"not {c['edges']!r}")
+        saved_edges = config_key(c, "edges", where)
+        if not isinstance(saved_edges, list):
+            raise ValueError(f"{where}edges must be a list, "
+                             f"not {saved_edges!r}")
         edges = {}
-        for e in c["edges"]:
+        for e in saved_edges:
             if not (isinstance(e, list) and len(e) == 3
                     and isinstance(e[1], str)
                     and all(type(v) is int for v in (e[0], e[2]))):
-                raise ValueError(f"controllers[{agent}].edges entry {e!r} "
+                raise ValueError(f"{where}edges entry {e!r} "
                                  f"is not [node, observation, target]")
+            if (e[0], e[1]) in edges:
+                raise ValueError(f"{where}edges entry {e!r} repeats the "
+                                 f"edge of node {e[0]} on {e[1]!r}")
             edges[(e[0], e[1])] = e[2]
-        controllers.append(PolicyController(nodes=c["nodes"], edges=edges,
-                                            initial_node=c["initial_node"]))
+        controllers.append(PolicyController(
+            nodes=config_key(c, "nodes", where), edges=edges,
+            initial_node=config_key(c, "initial_node", where)))
     return JointPolicy(controllers=controllers)
 
 
@@ -153,12 +159,48 @@ def _edge_targets(labels: List[Hashable], successors, mask: Optional[Mask]
     return fixed, free, True
 
 
+class SamplingPlan:
+    """What a masked draw for one agent reads of its ``mask`` and ``base``,
+    built once for the pair: ``base``'s labels and the positions of those
+    the mask does not pin (as source or forced successor), and for
+    ``base``'s labels the masked edges, the free edges, each with its target
+    nodes and ``base``'s target when it is among them (else None), and
+    whether no edge lacks a target.  ``mmcs`` builds one per agent for each
+    outer iteration; a draw whose labels equal ``base``'s, as every draw
+    does when the mask pins all of them, reads them instead of a pass over
+    its edges."""
+
+    def __init__(self, domain: Domain, agent: int, mask: Mask,
+                 base: PolicyController):
+        self.mask, self.base = mask, base
+        self.successors = domain.sampling_tables[agent][1]
+        pinned = {lb for lb, _ in mask} | set(mask.values())
+        self.open = [i for i, lb in enumerate(base.nodes) if lb not in pinned]
+        self.fixed, self.free, self.ok = self._edges(base.nodes)
+
+    def _edges(self, labels: List[Hashable]):
+        fixed, free, ok = _edge_targets(labels, self.successors, self.mask)
+        base_edges = self.base.edges
+        return fixed, [(key, targets, base_edges.get(key)
+                        if base_edges.get(key) in targets else None)
+                       for key, targets in free], ok
+
+    def edges(self, labels: List[Hashable]):
+        """The masked edges (a new dict), the free edges with ``base``'s
+        kept targets, and whether no edge lacks a target, for ``labels``."""
+        if labels == self.base.nodes:
+            return dict(self.fixed), self.free, self.ok
+        return self._edges(labels)
+
+
 def sample_valid_controller(domain: Domain, agent: int, n_nodes: int,
                             rng: np.random.Generator,
                             mask: Optional[Mask] = None,
                             base: Optional[PolicyController] = None,
                             explore_rate: float = 0.35,
-                            max_attempts: int = 1000) -> PolicyController:
+                            max_attempts: int = 1000,
+                            plan: Optional[SamplingPlan] = None
+                            ) -> PolicyController:
     """Sample a controller uniformly among valid ones.
 
     Without a mask, node labels and edges are drawn fresh.  With a mask,
@@ -167,36 +209,36 @@ def sample_valid_controller(domain: Domain, agent: int, n_nodes: int,
     their labels, masked (label, obs) edges point at the lowest node carrying
     the forced successor, and every other label/edge decision is resampled
     with probability ``explore_rate`` (otherwise copied from ``base`` when
-    still valid).
+    still valid).  ``plan``, the ``SamplingPlan`` of this agent's ``mask``
+    and ``base``, is built here when not given.
     """
     roster, successors = domain.sampling_tables[agent]
-    perturb = bool(mask) and base is not None
-    if mask:
-        pinned = {lb for lb, _ in mask} | set(mask.values())
+    if plan is None and mask and base is not None:
+        plan = SamplingPlan(domain, agent, mask, base)
+    random = rng.random
     for _ in range(max_attempts):
-        if perturb:
-            labels = [lb if (lb in pinned
-                             or rng.random() >= explore_rate)
-                      else _pick(rng, roster)
-                      for lb in base.nodes]
+        if plan is not None:
+            labels = list(plan.base.nodes)
+            for i in plan.open:
+                if random() < explore_rate:
+                    labels[i] = _pick(rng, roster)
+            edges, free, ok = plan.edges(labels)
+            for key, targets, kept in free:
+                if random() >= explore_rate and kept is not None:
+                    edges[key] = kept
+                else:
+                    edges[key] = _pick(rng, targets)
         else:
             labels = [roster[k] for k in rng.integers(len(roster),
                                                       size=n_nodes)]
-        edges, free, ok = _edge_targets(labels, successors, mask)
-        if perturb:
-            for key, targets in free:
-                if (rng.random() >= explore_rate
-                        and base.edges.get(key) in targets):
-                    edges[key] = base.edges[key]
-                else:
-                    edges[key] = _pick(rng, targets)
-        elif free:
-            # one draw for every free edge: the values, and the generator
-            # state, of one ``_pick`` per edge, since integers(1) returns 0
-            # and draws nothing
-            picks = rng.integers([len(targets) for _, targets in free])
-            for (key, targets), k in zip(free, picks.tolist()):
-                edges[key] = targets[k]
+            edges, free, ok = _edge_targets(labels, successors, mask)
+            if free:
+                # one draw for every free edge: the values, and the
+                # generator state, of one ``_pick`` per edge, since
+                # integers(1) returns 0 and draws nothing
+                picks = rng.integers([len(targets) for _, targets in free])
+                for (key, targets), k in zip(free, picks.tolist()):
+                    edges[key] = targets[k]
         if ok:
             return PolicyController(nodes=labels, edges=edges)
     raise NoValidSuccessor(
@@ -206,14 +248,17 @@ def sample_valid_controller(domain: Domain, agent: int, n_nodes: int,
 def sample_joint_policy(domain: Domain, n_nodes: int, rng: np.random.Generator,
                         masks: Optional[List[Mask]] = None,
                         base: Optional[JointPolicy] = None,
-                        explore_rate: float = 0.35) -> JointPolicy:
+                        explore_rate: float = 0.35,
+                        plans: Optional[List[Optional[SamplingPlan]]] = None
+                        ) -> JointPolicy:
     controllers = []
     for agent in range(domain.n_agents):
         m = masks[agent] if masks else None
         b = base.controllers[agent] if base is not None else None
         controllers.append(sample_valid_controller(
             domain, agent, n_nodes, rng, mask=m, base=b,
-            explore_rate=explore_rate))
+            explore_rate=explore_rate,
+            plan=plans[agent] if plans else None))
     return JointPolicy(controllers=controllers)
 
 
@@ -287,10 +332,15 @@ def mmcs(domain: Domain, cfg: SearchConfig, rng: np.random.Generator,
     evals = 0
     while evals < cfg.budget:
         inner = min(cfg.iter_max_mc, cfg.budget - evals)
+        # what the masked draws of this iteration read, per agent
+        plans = masks and [SamplingPlan(domain, agent, m, c) if m else None
+                           for agent, (m, c) in enumerate(
+                               zip(masks, base.controllers))]
         for _ in range(inner):
             pol = sample_joint_policy(domain, cfg.n_nodes, rng,
                                       masks=masks, base=base,
-                                      explore_rate=cfg.explore_rate)
+                                      explore_rate=cfg.explore_rate,
+                                      plans=plans)
             pv = evaluate_joint_policy(pol, domain, cfg.n_rollouts,
                                        cfg.horizon_macro_steps, rng)
             evals += 1

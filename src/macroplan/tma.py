@@ -98,7 +98,9 @@ def ball_index(milestones: Dict[int, Milestone]) -> BallIndex:
 @dataclass
 class Tma:
     """A solved TMA: graph, greedy policy, its closed-form analytics, and
-    the funnel of every milestone an edge targets, goal included."""
+    the funnel of every milestone an edge targets, goal included.  ``balls``
+    is the ball index of its milestones, and ``stop_order`` the positions
+    in it of the nodes where a walk may stop."""
 
     graph: TmaGraph
     policy: Dict[int, GraphEdge]
@@ -110,8 +112,8 @@ class Tma:
     model: Optional[LinearGaussianModel] = None
 
     def __post_init__(self):
-        self._balls = ball_index(self.graph.milestones)
-        ids = self._balls.ids
+        self.balls = ball_index(self.graph.milestones)
+        ids = self.balls.ids
         goal = self.graph.goal_id
         # positions in the ball index of the goal, of the nodes a walk may
         # enter (policy nodes whose success is above 0: from any other the
@@ -120,11 +122,11 @@ class Tma:
         self._goal_order = (ids.index(goal),)
         self._entry_idx = [k for k, i in enumerate(ids)
                            if i in self.policy and self.success[i] > 0]
-        self._stop_order = [k for k, i in enumerate(ids)
-                            if i in self.policy or i == goal]
+        self.stop_order = [k for k, i in enumerate(ids)
+                           if i in self.policy or i == goal]
 
     def distances(self, b: GaussianBelief) -> np.ndarray:
-        return self._balls.distances(b)
+        return self.balls.distances(b)
 
     def entry_node_at(self, mean: List[float], cov: np.ndarray,
                       key: Optional[bytes] = None) -> Optional[int]:
@@ -132,7 +134,7 @@ class Tma:
         covariance ``cov`` (whose bytes ``key`` is if known) enters the
         graph: None when the goal ball holds it, else the nearest policy
         node whose success is above 0, ties to the lower id."""
-        balls = self._balls
+        balls = self.balls
         if balls.first_at(mean, cov, self._goal_order, key) is not None:
             return None
         # ids are sorted and nearest_at takes the first of equal distances
@@ -143,8 +145,8 @@ class Tma:
         """The first stop node (the goal or a policy node), in id order,
         whose ball holds the belief with float mean ``mean`` and covariance
         ``cov`` (whose bytes ``key`` is if known); None if none does."""
-        k = self._balls.first_at(mean, cov, self._stop_order, key)
-        return None if k is None else self._balls.ids[k]
+        k = self.balls.first_at(mean, cov, self.stop_order, key)
+        return None if k is None else self.balls.ids[k]
 
 
 @dataclass(frozen=True)

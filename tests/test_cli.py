@@ -786,6 +786,14 @@ def _set_edge(doc, value):
     doc["controllers"][1]["edges"][0] = value
 
 
+def _add_edge(doc, value):
+    doc["controllers"][1]["edges"].append(value)
+
+
+def _drop_key(doc, key):
+    del doc["controllers"][1][key]
+
+
 @pytest.mark.parametrize("command", ["validate-policy", "success-curve"])
 @pytest.mark.parametrize("mutate, value, message", [
     (_set_initial_node, 13, "agent 1: initial node 13 is not a node index "
@@ -811,9 +819,24 @@ def _set_edge(doc, value):
     (_set_edge, ["x", "none", 0], "cannot read policy {path}: "
                                   "controllers[1].edges entry ['x', 'none', "
                                   "0] is not [node, observation, target]"),
+    (_add_edge, [99, "none", 0], "agent 1: edge [99, 'none', 0] leaves node "
+                                 "99, not a node index in [0, 13)"),
+    (_add_edge, [0, "bogus-obs", 0], "agent 1: edge [0, 'bogus-obs', 0] is "
+                                     "taken on 'bogus-obs', not an "
+                                     "observation of the domain"),
+    (_add_edge, [0, "none", 0], "cannot read policy {path}: controllers[1]."
+                                "edges entry [0, 'none', 0] repeats the edge "
+                                "of node 0 on 'none'"),
+    (_drop_key, "nodes", "cannot read policy {path}: missing key "
+                         "'controllers[1].nodes'"),
+    (_drop_key, "edges", "cannot read policy {path}: missing key "
+                         "'controllers[1].edges'"),
+    (_drop_key, "initial_node", "cannot read policy {path}: missing key "
+                                "'controllers[1].initial_node'"),
 ], ids=["past-end", "negative", "string", "bool", "list-label", "int-nodes",
         "null-controllers", "int-controller", "null-edges", "two-item-edge",
-        "string-edge-node"])
+        "string-edge-node", "stray-edge-node", "stray-edge-observation",
+        "duplicate-edge", "no-nodes", "no-edges", "no-initial-node"])
 def test_malformed_policy_exits_2(command, mutate, value, message,
                                   delivery_cfg_path, solve_out, tmp_path,
                                   capsys):

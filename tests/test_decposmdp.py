@@ -459,10 +459,10 @@ def test_graph_entry_node_breaks_distance_ties_to_lower_id():
     config = JointConfig(
         sims=[SimState(truth=belief.mean.copy(), belief=belief)], world=0)
     d = tma.distances(belief)
-    by_id = dict(zip(tma._balls.ids, d))
+    by_id = dict(zip(tma.balls.ids, d))
     assert by_id[2] == by_id[3] and by_id[4] < by_id[2]
     # the rule: the least (distance, id) pair among policy nodes
-    nearest_then_lowest = min((d[k], i) for k, i in enumerate(tma._balls.ids)
+    nearest_then_lowest = min((d[k], i) for k, i in enumerate(tma.balls.ids)
                               if i in tma.policy)[1]
     exe = GraphTmaExecution(spec, 0, config)
     assert not exe.hold_done
@@ -512,13 +512,13 @@ class ArrayWalk:
 
     def __init__(self, tma, sim):
         self.tma, self.sim = tma, sim
-        balls, b = tma._balls, sim.belief
+        balls, b = tma.balls, sim.belief
         if balls.first_at(b.mean.tolist(), b.cov,
                           tma._goal_order) is not None:
             entry = None
         else:
             idx = tma._entry_idx
-            entry = tma._balls.ids[idx[np.argmin(tma.distances(b)[idx])]]
+            entry = tma.balls.ids[idx[np.argmin(tma.distances(b)[idx])]]
         self.hold_done = entry is None
         self.node = tma.graph.goal_id if entry is None else entry
         self.steps_on_edge = 0
@@ -655,6 +655,103 @@ def test_graph_walk_on_floats_matches_the_array_loop(case, seed, steps,
             assert sim.belief.cov.tobytes() == ref.belief.cov.tobytes()
         if done or dead:
             break
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _relay_tma():
+    """A graph whose walks change funnel on the way: 2 -> 3 -> 4 -> goal 1,
+    with the goal's ball on the straight line from 3 to 4, so a walk on
+    the edge 3 -> 4 lands on the goal while it steps node 4's funnel.
+    Every funnel moves the mean a tenth of the way to its attractor a
+    step."""
+    model = _integrator_model()
+    p = stationary_covariance(model)
+    centers = {1: [0.6, 0.6], 2: [0.1, 0.1], 3: [0.3, 0.3], 4: [0.9, 0.9]}
+    milestones = {0: Milestone(id=0, center=None, epsilon=1.0)}
+    milestones.update({i: Milestone(id=i, center=GaussianBelief(xy, p),
+                                    epsilon=0.05)
+                       for i, xy in centers.items()})
+    policy = {i: GraphEdge(from_id=i, to_id=to,
+                           landing_probs={0: 0.0, to: 1.0}, reward=-1.0,
+                           time=1.0, sample_count=1)
+              for i, to in ((2, 3), (3, 4), (4, 1))}
+    funnels = {i: Lma(gain=0.1 * np.eye(2), attractor=milestones[i].center)
+               for i in (1, 3, 4)}
+    graph = TmaGraph(milestones=milestones,
+                     edges={i: [e] for i, e in policy.items()}, goal_id=1,
+                     failure_value=-100.0)
+    tma = Tma(graph=graph, policy=policy, values={},
+              success={0: 0.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0},
+              time_to_goal={}, funnels=funnels, model=model)
+    return tma, centers, p
+
+
+def test_walk_switches_to_the_new_nodes_funnel():
+    """A walk that lands on a new node steps that node's policy funnel
+    from its next step on: node 2's walk lands on 3 and then on the goal,
+    through the funnel of node 4, step for step as the array walk does."""
+    tma, centers, p = _relay_tma()
+    start = GaussianBelief(centers[2], p)
+    sim = SimState(truth=start.mean.copy(), belief=start)
+    ref = ArrayState(truth=start.mean.copy(), belief=start)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    config = JointConfig(sims=[sim], world=0)
+    exe = GraphTmaExecution(TmaSpec(tma=tma), 0, config)
+    walk = ArrayWalk(tma, ref)
+    nodes = [exe.node]
+    for _ in range(200):
+        rewards, dead = [0.0], []
+        done = exe.step(config, rng, rewards, [], dead)
+        reward, ref_done, ref_dead = walk.step(ref_rng)
+        assert (rewards[0], done, bool(dead), exe.node) == (
+            reward, ref_done, ref_dead, walk.node)
+        assert_same_walk_state(sim, ref)
+        if nodes[-1] != exe.node:
+            nodes.append(exe.node)
+        if done:
+            break
+    assert done and nodes == [2, 3, 1]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_joint_walk_holds_on_the_goal_funnel_until_its_partner_lands():
+    """In a joint walk, the member that arrives first station-keeps on the
+    goal's funnel, not the funnel it arrived by, until its partner lands;
+    each step matches two array walks stepped in agent order, the first
+    holding from its arrival on."""
+    tma, centers, p = _relay_tma()
+    sims, refs = [], []
+    for node in (3, 2):
+        start = GaussianBelief(centers[node], p)
+        sims.append(SimState(truth=start.mean.copy(), belief=start))
+        refs.append(ArrayState(truth=start.mean.copy(), belief=start))
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    config = JointConfig(sims=sims, world=0)
+    spec = TmaSpec(tma=tma, agents_required=2, effect="met")
+    exe = JointGraphExecution(spec, (0, 1), config)
+    walks = [ArrayWalk(tma, ref) for ref in refs]
+    held = 0
+    for _ in range(300):
+        rewards, events, dead = [0.0, 0.0], [], []
+        done = exe.step(config, rng, rewards, events, dead)
+        ref_rewards = []
+        for walk in walks:
+            reward, arrived, died = walk.step(ref_rng)
+            ref_rewards.append(reward)
+            assert not died
+            if arrived:
+                walk.hold_done = True
+        ref_done = all(walk.hold_done for walk in walks)
+        assert (rewards, done, dead) == (ref_rewards, ref_done, [])
+        assert events == ([("met", (0, 1))] if done else [])
+        for a, walk in enumerate(walks):
+            sub = exe.subs[a]
+            assert (sub.hold_done, sub.node) == (walk.hold_done, walk.node)
+            assert_same_walk_state(sims[a], refs[a])
+        held += walks[0].hold_done and not walks[1].hold_done
+        if done:
+            break
+    assert done and held > 0
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -16,8 +16,9 @@ from macroplan.decposmdp import (Domain, JointConfig, RewardSpec,
                                  TimedExecution, TmaSpec)
 from macroplan.delivery import build_domain, desk_config
 from macroplan.errors import NoValidSuccessor
-from macroplan.search import (JointPolicy, PolicyController, SearchConfig,
-                              create_mask, load_policy, mmcs,
+from macroplan import search
+from macroplan.search import (JointPolicy, PolicyController, SamplingPlan,
+                              SearchConfig, create_mask, load_policy, mmcs,
                               monte_carlo_search, sample_joint_policy,
                               sample_valid_controller, save_policy)
 
@@ -290,6 +291,159 @@ def test_sampler_matches_one_pick_per_edge(case, seed):
         assert got.nodes == want.nodes
         assert sorted(got.edges.items()) == sorted(want.edges.items())
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def assert_plan_draws_match_reference(domain, n_nodes, max_attempts, mask,
+                                      base, plan, seed, n_draws):
+    """``n_draws`` controllers in a row from one ``plan``, as ``mmcs``
+    draws them, against as many ``reference_sample`` calls on a twin
+    generator: nodes, edges, failures and the generator's end state.  The
+    controllers are compared again once all are drawn, as ``mmcs`` keeps
+    them, so no draw may change one drawn before."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    args = dict(mask=mask, base=base, explore_rate=0.35,
+                max_attempts=max_attempts)
+    drawn = []
+    for _ in range(n_draws):
+        try:
+            want = reference_sample(domain, 0, n_nodes, ref_rng, **args)
+        except NoValidSuccessor:
+            with pytest.raises(NoValidSuccessor):
+                sample_valid_controller(domain, 0, n_nodes, rng, plan=plan,
+                                        **args)
+        else:
+            got = sample_valid_controller(domain, 0, n_nodes, rng, plan=plan,
+                                          **args)
+            assert got.nodes == want.nodes
+            assert sorted(got.edges.items()) == sorted(want.edges.items())
+            drawn.append((got, want))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for got, want in drawn:
+        assert got.nodes == want.nodes and got.edges == want.edges
+
+
+@st.composite
+def plan_cases(draw):
+    """A ``sampler_cases`` case with a mask and a base to plan from: where
+    it has no mask, one over one or more pairs; where it has no base, one
+    of ``n_nodes`` labels whose edges, some missing, point anywhere, as a
+    base that is not a valid controller may."""
+    domain, n_nodes, max_attempts, mask, base = draw(sampler_cases())
+    roster = domain.sampling_tables[0][0]
+    if not mask:
+        pairs = draw(st.lists(st.sampled_from(sorted(domain._succ)),
+                              min_size=1, unique=True))
+        mask = {pair: draw(st.sampled_from(roster)) for pair in pairs}
+    if base is None:
+        nodes = draw(st.lists(st.sampled_from(roster), min_size=n_nodes,
+                              max_size=n_nodes))
+        keys = [(i, obs) for i in range(n_nodes) for obs in domain._alphabet]
+        edges = {key: draw(st.integers(0, n_nodes - 1)) for key in keys
+                 if draw(st.booleans())}
+        base = PolicyController(nodes=nodes, edges=edges)
+    return domain, n_nodes, max_attempts, mask, base
+
+
+@settings(max_examples=400, deadline=None)
+@given(plan_cases(), st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_plan_draws_in_a_row_match_the_reference(case, seed, n_draws):
+    """Draws from one ``SamplingPlan`` give what the reference sampler
+    gives, on bases whose labels the mask pins or not, attempts that fail
+    and exhausted attempts alike."""
+    domain, n_nodes, max_attempts, mask, base = case
+    plan = SamplingPlan(domain, 0, mask, base)
+    assert_plan_draws_match_reference(domain, n_nodes, max_attempts, mask,
+                                      base, plan, seed, n_draws)
+
+
+def test_plan_draws_with_unpinned_labels_match_the_reference(monkeypatch):
+    """A base with labels the mask leaves free, whose relabelings at times
+    leave an edge without a target: the draws take both the plan's edges
+    and a pass over new labels, and fail some attempts, and still match
+    the reference."""
+    domain = TableDomain(["m0", "m1", "m2"], ["o0", "o1"], {
+        ("m0", "o0"): ["m1"], ("m0", "o1"): ["m0", "m2"],
+        ("m1", "o0"): ["m0", "m1"], ("m1", "o1"): ["m2"],
+        ("m2", "o0"): ["m2"], ("m2", "o1"): ["m0", "m1", "m2"]})
+    mask = {("m0", "o0"): "m1"}
+    base = PolicyController(nodes=["m0", "m2", "m1", "m2"], edges={
+        (0, "o1"): 3, (1, "o0"): 1, (1, "o1"): 2, (2, "o0"): 0,
+        (2, "o1"): 3, (3, "o0"): 3, (3, "o1"): 0})
+    plan = SamplingPlan(domain, 0, mask, base)
+    assert plan.open == [1, 3] and plan.ok
+    passes, attempts = [], []
+    edge_targets = search._edge_targets
+
+    def counted(labels, successors, mask):
+        passes.append(labels == base.nodes)
+        fixed, free, ok = edge_targets(labels, successors, mask)
+        attempts.append(ok)
+        return fixed, free, ok
+
+    monkeypatch.setattr(search, "_edge_targets", counted)
+    assert_plan_draws_match_reference(domain, 4, 3, mask, base, plan, 7, 40)
+    assert True not in passes        # base's labels read the plan
+    assert False in attempts         # some new labeling lacks a target
+    assert True in attempts
+
+
+def test_desk_mmcs_builds_one_plan_per_agent_and_iteration(monkeypatch):
+    """On the desk domain ``mmcs`` builds one plan per agent for each
+    masked outer iteration, and a plan whose mask pins every base label
+    costs one pass over its edges, however many draws read it."""
+    domain = build_domain(desk_config(), np.random.default_rng(0))
+    cfg = SearchConfig(n_nodes=13, budget=60, iter_max_mc=15, k_d=3,
+                       mask_threshold=0.99, explore_rate=0.35, n_rollouts=1,
+                       horizon_macro_steps=10)
+    log, created = [], []
+
+    class CountedPlan(SamplingPlan):
+        def __init__(self, *args):
+            log.append(("plan", self))
+            super().__init__(*args)
+
+    def counted_mask(*args, **kwargs):
+        result = create_mask(*args, **kwargs)
+        created.append(result[0])
+        return result
+
+    edge_targets = search._edge_targets
+    sample = search.sample_valid_controller
+
+    def counted_edges(*args):
+        log.append(("edges", None))
+        return edge_targets(*args)
+
+    def counted_sample(*args, plan=None, **kwargs):
+        log.append(("draw", plan))
+        return sample(*args, plan=plan, **kwargs)
+
+    monkeypatch.setattr(search, "SamplingPlan", CountedPlan)
+    monkeypatch.setattr(search, "create_mask", counted_mask)
+    monkeypatch.setattr(search, "_edge_targets", counted_edges)
+    monkeypatch.setattr(search, "sample_valid_controller", counted_sample)
+    mmcs(domain, cfg, np.random.default_rng(1000))
+
+    # the last mask comes after the budget is spent and is never drawn from
+    masked = [masks for masks in created[:-1] if any(masks)]
+    assert len(created) == 4 and len(masked) == 3
+    plans = [obj for kind, obj in log if kind == "plan"]
+    assert len(plans) == sum(1 for masks in masked for m in masks if m)
+    assert [p.mask for p in plans] == [m for masks in masked
+                                       for m in masks if m]
+    # each pass over edges belongs to the last plan built or draw begun
+    passes = {}
+    owner = None
+    for kind, obj in log:
+        if kind == "edges":
+            passes[owner] = passes.get(owner, 0) + 1
+        else:
+            owner = (kind, id(obj)) if obj is not None else None
+    pinned = [p for p in plans if not p.open]
+    assert pinned
+    for p in pinned:
+        assert passes[("plan", id(p))] == 1
+        assert ("draw", id(p)) not in passes
 
 
 # ---------------------------------------------------------------------------
