@@ -325,9 +325,13 @@ class GaussianBelief:
 
     @classmethod
     def _trusted(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianBelief":
-        """Validation-free constructor for hot simulation loops whose inputs
-        are already float arrays with symmetrized covariances; it fills the
-        instance dict, which a frozen dataclass leaves writable."""
+        """Validation-free constructor for inputs already known to pass
+        ``__post_init__``: a 1-D float mean with finite entries and a 2-D
+        float covariance that is finite, symmetric and PSD.  Hot simulation
+        loops build their beliefs with it, and so do TMA attractors and
+        milestone centers, on the stationary covariance ``design_lma``
+        validated once per model.  It fills the instance dict, which a
+        frozen dataclass leaves writable."""
         b = object.__new__(cls)
         fields = b.__dict__
         fields["mean"] = mean
@@ -520,23 +524,38 @@ def stationary_covariance(model: LinearGaussianModel) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
+def _check_stable(model: LinearGaussianModel, L: np.ndarray) -> None:
+    """Raise Unstabilizable unless ``A - G L`` has spectral radius below 1."""
+    rho = np.max(np.abs(np.linalg.eigvals(model.A - model.G @ L)))
+    if rho >= 1.0:
+        raise Unstabilizable(f"closed-loop spectral radius {rho:.4f} >= 1")
+
+
 def design_lma(model: LinearGaussianModel, target: np.ndarray,
                gain_spec: GainSpec = GainSpec()) -> Lma:
     """Design a funnel controller toward ``target``.
 
     An LQR gain ``(R + G'XG)^-1 G'XA`` comes from the solution X of the
     control Riccati equation for the weights, by ``_dare``.  It does not
-    depend on the target, so it is designed once per model and weights,
-    and the attractor covariance, the filter's stationary covariance, once
-    per model; both arrays are shared and read-only.
+    depend on the target, so it is designed and checked for stability once
+    per model and weights, and the attractor covariance, the filter's
+    stationary covariance, is computed and validated as a belief
+    covariance once per model; both arrays are shared and read-only.  A
+    fixed gain is checked on every call.  The attractor is built on the
+    validated covariance, so only the target is checked, for finite
+    entries.
 
     Raises Unstabilizable ("LQR design failed: ...") when ``_dare`` fails,
-    or if the closed loop has spectral radius >= 1, and NonConvergent when
-    the filter has no stationary covariance.
+    or if the closed loop has spectral radius >= 1, NonConvergent when the
+    filter has no stationary covariance, and ValueError when the target is
+    not finite.
     """
-    target = np.asarray(target, dtype=float).ravel()
+    # a copy: the attractor must not follow later writes to the caller's
+    # array
+    target = np.array(target, dtype=float).ravel()
     if gain_spec.kind == "fixed":
         L = np.atleast_2d(np.asarray(gain_spec.fixed_gain, dtype=float))
+        _check_stable(model, L)
     else:
         weights = (gain_spec.state_weight, gain_spec.control_weight)
         L = model._lqr_gains.get(weights)
@@ -549,19 +568,20 @@ def design_lma(model: LinearGaussianModel, target: np.ndarray,
                 raise Unstabilizable(f"LQR design failed: {e}") from None
             L = np.linalg.solve(Rw + model.G.T @ X @ model.G,
                                 model.G.T @ X @ model.A)
+            _check_stable(model, L)
             L.setflags(write=False)
             model._lqr_gains[weights] = L
-
-    closed = model.A - model.G @ L
-    rho = np.max(np.abs(np.linalg.eigvals(closed)))
-    if rho >= 1.0:
-        raise Unstabilizable(f"closed-loop spectral radius {rho:.4f} >= 1")
     p_post = model._stationary_cov
     if p_post is None:
         p_post = stationary_covariance(model)
+        # checked once as a belief's covariance: the attractors and
+        # milestone centers built on it skip the check
+        GaussianBelief(mean=np.zeros(model.state_dim), cov=p_post)
         p_post.setflags(write=False)
         model._stationary_cov = p_post
-    return Lma(gain=L, attractor=GaussianBelief(mean=target, cov=p_post))
+    if not np.all(np.isfinite(target)):
+        raise ValueError("belief entries must be finite")
+    return Lma(gain=L, attractor=GaussianBelief._trusted(target, p_post))
 
 
 # One step of axis {i} in the per-axis form: the matrix form's products, in

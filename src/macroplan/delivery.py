@@ -22,7 +22,8 @@ from .beliefs import (BALL_SLACK, GainSpec, GaussianBelief,
 from .decposmdp import (Domain, Execution, GraphTmaExecution, JointConfig,
                         JointGraphExecution, RewardSpec, TimedExecution,
                         TmaSpec, run_rollout)
-from .errors import ConfigError, check_field_types, is_finite_number
+from .errors import (ConfigError, GoalUnreachable, check_field_types,
+                     is_finite_number)
 from .tma import Tma, TmaConfig, construct_tma
 
 AIR, GROUND = "air", "ground"
@@ -267,8 +268,14 @@ def _goal_mean(model: LinearGaussianModel, xy) -> np.ndarray:
     return g
 
 
-def _build_movement_tma(model: LinearGaussianModel, xy, cfg: DeliveryConfig,
-                        rng: np.random.Generator) -> Tma:
+def _build_movement_tmas(kind: str, model: LinearGaussianModel,
+                         sites: Dict[str, Tuple[float, float]],
+                         cfg: DeliveryConfig, rng: np.random.Generator
+                         ) -> Dict[str, Tma]:
+    """One robot kind's movement TMAs, one per site, in name order, each on
+    its own child of ``rng``.  All of them start from one fixed belief at
+    (0.5, 0.7), built once.  A GoalUnreachable names the kind and the site
+    of the TMA it comes from."""
     n = model.state_dim
     lo = np.zeros(n)
     hi = np.ones(n)
@@ -282,7 +289,14 @@ def _build_movement_tma(model: LinearGaussianModel, xy, cfg: DeliveryConfig,
         bounds_lo=lo, bounds_hi=hi)
     start = GaussianBelief(mean=_goal_mean(model, (0.5, 0.7)),
                            cov=1e-4 * np.eye(n))
-    return construct_tma(start, _goal_mean(model, xy), model, tma_cfg, rng)
+    tmas = {}
+    for (name, xy), r in zip(sorted(sites.items()), rng.spawn(len(sites))):
+        try:
+            tmas[name] = construct_tma(start, _goal_mean(model, xy), model,
+                                       tma_cfg, r)
+        except GoalUnreachable as e:
+            raise GoalUnreachable(f"{kind} TMA for {name}: {e}") from e
+    return tmas
 
 
 def _roster(cfg: DeliveryConfig, tmas: Dict[str, Tma],
@@ -376,14 +390,11 @@ class DeliveryDomain(Domain):
         sites_air = {"base-1": cfg.bases[0], "base-2": cfg.bases[1],
                      "dest-1": cfg.dests["d1"], "dest-2": cfg.dests["d2"],
                      "rv": cfg.rendezvous}
-        self._air_tmas = {name: _build_movement_tma(self.air_model, xy, cfg, r)
-                          for (name, xy), r in zip(sorted(sites_air.items()),
-                                                   rng.spawn(len(sites_air)))}
+        self._air_tmas = _build_movement_tmas(AIR, self.air_model,
+                                              sites_air, cfg, rng)
         sites_ground = {"rv": cfg.rendezvous, "dest-r": cfg.dests["dr"]}
-        self._ground_tmas = {
-            name: _build_movement_tma(self.ground_model, xy, cfg, r)
-            for (name, xy), r in zip(sorted(sites_ground.items()),
-                                     rng.spawn(len(sites_ground)))}
+        self._ground_tmas = _build_movement_tmas(GROUND, self.ground_model,
+                                                 sites_ground, cfg, rng)
 
         air = _roster(cfg, self._air_tmas,
                       moves={"goto-base-1": "base-1", "goto-base-2": "base-2",

@@ -418,17 +418,28 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
     is 0 under every policy: GoalUnreachable is raised, naming the start and
     that closed set, before the other edges are estimated and before the
     graph DP.  Otherwise every edge is estimated, with the same result as in
-    job order.  A sampling box with ``bounds_lo`` above ``bounds_hi`` on any
+    job order.  A sampling box with a bound that is not finite, a width
+    too large for a float, or ``bounds_lo`` above ``bounds_hi`` on any
     axis, the unit box's bounds filling in those not given, is a
-    ConfigError, raised before any work.
+    ConfigError, raised before any work.  A draw within a finite box is
+    finite, so each sampled center is built on the stationary covariance
+    ``design_lma`` validated, with no check of its own.
     """
     goal_mean = np.asarray(goal_mean, dtype=float).ravel()
     # the sampling box, the unit box by default; equal bounds pin an axis
     dim = task_model.state_dim
     lo = np.asarray(cfg.bounds_lo if cfg.bounds_lo is not None
-                    else np.zeros(dim), dtype=float)
+                    else np.zeros(dim), dtype=float).ravel()
     hi = np.asarray(cfg.bounds_hi if cfg.bounds_hi is not None
-                    else np.ones(dim), dtype=float)
+                    else np.ones(dim), dtype=float).ravel()
+    # a NaN or infinite bound, or a box too wide for a float, would give
+    # milestone means that are not finite; the width says so, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = hi - lo
+    if not np.all(np.isfinite(width)):
+        raise ConfigError(
+            f"sampling box must have finite bounds and a finite width: "
+            f"bounds_lo {lo.tolist()}, bounds_hi {hi.tolist()}")
     if np.any(lo > hi):
         axis = int(np.argmax(lo > hi))
         raise ConfigError(
@@ -449,7 +460,7 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
     tries = blocked = crowded = 0
     next_id = 2
     while next_id < n_sampled + 1:
-        mean = lo + (hi - lo) * rng.random(task_model.state_dim)
+        mean = lo + width * rng.random(task_model.state_dim)
         if settle is not None:
             mean = settle @ mean
         tries += 1
@@ -470,7 +481,7 @@ def construct_tma(start: GaussianBelief, goal_mean: np.ndarray,
             crowded += 1
             continue
         milestones[next_id] = Milestone(
-            id=next_id, center=GaussianBelief(mean=mean, cov=p_stat),
+            id=next_id, center=GaussianBelief._trusted(mean, p_stat),
             epsilon=cfg.epsilon)
         next_id += 1
     start_id = n_sampled + 1

@@ -119,6 +119,42 @@ class TestDesignLma:
         with pytest.raises(Unstabilizable):
             design_lma(m, [0.0], GainSpec(kind="fixed", fixed_gain=[[0.0]]))
 
+    def test_fixed_gain_is_checked_on_every_call(self):
+        m = scalar_model(a=2.0, g=1.0)
+        # a stable fixed gain first, so the stationary covariance is cached
+        design_lma(m, [0.0], GainSpec(kind="fixed", fixed_gain=[[1.5]]))
+        for _ in range(2):
+            with pytest.raises(Unstabilizable,
+                               match=r"closed-loop spectral radius 2\.0000"):
+                design_lma(m, [0.0],
+                           GainSpec(kind="fixed", fixed_gain=[[0.0]]))
+
+    def test_lqr_gain_is_checked_once_per_weights(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(a)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        m = scalar_model()
+        first = design_lma(m, [0.1])
+        second = design_lma(m, [0.9])
+        assert len(calls) == 1 and second.gain is first.gain
+        design_lma(m, [0.1], GainSpec(kind="lqr", control_weight=8.0))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("target", [[np.nan], [np.inf], [-np.inf]])
+    def test_non_finite_target_is_refused(self, target):
+        m = scalar_model()
+        design_lma(m, [0.0])
+        # the same message a belief with that mean gives, also once the
+        # covariance is cached
+        with pytest.raises(ValueError) as err:
+            design_lma(m, target)
+        assert str(err.value) == "belief entries must be finite"
+
 
 def scipy_gain(A, G, Qw, Rw):
     """The LQR gain from scipy's Riccati solution, by the formula

@@ -42,6 +42,8 @@ TMA_EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                            "tma_single.yaml")
 DESK_EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                             "delivery_desk.yaml")
+DEFAULT_EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir,
+                               "configs", "delivery_default.yaml")
 
 DELIVERY_CONFIG = {
     "preset": "desk",
@@ -444,6 +446,21 @@ def test_build_tma_unreachable_goal_exits_3(tmp_path):
     rc = main(["build-tma", "--config", path, "--seed", "2",
                "--out", str(tmp_path / "x.json")])
     assert rc == EXIT_INFEASIBLE
+
+
+@pytest.mark.parametrize("seed, tma", [(2, "air TMA for dest-1"),
+                                       (10, "ground TMA for dest-r")])
+def test_unreachable_goal_in_a_delivery_build_names_its_tma(seed, tma,
+                                                            tmp_path, capsys):
+    # the paper-scale preset: these seeds' domains stop on a closed start
+    # set in one robot kind's TMA for one site
+    rc = main(["solve", "--config", DEFAULT_EXAMPLE, "--seed", str(seed),
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == (
+        f"infeasible: {tma}: start node 6 never reaches the goal or failure "
+        f"node: the edges of nodes [2, 3, 4, 5, 6] land only among "
+        f"themselves\n")
 
 
 def test_build_tma_unstabilizable_gain_exits_3(tmp_path, capsys):

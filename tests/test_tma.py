@@ -424,6 +424,30 @@ class TestConstructTma:
         assert rng.bit_generator.state \
             == np.random.default_rng(0).bit_generator.state
 
+    @pytest.mark.parametrize("lo, hi", [
+        ([0.0, -np.inf], [1.0, np.inf]),
+        ([np.nan, 0.0], [1.0, 1.0]),
+        # the defaults are the unit box: a lone upper bound may be infinite
+        (None, [np.inf, 1.0]),
+        (None, [1.0, np.nan]),
+        # finite bounds whose width overflows
+        ([-1e308, 0.0], [1e308, 1.0])])
+    def test_non_finite_sampling_box_is_a_config_error(self, lo, hi):
+        model = LinearGaussianModel(A=np.eye(2), G=np.eye(2), C=np.eye(2),
+                                    Q=1e-4 * np.eye(2), R_obs=1e-4 * np.eye(2))
+        cfg = TmaConfig(n_nodes=3, k_neighbors=2, m_sims=5, epsilon=0.06,
+                        max_steps=200,
+                        bounds_lo=None if lo is None else np.array(lo),
+                        bounds_hi=np.array(hi))
+        start = GaussianBelief([0.1, 0.1], 1e-4 * np.eye(2))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigError, match="sampling box must have "
+                           "finite bounds and a finite width"):
+            construct_tma(start, [0.8, 0.8], model, cfg, rng)
+        # refused before any draw
+        assert rng.bit_generator.state \
+            == np.random.default_rng(0).bit_generator.state
+
     def test_equal_bounds_pin_an_axis(self):
         model = LinearGaussianModel(A=np.eye(2), G=np.eye(2), C=np.eye(2),
                                     Q=1e-4 * np.eye(2), R_obs=1e-4 * np.eye(2))
@@ -913,6 +937,61 @@ def test_start_node_runs_keep_their_room_while_the_covariance_settles(
         assert scans[k] < steps[k]
 
 
+class TestSharedChecksRunOnce:
+    """A model's LQR gain is checked for stability, and its stationary
+    covariance validated as a belief covariance, once; the attractors and
+    sampled milestone centers built on that covariance are not checked."""
+
+    @staticmethod
+    def counts(monkeypatch):
+        counts = {"beliefs": 0, "eigvals": 0}
+        validate = GaussianBelief.__post_init__
+        eigvals = np.linalg.eigvals
+
+        def counted_validate(self):
+            counts["beliefs"] += 1
+            validate(self)
+
+        def counted_eigvals(a):
+            counts["eigvals"] += 1
+            return eigvals(a)
+
+        monkeypatch.setattr(GaussianBelief, "__post_init__", counted_validate)
+        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        return counts
+
+    def test_desk_build(self, monkeypatch):
+        counts = self.counts(monkeypatch)
+        build_domain(desk_config(), np.random.default_rng(0))
+        # beliefs: the 3 robots' start states, one TMA start per robot kind
+        # and one stationary covariance per kind's model, where a check per
+        # milestone and attractor made 31; gains: one per model, not 7
+        assert counts == {"beliefs": 7, "eigvals": 2}
+
+    def test_second_build_on_one_model_checks_nothing(self, monkeypatch):
+        model, start, goal, cfg = tma_build_problem()
+        counts = self.counts(monkeypatch)
+        first = construct_tma(start, goal, model, cfg,
+                              np.random.default_rng(1))
+        assert counts == {"beliefs": 1, "eigvals": 1}
+        second = construct_tma(start, goal, model, cfg,
+                               np.random.default_rng(1))
+        assert counts == {"beliefs": 1, "eigvals": 1}
+        assert tma_to_dict(second) == tma_to_dict(first)
+        for tma in (first, second):
+            assert all(ms.center.cov is model._stationary_cov
+                       for i, ms in tma.graph.milestones.items()
+                       if i not in (0, tma.start_id))
+
+
+def test_goal_does_not_follow_writes_to_the_callers_array():
+    model, start, goal, cfg = tma_build_problem()
+    tma = construct_tma(start, goal, model, cfg, np.random.default_rng(1))
+    goal[0] = 5.0
+    assert tma.graph.milestones[1].center.mean.tolist() == [0.8, 0.8]
+    assert tma.funnels[1].attractor.mean.tolist() == [0.8, 0.8]
+
+
 class TestReachabilityFirst:
     def test_cut_off_start_raises_before_other_edges_and_dp(self, monkeypatch):
         # seed 11: the start (node 8) lies inside ball 5 and the nodes it
@@ -947,7 +1026,8 @@ class TestReachabilityFirst:
         with pytest.raises(GoalUnreachable) as err:
             build_domain(DeliveryConfig(), np.random.default_rng(15))
         assert str(err.value) == (
-            "zero success probability from start node 6: its policy edge to "
+            "air TMA for dest-1: zero success probability from start node "
+            "6: its policy edge to "
             "node 4 lands on the failure node with probability 0 (timeouts "
             "included), and the policy walks from there through nodes "
             "[2, 4], none of which reaches the goal")
